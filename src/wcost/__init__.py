@@ -77,6 +77,7 @@ from .variance import (
     sigma2_location_scale,
     sigma2_one_sample,
     sigma2_w2_independent,
+    sigma2_window,
     variance_kernel,
 )
 from .mc import (

@@ -29,7 +29,7 @@ from .coupling import Coupling, Independent, sample_pairs
 from .distributions import Distribution, Gaussian, reflect
 from .errors import DegenerateSampleError, NonconvergenceError, UnsupportedCostError
 from .estimate import empirical_cost, exact_cost, trimmed_empirical_cost
-from .quadrature import QuadratureConfig, graded_breaks, integrate_2d
+from .quadrature import QuadratureConfig
 from .variance import (
     _heavier_right,
     confidence_interval,
@@ -37,7 +37,7 @@ from .variance import (
     sigma2,
     sigma2_gaussian,
     sigma2_w2_independent,
-    variance_kernel,
+    sigma2_window,
 )
 
 _SIGMA_SOURCES = ("oracle_quadrature", "closed_form", "plug_in")
@@ -57,7 +57,7 @@ class MCConfig:
     ``trim_eps=None`` selects the vanishing schedule n^(-1/4) (clamped below
     1/2 for the smallest allowed n); an explicit value in [0, 1/2) fixes the
     trim level.  ``sigma_source`` picks how replicates are standardized:
-    ``oracle_quadrature`` (default) integrates the variance kernel once,
+    ``oracle_quadrature`` (default) computes ``sigma2`` once by quadrature,
     ``closed_form`` uses an exact formula where one exists, and ``plug_in``
     re-estimates the variance from each replicate's own sample.
     """
@@ -264,19 +264,6 @@ def _oracle_sigma2(cfg: MCConfig):
     return sigma2_w2_independent(cfg.F, cfg.G)
 
 
-def _window_sigma2(cfg: MCConfig, eps: float) -> float:
-    """Variance kernel integrated over the trimmed square (eps, 1-eps)^2.
-
-    The window excludes both tails, so this exists even when the full-interval
-    variance diverges -- trimmed inference is exactly what survives there.
-    """
-    kernel = variance_kernel(cfg.F, cfg.G, cfg.c, cfg.coupling)
-    br = graded_breaks(eps, 1.0 - eps)
-    value, _err = integrate_2d(kernel, (eps, 1.0 - eps), (eps, 1.0 - eps),
-                               _WINDOW_CONFIG, xbreaks=br, ybreaks=br)
-    return max(float(value), 0.0)
-
-
 def _build_report(cfg: MCConfig, values: np.ndarray, target: float,
                   sig2: float | None, sig2_per: np.ndarray | None,
                   trim_eps: float, ok: bool, notes: tuple, t0: float) -> MCReport:
@@ -356,11 +343,11 @@ def run_clt_experiment(cfg: MCConfig, *, threads: int = 1) -> MCReport:
     w_exact = exact_cost(cfg.F, cfg.G, cfg.c)
     if cfg.sigma_source == "plug_in":
         pe = _plug_in_variance_eps(cfg.n)
-        west, _wtrim, plug = _simulate(cfg, cfg.resolved_trim_eps, threads, (pe,))
+        west, _, plug = _simulate(cfg, 0.0, threads, (pe,))
         notes = notes + (f"per-replicate plug-in variances (trim {pe:.6g})",)
         return _build_report(cfg, west, w_exact, None, plug[pe], 0.0, ok, notes, t0)
     sig2 = _oracle_sigma2(cfg).value
-    west, _wtrim, _ = _simulate(cfg, cfg.resolved_trim_eps, threads)
+    west, _, _ = _simulate(cfg, 0.0, threads)
     return _build_report(cfg, west, w_exact, sig2, None, 0.0, ok, notes, t0)
 
 
@@ -396,7 +383,8 @@ def compare_trimmed(cfg: MCConfig, *, threads: int = 1) -> TrimmedComparison:
                                 eps, ok, trim_notes, t0)
     else:
         sig2_full = _oracle_sigma2(cfg).value
-        sig2_window = sig2_full if eps == 0.0 else _window_sigma2(cfg, eps)
+        sig2_window = sig2_full if eps == 0.0 else sigma2_window(
+            cfg.F, cfg.G, cfg.c, cfg.coupling, eps, _WINDOW_CONFIG).value
         west, wtrim, _ = _simulate(cfg, eps, threads)
         plain = _build_report(cfg, west, w_full, sig2_full, None, 0.0, ok, notes, t0)
         trimmed = _build_report(cfg, wtrim, w_window, sig2_window, None, eps,

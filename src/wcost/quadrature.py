@@ -19,11 +19,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import eval_legendre
 
 from .errors import NonconvergenceError
 
-__all__ = ["QuadratureConfig", "gk15_fixed", "graded_breaks", "integrate_1d", "integrate_2d",
-           "integrate_open01", "integrate_square_open"]
+__all__ = ["QuadratureConfig", "CumulativeMesh", "gk15_fixed", "graded_breaks", "integrate_1d",
+           "integrate_2d", "integrate_open01", "integrate_square_open"]
 
 # 15-point Kronrod extension of 7-point Gauss (positive half, descending).
 _XGK = np.array([
@@ -59,8 +60,27 @@ _W_KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
 # Gauss nodes sit at the odd positions of the Kronrod set.
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:14:2] = np.concatenate((_WG[:-1], _WG[::-1]))
+_W_DIFF = _W_KRONROD - _W_GAUSS
+
+# Cumulative integrals inside a panel come from the degree-14 Legendre
+# interpolant of the 15 node samples: _FIT maps samples to its coefficients
+# and _ANTI maps those to the coefficients (degree 15) of the antiderivative
+# from -1, using int_{-1}^x P_k = (P_{k+1} - P_{k-1}) / (2k + 1), P_{-1} := -1.
+_DEGREES = np.arange(_NODES.size + 1)
+_FIT = np.linalg.inv(eval_legendre(_DEGREES[None, :-1], _NODES[:, None]))
+_ANTI = np.zeros((_NODES.size + 1, _NODES.size))
+_ANTI[0, 0] = 1.0
+for _k in range(_NODES.size):
+    _ANTI[_k + 1, _k] = 1.0 / (2 * _k + 1)
+    if _k:
+        _ANTI[_k - 1, _k] = -1.0 / (2 * _k + 1)
+_ANTI_FIT = _ANTI @ _FIT
+# Row j: samples -> integral of the interpolant from -1 to node j.
+_CUMULATIVE = eval_legendre(_DEGREES[None, :], _NODES[:, None]) @ _ANTI_FIT
 
 _DIVERGENCE_RATIO = 0.98
+# Twice the unit roundoff: one addition's rounding is at most this times its result.
+_ULP = 2.0 ** -52
 # The open-domain wrappers drive the panel integrals this much below the
 # requested tolerance so that the summed error estimate still meets it.
 _INNER_TIGHTENING = 20.0
@@ -120,6 +140,42 @@ def graded_breaks(lo: float, hi: float) -> list[float]:
     return sorted(pts)
 
 
+def _refine(heap: list, split, cfg: QuadratureConfig, scale: float) -> list:
+    """Bisect the worst panel until the summed error estimate meets the tolerance.
+
+    ``heap`` entries are ``(-error, *bounds, value)``; ``split(entry)`` returns
+    the children's entries, or None when the panel is at floating-point
+    resolution.  Running totals are kept per split; the exact compensated sums
+    decide the stop and are formed only once the running error, less the bound
+    on its own rounding, is within the tolerance.  Returns the final panels.
+    """
+    heapq.heapify(heap)
+    val = math.fsum(p[-1] for p in heap)
+    err = math.fsum(-p[0] for p in heap)
+    drift = 0.0  # bounds the rounding both running totals have picked up
+    while len(heap) < cfg.max_subdivisions:
+        if err - drift <= _tolerance(cfg, abs(val) + drift, scale):
+            val = math.fsum(p[-1] for p in heap)
+            err = math.fsum(-p[0] for p in heap)
+            drift = 0.0
+            if err <= _tolerance(cfg, val, scale):
+                break
+        worst = heapq.heappop(heap)
+        children = split(worst)
+        if children is None:
+            heapq.heappush(heap, worst)
+            break
+        for child in children:
+            heapq.heappush(heap, child)
+            val += child[-1]
+            err -= child[0]
+            drift += _ULP * (abs(val) + abs(err))
+        val -= worst[-1]
+        err += worst[0]
+        drift += _ULP * (abs(val) + abs(err))
+    return heap
+
+
 def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig, scale: float = 0.0,
                  breaks=None, raise_on_stall: bool = True) -> tuple[float, float]:
     """Adaptive panel-bisection integral of a vectorized integrand on [a, b].
@@ -135,27 +191,19 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig, scale: float = 0.
         raise ValueError(f"bad interval [{a}, {b}]")
     if breaks is None:
         breaks = [a, b]
-    # heap of (-error, left, right, value); floats give a deterministic order
-    heap = []
-    for pa, pb in zip(breaks, breaks[1:]):
-        val, err = gk15_fixed(f, pa, pb)
-        heap.append((-err, pa, pb, val))
-    heapq.heapify(heap)
-    while len(heap) < cfg.max_subdivisions:
-        total_val = math.fsum(p[3] for p in heap)
-        total_err = math.fsum(-p[0] for p in heap)
-        if total_err <= _tolerance(cfg, total_val, scale):
-            break
-        neg_err, pa, pb, _ = heapq.heappop(heap)
+
+    def split(entry):
+        _, pa, pb, _ = entry
         pm = 0.5 * (pa + pb)
         if pm <= pa or pm >= pb:  # interval at floating-point resolution
-            heapq.heappush(heap, (neg_err, pa, pb, _))
-            break
-        v1, e1 = gk15_fixed(f, pa, pm)
-        v2, e2 = gk15_fixed(f, pm, pb)
-        heapq.heappush(heap, (-e1, pa, pm, v1))
-        heapq.heappush(heap, (-e2, pm, pb, v2))
-    panels = sorted(heap, key=lambda p: p[1])
+            return None
+        (v1, e1), (v2, e2) = gk15_fixed(f, pa, pm), gk15_fixed(f, pm, pb)
+        return (-e1, pa, pm, v1), (-e2, pm, pb, v2)
+
+    # heap of (-error, left, right, value); floats give a deterministic order
+    heap = [(-err, pa, pb, val) for pa, pb in zip(breaks, breaks[1:])
+            for val, err in [gk15_fixed(f, pa, pb)]]
+    panels = sorted(_refine(heap, split, cfg, scale), key=lambda p: p[1])
     value = math.fsum(p[3] for p in panels)
     error = math.fsum(-p[0] for p in panels)
     if raise_on_stall and error > _tolerance(cfg, value, scale):
@@ -193,25 +241,19 @@ def integrate_2d(f, xspan, yspan, cfg: QuadratureConfig, scale: float = 0.0,
         xbreaks = [x0, x1]
     if ybreaks is None:
         ybreaks = [y0, y1]
-    heap = []
-    for pa, pb in zip(xbreaks, xbreaks[1:]):
-        for pc, pd in zip(ybreaks, ybreaks[1:]):
-            val, err = _gk15_panel_2d(f, pa, pb, pc, pd)
-            heap.append((-err, pa, pb, pc, pd, val))
-    heapq.heapify(heap)
-    while len(heap) < cfg.max_subdivisions:
-        total_val = math.fsum(p[5] for p in heap)
-        total_err = math.fsum(-p[0] for p in heap)
-        if total_err <= _tolerance(cfg, total_val, scale):
-            break
-        _, a, b, c, d, _v = heapq.heappop(heap)
+    def split(entry):
+        _, a, b, c, d, _ = entry
         mx, my = 0.5 * (a + b), 0.5 * (c + d)
         if mx <= a or mx >= b or my <= c or my >= d:
-            heapq.heappush(heap, (_, a, b, c, d, _v))
-            break
-        for qa, qb, qc, qd in ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)):
-            v, e = _gk15_panel_2d(f, qa, qb, qc, qd)
-            heapq.heappush(heap, (-e, qa, qb, qc, qd, v))
+            return None
+        return [(-e, qa, qb, qc, qd, v)
+                for qa, qb, qc, qd in ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d))
+                for v, e in [_gk15_panel_2d(f, qa, qb, qc, qd)]]
+
+    heap = [(-err, pa, pb, pc, pd, val)
+            for pa, pb in zip(xbreaks, xbreaks[1:]) for pc, pd in zip(ybreaks, ybreaks[1:])
+            for val, err in [_gk15_panel_2d(f, pa, pb, pc, pd)]]
+    heap = _refine(heap, split, cfg, scale)
     panels = sorted(heap, key=lambda p: (p[1], p[3]))
     value = math.fsum(p[5] for p in panels)
     error = math.fsum(-p[0] for p in panels)
@@ -364,3 +406,117 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
         "extrapolation_residual": residual,
     }
     return value, est_error, diagnostics
+
+
+def _legendre_series(coef, rows, x):
+    """sum_j coef[rows, j] P_j(x) by the three-term recurrence (one gather per degree)."""
+    prev, cur = np.ones_like(x), x.copy()
+    total = coef[rows, 0] + coef[rows, 1] * x
+    nxt = np.empty_like(x)
+    for j in range(1, coef.shape[-1] - 1):
+        # P_{j+1} = ((2j + 1) x P_j - j P_{j-1}) / (j + 1), without temporaries
+        np.multiply(x, cur, out=nxt)
+        nxt *= (2 * j + 1) / (j + 1)
+        prev *= j / (j + 1)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+        total += coef[rows, j + 1] * cur
+    return total
+
+
+class CumulativeMesh:
+    """Running integrals Q_i(t) = -int_{1/2}^t p_i of a vector integrand on (0, 1).
+
+    ``f`` maps an array of n points to an (m, n) array of the components p_i.
+    Each 15-point Gauss--Kronrod panel carries the node samples; Q at a node is
+    the panel sums accumulated outward from 1/2 plus the integral of the
+    panel's interpolant up to the node.  The mesh starts from ``graded_breaks``
+    on (eps, 1 - eps) and the truncation-halving cuts eps/2^k, 1 - eps/2^k of
+    ``integrate_open01``, so each panel lies in the base interval or in one
+    endpoint strip and any integral over the panels extrapolates to (0, 1)
+    strip by strip (``open_integral``).  Outside ``window`` the integrand is
+    taken as zero, which holds Q constant there.
+    """
+
+    def __init__(self, f, cfg: QuadratureConfig, window=(0.0, 1.0)):
+        self.f = f
+        self.window = window
+        self.levels = cfg.extrapolation_levels
+        self.evaluations = 0
+        eps = cfg.edge_epsilon
+        #: truncation levels eps/2^k, ascending (eps last)
+        self.cuts = eps * 0.5 ** np.arange(self.levels, -1, -1)
+        pts = {0.5, *graded_breaks(eps, 1.0 - eps), *self.cuts, *(1.0 - self.cuts)}
+        pts.update(w for w in window if 0.0 < w < 1.0)
+        self.breaks = np.array(sorted(pts))
+        self.p = self._sample(self.breaks[:-1], self.breaks[1:])
+        self._update()
+
+    @property
+    def panels(self) -> int:
+        return self.breaks.size - 1
+
+    def _sample(self, lo, hi):
+        u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
+        inside = (u >= self.window[0]) & (u <= self.window[1])
+        vals = np.asarray(self.f(u[inside]), dtype=float)
+        self.evaluations += vals.shape[-1]
+        out = np.zeros((vals.shape[0],) + u.shape)
+        out[:, inside] = vals
+        return out
+
+    def _update(self) -> None:
+        lo, hi = self.breaks[:-1], self.breaks[1:]
+        self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        sums = self.half * (self.p @ _W_KRONROD)
+        #: per panel, the Kronrod-minus-Gauss discrepancy of int p_i
+        self.ep = self.half * np.abs(self.p @ _W_DIFF)
+        k0 = int(np.searchsorted(lo, 0.5))
+        right = -np.cumsum(sums[:, k0:], axis=1)
+        #: Q_i at each panel's left end, summed outward from 1/2 on both sides
+        self.q_lo = np.concatenate((np.cumsum(sums[:, k0 - 1::-1], axis=1)[:, ::-1],
+                                    np.zeros((sums.shape[0], 1)), right[:, :-1]), axis=1)
+        #: Q_i at the nodes, shape (m, panels, 15)
+        self.Q = self.q_lo[..., None] - self.half[:, None] * (self.p @ _CUMULATIVE.T)
+        left = self.levels + 1 - np.searchsorted(self.cuts, self.mid)
+        right_level = self.levels + 1 - np.searchsorted(self.cuts, 1.0 - self.mid)
+        self.strip = np.where(left > 0, left, np.where(right_level > 0, self.levels + right_level, 0))
+
+    def split(self, mask) -> bool:
+        """Bisect the masked panels; False when none can be split any more."""
+        lo, hi, mid = self.breaks[:-1], self.breaks[1:], self.mid
+        mask = mask & (mid > lo) & (mid < hi)
+        if not mask.any():
+            return False
+        kids = self._sample(np.concatenate((lo[mask], mid[mask])), np.concatenate((mid[mask], hi[mask])))
+        order = np.argsort(np.concatenate((lo[~mask], lo[mask], mid[mask])))
+        self.p = np.concatenate((self.p[:, ~mask], kids), axis=1)[:, order]
+        self.breaks = np.sort(np.concatenate((self.breaks, mid[mask])))
+        self._update()
+        return True
+
+    def panel_sums(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Per-panel Kronrod integrals of node values and their Kronrod-minus-Gauss gaps."""
+        return self.half * (values @ _W_KRONROD), self.half * np.abs(values @ _W_DIFF)
+
+    def open_integral(self, sums, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
+        """Sum per-panel integrals over (0, 1): base interval plus each extrapolated tail.
+
+        Returns (value, extrapolation residual); raises NonconvergenceError
+        when a tail's strips stop shrinking.
+        """
+        by_strip = np.bincount(self.strip, weights=sums, minlength=2 * self.levels + 1)
+        base = float(by_strip[0])
+        floor = 0.01 * _tolerance(cfg, base)
+        left, left_res = _tail_limit(list(by_strip[1:self.levels + 1]), floor,
+                                     f"{what}: lower endpoint of (0,1)")
+        right, right_res = _tail_limit(list(by_strip[self.levels + 1:]), floor,
+                                       f"{what}: upper endpoint of (0,1)")
+        return base + left + right, left_res + right_res
+
+    def at(self, i: int, t) -> np.ndarray:
+        """Q_i at arbitrary points, each clamped into the meshed range."""
+        t = np.clip(t, self.breaks[0], self.breaks[-1])
+        k = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, self.panels - 1)
+        coef = self.p[i] @ _ANTI_FIT.T
+        return self.q_lo[i, k] - self.half[k] * _legendre_series(coef, k, (t - self.mid[k]) / self.half[k])

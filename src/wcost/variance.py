@@ -1,20 +1,23 @@
 """Asymptotic variance of the paired-sample cost estimator, with confidence intervals.
 
 Standardized by sqrt(n), the estimation error of the matched-pairs cost converges
-to a centred normal law whose variance is a double integral over the unit square:
-the cost gradient composed with the two quantile functions, contracted against the
-covariance of the joint quantile bridge.  Writing h_X = f o F^{-1}, h_Y = g o G^{-1}
-for the quantile densities and Pi for the copula of a pair, the covariance kernel
-has marginal blocks (min(u,v) - uv) / (h(u) h(v)) and cross blocks
-(Pi(u,v) - uv) / (h_X(u) h_Y(v)).
+to a centred normal law.  Its variance is a double integral over the unit square
+of the cost gradient along the quantile diagonal against the covariance of the
+joint quantile bridge (``variance_kernel``).  Integrated by parts it becomes the
+variance of a one-dimensional influence function, the classical L-statistic form:
 
-``sigma2`` evaluates the integral term by term with adaptive quadrature, after a
-cheap one-dimensional guard that detects the infinite-variance regime from the tail
-growth of the cost slope against each quantile density.  Semi-closed forms cover
-the common special cases (independent samples with squared distance, location-scale
-families, Gaussian marginals), ``plug_in_sigma2`` estimates the same quantity from
-one paired sample alone, and ``confidence_interval`` turns any of these into a
-normal-theory interval.
+    sigma^2 = Var[Q_x(U) + Q_y(V)],   Q_x(t) = -int_{1/2}^t partial_x c(F^{-1}, G^{-1}) / h_X,
+
+Q_y likewise, with h_X = f o F^{-1}, h_Y = g o G^{-1} the quantile densities and
+(U, V) drawn from the coupling's copula.  ``sigma2`` builds Q_x and Q_y as running
+Gauss--Kronrod sums on one graded mesh (``quadrature.CumulativeMesh``), after a
+cheap one-dimensional guard that detects the infinite-variance regime from the
+tail growth of the cost slope against each quantile density; only the covariance
+of Q_x and Q_y depends on the coupling.  ``sigma2_one_sample``,
+``sigma2_w2_independent`` and the trimmed ``sigma2_window`` use the same route.
+Closed forms cover location-scale families and Gaussian marginals,
+``plug_in_sigma2`` estimates the variance from one paired sample alone, and
+``confidence_interval`` turns any of these into a normal-theory interval.
 """
 
 from __future__ import annotations
@@ -24,14 +27,16 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri, roots_hermitenorm, roots_legendre
 
 from .costs import Cost, PowerCost, QuantileCost
-from .coupling import Comonotone, Countermonotone, Coupling, Independent, copula_cdf
+from .coupling import (Comonotone, Countermonotone, Coupling, GaussianCopula, Independent,
+                       copula_cdf)
 from .distributions import Distribution, Gaussian, reflect
 from .errors import DegenerateSampleError, NonconvergenceError, UnsupportedCostError
 from .estimate import PairedSample
-from .quadrature import QuadratureConfig, integrate_open01, integrate_square_open
+from .quadrature import (_INNER_TIGHTENING, _NODES, CumulativeMesh, QuadratureConfig,
+                         _tolerance, integrate_open01)
 
 __all__ = [
     "DEFAULT_VARIANCE_CONFIG",
@@ -40,14 +45,15 @@ __all__ = [
     "sigma2",
     "sigma2_one_sample",
     "sigma2_w2_independent",
+    "sigma2_window",
     "sigma2_location_scale",
     "sigma2_gaussian",
     "plug_in_sigma2",
     "confidence_interval",
 ]
 
-#: Looser than the quadrature defaults: the variance kernels carry corner
-#: singularities in all four 1/h factors, and the downstream uses (CI widths,
+#: Looser than the quadrature defaults: the influence functions carry endpoint
+#: singularities through the 1/h factors, and the downstream uses (CI widths,
 #: cross-checks against replicate variances) never need more than ~1e-4 relative.
 DEFAULT_VARIANCE_CONFIG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-5)
 
@@ -69,6 +75,19 @@ _CLAMP_LIMIT = 1e-8
 #: Stand-in for overflowed guard integrand values; keeps the divergence detector
 #: working (huge strips with ratio ~1) without poisoning the arithmetic with inf.
 _GUARD_CEILING = 1e300
+
+#: Node count and normal-score cut of the Gaussian-copula inner integral.  Near
+#: r = +-1 the variance is a small difference of large terms; there 48 nodes
+#: miss it by about 1e-12 relative, 24 by more than its tolerance.
+_INNER_ORDER = 48
+_Z_CUT = 9.0
+_PANEL_BLOCK = 16
+
+#: Relative size, against |Q_x| + |Q_y|, below which Q_x + Q_y is taken as an
+#: exact cancellation (a pair that moves in lockstep) rather than a variance to
+#: integrate.  Translation pairs leave about 1e-16; a true difference below the
+#: threshold adds at most its square to the variance, which goes into est_error.
+_CANCELLATION = 1e-12
 
 _SEPARATION_PROBES = (1e-6, 1e-4, 1e-2, 1.0 - 1e-2, 1.0 - 1e-4, 1.0 - 1e-6)
 
@@ -120,49 +139,26 @@ def _copula_excess(cp: Coupling, u, v):
     return np.asarray(copula_cdf(cp, ua, va), dtype=float) - ua * va
 
 
-def _slope_over_density(F: Distribution, G: Distribution, c: Cost, which: int):
-    """u -> (partial_x or partial_y) c(F^{-1}(u), G^{-1}(u)) / h(u), h of the matching marginal."""
-    law = F if which == 0 else G
-
-    def p(u):
-        ua = np.asarray(u, dtype=float)
-        g = c.gradient(F.quantile(ua), G.quantile(ua))[which]
-        return np.asarray(g, dtype=float) / np.asarray(law.density_quantile(ua), dtype=float)
-
-    return p
-
-
-def _kernel_terms(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
-    """The four summands of grad(u) Sigma(u,v) grad(v), each with its own corner profile."""
-    px = _slope_over_density(F, G, c, 0)
-    py = _slope_over_density(F, G, c, 1)
-
-    def a1(u, v):
-        return px(u) * px(v) * _bridge(u, v)
-
-    def a2(u, v):
-        return px(u) * py(v) * _copula_excess(cp, u, v)
-
-    def a3(u, v):
-        return py(u) * px(v) * _copula_excess(cp, v, u)
-
-    def a4(u, v):
-        return py(u) * py(v) * _bridge(u, v)
-
-    return a1, a2, a3, a4
+def _slopes(F: Distribution, G: Distribution, c: Cost, u):
+    """(partial_x c / h_X, partial_y c / h_Y) along the quantile diagonal at u, stacked."""
+    ua = np.asarray(u, dtype=float)
+    gx, gy = c.gradient(F.quantile(ua), G.quantile(ua))
+    return np.stack((np.asarray(gx, dtype=float) / np.asarray(F.density_quantile(ua), dtype=float),
+                     np.asarray(gy, dtype=float) / np.asarray(G.density_quantile(ua), dtype=float)))
 
 
 def variance_kernel(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
-    """Pointwise integrand (u, v) -> grad(u) Sigma(u,v) grad(v) of the variance integral.
+    """Pointwise integrand (u, v) -> grad(u) Sigma(u,v) grad(v) of the variance double integral.
 
-    Exposed for diagnostics and symmetry checks; ``sigma2`` integrates the four terms
-    separately rather than through this sum.
+    ``sigma2`` does not integrate it: the double integral equals the variance
+    of the influence functions, which takes only one-dimensional integrals.
+    Kept as the independent two-dimensional reference for tests and diagnostics.
     """
-    terms = _kernel_terms(F, G, c, cp)
 
     def kernel(u, v):
-        a1, a2, a3, a4 = (t(u, v) for t in terms)
-        return a1 + a2 + a3 + a4
+        (pxu, pyu), (pxv, pyv) = _slopes(F, G, c, u), _slopes(F, G, c, v)
+        return (pxu * pxv * _bridge(u, v) + pxu * pyv * _copula_excess(cp, u, v)
+                + pyu * pxv * _copula_excess(cp, v, u) + pyu * pyv * _bridge(u, v))
 
     return kernel
 
@@ -286,6 +282,165 @@ def _clamped(total: float, err: float, what: str) -> tuple[float, float, float]:
     return total, err, 0.0
 
 
+# --- influence functions -------------------------------------------------------
+
+
+def _cov_term(mesh: CumulativeMesh, X, Y, ex, ey, q: QuadratureConfig, what: str):
+    """Cov(X(U), Y(U)) for U uniform on (0, 1), from node values on ``mesh``.
+
+    ``ex``/``ey`` are per-panel slope-integral discrepancies; a panel's share
+    of the bound is its own Kronrod-minus-Gauss gaps plus its discrepancy times
+    the sensitivity of the covariance to a uniform shift of X or Y, since an
+    error in one panel's sum shifts the influence function everywhere beyond it.
+    Returns (covariance, per-panel error shares, extrapolation residual).
+    """
+    sxy, dxy = mesh.panel_sums(X * Y)
+    sx, dx = mesh.panel_sums(X)
+    sy, dy = mesh.panel_sums(Y)
+    ixy, rxy = mesh.open_integral(sxy, q, what)
+    ix, rx = mesh.open_integral(sx, q, what)
+    iy, ry = mesh.open_integral(sy, q, what)
+    ax = float(np.sum(mesh.panel_sums(np.abs(X))[0]))
+    ay = float(np.sum(mesh.panel_sums(np.abs(Y))[0]))
+    shares = (dxy + abs(iy) * dx + abs(ix) * dy
+              + ex * (ay + abs(iy)) + ey * (ax + abs(ix)))
+    return ixy - ix * iy, shares, rxy + abs(iy) * rx + abs(ix) * ry
+
+
+def _conditional_means(mesh: CumulativeMesh, r: float, i: int):
+    """E[Q_i(V) | U = u] at the nodes under the Gaussian copula, twice.
+
+    V = Phi(r Z_1 + s Z_2), s = sqrt(1 - r^2), with U = Phi(Z_1).  Q_i is known
+    on the meshed range, so V is clamped into it; the second mean clamps one
+    truncation level coarser, so that its difference from the first gauges
+    what the clamp leaves out.  Without a window, z_2 -> Q_i(V) bends only at
+    those clamps, far out in the tails, and Gauss--Hermite takes the whole
+    line.  Q_i is constant outside a window, which puts kinks in the bulk, so
+    there the integral splits at them: the constant pieces are normal
+    probabilities and the middle takes Gauss--Legendre (cut at |z_2| = _Z_CUT).
+    The inner rule's own error is not part of ``est_error``.  Panels go in
+    blocks to keep the inner points small.
+    """
+    s = math.sqrt(1.0 - r * r)
+    windowed = mesh.window != (0.0, 1.0)
+    clamps = [(max(mesh.window[0], eps), min(mesh.window[1], 1.0 - eps)) for eps in mesh.cuts[:2]]
+    if windowed:
+        x, w = roots_legendre(_INNER_ORDER)
+    else:
+        x, w = roots_hermitenorm(_INNER_ORDER)
+        w = w / math.sqrt(2.0 * math.pi)
+    means = np.empty((len(clamps), mesh.panels, _NODES.size))
+    for start in range(0, mesh.panels, _PANEL_BLOCK):
+        block = slice(start, start + _PANEL_BLOCK)
+        z1 = ndtri(mesh.mid[block, None] + mesh.half[block, None] * _NODES)
+        if not windowed:
+            v = ndtr(r * z1[..., None] + s * x)
+            qv = mesh.at(i, v)
+            for k, (lo, hi) in enumerate(clamps):
+                q_lo, q_hi = mesh.at(i, np.array([lo, hi]))
+                means[k, block] = np.where(v < lo, q_lo, np.where(v > hi, q_hi, qv)) @ w
+            continue
+        for k, (lo, hi) in enumerate(clamps):
+            if k and clamps[k] == clamps[0]:  # the window lies inside both clamps
+                means[k, block] = means[0, block]
+                continue
+            a, b = (ndtri(lo) - r * z1) / s, (ndtri(hi) - r * z1) / s
+            ca, cb = np.clip(a, -_Z_CUT, _Z_CUT), np.clip(b, -_Z_CUT, _Z_CUT)
+            z2 = 0.5 * (ca + cb)[..., None] + 0.5 * (cb - ca)[..., None] * x
+            v = np.clip(ndtr(r * z1[..., None] + s * z2), lo, hi)
+            q_lo, q_hi = mesh.at(i, np.array([lo, hi]))
+            middle = (mesh.at(i, v) * np.exp(-0.5 * z2 * z2)) @ w
+            means[k, block] = (q_lo * ndtr(a) + q_hi * ndtr(-b)
+                               + middle * (0.5 * (cb - ca)) / math.sqrt(2.0 * math.pi))
+    return means[0], means[1]
+
+
+def _influence_terms(mesh: CumulativeMesh, cp: Coupling | None, q: QuadratureConfig,
+                     cross: bool = True):
+    """The covariances whose weighted sum is the variance.
+
+    Returns [(name, weight, covariance, per-panel error shares, residual)];
+    with ``cross`` off a Gaussian copula's cross term is left out.
+    """
+    Q, ep = mesh.Q, mesh.ep
+    if cp is None or isinstance(cp, (Comonotone, Countermonotone)):
+        # one influence function: Q_x + Q_y, the y part reflected for countermonotone
+        S, es = Q.sum(axis=0), ep.sum(axis=0)
+        name = "x+y" if Q.shape[0] == 2 else "x"
+        return [(name, 1.0, *_cov_term(mesh, S, S, es, es, q, "influence"))]
+    if not isinstance(cp, (Independent, GaussianCopula)):
+        raise TypeError(f"no influence-function variance for coupling {cp!r}")
+    terms = [(name, 1.0, *_cov_term(mesh, Q[i], Q[i], ep[i], ep[i], q, f"influence {name}"))
+             for i, name in enumerate(("x", "y"))]
+    if cross and isinstance(cp, GaussianCopula):
+        g, h = _conditional_means(mesh, cp.r, 1)
+        cov, shares, residual = _cov_term(mesh, Q[0], g, ep[0], ep[1], q, "influence cross")
+        # Clamping V one truncation level coarser at least doubles what the
+        # clamp misses when its strips shrink by 2/3 or faster, so twice the
+        # change bounds the rest.
+        residual += 2.0 * abs(float(np.sum(mesh.panel_sums(Q[0] * (g - h))[0])))
+        terms.append(("cross", 2.0, cov, shares, residual))
+    return terms
+
+
+def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
+                      window=(0.0, 1.0)) -> tuple[float, float, dict]:
+    """Variance of the summed influence functions of the slopes ``f``, under coupling ``cp``.
+
+    ``f`` maps points to the stacked slopes (one row and ``cp`` None for a
+    single influence function; two rows, x then y, otherwise).  The mesh is
+    bisected where the error shares concentrate until they total at most the
+    tolerance over the inner tightening, or the panel budget is spent; a
+    Gaussian copula's cross term, the costly one, joins once the others meet it.
+    Returns (value, est_error, per-term diagnostics) before clamping; raises
+    NonconvergenceError when the error bound misses the tolerance.
+    """
+    # Halvings cost two panels each in one dimension, so go as deep as the guard
+    # does: tails like powers of log(1/u) need the longer strip sequence.
+    levels = max(q.extrapolation_levels, 12)
+    mesh = CumulativeMesh(f, replace(q, extrapolation_levels=levels), window)
+    exhausted = cross = False
+    while True:
+        terms = _influence_terms(mesh, cp, q, cross)
+        value = math.fsum(weight * cov for _, weight, cov, _, _ in terms)
+        shares = sum(weight * sh for _, weight, _, sh, _ in terms)
+        target = _tolerance(q, value) / _INNER_TIGHTENING
+        if float(np.sum(shares)) > target:
+            worst = np.argsort(-shares, kind="stable")[:max(q.max_subdivisions - mesh.panels, 0)]
+            mask = np.zeros(mesh.panels, dtype=bool)
+            mask[worst] = shares[worst] > target / mesh.panels
+            if mesh.split(mask):
+                continue
+            exhausted = True
+        if cross or not isinstance(cp, GaussianCopula):
+            break
+        cross = True
+    err = float(np.sum(shares)) + math.fsum(weight * res for _, weight, _, _, res in terms)
+    if isinstance(cp, (Comonotone, Countermonotone)):
+        # Q_x + Q_y at rounding level next to |Q_x| + |Q_y|: an exact cancellation
+        floor = _CANCELLATION * float(np.max(np.abs(mesh.Q).sum(axis=0)))
+        if float(np.max(np.abs(mesh.Q.sum(axis=0)))) <= floor:
+            value, err = 0.0, err + abs(value) + floor * floor
+    if not err <= _tolerance(q, value):
+        raise NonconvergenceError(
+            f"influence-function variance: error estimate {err:.3e} exceeds tolerance "
+            f"{_tolerance(q, value):.3e} with {mesh.panels} panels"
+            + (" (panel budget exhausted)" if exhausted else ""))
+    common = {"panels": mesh.panels, "evaluations": mesh.evaluations,
+              "truncation_levels": levels, "budget_exhausted": exhausted}
+    diag = {name: {"value": weight * cov, "est_error": weight * (float(np.sum(sh)) + res),
+                   "extrapolation_residual": weight * res, **common}
+            for name, weight, cov, sh, res in terms}
+    return value, err, diag
+
+
+def _two_sample_slopes(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
+    if isinstance(cp, Countermonotone):
+        # Q_y(1 - u) is the influence function of -p_y(1 - u)
+        return lambda u: np.stack((_slopes(F, G, c, u)[0], -_slopes(F, G, c, 1.0 - u)[1]))
+    return lambda u: _slopes(F, G, c, u)
+
+
 # --- population variances -----------------------------------------------------
 
 
@@ -293,11 +448,17 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
            q: QuadratureConfig | None = None) -> VarianceResult:
     """Asymptotic variance of sqrt(n) times the estimation error of the paired cost.
 
-    Integrates the four terms of ``variance_kernel`` separately over the open unit
-    square -- each has its own corner profile, so the adaptive mesh works less per
-    term than on their sum -- after the one-dimensional tail guard.  The coupling
-    enters only through the cross terms, which vanish identically for independent
-    pairs.
+    After the one-dimensional tail guard, evaluates Var[Q_x(U) + Q_y(V)] for
+    (U, V) drawn from the coupling, with Q_x(t) = -int_{1/2}^t
+    partial_x c(F^{-1}, G^{-1}) / h_X and Q_y likewise.  This equals the
+    double integral of ``variance_kernel`` but needs only one-dimensional
+    quadrature: independent pairs add Var Q_x and Var Q_y, the Frechet
+    extremes take the variance of Q_x(u) + Q_y(u) or Q_x(u) + Q_y(1 - u), and
+    the Gaussian copula adds twice the covariance, a normal-score integral
+    with a Gauss--Hermite inner rule.  ``est_error`` sums the Kronrod-minus-
+    Gauss gaps, their propagation through the running sums and the
+    extrapolation residual of each tail.  When Q_x + Q_y cancels to rounding
+    (a pair that moves in lockstep) the value is exactly 0.0.
 
     Raises NonconvergenceError when the guard or the quadrature detects divergence
     (infinite variance) and UnsupportedCostError for costs without the gradient and
@@ -308,16 +469,28 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     _require_gradient(c)
     _warn_if_tails_meet(F, G)
     guard = _tail_guard(F, G, c, q, ("x", "y"))
-    term_diag: dict[str, dict] = {}
-    values, errors = [], []
-    for name, f in zip(("a1", "a2", "a3", "a4"), _kernel_terms(F, G, c, cp)):
-        v, e, d = integrate_square_open(f, q)
-        values.append(v)
-        errors.append(e)
-        term_diag[name] = {"value": v, "est_error": e, **d}
-    value, err, clamp = _clamped(math.fsum(values), math.fsum(errors), "variance integral")
+    v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q)
+    value, err, clamp = _clamped(v, e, "variance integral")
     return VarianceResult(value, err, "quadrature",
-                          {"terms": term_diag, "tail_guard": guard, "clamp": clamp})
+                          {"influence": terms, "tail_guard": guard, "clamp": clamp})
+
+
+def sigma2_window(F: Distribution, G: Distribution, c: Cost, cp: Coupling, eps: float,
+                  q: QuadratureConfig | None = None) -> VarianceResult:
+    """Asymptotic variance of the estimator trimmed to the window (eps, 1 - eps).
+
+    The influence functions are held constant outside the window.  The window
+    excludes both tails, so this exists even when the full-interval variance
+    diverges; no tail guard runs.
+    """
+    if not 0.0 < eps < 0.5:
+        raise ValueError(f"window trim must lie in (0, 1/2), got {eps}")
+    if q is None:
+        q = DEFAULT_VARIANCE_CONFIG
+    _require_gradient(c)
+    v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q, (eps, 1.0 - eps))
+    value, err, clamp = _clamped(v, e, "window variance integral")
+    return VarianceResult(value, err, "quadrature", {"influence": terms, "clamp": clamp})
 
 
 def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x",
@@ -325,12 +498,10 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
     """Variance when only one sample is random and the other marginal is known.
 
     For side "x" the limit of sqrt(n)(W(F_n, G) - W(F, G)) is centred normal with
-    variance iint d(u) (min(u,v)-uv)/(h(u)h(v)) d(v) du dv, where d is the matching
-    partial slope of the cost along the quantile diagonal and h the same marginal's
-    quantile density.  The slope factor is applied at *both* arguments: the limit is
-    the variance of a mean-zero Gaussian integral, hence a quadratic functional of d,
-    and under independent pairing the two sides must add up to the two-sample value.
-    Cross-validated against replicate variances in simulation.
+    variance Var Q_x(U), U uniform, where Q_x is the running integral of the
+    matching partial slope of the cost along the quantile diagonal over the same
+    marginal's quantile density (see ``sigma2``).  Under independent pairing the
+    two sides add up to the two-sample value.
     """
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
@@ -339,53 +510,25 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
     _require_gradient(c)
     _warn_if_tails_meet(F, G)
     guard = _tail_guard(F, G, c, q, (side,))
-    d = _slope_over_density(F, G, c, 0 if side == "x" else 1)
-
-    def kernel(u, v):
-        return d(u) * d(v) * _bridge(u, v)
-
-    v, e, diag = integrate_square_open(kernel, q)
+    row = 0 if side == "x" else 1
+    v, e, terms = _influence_sigma2(lambda u: _slopes(F, G, c, u)[row:row + 1], None, q)
     value, err, clamp = _clamped(v, e, "one-sample variance integral")
     return VarianceResult(value, err, "quadrature",
-                          {"side": side, "tail_guard": guard, "clamp": clamp, **diag})
+                          {"side": side, "tail_guard": guard, "clamp": clamp,
+                           "influence": {side: terms["x"]}})
 
 
 def sigma2_w2_independent(F: Distribution, G: Distribution,
                           q: QuadratureConfig | None = None) -> VarianceResult:
-    """Variance for independent samples under squared distance, by its reduced kernel.
+    """Variance for independent samples under squared distance: Var Q_x + Var Q_y.
 
-    With c(x,y) = (x-y)^2 the gradient along the quantile diagonal is
-    (2 tau, -2 tau), tau = F^{-1} - G^{-1}, and independence kills the cross terms,
-    leaving 4 iint tau(u) tau(v) [K_X + K_Y](u, v) du dv with K the bridge covariance
-    over each squared quantile density.  Agrees with the general ``sigma2`` route
-    within combined tolerances; kept separate because the reduced kernel is both a
-    useful cross-check and noticeably cheaper.
+    With c(x,y) = (x-y)^2 the slopes along the quantile diagonal are +-2 tau / h,
+    tau = F^{-1} - G^{-1}, so each influence function is a running integral of
+    2 tau over a quantile density.  This is ``sigma2`` with that cost and
+    independent pairing, reported under its own method name.
     """
-    if q is None:
-        q = DEFAULT_VARIANCE_CONFIG
-    c = PowerCost(2.0)
-    _warn_if_tails_meet(F, G)
-    guard = _tail_guard(F, G, c, q, ("x", "y"))
-
-    def tau(u):
-        ua = np.asarray(u, dtype=float)
-        return np.asarray(F.quantile(ua), dtype=float) - np.asarray(G.quantile(ua), dtype=float)
-
-    def part(law):
-        def kernel(u, v):
-            hu = np.asarray(law.density_quantile(np.asarray(u, dtype=float)), dtype=float)
-            hv = np.asarray(law.density_quantile(np.asarray(v, dtype=float)), dtype=float)
-            return 4.0 * tau(u) * tau(v) * _bridge(u, v) / (hu * hv)
-
-        return integrate_square_open(kernel, q)
-
-    vx, ex, dx = part(F)
-    vy, ey, dy = part(G)
-    value, err, clamp = _clamped(vx + vy, ex + ey, "independent-sample variance integral")
-    return VarianceResult(value, err, "closed_form_w2_independent",
-                          {"x_part": {"value": vx, "est_error": ex, **dx},
-                           "y_part": {"value": vy, "est_error": ey, **dy},
-                           "tail_guard": guard, "clamp": clamp})
+    return replace(sigma2(F, G, PowerCost(2.0), Independent(), q),
+                   method="closed_form_w2_independent")
 
 
 def _moment(base: Distribution, power: int, q: QuadratureConfig) -> tuple[float, float]:

@@ -149,6 +149,23 @@ def test_variance_gaussian_method_and_diagnostics_flag(capsys):
     assert "diagnostics" in payload
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_variance_diagnostics_show_quadrature_counters(capsys, fmt):
+    code, out, _ = invoke(capsys, "variance", "gaussian(0,1)", "gaussian(2,1)", "power(2)",
+                          "gauss(0.5)", "--diagnostics", "--format", fmt)
+    assert code == 0
+    fields = ("panels", "evaluations", "truncation_levels", "extrapolation_residual",
+              "budget_exhausted")
+    if fmt == "json":
+        influence = json.loads(out)["diagnostics"]["influence"]
+        assert set(influence) == {"x", "y", "cross"}
+        assert all(d[k] is not None for d in influence.values() for k in fields)
+    else:
+        keys = {line.split(",")[0] for line in out.splitlines()}
+        assert {f"diagnostics.influence.{name}.{k}" for name in ("x", "y", "cross")
+                for k in fields} <= keys
+
+
 def test_variance_nonconvergent_tail_exits_3(capsys):
     code, _, err = invoke(capsys, "variance", "pareto(3)", "locscale(pareto(3),1,1)",
                           "power(2)", "independent")

@@ -16,6 +16,7 @@ from wcost.costs import PowerCost
 from wcost.coupling import Comonotone, Independent, sample_pairs
 from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto
 from wcost.errors import DegenerateSampleError, NonconvergenceError
+from wcost import mc
 from wcost.estimate import empirical_cost, exact_cost
 from wcost.mc import (
     MCConfig,
@@ -280,6 +281,25 @@ def test_sorted_family_is_independent_of_replicate_order():
         z.append(np.sqrt(cfg.n) * (empirical_cost(s, cfg.c) - rep.w_exact)
                  / np.sqrt(rep.sigma2_value))
     assert np.array_equal(np.sort(z), np.array(rep.standardized))
+
+
+@pytest.mark.parametrize("sigma_source", ["oracle_quadrature", "plug_in"])
+def test_untrimmed_run_computes_no_trimmed_estimates(monkeypatch, sigma_source):
+    # Standardized replicates as they were formed while every replicate also
+    # carried a trimmed estimate at the resolved trim level.
+    cfg = smoke_config(n=200, replicates=120, seed=11, sigma_source=sigma_source)
+    pe = mc._plug_in_variance_eps(cfg.n)
+    west, wtrim, plug = mc._simulate(cfg, cfg.resolved_trim_eps, 1, (pe,))
+    assert not np.array_equal(west, wtrim)
+    w_exact = exact_cost(cfg.F, cfg.G, cfg.c)
+    scale2 = plug[pe] if sigma_source == "plug_in" else mc._oracle_sigma2(cfg).value
+    before = tuple(float(v) for v in np.sort(np.sqrt(cfg.n) * (west - w_exact) / np.sqrt(scale2)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the untrimmed experiment computed a trimmed estimate")
+
+    monkeypatch.setattr(mc, "trimmed_empirical_cost", refuse)
+    assert run_clt_experiment(cfg).standardized == before
 
 
 # --- trimmed comparison ---------------------------------------------------------

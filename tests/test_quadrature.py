@@ -1,4 +1,6 @@
+import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +8,11 @@ from scipy import special
 
 from wcost import NonconvergenceError
 from wcost.quadrature import (
+    _NODES,
+    CumulativeMesh,
     QuadratureConfig,
+    _gk15_panel_2d,
+    _tolerance,
     gk15_fixed,
     integrate_1d,
     integrate_2d,
@@ -145,3 +151,94 @@ def test_results_are_deterministic():
     a = integrate_open01(f, CFG)
     b = integrate_open01(f, CFG)
     assert a[0] == b[0] and a[1] == b[1]
+
+
+# --- running totals against the re-summing reference ----------------------------
+
+
+def _resumming_reference(heap, split, cfg, scale):
+    """The adaptive loop that re-sums the whole heap exactly before every split."""
+    heapq.heapify(heap)
+    while len(heap) < cfg.max_subdivisions:
+        if math.fsum(-p[0] for p in heap) <= _tolerance(cfg, math.fsum(p[-1] for p in heap), scale):
+            break
+        worst = heapq.heappop(heap)
+        children = split(worst)
+        if children is None:
+            heapq.heappush(heap, worst)
+            break
+        for child in children:
+            heapq.heappush(heap, child)
+    return heap
+
+
+def _reference_1d(f, a, b, cfg):
+    def split(entry):
+        _, pa, pb, _ = entry
+        pm = 0.5 * (pa + pb)
+        (v1, e1), (v2, e2) = gk15_fixed(f, pa, pm), gk15_fixed(f, pm, pb)
+        return (-e1, pa, pm, v1), (-e2, pm, pb, v2)
+
+    val, err = gk15_fixed(f, a, b)
+    panels = sorted(_resumming_reference([(-err, a, b, val)], split, cfg, 0.0), key=lambda p: p[1])
+    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
+
+
+def _reference_2d(f, xspan, yspan, cfg):
+    def split(entry):
+        _, a, b, c, d, _ = entry
+        mx, my = 0.5 * (a + b), 0.5 * (c + d)
+        return [(-e, qa, qb, qc, qd, v)
+                for qa, qb, qc, qd in ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d))
+                for v, e in [_gk15_panel_2d(f, qa, qb, qc, qd)]]
+
+    val, err = _gk15_panel_2d(f, *xspan, *yspan)
+    heap = _resumming_reference([(-err, *xspan, *yspan, val)], split, cfg, 0.0)
+    panels = sorted(heap, key=lambda p: (p[1], p[3]))
+    return math.fsum(p[5] for p in panels), math.fsum(-p[0] for p in panels)
+
+
+@pytest.mark.parametrize("f, cfg", [
+    (lambda x: np.abs(x - 0.3333) ** 0.51, CFG),
+    (lambda x: 1.0 / np.sqrt(x + 1e-12), CFG),
+    (lambda x: np.sin(40.0 * x) * np.exp(x), CFG),
+    (lambda x: np.abs(x - 0.3333) ** 0.51, replace(CFG, max_subdivisions=37)),
+])
+def test_integrate_1d_matches_the_resumming_loop_bit_for_bit(f, cfg):
+    assert integrate_1d(f, 0.0, 1.0, cfg, raise_on_stall=False) == _reference_1d(f, 0.0, 1.0, cfg)
+
+
+@pytest.mark.parametrize("cfg", [LOOSE, replace(LOOSE, max_subdivisions=100)])
+def test_integrate_2d_matches_the_resumming_loop_bit_for_bit(cfg):
+    f = lambda u, v: (np.minimum(u, v) - u * v) / np.sqrt(u * v * (1.0 - u) * (1.0 - v))
+    span = (1e-4, 1.0 - 1e-4)
+    assert integrate_2d(f, span, span, cfg, raise_on_stall=False) == _reference_2d(f, span, span, cfg)
+
+
+# --- cumulative mesh --------------------------------------------------------------
+
+
+def test_cumulative_mesh_builds_the_running_integral_from_one_half():
+    # p = 1/phi(Phi^{-1}(u)) integrates to Q(t) = -Phi^{-1}(t), which the mesh
+    # reproduces at its nodes and, by interpolation, anywhere inside (to the
+    # resolution of doubles next to 1 - 4e-9, the deepest upper strip)
+    p = lambda u: (math.sqrt(2.0 * math.pi) * np.exp(0.5 * special.ndtri(u) ** 2))[None]
+    mesh = CumulativeMesh(p, LOOSE)
+    for _ in range(2):
+        mesh.split(np.ones(mesh.panels, dtype=bool))
+    nodes = mesh.mid[:, None] + mesh.half[:, None] * _NODES
+    assert np.allclose(mesh.Q[0], -special.ndtri(nodes), rtol=0, atol=2e-8)
+    u = mesh.mid[:, None] + mesh.half[:, None] * np.linspace(-1.0, 1.0, 11)
+    assert np.allclose(mesh.at(0, u), -special.ndtri(u), rtol=0, atol=2e-8)
+    # E[Q(U)^2] = 1 for U uniform, with both open ends extrapolated
+    sums, _ = mesh.panel_sums(mesh.Q[0] ** 2)
+    value, residual = mesh.open_integral(sums, LOOSE, "test")
+    assert value == pytest.approx(1.0, rel=1e-9)
+    assert residual < 1e-8
+
+
+def test_cumulative_mesh_holds_the_integral_constant_outside_a_window():
+    mesh = CumulativeMesh(lambda u: np.ones((1, np.size(u))), LOOSE, window=(0.25, 0.75))
+    t = np.array([1e-5, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9])
+    assert np.allclose(mesh.at(0, t), 0.5 - np.clip(t, 0.25, 0.75), rtol=0, atol=1e-14)
+    assert mesh.evaluations == 15 * int(np.sum((mesh.mid > 0.25) & (mesh.mid < 0.75)))

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from wcost.costs import Cost, PowerCost, QuantileCost
+from wcost.costs import Cost, LogPowerCost, PowerCost, QuantileCost
 from wcost.coupling import (
     Comonotone,
     Countermonotone,
@@ -11,11 +12,18 @@ from wcost.coupling import (
     Independent,
     sample_pairs,
 )
-from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto
+from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto, Weibull
 from wcost.errors import DegenerateSampleError, NonconvergenceError, UnsupportedCostError
 from wcost.estimate import PairedSample
-from wcost.quadrature import QuadratureConfig, graded_breaks, integrate_2d
+from wcost.quadrature import (
+    QuadratureConfig,
+    _tolerance,
+    graded_breaks,
+    integrate_2d,
+    integrate_square_open,
+)
 from wcost.variance import (
+    DEFAULT_VARIANCE_CONFIG,
     VarianceResult,
     confidence_interval,
     plug_in_sigma2,
@@ -24,6 +32,7 @@ from wcost.variance import (
     sigma2_location_scale,
     sigma2_one_sample,
     sigma2_w2_independent,
+    sigma2_window,
     variance_kernel,
 )
 
@@ -175,6 +184,88 @@ def test_heavy_tail_frontier_diverges_below_five(beta):
     F = LocationScale(Pareto(beta), 1.0, 1.0)
     with pytest.raises(NonconvergenceError, match="diverges"):
         sigma2(F, Pareto(beta), P2, Independent())
+
+
+# --- influence functions against the two-dimensional route ---------------------
+
+ORACLE_CASES = [
+    (Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(0.5)),
+    (Gaussian(0, 1), Exponential(1.0), P2, GaussianCopula(0.5)),
+    (Gaussian(0, 1), Gaussian(3, 2), PowerCost(3.0), Countermonotone()),
+    (Gaussian(0, 1), Gaussian(2, 1), LogPowerCost(0.5), Independent()),
+    (Weibull(2.0), LocationScale(Weibull(2.0), 1.0, 1.0), P2, GaussianCopula(-0.3)),
+    (LocationScale(Pareto(5.0), 1.0, 1.0), Pareto(5.0), P2, Countermonotone()),
+    (Gaussian(0, 1), Exponential(1.0), PowerCost(3.0), Comonotone()),
+    (Gaussian(0, 1), Gaussian(3, 2), LogPowerCost(0.5), Comonotone()),
+]
+
+
+@pytest.mark.parametrize("F, G, c, cp", ORACLE_CASES)
+def test_influence_route_matches_the_double_integral(F, G, c, cp):
+    oracle, _, _ = integrate_square_open(variance_kernel(F, G, c, cp), DEFAULT_VARIANCE_CONFIG)
+    assert rel(sigma2(F, G, c, cp).value, oracle) <= 1e-5
+
+
+@pytest.mark.parametrize("cp", [Independent(), GaussianCopula(0.5), Comonotone(),
+                                Countermonotone()])
+def test_window_variance_matches_the_double_integral_over_the_window(cp):
+    eps = 5000 ** -0.25
+    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
+    value = sigma2_window(Gaussian(0, 1), Exponential(1.0), P2, cp, eps, cfg).value
+    assert rel(value, _window_population_value(Gaussian(0, 1), Exponential(1.0), cp, eps)) <= 1e-5
+
+
+def test_window_variance_of_a_shift_pair_is_a_clipped_normal_variance():
+    # Q_x = 4 Phi^{-1} held constant outside the window, so each side gives
+    # 16 Var(Z clipped to +-a), a = Phi^{-1}(1 - eps)
+    eps = 5000 ** -0.25
+    a = -float(ndtri(eps))
+    phi = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    exact = 32.0 * (1.0 - 2.0 * eps - 2.0 * a * phi + 2.0 * eps * a * a)
+    value = sigma2_window(Gaussian(0, 1), Gaussian(2, 1), P2, Independent(), eps,
+                          QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)).value
+    assert rel(value, exact) <= 1e-9
+
+
+@pytest.mark.parametrize("F, G, cp, exact", [
+    *[(F, G, Independent(), target) for F, G, target in GAUSSIAN_PAIRS],
+    (Gaussian(0, 1), Gaussian(2, 1), Comonotone(), 0.0),
+    (Gaussian(0, 1), Gaussian(1, 2), Comonotone(), 6.0),
+    (Gaussian(0, 1), Gaussian(2, 1), Countermonotone(), 64.0),
+    *[(Gaussian(0, 1), Gaussian(2, 1), GaussianCopula(r), 32.0 * (1.0 - r))
+      for r in (0.999, 0.8, 0.5, -0.8, -0.999)],
+    (LocationScale(Pareto(5.0), 1.0, 1.0), Pareto(5.0), Independent(), 5.0 / 6.0),
+])
+def test_error_estimate_covers_closed_forms(F, G, cp, exact):
+    r = sigma2(F, G, P2, cp)
+    assert abs(r.value - exact) <= r.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, exact)
+    assert abs(r.value - exact) <= r.est_error + 1e-12 * max(exact, 1.0)
+
+
+@pytest.mark.parametrize("cp", [Independent(), GaussianCopula(0.5), Comonotone(),
+                                Countermonotone()])
+def test_repeated_calls_are_bit_identical(cp):
+    a = sigma2(Gaussian(0, 1), Exponential(1.0), P2, cp)
+    b = sigma2(Gaussian(0, 1), Exponential(1.0), P2, cp)
+    assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("cp, names", [
+    (Independent(), {"x", "y"}),
+    (GaussianCopula(0.5), {"x", "y", "cross"}),
+    (Comonotone(), {"x+y"}),
+    (Countermonotone(), {"x+y"}),
+])
+def test_benchmark_pair_evaluation_budget(cp, names):
+    # The counts are deterministic; the tripwire sits about twice above them.
+    # The double-integral route spent millions of kernel evaluations here.
+    influence = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, cp).diagnostics["influence"]
+    assert set(influence) == names
+    for d in influence.values():
+        assert set(d) >= {"panels", "evaluations", "truncation_levels",
+                          "extrapolation_residual", "budget_exhausted"}
+        assert d["evaluations"] <= 3000
+        assert d["budget_exhausted"] is False
 
 
 # --- one-sample variance ---------------------------------------------------------
