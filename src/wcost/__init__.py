@@ -2,6 +2,7 @@
 
 from .errors import (
     DegenerateSampleError,
+    HypothesisGateError,
     NonconvergenceError,
     SingularPointError,
     UnsupportedCostError,

@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trim", type=float, help="also report the trimmed estimate")
     p.add_argument("--ci", type=float, help="confidence level, e.g. 0.95")
     p.add_argument("--sigma", choices=("plugin", "oracle"),
-                   help="variance source for --ci")
+                   help="variance source for --ci: plugin estimates the untrimmed "
+                        "variance from the data, oracle computes it from --generate's laws")
     p.add_argument("--dump-sample", help="write the sample to this CSV")
     routing(p)
     p.set_defaults(handler=cmd_estimate)

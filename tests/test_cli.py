@@ -173,6 +173,16 @@ def test_variance_nonconvergent_tail_exits_3(capsys):
     assert "nonconvergent" in err
 
 
+def test_variance_failed_tail_hypothesis_exits_3(capsys):
+    # Pareto(4) and its translation have a finite 8 Var; the gate, not a divergent
+    # integral, stops the run, and the message says so.
+    code, out, err = invoke(capsys, "variance", "pareto(4)", "locscale(pareto(4),1,1)",
+                            "power(2)", "independent")
+    assert code == 3 and out == ""
+    assert "tail hypothesis fails" in err and "normal limit may not hold" in err
+    assert "diverges" not in err
+
+
 def test_variance_wrong_arity_exits_2(capsys):
     code, _, err = invoke(capsys, "variance", "--method", "gaussian", "gaussian(0,1)")
     assert code == 2 and "gaussian method takes" in err

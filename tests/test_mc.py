@@ -28,6 +28,7 @@ from wcost.mc import (
     run_consistency_sweep,
     write_standardized_csv,
 )
+from wcost.variance import confidence_interval
 
 P2 = PowerCost(2.0)
 
@@ -223,8 +224,10 @@ def test_degenerate_variance_is_an_error():
 
 
 def test_plug_in_standardization_has_practical_coverage():
+    # R = 1200 puts the 0.98 bound four binomial standard errors above 0.95;
+    # at R = 300 the exact sigma2 itself covers 0.98 on seed 0's draws.
     cfg = MCConfig(Gaussian(0, 1), Gaussian(2, 1), P2, Independent(),
-                   n=2000, replicates=300, seed=0, sigma_source="plug_in")
+                   n=2000, replicates=1200, seed=0, sigma_source="plug_in")
     rep = run_clt_experiment(cfg, threads=2)
     assert rep.sigma2_value is None
     assert 0.90 <= rep.coverage <= 0.98
@@ -288,11 +291,10 @@ def test_untrimmed_run_computes_no_trimmed_estimates(monkeypatch, sigma_source):
     # Standardized replicates as they were formed while every replicate also
     # carried a trimmed estimate at the resolved trim level.
     cfg = smoke_config(n=200, replicates=120, seed=11, sigma_source=sigma_source)
-    pe = mc._plug_in_variance_eps(cfg.n)
-    west, wtrim, plug = mc._simulate(cfg, cfg.resolved_trim_eps, 1, (pe,))
+    west, wtrim, plug = mc._simulate(cfg, cfg.resolved_trim_eps, 1, (0.0,))
     assert not np.array_equal(west, wtrim)
     w_exact = exact_cost(cfg.F, cfg.G, cfg.c)
-    scale2 = plug[pe] if sigma_source == "plug_in" else mc._oracle_sigma2(cfg).value
+    scale2 = plug[0.0] if sigma_source == "plug_in" else mc._oracle_sigma2(cfg).value
     before = tuple(float(v) for v in np.sort(np.sqrt(cfg.n) * (west - w_exact) / np.sqrt(scale2)))
 
     def refuse(*args, **kwargs):
@@ -300,6 +302,20 @@ def test_untrimmed_run_computes_no_trimmed_estimates(monkeypatch, sigma_source):
 
     monkeypatch.setattr(mc, "trimmed_empirical_cost", refuse)
     assert run_clt_experiment(cfg).standardized == before
+
+
+@pytest.mark.parametrize("sigma_source", ["oracle_quadrature", "plug_in"])
+def test_coverage_matches_the_per_replicate_interval_loop(sigma_source):
+    cfg = smoke_config(sigma_source=sigma_source)
+    west, _, plug = mc._simulate(cfg, 0.0, 1, (0.0,))
+    w_exact = exact_cost(cfg.F, cfg.G, cfg.c)
+    scales2 = plug[0.0] if sigma_source == "plug_in" else np.full(
+        west.shape, mc._oracle_sigma2(cfg).value)
+    hits = 0
+    for w, s2 in zip(west, scales2):
+        lo, hi = confidence_interval(float(w), float(s2), cfg.n, 0.95)
+        hits += lo <= w_exact <= hi
+    assert run_clt_experiment(cfg).coverage == hits / cfg.replicates
 
 
 # --- trimmed comparison ---------------------------------------------------------
