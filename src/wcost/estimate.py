@@ -52,9 +52,14 @@ class PairedSample:
         return int(self.xs.size)
 
     def sorted_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both columns independently sorted ascending (cached)."""
+        """Both columns sorted ascending (cached) with numpy's default sort.
+
+        Its values equal a stable sort's: the two differ only in the order of
+        equal keys, and among finite floats only -0.0 and 0.0 are equal keys
+        with different bits, which no cost tells apart.
+        """
         if "xy" not in self._sorted_cache:
-            self._sorted_cache["xy"] = (np.sort(self.xs, kind="stable"), np.sort(self.ys, kind="stable"))
+            self._sorted_cache["xy"] = (np.sort(self.xs), np.sort(self.ys))
         return self._sorted_cache["xy"]
 
 

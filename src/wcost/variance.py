@@ -638,9 +638,9 @@ def plug_in_sigma2(s: PairedSample, c: Cost, eps: float = 0.0) -> VarianceResult
     a median of 0.823 but a mean of 2.0 with standard deviation 10.8.
 
     The value is an exact function of the sample, so ``est_error`` is 0.0; its
-    sampling error is not included, use replicate spread for that.  Ties are
-    handled exactly: reordering the pairs leaves the value unchanged.  Raises
-    DegenerateSampleError when a column is constant.
+    sampling error is not included, use replicate spread for that.  Tied values
+    share one Q-hat value, so the value does not depend on how ties are ordered
+    and any sort order gives it.  Raises DegenerateSampleError on a constant column.
     """
     n = s.n
     if n < 50:
@@ -652,7 +652,7 @@ def plug_in_sigma2(s: PairedSample, c: Cost, eps: float = 0.0) -> VarianceResult
         if float(np.min(col)) == float(np.max(col)):
             raise DegenerateSampleError(
                 f"{name} column is constant; its quantile function has no spread")
-    ox, oy = np.argsort(xs, kind="stable"), np.argsort(ys, kind="stable")
+    ox, oy = np.argsort(xs), np.argsort(ys)
     gx, gy = c.gradient(xs[ox], ys[oy])
     influence = _empirical_influence(xs, ox, gx, eps) + _empirical_influence(ys, oy, gy, eps)
     # summed in sorted order, so the value depends only on the set of pairs

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wcost.costs import PowerCost, QuantileCost
+from wcost.costs import ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto, Weibull
 from wcost.errors import NonconvergenceError
 from wcost.estimate import (
@@ -16,6 +16,8 @@ from wcost.estimate import (
     write_sample_csv,
 )
 from wcost.quadrature import QuadratureConfig
+
+from stable_sort_reference import empirical_cost_ref, same_bits, tied_sample, trimmed_cost_ref
 
 P2 = PowerCost(2.0)
 
@@ -51,6 +53,18 @@ def test_sorted_columns_cached_and_stable():
     a = s.sorted_columns()
     b = s.sorted_columns()
     assert a[0] is b[0] and a[1] is b[1]
+
+
+@pytest.mark.parametrize("c", [PowerCost(2.0), PowerCost(3.0), LogPowerCost(0.5),
+                               ExpPowerCost(0.5), QuantileCost(0.3)],
+                         ids=["power2", "power3", "logpower", "exppower", "quantile"])
+def test_estimates_equal_a_stable_sort_reference_on_ties_and_signed_zeros(c):
+    xs, ys = tied_sample()
+    # the default argsort orders these ties differently from a stable one
+    assert not np.array_equal(np.argsort(xs), np.argsort(xs, kind="stable"))
+    s = PairedSample(xs, ys)
+    assert same_bits(empirical_cost(s, c), empirical_cost_ref(xs, ys, c))
+    assert same_bits(trimmed_empirical_cost(s, c, 0.05), trimmed_cost_ref(xs, ys, c, 0.05))
 
 
 # --- empirical estimator ------------------------------------------------------

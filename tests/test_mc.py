@@ -5,6 +5,7 @@ oversized calibration run recorded in scratch/mc_calibration.log; they are
 descriptive desk-scale bounds, not formal test levels.
 """
 
+import functools
 import json
 import math
 
@@ -13,7 +14,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from wcost.costs import PowerCost
-from wcost.coupling import Comonotone, Independent, sample_pairs
+from wcost.coupling import Comonotone, Countermonotone, GaussianCopula, Independent, sample_pairs
 from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto
 from wcost.errors import DegenerateSampleError, NonconvergenceError
 from wcost import mc
@@ -29,6 +30,9 @@ from wcost.mc import (
     write_standardized_csv,
 )
 from wcost.variance import confidence_interval
+
+from stable_sort_reference import (empirical_cost_ref, plug_in_sigma2_ref, same_bits,
+                                   trimmed_cost_ref)
 
 P2 = PowerCost(2.0)
 
@@ -284,6 +288,38 @@ def test_sorted_family_is_independent_of_replicate_order():
         z.append(np.sqrt(cfg.n) * (empirical_cost(s, cfg.c) - rep.w_exact)
                  / np.sqrt(rep.sigma2_value))
     assert np.array_equal(np.sort(z), np.array(rep.standardized))
+
+
+def _stable_reference(cfg, rep, estimate, plug_in=False):
+    """``rep.standardized`` rebuilt replicate by replicate from stable-sort references."""
+    values, scales2 = [], []
+    for r in range(cfg.replicates):
+        s = sample_pairs(cfg.coupling, cfg.F, cfg.G, cfg.n, replicate_seed(cfg.seed, r))
+        values.append(estimate(s.xs, s.ys, cfg.c))
+        scales2.append(plug_in_sigma2_ref(s.xs, s.ys, cfg.c) if plug_in else rep.sigma2_value)
+    return np.sort(np.sqrt(cfg.n) * (np.array(values) - rep.w_exact) / np.sqrt(np.array(scales2)))
+
+
+@pytest.mark.parametrize("coupling", [Independent(), GaussianCopula(0.5), Comonotone(),
+                                      Countermonotone()],
+                         ids=["independent", "gauss", "comonotone", "countermonotone"])
+def test_engine_equals_a_stable_sort_reference(coupling):
+    cfg = smoke_config(G=Gaussian(1, 2), coupling=coupling, n=200, replicates=120, seed=11)
+    rep = run_clt_experiment(cfg)
+    assert same_bits(rep.standardized, _stable_reference(cfg, rep, empirical_cost_ref))
+
+
+def test_trimmed_engine_equals_a_stable_sort_reference():
+    cfg = smoke_config(n=200, replicates=120, seed=11, trim_eps=0.05)
+    trimmed = compare_trimmed(cfg).trimmed
+    z = _stable_reference(cfg, trimmed, functools.partial(trimmed_cost_ref, eps=0.05))
+    assert same_bits(trimmed.standardized, z)
+
+
+def test_plug_in_engine_equals_a_stable_sort_reference():
+    cfg = smoke_config(n=200, replicates=120, seed=11, sigma_source="plug_in")
+    rep = run_clt_experiment(cfg)
+    assert same_bits(rep.standardized, _stable_reference(cfg, rep, empirical_cost_ref, plug_in=True))
 
 
 @pytest.mark.parametrize("sigma_source", ["oracle_quadrature", "plug_in"])

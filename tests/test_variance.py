@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from wcost.costs import Cost, LogPowerCost, PowerCost, QuantileCost
+from wcost.costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from wcost.coupling import (
     Comonotone,
     Countermonotone,
@@ -36,6 +36,8 @@ from wcost.variance import (
     sigma2_window,
     variance_kernel,
 )
+
+from stable_sort_reference import plug_in_sigma2_ref, same_bits, tied_sample
 
 P2 = PowerCost(2.0)
 
@@ -460,6 +462,17 @@ def test_plug_in_ignores_the_order_of_tied_values():
     for eps in (0.0, 0.1):
         base = plug_in_sigma2(PairedSample(xs, s.ys), P2, eps=eps).value
         assert plug_in_sigma2(PairedSample(xs[perm], s.ys[perm]), P2, eps=eps).value == base
+
+
+@pytest.mark.parametrize("c", [P2, PowerCost(3.0), LogPowerCost(0.5), ExpPowerCost(0.5)],
+                         ids=["power2", "power3", "logpower", "exppower"])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_plug_in_equals_a_stable_sort_reference_on_ties_and_signed_zeros(c, eps):
+    xs, ys = tied_sample()
+    # the default argsort orders these ties differently from a stable one
+    assert not np.array_equal(np.argsort(ys), np.argsort(ys, kind="stable"))
+    got = plug_in_sigma2(PairedSample(xs, ys), c, eps=eps).value
+    assert same_bits(got, plug_in_sigma2_ref(xs, ys, c, eps))
 
 
 @pytest.mark.parametrize("cp, G, target", [
