@@ -32,15 +32,19 @@ __all__ = [
 ]
 
 _TWO53 = float(1 << 53)
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniforms strictly inside (0,1), one 53-bit draw per value.
 
     The fixed consumption (exactly one integer per uniform) keeps streams
-    reproducible regardless of how callers batch their draws.
+    reproducible regardless of how callers batch their draws.  The top draw,
+    2^53 - 1, would round to exactly 1.0 (k + 0.5 rounds half to even), so
+    values are clamped to the largest double below 1; no other draw moves.
     """
-    return (rng.integers(0, 1 << 53, n).astype(np.float64) + 0.5) / _TWO53
+    u = (rng.integers(0, 1 << 53, n).astype(np.float64) + 0.5) / _TWO53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 class Coupling:

@@ -56,7 +56,8 @@ def _scalar_like(value, template):
 
 def _check_prob_open(u) -> np.ndarray:
     ua = _as_array(u)
-    if np.any(ua <= 0.0) or np.any(ua >= 1.0):
+    # written so that NaN fails the test; an empty array passes
+    if ua.size and not (ua.min() > 0.0 and ua.max() < 1.0):
         raise ValueError(f"probability level must lie in the open interval (0,1), got {u!r}")
     return ua
 

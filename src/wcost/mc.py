@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import skew as _sample_skew
 
 from .assumptions import check_cfg, reflected_cost
 from .costs import Cost, PowerCost
@@ -243,6 +242,26 @@ def _assumption_precheck(F: Distribution, G: Distribution, c: Cost):
 # --- standardization ------------------------------------------------------------
 
 
+def _sample_skew(values: np.ndarray) -> float:
+    """Biased Fisher-Pearson skewness m3 / m2^(3/2); NaN if constant to rounding.
+
+    Reproduces scipy's ``stats.skew(values)`` (bias=True) bit for bit, with
+    the same operations in the same order.  It exists because importing
+    scipy's stats package for this one number also loads its optimize,
+    integrate, interpolate, spatial, linalg and sparse packages, which about
+    doubles the start-up time and memory of every wcost process.
+    """
+    mean = np.mean(values, keepdims=True)
+    d = values - mean
+    d2 = d**2
+    m2 = np.mean(d2)
+    m3 = np.mean(d2 * d)
+    with np.errstate(all="ignore"):
+        if m2 <= (np.finfo(float).eps * mean[0])**2:
+            return float("nan")
+        return float(m3 / m2**1.5)
+
+
 def _oracle_sigma2(cfg: MCConfig):
     if cfg.sigma_source == "oracle_quadrature":
         return sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling)
@@ -285,7 +304,7 @@ def _build_report(cfg: MCConfig, values: np.ndarray, target: float,
         trim_eps=float(trim_eps),
         estimates={"mean": float(np.mean(values)),
                    "var": float(np.var(values, ddof=1)),
-                   "skew": float(_sample_skew(values))},
+                   "skew": _sample_skew(values)},
         standardized=tuple(float(v) for v in z),
         ks_distance=ks_statistic(z, ndtr),
         coverage=hits / cfg.replicates,

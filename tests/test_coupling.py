@@ -9,6 +9,7 @@ from wcost.coupling import (
     Countermonotone,
     GaussianCopula,
     Independent,
+    _uniform_open,
     bvn_cdf,
     copula_cdf,
     coupling_from_dict,
@@ -171,6 +172,16 @@ def test_sampler_marginals_are_correct(cp):
     px = stats.kstest(s.xs, lambda x: Gaussian(2, 3).cdf(x)).pvalue
     py = stats.kstest(s.ys, lambda x: Pareto(4).cdf(x)).pvalue
     assert px > 1e-4 and py > 1e-4
+
+
+def test_uniform_draws_stay_below_one_at_the_top_integer():
+    class TopDraw:
+        def integers(self, low, high, size):
+            return np.array([2**53 - 1, 0], dtype=np.int64)[:size]
+
+    u = _uniform_open(TopDraw(), 2)
+    assert np.all((u > 0.0) & (u < 1.0))
+    assert u[0] == np.nextafter(1.0, 0.0) and u[1] == 0.5 / 2.0**53
 
 
 def test_sampler_rejects_empty_request():

@@ -149,6 +149,14 @@ def test_quantile_rejects_closed_endpoints():
             Gaussian(0.0, 1.0).quantile(bad)
 
 
+@pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Pareto(3.0)], ids=["gauss", "pareto"])
+@pytest.mark.parametrize("fn", [quantile, density_quantile, companion])
+@pytest.mark.parametrize("u", [math.nan, np.array([0.7, math.nan])], ids=["scalar", "array"])
+def test_quantile_side_rejects_nan(d, fn, u):
+    with pytest.raises(ValueError):
+        fn(d, u)
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         Gaussian(0.0, 0.0)

@@ -8,10 +8,15 @@ descriptive desk-scale bounds, not formal test levels.
 import functools
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
+from scipy.stats import skew
 
 from wcost.costs import PowerCost
 from wcost.coupling import Comonotone, Countermonotone, GaussianCopula, Independent, sample_pairs
@@ -160,6 +165,44 @@ def test_standardized_csv_round_trip(tmp_path, smoke_report):
     assert lines[0] == "z"
     values = tuple(float(t) for t in lines[1:])
     assert values == smoke_report.standardized
+
+
+def _skew_oracle_samples():
+    rng = np.random.default_rng(2024)
+    for k in range(240):
+        n = int(rng.integers(2, 3001))
+        scale = 10.0 ** rng.uniform(-8.0, 8.0)
+        offset = rng.uniform(-1e3, 1e3)
+        kind = k % 4
+        if kind == 0:
+            yield rng.standard_normal(n) * scale + offset
+        elif kind == 1:
+            yield rng.exponential(size=n) * scale
+        elif kind == 2:  # ties
+            yield np.round(rng.standard_normal(n) * 3.0 + offset, 1)
+        else:  # spread near the rounding of the offset: both sides of the NaN rule
+            yield offset + abs(offset) * 10.0 ** rng.uniform(-17.0, -13.0) * rng.standard_normal(n)
+    yield np.full(57, 3.7)
+
+
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+def test_report_skew_equals_scipy_stats_skew_bit_for_bit():
+    results = [(mc._sample_skew(v), skew(v)) for v in _skew_oracle_samples()]
+    assert all(same_bits(ours, theirs) for ours, theirs in results)
+    assert math.isnan(results[-1][0])
+    # the NaN rule fires on some of the 61 near-constant samples, not on all
+    assert 1 < sum(math.isnan(ours) for ours, _ in results) < 61
+
+
+def test_importing_wcost_loads_no_heavy_scipy_subpackage():
+    heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
+             "scipy.spatial", "scipy.linalg", "scipy.sparse"]
+    code = ("import sys, wcost, wcost.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == ""
 
 
 # --- CLT experiment -------------------------------------------------------------
