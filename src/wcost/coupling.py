@@ -60,8 +60,10 @@ class Coupling:
 def _check_unit(u, v):
     ua = np.asarray(u, dtype=float)
     va = np.asarray(v, dtype=float)
-    if np.any(ua < 0) or np.any(ua > 1) or np.any(va < 0) or np.any(va > 1):
-        raise ValueError("copula arguments must lie in [0, 1]")
+    # written so that NaN fails the test; an empty array passes
+    for a in (ua, va):
+        if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
+            raise ValueError("copula arguments must lie in [0, 1]")
     return ua, va
 
 

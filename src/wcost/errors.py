@@ -17,8 +17,9 @@ class HypothesisGateError(NonconvergenceError):
     """The paper's tail hypothesis fails for this cost and pair of marginals.
 
     The guard integral of the cost's radial slope against a quantile density
-    does not converge.  The asymptotic variance may then be infinite, or it may
-    be finite while the normal limit does not hold; the gate cannot tell which.
+    does not converge to a finite value.  The asymptotic variance may then be
+    infinite, or it may be finite while the normal limit does not hold; the gate
+    cannot tell which.
     """
 
 

@@ -78,6 +78,7 @@ _CLAMP_LIMIT = 1e-8
 
 #: Stand-in for overflowed guard integrand values; keeps the divergence detector
 #: working (huge strips with ratio ~1) without poisoning the arithmetic with inf.
+#: A guard integral that reaches it has overflowed and fails the gate.
 _GUARD_CEILING = 1e300
 
 #: Node count and normal-score cut of the Gaussian-copula inner integral.  Near
@@ -167,6 +168,27 @@ def variance_kernel(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
     return kernel
 
 
+def _refine_mesh(mesh: CumulativeMesh, q: QuadratureConfig, measure):
+    """Bisect ``mesh`` where the error shares concentrate until they meet the target.
+
+    ``measure(mesh)`` returns (value, per-panel error shares, payload).  Panels
+    whose share exceeds their part of the tolerance over the inner tightening
+    are split, worst first, until the shares total at most that target or the
+    panel budget is spent.  Returns the last (value, shares, payload) and
+    whether the budget ran out.
+    """
+    while True:
+        value, shares, payload = measure(mesh)
+        target = _tolerance(q, value) / _INNER_TIGHTENING
+        if float(np.sum(shares)) <= target:
+            return value, shares, payload, False
+        worst = np.argsort(-shares, kind="stable")[:max(q.max_subdivisions - mesh.panels, 0)]
+        mask = np.zeros(mesh.panels, dtype=bool)
+        mask[worst] = shares[worst] > target / mesh.panels
+        if not mesh.split(mask):
+            return value, shares, payload, True
+
+
 # --- tail-hypothesis guard and degeneracy warning -----------------------------
 
 
@@ -193,11 +215,17 @@ def _slope_tail_integral(heavy: Distribution, law: Distribution, c: Cost,
     The window starts where the heavy quantile clears 1, so the radial slope is
     evaluated at safely positive distances.  Divergence of this one-dimensional
     integral is the cheap certificate that the two-dimensional variance integral
-    has a non-integrable tail.  Only the convergence verdict matters -- the value
-    is a diagnostic -- so the quadrature runs at a coarse relative tolerance with
-    deep truncation halvings: convergent-but-slow tails (mass decaying like a
-    small power of 1-u) would otherwise fail the accuracy check, not because they
-    diverge but because their tail mass is expensive to pin down.
+    has a non-integrable tail.  J is summed on one ``CumulativeMesh`` that holds
+    the base interval and every truncation strip, so each refinement round
+    evaluates the integrand once, and ``open_integral`` puts the strips through
+    the same shrink-ratio divergence test as ``integrate_open01``.  Only the
+    convergence verdict matters -- the value is a diagnostic -- so the
+    quadrature runs at a coarse relative tolerance with deep truncation
+    halvings: convergent-but-slow tails (mass decaying like a small power of
+    1-u) would otherwise fail the accuracy check, not because they diverge but
+    because their tail mass is expensive to pin down.  A J that overflows
+    (infinite, or at the stand-in ceiling for overflowed integrand values)
+    fails like a divergent one.
     """
     q = replace(q, rel_tol=max(q.rel_tol, 1e-3),
                 extrapolation_levels=max(q.extrapolation_levels, 12))
@@ -205,16 +233,26 @@ def _slope_tail_integral(heavy: Distribution, law: Distribution, c: Cost,
     span = 1.0 - ubar
 
     def f(t):
-        ta = np.asarray(t, dtype=float)
-        u = ubar + span * ta
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = (np.asarray(c.rho_prime(np.asarray(heavy.quantile(u), dtype=float)), dtype=float)
-                    * np.sqrt(span * (1.0 - ta))
-                    / np.asarray(law.density_quantile(u), dtype=float)) * span
-        return np.where(np.isfinite(vals), vals, _GUARD_CEILING)
+        u = ubar + span * t
+        vals = (np.asarray(c.rho_prime(np.asarray(heavy.quantile(u), dtype=float)), dtype=float)
+                * np.sqrt(span * (1.0 - t))
+                / np.asarray(law.density_quantile(u), dtype=float)) * span
+        return np.where(np.isfinite(vals), vals, _GUARD_CEILING)[None]
 
-    value, _, _ = integrate_open01(f, q)
-    return value
+    def measure(mesh):
+        sums, gaps = mesh.panel_sums(mesh.p[0])
+        return float(np.sum(sums)), gaps, sums
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mesh = CumulativeMesh(f, q)
+        _, gaps, sums, _ = _refine_mesh(mesh, q, measure)
+        value, residual = mesh.open_integral(sums, q, "tail guard")
+    err = float(np.sum(gaps)) + residual
+    if not (err <= _tolerance(q, value) and abs(value) < _GUARD_CEILING):
+        raise NonconvergenceError(
+            f"tail guard: J = {value:.3e} with error estimate {err:.3e} "
+            f"(tolerance {_tolerance(q, value):.3e})")
+    return float(value)
 
 
 def _tail_guard(F: Distribution, G: Distribution, c: Cost, q: QuadratureConfig,
@@ -222,9 +260,9 @@ def _tail_guard(F: Distribution, G: Distribution, c: Cost, q: QuadratureConfig,
     """Run the tail-hypothesis guard for each relevant (tail side, marginal density) pair.
 
     Returns the finite guard integrals keyed like ``"right_x"``; raises
-    HypothesisGateError as soon as one fails to converge: the paper's tail
-    hypothesis then fails, and the variance may be infinite or the normal limit
-    may not hold, so no influence-function work is spent.  Tail sides where both
+    HypothesisGateError as soon as one fails to converge or overflows: the
+    paper's tail hypothesis then fails, and the variance may be infinite or the
+    normal limit may not hold, so no influence-function work is spent.  Tail sides where both
     supports are bounded need no guard: every kernel factor stays integrable there.
     """
     out: dict[str, float] = {}
@@ -242,8 +280,9 @@ def _tail_guard(F: Distribution, G: Distribution, c: Cost, q: QuadratureConfig,
                     f"the paper's tail hypothesis fails on the {side} side: the guard "
                     f"integral J = int rho'(Q_heavy(u)) sqrt(1 - u) / h(u) du of the cost's "
                     f"radial slope against the {marginal} marginal's quantile density h "
-                    "does not converge (or is too close to the frontier to resolve); the "
-                    "asymptotic variance may be infinite, or the normal limit may not hold"
+                    "does not converge to a finite value (or is too close to the frontier "
+                    "to resolve); the asymptotic variance may be infinite, or the normal "
+                    "limit may not hold"
                 ) from exc
     return out
 
@@ -405,22 +444,16 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
     # does: tails like powers of log(1/u) need the longer strip sequence.
     levels = max(q.extrapolation_levels, 12)
     mesh = CumulativeMesh(f, replace(q, extrapolation_levels=levels), window)
-    exhausted = cross = False
-    while True:
+
+    def measure(mesh, cross):
         terms = _influence_terms(mesh, cp, q, cross)
-        value = math.fsum(weight * cov for _, weight, cov, _, _ in terms)
-        shares = sum(weight * sh for _, weight, _, sh, _ in terms)
-        target = _tolerance(q, value) / _INNER_TIGHTENING
-        if float(np.sum(shares)) > target:
-            worst = np.argsort(-shares, kind="stable")[:max(q.max_subdivisions - mesh.panels, 0)]
-            mask = np.zeros(mesh.panels, dtype=bool)
-            mask[worst] = shares[worst] > target / mesh.panels
-            if mesh.split(mask):
-                continue
-            exhausted = True
-        if cross or not isinstance(cp, GaussianCopula):
-            break
-        cross = True
+        return (math.fsum(weight * cov for _, weight, cov, _, _ in terms),
+                sum(weight * sh for _, weight, _, sh, _ in terms), terms)
+
+    exhausted = False
+    for cross in (False, True) if isinstance(cp, GaussianCopula) else (False,):
+        value, shares, terms, spent = _refine_mesh(mesh, q, lambda m: measure(m, cross))
+        exhausted |= spent
     err = float(np.sum(shares)) + math.fsum(weight * res for _, weight, _, _, res in terms)
     if isinstance(cp, (Comonotone, Countermonotone)):
         # Q_x + Q_y at rounding level next to |Q_x| + |Q_y|: an exact cancellation

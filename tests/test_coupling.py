@@ -82,6 +82,20 @@ def test_copula_rejects_out_of_range(cp):
         copula_cdf(cp, 0.5, 1.1)
 
 
+@pytest.mark.parametrize("cp", ALL_COUPLINGS)
+@pytest.mark.parametrize("bad", [math.nan, np.array([0.3, math.nan])], ids=["scalar", "array"])
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_copula_rejects_nan(cp, bad, side):
+    args = (bad, 0.5) if side == "u" else (0.5, bad)
+    with pytest.raises(ValueError):
+        copula_cdf(cp, *args)
+
+
+@pytest.mark.parametrize("cp", ALL_COUPLINGS)
+def test_copula_accepts_empty_arrays(cp):
+    assert np.asarray(copula_cdf(cp, np.array([]), np.array([]))).size == 0
+
+
 def test_gaussian_copula_rejects_degenerate_correlation():
     for r in (-1.0, 1.0, 1.5):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import wcost.variance as variance_module
+from wcost import parse_cost, parse_distribution
 from wcost.costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from wcost.coupling import (
     Comonotone,
@@ -37,6 +40,7 @@ from wcost.variance import (
     variance_kernel,
 )
 
+import guard_matrix
 from stable_sort_reference import plug_in_sigma2_ref, same_bits, tied_sample
 
 P2 = PowerCost(2.0)
@@ -193,6 +197,59 @@ def test_heavy_tail_frontier_diverges_below_five(beta):
     message = str(info.value)
     assert "variance may be infinite" in message and "normal limit may not hold" in message
     assert "diverges" not in message
+
+
+# --- tail guard against its recorded verdicts ----------------------------------
+
+with open(guard_matrix.RECORDED) as fh:
+    RECORDED_GUARD = json.load(fh)
+
+
+@pytest.mark.parametrize("config", sorted(guard_matrix.CONFIGS))
+def test_tail_guard_matches_recorded_verdicts(config):
+    q = guard_matrix.CONFIGS[config]
+    rows = [row for row in RECORDED_GUARD if row["config"] == config]
+    assert len(rows) == len(guard_matrix.TRIPLES)
+    for row in rows:
+        triple = (row["F"], row["G"], row["cost"])
+        got = guard_matrix.verdict(triple, q)
+        if triple in guard_matrix.OVERFLOW:
+            # recorded as passes with an overflowed J; such a J now fails the gate
+            assert row["pass"] and not got["pass"], triple
+            assert got["error"] == "HypothesisGateError", triple
+            continue
+        assert got["pass"] == row["pass"], triple
+        if row["pass"]:
+            assert got["J"].keys() == row["J"].keys(), triple
+            for key, ref in row["J"].items():
+                assert rel(got["J"][key], ref) <= 1e-6, (triple, key)
+
+
+@pytest.mark.parametrize("F, G, c", guard_matrix.OVERFLOW)
+def test_overflowed_guard_integral_fails_the_gate(F, G, c):
+    with pytest.raises(HypothesisGateError, match="tail hypothesis fails on the right side"):
+        sigma2(parse_distribution(F), parse_distribution(G), parse_cost(c), Independent())
+
+
+def test_tail_guard_evaluates_each_integral_in_one_call(monkeypatch):
+    calls = []
+    rho_prime, guard_integral = PowerCost.rho_prime, variance_module._slope_tail_integral
+
+    def counted(self, t):
+        calls[-1].append(np.size(t))
+        return rho_prime(self, t)
+
+    def per_integral(*args):
+        calls.append([])
+        return guard_integral(*args)
+
+    monkeypatch.setattr(PowerCost, "rho_prime", counted)
+    monkeypatch.setattr(variance_module, "_slope_tail_integral", per_integral)
+    guard = variance_module._tail_guard(Gaussian(0, 1), Gaussian(2, 1), P2,
+                                        DEFAULT_VARIANCE_CONFIG, ("x", "y"))
+    assert len(calls) == len(guard) == 4
+    for sizes in calls:
+        assert 1 <= len(sizes) <= 2 and sum(sizes) <= 600, sizes
 
 
 # --- influence functions against the two-dimensional route ---------------------
