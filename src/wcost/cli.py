@@ -339,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="run a Monte Carlo experiment from a JSON config")
     p.add_argument("config", help="JSON file; see configs/ for examples")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for replicate simulation")
+    p.add_argument("--threads", type=int,
+                   help="worker processes for replicate simulation (default: one "
+                        "per usable core); results are identical for any count")
     p.add_argument("--z-csv", help="write the standardized sample to this CSV")
     routing(p)
     p.set_defaults(handler=cmd_mc)

@@ -7,17 +7,22 @@ Reports carry the sorted standardized sample, its Kolmogorov-Smirnov distance
 to the standard normal, and 95% confidence-interval coverage.
 
 All randomness derives from one integer seed: replicate r's stream depends
-only on (seed, r), so results are independent of execution order and thread
+only on (seed, r), so results are independent of execution order and worker
 count, and identical configurations reproduce reports bit for bit (wall-clock
-runtime excluded from comparisons).
+runtime excluded from comparisons).  Replicates run in forked worker
+processes, one per usable core by default.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -41,6 +46,9 @@ from .variance import (
 _SIGMA_SOURCES = ("oracle_quadrature", "closed_form", "plug_in")
 _CI_LEVEL = 0.95
 _WINDOW_CONFIG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
+#: Contiguous replicate ranges handed to each worker, so that a worker slowed by
+#: other load leaves its later ranges to the rest.
+_CHUNKS_PER_WORKER = 4
 _BASE_NOTE = ("normality and coverage thresholds are desk-scale calibration "
               "choices, not formal tests")
 
@@ -191,26 +199,83 @@ def replicate_seed(seed: int, r: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _simulate(cfg: MCConfig, eps: float, threads: int, plug_eps=()):
+def _fork_context():
+    """The ``fork`` start method, or None where it is missing or unsafe.
+
+    Forked workers inherit the imported package and the configuration, so
+    they start in milliseconds; ``spawn`` would re-import numpy and scipy in
+    every worker.  Forking while other Python threads run can deadlock the
+    child, so a multi-threaded caller runs its replicates serially.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _worker_count(threads: int | None) -> int:
+    """The checked worker count; None gives the usable cores, or 1 without ``fork``."""
+    if threads is not None:
+        if threads < 1:
+            raise ValueError(f"thread count must be at least 1, got {threads}")
+        return threads
+    if _fork_context() is None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _plan(replicates: int, workers: int):
+    """(pool size, contiguous [start, stop) replicate ranges in r order)."""
+    chunks = min(replicates, workers * _CHUNKS_PER_WORKER)
+    bounds = [replicates * i // chunks for i in range(chunks + 1)]
+    return min(workers, chunks), list(zip(bounds[:-1], bounds[1:]))
+
+
+def _replicate_rows(cfg: MCConfig, eps: float, plug_eps, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop): full estimate, trimmed estimate, plug-in variances."""
+    rows = np.empty((stop - start, 2 + len(plug_eps)))
+    for i, r in enumerate(range(start, stop)):
+        s = sample_pairs(cfg.coupling, cfg.F, cfg.G, cfg.n, replicate_seed(cfg.seed, r))
+        w = empirical_cost(s, cfg.c)
+        wt = w if eps == 0.0 else trimmed_empirical_cost(s, cfg.c, eps)
+        rows[i] = (w, wt, *(plug_in_sigma2(s, cfg.c, eps=pe).value for pe in plug_eps))
+    return rows
+
+
+def _worker_rows(cfg: MCConfig, eps: float, plug_eps, start: int, stop: int):
+    """``_replicate_rows`` in a worker process, plus the warnings it recorded.
+
+    A warning printed by a worker would bypass the caller's warning filters,
+    so the worker records them under the filters it inherited and the parent
+    issues them again.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        rows = _replicate_rows(cfg, eps, plug_eps, start, stop)
+    return rows, [w.message for w in caught]
+
+
+def _simulate(cfg: MCConfig, eps: float, workers: int, plug_eps=()):
     """Per-replicate full and trimmed estimates, plus plug-in variances.
 
     Returns (west, wtrim, {plug trim level: variance array}); row r is fully
     determined by replicate_seed(cfg.seed, r), so the arrays are identical for
-    any thread count.
+    any worker count.  A worker's exception reaches the caller with its class
+    and message, and its warnings are issued again here.
     """
-
-    def one(r: int):
-        s = sample_pairs(cfg.coupling, cfg.F, cfg.G, cfg.n, replicate_seed(cfg.seed, r))
-        w = empirical_cost(s, cfg.c)
-        wt = w if eps == 0.0 else trimmed_empirical_cost(s, cfg.c, eps)
-        return (w, wt, *(plug_in_sigma2(s, cfg.c, eps=pe).value for pe in plug_eps))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(cfg.replicates)))
+    size, chunks = _plan(cfg.replicates, workers)
+    context = _fork_context() if size > 1 else None
+    if context is None:
+        rows = _replicate_rows(cfg, eps, plug_eps, 0, cfg.replicates)
     else:
-        rows = [one(r) for r in range(cfg.replicates)]
-    cols = np.asarray(rows, dtype=float).T
+        with ProcessPoolExecutor(max_workers=size, mp_context=context) as pool:
+            parts = list(pool.map(partial(_worker_rows, cfg, eps, plug_eps), *zip(*chunks)))
+        for _, caught in parts:
+            for message in caught:
+                warnings.warn(message, stacklevel=3)
+        rows = np.concatenate([part for part, _ in parts])
+    cols = rows.T
     return cols[0], cols[1], {pe: cols[2 + i] for i, pe in enumerate(plug_eps)}
 
 
@@ -337,16 +402,18 @@ def ks_statistic(values, reference_cdf) -> float:
     return float(d.max())
 
 
-def run_clt_experiment(cfg: MCConfig, *, threads: int = 1) -> MCReport:
+def run_clt_experiment(cfg: MCConfig, *, threads: int | None = None) -> MCReport:
     """Standardized-replicate study of the estimator at one configuration.
 
     Draws ``cfg.replicates`` samples of size ``cfg.n``, standardizes each
     estimate by the exact population cost and the sigma-source scale, and
     reports the KS distance to the standard normal plus 95% CI coverage.
-    Deterministic given ``cfg`` (thread count does not change results).
+    ``threads`` is the worker count: replicates run in that many forked
+    processes (serially in-process for 1), and ``None`` means one per usable
+    core.  Deterministic given ``cfg``: the worker count does not change
+    results.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {threads}")
+    threads = _worker_count(threads)
     t0 = time.perf_counter()
     ok, problems = _assumption_precheck(cfg.F, cfg.G, cfg.c)
     notes = (_BASE_NOTE,) + problems
@@ -360,17 +427,17 @@ def run_clt_experiment(cfg: MCConfig, *, threads: int = 1) -> MCReport:
     return _build_report(cfg, west, w_exact, sig2, None, 0.0, ok, notes, t0)
 
 
-def compare_trimmed(cfg: MCConfig, *, threads: int = 1) -> TrimmedComparison:
+def compare_trimmed(cfg: MCConfig, *, threads: int | None = None) -> TrimmedComparison:
     """Full vs trimmed estimator on the same draws.
 
     The trim removes a deterministic slice of cost mass, so the trimmed family
     is centered at the window-restricted population cost and scaled by the
     window-restricted variance; sqrt(n) times the removed mass is reported as
     the scaled gap rather than folded into the standardization.  With
-    ``trim_eps=0`` the two families coincide exactly.
+    ``trim_eps=0`` the two families coincide exactly.  ``threads`` is the
+    worker count, as in ``run_clt_experiment``; results do not depend on it.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {threads}")
+    threads = _worker_count(threads)
     t0 = time.perf_counter()
     ok, problems = _assumption_precheck(cfg.F, cfg.G, cfg.c)
     notes = (_BASE_NOTE,) + problems

@@ -190,12 +190,35 @@ def test_sampler_marginals_are_correct(cp):
 
 def test_uniform_draws_stay_below_one_at_the_top_integer():
     class TopDraw:
-        def integers(self, low, high, size):
-            return np.array([2**53 - 1, 0], dtype=np.int64)[:size]
+        def random(self, size):
+            return np.array([(2**53 - 1) * 2.0**-53, 0.0])[:size]
 
     u = _uniform_open(TopDraw(), 2)
     assert np.all((u > 0.0) & (u < 1.0))
     assert u[0] == np.nextafter(1.0, 0.0) and u[1] == 0.5 / 2.0**53
+
+
+def _integer_uniform_open(rng, n):
+    """The integer formula that ``_uniform_open`` must reproduce bit for bit."""
+    u = (rng.integers(0, 1 << 53, n).astype(np.float64) + 0.5) / 2.0**53
+    return np.minimum(u, 1.0 - 2.0**-53)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 5])
+def test_uniform_draws_equal_the_integer_formula(seed):
+    u = _uniform_open(np.random.default_rng(seed), 20_000)
+    ref = _integer_uniform_open(np.random.default_rng(seed), 20_000)
+    assert np.array_equal(u.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("cp", ALL_COUPLINGS)
+def test_sample_uniforms_equal_the_integer_formula(cp, monkeypatch):
+    got = [cp.sample_uniforms(3000, np.random.default_rng(seed)) for seed in (3, 77)]
+    monkeypatch.setattr("wcost.coupling._uniform_open", _integer_uniform_open)
+    ref = [cp.sample_uniforms(3000, np.random.default_rng(seed)) for seed in (3, 77)]
+    for (u, v), (ur, vr) in zip(got, ref):
+        assert np.array_equal(u.view(np.uint64), ur.view(np.uint64))
+        assert np.array_equal(v.view(np.uint64), vr.view(np.uint64))
 
 
 def test_sampler_rejects_empty_request():

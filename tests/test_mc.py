@@ -12,6 +12,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +321,98 @@ def test_reports_are_reproducible_and_thread_invariant():
     threaded = run_clt_experiment(cfg, threads=3)
     assert first == again
     assert first == threaded
+
+
+def test_plug_in_and_trimmed_reports_are_worker_invariant():
+    plug = smoke_config(n=200, replicates=120, seed=11, sigma_source="plug_in")
+    trim = smoke_config(n=200, replicates=120, seed=11, trim_eps=0.1)
+    trim_plug = smoke_config(n=200, replicates=120, seed=11, trim_eps=0.1,
+                             sigma_source="plug_in")
+    for run, cfg in ((run_clt_experiment, plug), (compare_trimmed, trim),
+                     (compare_trimmed, trim_plug)):
+        serial = run(cfg, threads=1)
+        assert run(cfg, threads=2) == serial
+        assert run(cfg, threads=3) == serial
+
+
+def test_one_worker_constructs_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-worker run constructed a process pool")
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", refuse)
+    cfg = smoke_config(n=200, replicates=120, seed=11)
+    run_clt_experiment(cfg, threads=1)
+    compare_trimmed(cfg, threads=1)
+    # without fork the default is one worker, and nothing forks either
+    monkeypatch.setattr(mc, "_fork_context", lambda: None)
+    run_clt_experiment(cfg)
+    run_clt_experiment(cfg, threads=2)
+
+
+@pytest.mark.parametrize("replicates", [100, 101, 120, 2000, 12345])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7, 64, 5000])
+def test_worker_plan_covers_every_replicate_once_in_order(replicates, workers):
+    size, chunks = mc._plan(replicates, workers)
+    assert 1 <= size <= min(workers, len(chunks))
+    assert len(chunks) <= replicates
+    assert [r for a, b in chunks for r in range(a, b)] == list(range(replicates))
+    assert all(b > a for a, b in chunks)
+
+
+def test_default_worker_count_is_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(mc, "_fork_context", lambda: object())
+    assert mc._worker_count(None) == len(os.sched_getaffinity(0))
+    assert mc._worker_count(3) == 3
+    monkeypatch.setattr(mc, "_fork_context", lambda: None)
+    assert mc._worker_count(None) == 1
+
+
+def test_fork_is_not_used_while_other_threads_run():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10.0,))
+    other.start()
+    try:
+        assert mc._fork_context() is None
+    finally:
+        release.set()
+        other.join(timeout=10.0)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("error", [DegenerateSampleError, NonconvergenceError, ValueError])
+def test_worker_exceptions_reach_the_caller_typed(monkeypatch, error):
+    def fail(s, c):
+        raise error(f"replicate failed with {error.__name__}")
+
+    monkeypatch.setattr(mc, "empirical_cost", fail)
+    cfg = smoke_config(n=200, replicates=120, seed=11)
+    with pytest.raises(error, match=f"^replicate failed with {error.__name__}$") as info:
+        run_clt_experiment(cfg, threads=2)
+    assert type(info.value) is error
+    # raised in a worker process: the executor chains the worker's traceback
+    assert type(info.value.__cause__).__name__ == "_RemoteTraceback"
+
+
+def test_worker_warnings_reach_the_caller(monkeypatch):
+    # Overflow in a cost evaluated on heavy-tailed samples warns on the
+    # replicate path; a worker must not print such a warning where the
+    # caller's filters cannot see it.
+    real = mc.empirical_cost
+
+    def warn(s, c):
+        warnings.warn("overflow in a replicate", RuntimeWarning)
+        return real(s, c)
+
+    monkeypatch.setattr(mc, "empirical_cost", warn)
+    cfg = smoke_config(n=200, replicates=120, seed=11)
+    with pytest.warns(RuntimeWarning, match="overflow in a replicate"):
+        threaded = run_clt_experiment(cfg, threads=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow in a replicate"):
+            run_clt_experiment(cfg, threads=2)
+    with pytest.warns(RuntimeWarning):
+        assert run_clt_experiment(cfg, threads=1) == threaded
 
 
 def test_sorted_family_is_independent_of_replicate_order():
