@@ -106,7 +106,10 @@ class Countermonotone(Coupling):
 
     def sample_uniforms(self, n, rng):
         us = _uniform_open(rng, n)
-        return us, 1.0 - us
+        # 1 - 2^-54 (the bottom draw) rounds to 1.0; no other draw moves
+        vs = 1.0 - us
+        return us, np.minimum(vs, _BELOW_ONE, out=vs)
+
 
 @dataclass(frozen=True)
 class GaussianCopula(Coupling):
@@ -139,7 +142,12 @@ class GaussianCopula(Coupling):
         z2 = special.ndtri(_uniform_open(rng, n))
         us = special.ndtr(z1)
         vs = special.ndtr(self.r * z1 + math.sqrt(1.0 - self.r * self.r) * z2)
-        return us, vs
+        # ndtr returns 1.0 from about 8.29 on, and r z1 + s z2 gets there when
+        # both draws are near the top (z1, z2 <= 8.21).  ndtr(z1) stays below
+        # 1 with scipy 1.17; its clamp keeps that so on any build.  Neither
+        # value can reach 0: the normal scores stay above -12.
+        np.minimum(us, _BELOW_ONE, out=us)
+        return us, np.minimum(vs, _BELOW_ONE, out=vs)
 
 
 # --- bivariate normal cdf -----------------------------------------------------

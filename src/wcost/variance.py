@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri, roots_hermitenorm, roots_legendre
+from scipy.special import ndtr, ndtri
 
 from .costs import Cost, PowerCost, QuantileCost
 from .coupling import (Comonotone, Countermonotone, Coupling, GaussianCopula, Independent,
@@ -83,10 +83,63 @@ _GUARD_CEILING = 1e300
 
 #: Node count and normal-score cut of the Gaussian-copula inner integral.  Near
 #: r = +-1 the variance is a small difference of large terms; there 48 nodes
-#: miss it by about 1e-12 relative, 24 by more than its tolerance.
+#: miss it by about 1e-12 relative, 24 by more than its tolerance.  The rules
+#: are tabulated below: a new order needs new tables.
 _INNER_ORDER = 48
 _Z_CUT = 9.0
 _PANEL_BLOCK = 16
+
+# The inner rules as scipy.special.roots_hermitenorm(48) and roots_legendre(48)
+# return them (scipy 1.17.1): the non-negative nodes, ascending, and their
+# weights, in float hex.  scipy returns both rules exactly symmetric, so the
+# mirrored halves equal its output bit for bit.  They are tabulated because
+# scipy computes them with scipy.linalg, an import of about 65 ms and 6 MB;
+# numpy's hermegauss / leggauss weights differ from scipy's by up to ~1300 ulp,
+# which would move sigma2 in its last bits.
+_HERMITE_NODES = """
+    0x1.cdf0dddea679ap-3 0x1.5a93b43a58422p-1 0x1.210463c364b44p+0 0x1.950da2d47302bp+0
+    0x1.04c34ea5c9306p+1 0x1.3f48fb780231cp+1 0x1.7a2a42b1c7f3dp+1 0x1.b57aff0c6c2adp+1
+    0x1.f150e4432c914p+1 0x1.16e200af886eep+2 0x1.3577b31b3ac78p+2 0x1.5478fd57cc5fdp+2
+    0x1.73f7cecbe239bp+2 0x1.94095665785c2p+2 0x1.b4c716554d429p+2 0x1.d6507467fef3ep+2
+    0x1.f8cd156e402d1p+2 0x1.0e384a3530977p+3 0x1.20c059b78fd4cp+3 0x1.3430372e1ebe2p+3
+    0x1.48d2e002762b3p+3 0x1.5f25480d3f65ap+3 0x1.781a09b7963d2p+3 0x1.962d2829d1392p+3
+"""
+_HERMITE_WEIGHTS = """
+    0x1.c260aa6601ecdp-2 0x1.6fc68da061686p-2 0x1.ea11891e5a807p-3 0x1.09f21ea23845ep-3
+    0x1.d4f777cf6e5cap-5 0x1.4eb255c33ec0dp-6 0x1.80e88bfcf7e57p-8 0x1.628f9fa0b22eap-10
+    0x1.03bb7e5dcee00p-12 0x1.2bf990ab624bap-15 0x1.0e3902312d452p-18 0x1.76ddad9502f7fp-22
+    0x1.8a34c2ed64184p-26 0x1.34492ee7d52f2p-30 0x1.5e35d87a374afp-35 0x1.1883a4f6d7107p-40
+    0x1.3119b85d50bebp-46 0x1.acde189fb308bp-53 0x1.6c6614e8e1e2ap-60 0x1.54b1ea99b76fap-68
+    0x1.306fc324a5c5dp-77 0x1.9ce4513ec90eep-88 0x1.12a82d4a8cfb7p-100 0x1.dd5ae7ecf5c93p-117
+"""
+_LEGENDRE_NODES = """
+    0x1.094223ea61974p-5 0x1.8d54ccaa9b7b4p-4 0x1.4a2ef25599832p-3 0x1.cc50f5488fbeep-3
+    0x1.26425a1527d42p-2 0x1.65204357a638ap-2 0x1.a27eb589dea3bp-2 0x1.de1bcb894046ap-2
+    0x1.0bdbc159f3714p-1 0x1.2789ffd1f24a0p-1 0x1.41fae84d5a002p-1 0x1.5b1216aac49a1p-1
+    0x1.72b49a0302d9ap-1 0x1.88c91196f8e2dp-1 0x1.9d37c81006d1dp-1 0x1.afeaccf5eeb9ep-1
+    0x1.c0ce0c3f55453p-1 0x1.cfcf63e4a4e84p-1 0x1.dcdeb7610754ap-1 0x1.e7ee011520dfap-1
+    0x1.f0f1619784730p-1 0x1.f7df2d6c8eed7p-1 0x1.fcaffc9af24a4p-1 0x1.ff5ee9d8af2e2p-1
+"""
+_LEGENDRE_WEIGHTS = """
+    0x1.092a652a0fbacp-4 0x1.080dac3f37257p-4 0x1.05d56c2248c39p-4 0x1.028406fc86d2bp-4
+    0x1.fc3a19b11a28cp-5 0x1.f14a6f9e10abap-5 0x1.e444cde6d0000p-5 0x1.d537300bfd4b4p-5
+    0x1.c431bfe4b31a2p-5 0x1.b146c443c7e2ap-5 0x1.9c8a8d586186cp-5 0x1.86135edf0aa11p-5
+    0x1.6df9583af718dp-5 0x1.54565a91a8414p-5 0x1.3945ed05d7d85p-5 0x1.1ce51f31f702dp-5
+    0x1.fea4d40fed1f0p-6 0x1.c15b1e8f699a2p-6 0x1.822eefbc97568p-6 0x1.416423e8cba4fp-6
+    0x1.fe80c5c315a25p-7 0x1.781605954a54ep-7 0x1.e037f45d9bab5p-8 0x1.9d50bc55d4c98p-9
+"""
+
+
+def _mirrored(nodes: str, weights: str) -> tuple[np.ndarray, np.ndarray]:
+    """The whole symmetric rule, ascending, from its non-negative half in float hex."""
+    x = np.array([float.fromhex(h) for h in nodes.split()])
+    w = np.array([float.fromhex(h) for h in weights.split()])
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+_HERMITE_X, _HERMITE_W = _mirrored(_HERMITE_NODES, _HERMITE_WEIGHTS)
+_HERMITE_W = _HERMITE_W / math.sqrt(2.0 * math.pi)  # against the standard normal density
+_LEGENDRE_X, _LEGENDRE_W = _mirrored(_LEGENDRE_NODES, _LEGENDRE_WEIGHTS)
 
 #: Relative size, against |Q_x| + |Q_y|, below which Q_x + Q_y is taken as an
 #: exact cancellation (a pair that moves in lockstep) rather than a variance to
@@ -363,17 +416,14 @@ def _conditional_means(mesh: CumulativeMesh, r: float, i: int):
     line.  Q_i is constant outside a window, which puts kinks in the bulk, so
     there the integral splits at them: the constant pieces are normal
     probabilities and the middle takes Gauss--Legendre (cut at |z_2| = _Z_CUT).
-    The inner rule's own error is not part of ``est_error``.  Panels go in
-    blocks to keep the inner points small.
+    Both rules have _INNER_ORDER nodes and come from the module's tables, so
+    no call computes them.  The inner rule's own error is not part of
+    ``est_error``.  Panels go in blocks to keep the inner points small.
     """
     s = math.sqrt(1.0 - r * r)
     windowed = mesh.window != (0.0, 1.0)
     clamps = [(max(mesh.window[0], eps), min(mesh.window[1], 1.0 - eps)) for eps in mesh.cuts[:2]]
-    if windowed:
-        x, w = roots_legendre(_INNER_ORDER)
-    else:
-        x, w = roots_hermitenorm(_INNER_ORDER)
-        w = w / math.sqrt(2.0 * math.pi)
+    x, w = (_LEGENDRE_X, _LEGENDRE_W) if windowed else (_HERMITE_X, _HERMITE_W)
     means = np.empty((len(clamps), mesh.panels, _NODES.size))
     for start in range(0, mesh.panels, _PANEL_BLOCK):
         block = slice(start, start + _PANEL_BLOCK)

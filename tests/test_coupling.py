@@ -198,6 +198,36 @@ def test_uniform_draws_stay_below_one_at_the_top_integer():
     assert u[0] == np.nextafter(1.0, 0.0) and u[1] == 0.5 / 2.0**53
 
 
+_TOP = (2**53 - 1) * 2.0**-53
+
+
+class _ScriptedDraws:
+    """A generator stub whose ``random`` calls return the given draws in turn."""
+
+    def __init__(self, *draws):
+        self._draws = list(draws)
+
+    def random(self, size):
+        return np.array(self._draws.pop(0))[:size]
+
+
+def test_countermonotone_draws_stay_below_one_at_the_bottom_integer():
+    u, v = Countermonotone().sample_uniforms(2, _ScriptedDraws([0.0, _TOP]))
+    assert np.all((v > 0.0) & (v < 1.0))
+    assert v[0] == np.nextafter(1.0, 0.0) and v[1] == 1.0 - u[1]
+    assert np.all(np.isfinite(Pareto(3).quantile(v)))
+
+
+@pytest.mark.parametrize("r", [0.5, -0.8, 0.95])
+def test_gaussian_copula_draws_stay_inside_at_the_extreme_integers(r):
+    # the four corners of (top, bottom) x (top, bottom) for the two normal scores
+    draws = _ScriptedDraws([_TOP, _TOP, 0.0, 0.0], [_TOP, 0.0, _TOP, 0.0])
+    u, v = GaussianCopula(r).sample_uniforms(4, draws)
+    assert np.all((u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0))
+    assert np.all(np.isfinite(Gaussian(0, 1).quantile(u)))
+    assert np.all(np.isfinite(Pareto(3).quantile(v)))
+
+
 def _integer_uniform_open(rng, n):
     """The integer formula that ``_uniform_open`` must reproduce bit for bit."""
     u = (rng.integers(0, 1 << 53, n).astype(np.float64) + 0.5) / 2.0**53

@@ -48,7 +48,7 @@ def test_paired_sample_rejects_matrix_input():
         PairedSample(np.ones((2, 2)), np.ones((2, 2)))
 
 
-def test_sorted_columns_cached_and_stable():
+def test_sorted_columns_cached():
     s = PairedSample([2.0, 1.0, 3.0], [6.0, 4.0, 5.0])
     a = s.sorted_columns()
     b = s.sorted_columns()

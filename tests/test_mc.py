@@ -207,6 +207,30 @@ def test_importing_wcost_loads_no_heavy_scipy_subpackage():
     assert out.stdout.strip() == ""
 
 
+def test_run_time_calls_load_no_heavy_scipy_subpackage():
+    heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.interpolate",
+             "scipy.spatial", "scipy.linalg", "scipy.sparse"]
+    code = "\n".join([
+        "import sys",
+        "from wcost import (Comonotone, Countermonotone, Gaussian, GaussianCopula, Independent,",
+        "                   MCConfig, PowerCost, exact_cost, plug_in_sigma2, run_clt_experiment,",
+        "                   sample_pairs, sigma2, sigma2_window, verify_triple)",
+        "F, G, c, gauss = Gaussian(0, 1), Gaussian(2, 1), PowerCost(2), GaussianCopula(0.5)",
+        "for cp in (Independent(), Comonotone(), Countermonotone(), gauss):",
+        "    sigma2(F, G, c, cp)",
+        "sigma2_window(F, G, c, gauss, 0.1)",
+        "verify_triple(F, G, c)",
+        "exact_cost(F, G, c)",
+        "plug_in_sigma2(sample_pairs(gauss, F, G, 500, 3), c)",
+        "run_clt_experiment(MCConfig(F, G, c, gauss, n=50, replicates=100), threads=1)",
+        f"print(','.join(m for m in {heavy!r} if m in sys.modules))",
+    ])
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == ""
+
+
 # --- CLT experiment -------------------------------------------------------------
 
 

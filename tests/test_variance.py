@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtri, roots_hermitenorm, roots_legendre
 
 import wcost.variance as variance_module
 from wcost import parse_cost, parse_distribution
@@ -165,6 +165,18 @@ def test_gaussian_copula_closed_form(r_copula, target):
     assert rel(r.value, target) < 1e-3
 
 
+def test_inner_rules_equal_scipy_bit_for_bit():
+    # The Gaussian-copula cross term takes its rules from tables, so that no
+    # call loads scipy.linalg; they must be scipy's rules to the last bit.
+    # same_bits compares shapes too, so each table has _INNER_ORDER entries.
+    x, w = roots_hermitenorm(variance_module._INNER_ORDER)
+    assert same_bits(variance_module._HERMITE_X, x)
+    assert same_bits(variance_module._HERMITE_W, w / math.sqrt(2.0 * math.pi))
+    x, w = roots_legendre(variance_module._INNER_ORDER)
+    assert same_bits(variance_module._LEGENDRE_X, x)
+    assert same_bits(variance_module._LEGENDRE_W, w)
+
+
 def test_countermonotone_closed_form():
     # r -> -1 limit of the same reduction: sigma2 = 32 (1 - (-1)) = 64.
     r = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, Countermonotone())
@@ -187,7 +199,7 @@ def test_heavy_tail_frontier_converges_at_five():
 
 
 @pytest.mark.parametrize("beta", [3.0, 4.0])
-def test_heavy_tail_frontier_diverges_below_five(beta):
+def test_heavy_tail_frontier_fails_the_gate_below_five(beta):
     # The gate fires on the paper's tail hypothesis, not on a divergent
     # integral: these translations have the finite 8 Var Pareto(beta).
     F = LocationScale(Pareto(beta), 1.0, 1.0)
