@@ -18,8 +18,6 @@ from .distributions import (
     cdf,
     companion,
     density_quantile,
-    distribution_from_dict,
-    distribution_to_dict,
     format_distribution,
     parse_distribution,
     psi_inverse,
@@ -77,7 +75,6 @@ from .variance import (
     sigma2_gaussian,
     sigma2_location_scale,
     sigma2_one_sample,
-    sigma2_w2_independent,
     sigma2_window,
     variance_kernel,
 )

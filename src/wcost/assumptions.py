@@ -31,6 +31,7 @@ __all__ = [
     "check_csfg",
     "verify_triple",
     "reflected_cost",
+    "heavier_right",
 ]
 
 # A numeric "bounded on (u-bar, 1)" verdict: finite values, sup below this
@@ -381,6 +382,20 @@ def check_csfg(F: Distribution, m: float | None = None, grid_size: int = 64) -> 
     return ConditionStatus(status, float(gap[i]), float(us[i]), note)
 
 
+def heavier_right(F: Distribution, G: Distribution) -> Distribution:
+    """The marginal with the heavier right tail; F on a tie.
+
+    An unbounded support always outweighs a bounded one; otherwise the deep
+    quantile decides.  The tail conditions, the variance's tail guard and the
+    Monte Carlo precheck all take their lead law from here.
+    """
+    f_unbounded = math.isinf(F.support()[1])
+    if f_unbounded != math.isinf(G.support()[1]):
+        return F if f_unbounded else G
+    u = 1.0 - 1e-8
+    return F if float(F.quantile(u)) >= float(G.quantile(u)) else G
+
+
 def reflected_cost(c: Cost) -> Cost:
     """The cost seen by the reflected pair (-X, -Y).
 
@@ -420,15 +435,10 @@ class TripleReport:
 def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
               m: float | None, theta: float | None, zeta: float,
               grid_size: int) -> tuple[AssumptionReport, bool]:
-    # The marginal conditions name F as the heavier tail; an unbounded support
-    # always outweighs a bounded one, otherwise compare deep quantiles.
-    f_unbounded = math.isinf(F.support()[1])
-    g_unbounded = math.isinf(G.support()[1])
-    if f_unbounded != g_unbounded:
-        swapped = g_unbounded
-    else:
-        swapped = float(F.quantile(1.0 - 1e-8)) < float(G.quantile(1.0 - 1e-8))
-    heavy, light = (G, F) if swapped else (F, G)
+    # the marginal conditions name F as the heavier tail
+    heavy = heavier_right(F, G)
+    swapped = heavy is not F
+    light = F if swapped else G
 
     if not math.isinf(heavy.support()[1]):
         # no unbounded tail at all on this side: every condition is vacuous

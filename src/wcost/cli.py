@@ -46,7 +46,6 @@ from .variance import (
     sigma2,
     sigma2_gaussian,
     sigma2_location_scale,
-    sigma2_w2_independent,
 )
 
 _FORMATS = ("json", "csv")
@@ -173,11 +172,6 @@ def _variance_result(args, q: QuadratureConfig):
         if len(p) != 2:
             raise ValueError("gaussian method takes: F G")
         return sigma2_gaussian(parse_distribution(p[0]), parse_distribution(p[1]))
-    if args.method == "w2-independent":
-        if len(p) != 2:
-            raise ValueError("w2-independent method takes: F G")
-        return sigma2_w2_independent(parse_distribution(p[0]),
-                                     parse_distribution(p[1]), q)
     if len(p) != 5:
         raise ValueError("location-scale method takes: BASE A B A' B'")
     return sigma2_location_scale(parse_distribution(p[0]), float(p[1]), float(p[2]),
@@ -306,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variance", help="asymptotic variance of the estimator")
     p.add_argument("params", nargs="+",
                    help="quadrature: F G COST COUPLING | gaussian: F G | "
-                        "w2-independent: F G | location-scale: BASE A B A' B'")
+                        "location-scale: BASE A B A' B'")
     p.add_argument("--method", default="quadrature",
-                   choices=("quadrature", "gaussian", "w2-independent", "location-scale"))
+                   choices=("quadrature", "gaussian", "location-scale"))
     p.add_argument("--abs-tol", type=float, default=DEFAULT_VARIANCE_CONFIG.abs_tol)
     p.add_argument("--rel-tol", type=float, default=DEFAULT_VARIANCE_CONFIG.rel_tol)
     p.add_argument("--diagnostics", action="store_true",

@@ -30,8 +30,6 @@ __all__ = [
     "diagonal_contraction",
     "parse_cost",
     "format_cost",
-    "cost_to_dict",
-    "cost_from_dict",
 ]
 
 # Distance below which the tail representation is not consulted; the closed
@@ -302,7 +300,7 @@ def diagonal_contraction(c: Cost, m: float, tau: float) -> float:
     return float(np.max(c.rho_prime(ts)))
 
 
-# --- descriptors and serialization -------------------------------------------
+# --- descriptors --------------------------------------------------------------
 
 
 def _fmt(x: float) -> str:
@@ -342,28 +340,3 @@ def format_cost(c: Cost) -> str:
     if isinstance(c, QuantileCost):
         return f"quantile({_fmt(c.alpha)})"
     raise ValueError(f"cannot format cost of type {type(c).__name__}")
-
-
-def cost_to_dict(c: Cost) -> dict:
-    if isinstance(c, PowerCost):
-        return {"kind": "power", "alpha": c.alpha}
-    if isinstance(c, LogPowerCost):
-        return {"kind": "logpower", "beta": c.beta}
-    if isinstance(c, ExpPowerCost):
-        return {"kind": "exppower", "beta": c.beta}
-    if isinstance(c, QuantileCost):
-        return {"kind": "quantile", "alpha": c.alpha}
-    raise ValueError(f"cannot serialize cost of type {type(c).__name__}")
-
-
-def cost_from_dict(obj: dict) -> Cost:
-    kind = obj.get("kind")
-    if kind == "power":
-        return PowerCost(float(obj["alpha"]))
-    if kind == "logpower":
-        return LogPowerCost(float(obj["beta"]))
-    if kind == "exppower":
-        return ExpPowerCost(float(obj["beta"]))
-    if kind == "quantile":
-        return QuantileCost(float(obj["alpha"]))
-    raise ValueError(f"unknown cost kind in JSON: {kind!r}")

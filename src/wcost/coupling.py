@@ -27,8 +27,6 @@ __all__ = [
     "bvn_cdf",
     "parse_coupling",
     "format_coupling",
-    "coupling_to_dict",
-    "coupling_from_dict",
 ]
 
 _HALF_STEP = 2.0**-54
@@ -313,18 +311,3 @@ def format_coupling(cp: Coupling) -> str:
     if isinstance(cp, GaussianCopula):
         return f"gauss({format(cp.r, '.17g')})"
     raise ValueError(f"cannot format coupling of type {type(cp).__name__}")
-
-
-def coupling_to_dict(cp: Coupling) -> dict:
-    if isinstance(cp, GaussianCopula):
-        return {"kind": "gauss", "r": cp.r}
-    return {"kind": format_coupling(cp)}
-
-
-def coupling_from_dict(obj: dict) -> Coupling:
-    kind = obj.get("kind")
-    if kind == "gauss":
-        return GaussianCopula(float(obj["r"]))
-    if kind in ("independent", "comonotone", "countermonotone"):
-        return parse_coupling(kind)
-    raise ValueError(f"unknown coupling kind in JSON: {kind!r}")

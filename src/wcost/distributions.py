@@ -38,8 +38,6 @@ __all__ = [
     "reflect",
     "parse_distribution",
     "format_distribution",
-    "distribution_to_dict",
-    "distribution_from_dict",
 ]
 
 
@@ -409,7 +407,7 @@ def psi_inverse(d: Distribution, y):
     return d.psi_inverse(y)
 
 
-# --- descriptors and serialization ------------------------------------------
+# --- descriptors --------------------------------------------------------------
 
 
 def _fmt(x: float) -> str:
@@ -497,36 +495,3 @@ def format_distribution(d: Distribution) -> str:
     if isinstance(d, Reflected):
         return f"reflect({format_distribution(d.base)})"
     raise ValueError(f"cannot format distribution of type {type(d).__name__}")
-
-
-def distribution_to_dict(d: Distribution) -> dict:
-    if isinstance(d, Gaussian):
-        return {"family": "gaussian", "mean": d.mean, "sd": d.sd}
-    if isinstance(d, Pareto):
-        return {"family": "pareto", "p": d.p}
-    if isinstance(d, Weibull):
-        return {"family": "weibull", "q": d.q}
-    if isinstance(d, Exponential):
-        return {"family": "exponential", "rate": d.rate}
-    if isinstance(d, LocationScale):
-        return {"family": "locscale", "base": distribution_to_dict(d.base), "a": d.a, "b": d.b}
-    if isinstance(d, Reflected):
-        return {"family": "reflect", "base": distribution_to_dict(d.base)}
-    raise ValueError(f"cannot serialize distribution of type {type(d).__name__}")
-
-
-def distribution_from_dict(obj: dict) -> Distribution:
-    fam = obj.get("family")
-    if fam == "gaussian":
-        return Gaussian(float(obj["mean"]), float(obj["sd"]))
-    if fam == "pareto":
-        return Pareto(float(obj["p"]))
-    if fam == "weibull":
-        return Weibull(float(obj["q"]))
-    if fam == "exponential":
-        return Exponential(float(obj["rate"]))
-    if fam == "locscale":
-        return LocationScale(distribution_from_dict(obj["base"]), float(obj["a"]), float(obj["b"]))
-    if fam == "reflect":
-        return reflect(distribution_from_dict(obj["base"]))
-    raise ValueError(f"unknown distribution family in JSON: {fam!r}")

@@ -15,6 +15,7 @@ processes, one per usable core by default.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
@@ -27,21 +28,14 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .assumptions import check_cfg, reflected_cost
+from .assumptions import check_cfg, heavier_right, reflected_cost
 from .costs import Cost, PowerCost
 from .coupling import Coupling, Independent, sample_pairs
 from .distributions import Distribution, Gaussian, reflect
 from .errors import DegenerateSampleError, NonconvergenceError, UnsupportedCostError
 from .estimate import empirical_cost, exact_cost, trimmed_empirical_cost
 from .quadrature import QuadratureConfig
-from .variance import (
-    _heavier_right,
-    plug_in_sigma2,
-    sigma2,
-    sigma2_gaussian,
-    sigma2_w2_independent,
-    sigma2_window,
-)
+from .variance import plug_in_sigma2, sigma2, sigma2_gaussian, sigma2_window
 
 _SIGMA_SOURCES = ("oracle_quadrature", "closed_form", "plug_in")
 _CI_LEVEL = 0.95
@@ -64,8 +58,9 @@ class MCConfig:
     1/2 for the smallest allowed n); an explicit value in [0, 1/2) fixes the
     trim level.  ``sigma_source`` picks how replicates are standardized:
     ``oracle_quadrature`` (default) computes ``sigma2`` once by quadrature,
-    ``closed_form`` uses an exact formula where one exists, and ``plug_in``
-    re-estimates the variance from each replicate's own sample.
+    ``closed_form`` (squared-difference cost, independent pairing only) uses
+    the exact formula for two Gaussian marginals and ``sigma2`` otherwise, and
+    ``plug_in`` re-estimates the variance from each replicate's own sample.
     """
 
     F: Distribution
@@ -273,7 +268,7 @@ def _simulate(cfg: MCConfig, eps: float, workers: int, plug_eps=()):
             parts = list(pool.map(partial(_worker_rows, cfg, eps, plug_eps), *zip(*chunks)))
         for _, caught in parts:
             for message in caught:
-                warnings.warn(message, stacklevel=3)
+                warnings.warn(message, stacklevel=4)
         rows = np.concatenate([part for part, _ in parts])
     cols = rows.T
     return cols[0], cols[1], {pe: cols[2 + i] for i, pe in enumerate(plug_eps)}
@@ -285,8 +280,8 @@ def _assumption_precheck(F: Distribution, G: Distribution, c: Cost):
     sides = (("right", F, G, c),
              ("left", reflect(F), reflect(G), reflected_cost(c)))
     for side, A, B, cost in sides:
-        lead = _heavier_right(A, B)
-        if lead is None:
+        lead = heavier_right(A, B)
+        if not math.isinf(lead.support()[1]):
             continue
         try:
             res = check_cfg(lead, cost)
@@ -300,7 +295,7 @@ def _assumption_precheck(F: Distribution, G: Distribution, c: Cost):
                 f"(margin {res.margin:.3g} at x={res.witness_location:.3g})")
     if problems:
         warnings.warn("; ".join(problems) + " -- continuing, but the normal "
-                      "approximation may not hold", UserWarning, stacklevel=3)
+                      "approximation may not hold", UserWarning, stacklevel=4)
     return not problems, tuple(problems)
 
 
@@ -328,16 +323,15 @@ def _sample_skew(values: np.ndarray) -> float:
 
 
 def _oracle_sigma2(cfg: MCConfig):
-    if cfg.sigma_source == "oracle_quadrature":
-        return sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling)
-    quadratic = isinstance(cfg.c, PowerCost) and cfg.c.alpha == 2.0
-    if not (quadratic and isinstance(cfg.coupling, Independent)):
-        raise ValueError(
-            "closed-form variance requires the squared-difference cost with "
-            "independent coupling; use sigma_source='oracle_quadrature'")
-    if isinstance(cfg.F, Gaussian) and isinstance(cfg.G, Gaussian):
-        return sigma2_gaussian(cfg.F, cfg.G)
-    return sigma2_w2_independent(cfg.F, cfg.G)
+    if cfg.sigma_source == "closed_form":
+        quadratic = isinstance(cfg.c, PowerCost) and cfg.c.alpha == 2.0
+        if not (quadratic and isinstance(cfg.coupling, Independent)):
+            raise ValueError(
+                "closed-form variance requires the squared-difference cost with "
+                "independent coupling; use sigma_source='oracle_quadrature'")
+        if isinstance(cfg.F, Gaussian) and isinstance(cfg.G, Gaussian):
+            return sigma2_gaussian(cfg.F, cfg.G)
+    return sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling)
 
 
 def _build_report(cfg: MCConfig, values: np.ndarray, target: float,
@@ -411,20 +405,9 @@ def run_clt_experiment(cfg: MCConfig, *, threads: int | None = None) -> MCReport
     ``threads`` is the worker count: replicates run in that many forked
     processes (serially in-process for 1), and ``None`` means one per usable
     core.  Deterministic given ``cfg``: the worker count does not change
-    results.
+    results.  This is the full family of ``compare_trimmed`` with no trim.
     """
-    threads = _worker_count(threads)
-    t0 = time.perf_counter()
-    ok, problems = _assumption_precheck(cfg.F, cfg.G, cfg.c)
-    notes = (_BASE_NOTE,) + problems
-    w_exact = exact_cost(cfg.F, cfg.G, cfg.c)
-    if cfg.sigma_source == "plug_in":
-        west, _, plug = _simulate(cfg, 0.0, threads, (0.0,))
-        notes = notes + ("per-replicate plug-in variances",)
-        return _build_report(cfg, west, w_exact, None, plug[0.0], 0.0, ok, notes, t0)
-    sig2 = _oracle_sigma2(cfg).value
-    west, _, _ = _simulate(cfg, 0.0, threads)
-    return _build_report(cfg, west, w_exact, sig2, None, 0.0, ok, notes, t0)
+    return _experiment(cfg, 0.0, threads).plain
 
 
 def compare_trimmed(cfg: MCConfig, *, threads: int | None = None) -> TrimmedComparison:
@@ -437,11 +420,19 @@ def compare_trimmed(cfg: MCConfig, *, threads: int | None = None) -> TrimmedComp
     ``trim_eps=0`` the two families coincide exactly.  ``threads`` is the
     worker count, as in ``run_clt_experiment``; results do not depend on it.
     """
+    return _experiment(cfg, cfg.resolved_trim_eps, threads)
+
+
+def _experiment(cfg: MCConfig, eps: float, threads: int | None) -> TrimmedComparison:
+    """Both families at trim level ``eps`` from one precheck and one simulation pass.
+
+    At ``eps = 0`` the window cost and variance are the full ones, so no second
+    ``exact_cost`` or variance runs and the trimmed estimates are the full ones.
+    """
     threads = _worker_count(threads)
     t0 = time.perf_counter()
     ok, problems = _assumption_precheck(cfg.F, cfg.G, cfg.c)
     notes = (_BASE_NOTE,) + problems
-    eps = cfg.resolved_trim_eps
     w_full = exact_cost(cfg.F, cfg.G, cfg.c)
     w_window = w_full if eps == 0.0 else exact_cost(cfg.F, cfg.G, cfg.c,
                                                     window=(eps, 1.0 - eps))

@@ -290,19 +290,29 @@ def _tail_limit(strips: list[float], floor: float, what: str) -> tuple[float, fl
     Each halving of the truncation level contributes a strip; for a tail with
     an integrable power/slow singularity the strips shrink geometrically, so
     the cumulative sums are accelerated to their limit.  A shrink factor at or
-    above the divergence threshold raises instead.  Returns (limit of the
-    remaining tail mass, residual estimate).
+    above the divergence threshold raises instead.  Strips that have changed
+    sign by then are not a divergent tail, whose strips keep one sign, so
+    that error says the tail is not resolved rather than divergent.  Returns
+    (limit of the remaining tail mass, residual estimate).
     """
     if all(abs(s) <= floor for s in strips):
         return math.fsum(strips), abs(strips[-1]) if strips else 0.0
-    for prev, cur in zip(strips, strips[1:]):
+    for k, (prev, cur) in enumerate(zip(strips, strips[1:])):
         if abs(cur) <= floor:
             continue  # shrunk into the noise: converged
         if abs(prev) > 0 and abs(cur) / abs(prev) >= _DIVERGENCE_RATIO:
+            ratio = f"{abs(cur) / abs(prev):.4f} >= {_DIVERGENCE_RATIO}"
+            seen = strips[:k + 2]
+            if min(seen) < 0.0 < max(seen):
+                flip = max(i for i, s in enumerate(seen) if s * cur < 0.0)
+                shown = ", ".join(f"{s:.2g}" for s in seen[flip:])
+                raise NonconvergenceError(
+                    f"{what}: successive endpoint strips change sign ({shown}) and "
+                    f"then stop shrinking (factor {ratio}); the tail is not resolved "
+                    "at this tolerance")
             raise NonconvergenceError(
-                f"{what}: successive endpoint strips shrink by factor "
-                f"{abs(cur) / abs(prev):.4f} >= {_DIVERGENCE_RATIO}; the tail "
-                "integral is divergent or too close to divergence to resolve"
+                f"{what}: successive endpoint strips shrink by factor {ratio}; the "
+                "tail integral is divergent or too close to divergence to resolve"
             )
     partial = 0.0
     seq = [0.0]

@@ -13,8 +13,8 @@ Q_y likewise, with h_X = f o F^{-1}, h_Y = g o G^{-1} the quantile densities and
 Gauss--Kronrod sums on one graded mesh (``quadrature.CumulativeMesh``), after a
 cheap one-dimensional guard that checks the paper's tail hypothesis from the
 tail growth of the cost slope against each quantile density; only the covariance
-of Q_x and Q_y depends on the coupling.  ``sigma2_one_sample``,
-``sigma2_w2_independent`` and the trimmed ``sigma2_window`` use the same route.
+of Q_x and Q_y depends on the coupling.  ``sigma2_one_sample`` and the trimmed
+``sigma2_window`` use the same route.
 Closed forms cover location-scale families and Gaussian marginals.
 ``plug_in_sigma2`` estimates the untrimmed variance from one paired sample
 alone, as the sample variance of the empirical influence values: the same Q_x
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .costs import Cost, PowerCost, QuantileCost
+from .assumptions import heavier_right
+from .costs import Cost, QuantileCost
 from .coupling import (Comonotone, Countermonotone, Coupling, GaussianCopula, Independent,
                        copula_cdf)
 from .distributions import Distribution, Gaussian, reflect
@@ -48,7 +49,6 @@ __all__ = [
     "variance_kernel",
     "sigma2",
     "sigma2_one_sample",
-    "sigma2_w2_independent",
     "sigma2_window",
     "sigma2_location_scale",
     "sigma2_gaussian",
@@ -67,7 +67,6 @@ _METHODS = frozenset({
     "quadrature",
     "closed_form_gaussian",
     "closed_form_location_scale",
-    "closed_form_w2_independent",
     "plug_in",
 })
 
@@ -245,22 +244,6 @@ def _refine_mesh(mesh: CumulativeMesh, q: QuadratureConfig, measure):
 # --- tail-hypothesis guard and degeneracy warning -----------------------------
 
 
-def _heavier_right(F: Distribution, G: Distribution) -> Distribution | None:
-    """The marginal with the heavier right tail; None when both are bounded above.
-
-    An unbounded support always beats a bounded one; between two unbounded laws the
-    deep quantile decides.
-    """
-    f_inf = math.isinf(F.support()[1])
-    g_inf = math.isinf(G.support()[1])
-    if not f_inf and not g_inf:
-        return None
-    if f_inf != g_inf:
-        return F if f_inf else G
-    u = 1.0 - 1e-8
-    return F if float(F.quantile(u)) >= float(G.quantile(u)) else G
-
-
 def _slope_tail_integral(heavy: Distribution, law: Distribution, c: Cost,
                          q: QuadratureConfig) -> float:
     """J = int rho'(heavy quantile(u)) sqrt(1-u) / h_law(u) du over the right tail.
@@ -320,8 +303,8 @@ def _tail_guard(F: Distribution, G: Distribution, c: Cost, q: QuadratureConfig,
     """
     out: dict[str, float] = {}
     for side, (A, B) in (("right", (F, G)), ("left", (reflect(F), reflect(G)))):
-        heavy = _heavier_right(A, B)
-        if heavy is None:
+        heavy = heavier_right(A, B)
+        if not math.isinf(heavy.support()[1]):
             continue
         for key in which:
             law = A if key == "x" else B
@@ -606,19 +589,6 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
     return VarianceResult(value, err, "quadrature",
                           {"side": side, "tail_guard": guard, "clamp": clamp,
                            "influence": {side: terms["x"]}})
-
-
-def sigma2_w2_independent(F: Distribution, G: Distribution,
-                          q: QuadratureConfig | None = None) -> VarianceResult:
-    """Variance for independent samples under squared distance: Var Q_x + Var Q_y.
-
-    With c(x,y) = (x-y)^2 the slopes along the quantile diagonal are +-2 tau / h,
-    tau = F^{-1} - G^{-1}, so each influence function is a running integral of
-    2 tau over a quantile density.  This is ``sigma2`` with that cost and
-    independent pairing, reported under its own method name.
-    """
-    return replace(sigma2(F, G, PowerCost(2.0), Independent(), q),
-                   method="closed_form_w2_independent")
 
 
 def _moment(base: Distribution, power: int, q: QuadratureConfig) -> tuple[float, float]:

@@ -253,6 +253,10 @@ def test_triple_gaussian_pair_passes_both_sides():
     assert not tr.swapped_right
     # after reflection the other marginal carries the heavier tail
     assert tr.swapped_left
+    # one object as both marginals: a tie, which F keeps on both sides
+    F = Gaussian(1, 1)
+    same = verify_triple(F, F, P2)
+    assert (same.swapped_right, same.swapped_left) == (False, False)
 
 
 def test_triple_positive_support_left_side_vacuous():
@@ -261,6 +265,9 @@ def test_triple_positive_support_left_side_vacuous():
     assert tr.right.cfg.status == "pass"
     assert tr.left.fg4.status == "not-applicable"
     assert "bounded" in tr.left.fg4.note
+    # both reflected supports are bounded above, so the deep quantile decides:
+    # -Pareto(6) reaches closer to -1 than -Pareto(5)
+    assert tr.swapped_left
 
 
 def test_triple_fails_on_incompatible_tail():

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from wcost import (Countermonotone, Gaussian, HypothesisGateError, NonconvergenceError,
+                   PowerCost, QuadratureConfig, sigma2)
 from wcost.cli import main
 from wcost.estimate import read_sample_csv
 
@@ -181,6 +183,22 @@ def test_variance_failed_tail_hypothesis_exits_3(capsys):
     assert code == 3 and out == ""
     assert "tail hypothesis fails" in err and "normal limit may not hold" in err
     assert "diverges" not in err
+
+
+def test_variance_sign_changing_strips_exit_3_as_unresolved(capsys):
+    # Both variances are finite (38 for the first); the endpoint strips change
+    # sign and then stop shrinking, which is no divergence, and the message
+    # says so.
+    with pytest.raises(NonconvergenceError) as info:
+        sigma2(Gaussian(0, 1), Gaussian(1, 2), PowerCost(2.0), Countermonotone(),
+               QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8))
+    assert not isinstance(info.value, HypothesisGateError)
+    code, out, err = invoke(capsys, "variance", "gaussian(0,1)", "gaussian(1,2)",
+                            "logpower(0.5)", "gauss(-0.3)")
+    assert code == 3 and out == ""
+    for message in (str(info.value), err):
+        assert "strips change sign" in message
+        assert "not resolved at this tolerance" in message and "divergent" not in message
 
 
 def test_variance_wrong_arity_exits_2(capsys):

@@ -10,8 +10,6 @@ from wcost.costs import (
     PowerCost,
     QuantileCost,
     check_measure_property,
-    cost_from_dict,
-    cost_to_dict,
     diagonal_contraction,
     evaluate,
     format_cost,
@@ -262,7 +260,6 @@ def test_descriptor_round_trip(text):
     c = parse_cost(text)
     canon = format_cost(c)
     assert format_cost(parse_cost(canon)) == canon
-    assert format_cost(cost_from_dict(cost_to_dict(c))) == canon
 
 
 def test_descriptor_errors():

@@ -12,8 +12,6 @@ from wcost.coupling import (
     _uniform_open,
     bvn_cdf,
     copula_cdf,
-    coupling_from_dict,
-    coupling_to_dict,
     format_coupling,
     parse_coupling,
     sample_pairs,
@@ -262,11 +260,6 @@ def test_sampler_rejects_empty_request():
 @pytest.mark.parametrize("cp", ALL_COUPLINGS)
 def test_descriptor_round_trip(cp):
     assert parse_coupling(format_coupling(cp)) == cp
-
-
-@pytest.mark.parametrize("cp", ALL_COUPLINGS)
-def test_dict_round_trip(cp):
-    assert coupling_from_dict(coupling_to_dict(cp)) == cp
 
 
 def test_parse_coupling_is_case_insensitive():

@@ -13,8 +13,6 @@ from wcost.distributions import (
     Weibull,
     companion,
     density_quantile,
-    distribution_from_dict,
-    distribution_to_dict,
     format_distribution,
     parse_distribution,
     psi_inverse,
@@ -203,7 +201,6 @@ def test_descriptor_round_trip(text):
     d = parse_distribution(text)
     canon = format_distribution(d)
     assert format_distribution(parse_distribution(canon)) == canon
-    assert format_distribution(distribution_from_dict(distribution_to_dict(d))) == canon
 
 
 def test_descriptor_errors():

@@ -35,7 +35,6 @@ from wcost.variance import (
     sigma2_gaussian,
     sigma2_location_scale,
     sigma2_one_sample,
-    sigma2_w2_independent,
     sigma2_window,
     variance_kernel,
 )
@@ -305,6 +304,20 @@ def test_window_variance_of_a_shift_pair_is_a_clipped_normal_variance():
     assert rel(value, exact) <= 1e-9
 
 
+# rho'(2) of radial costs other than power(2), for the translation N(0,1) -> N(2,1)
+_LOG3 = math.log(3.0)
+TRANSLATION_SLOPES = [
+    (PowerCost(1.5), 1.5 * math.sqrt(2.0)),
+    (PowerCost(3.0), 12.0),
+    (LogPowerCost(0.5), math.exp(_LOG3 ** 1.5) * 1.5 * math.sqrt(_LOG3) / 3.0),
+    (ExpPowerCost(1.0), math.exp(2.0)),
+]
+# each coupling with the correlation r of its normal scores
+NORMAL_SCORE_CORRELATIONS = [(Independent(), 0.0), (GaussianCopula(0.5), 0.5),
+                             (GaussianCopula(-0.8), -0.8), (Comonotone(), 1.0),
+                             (Countermonotone(), -1.0)]
+
+
 @pytest.mark.parametrize("F, G, cp, exact", [
     *[(F, G, Independent(), target) for F, G, target in GAUSSIAN_PAIRS],
     (Gaussian(0, 1), Gaussian(2, 1), Comonotone(), 0.0),
@@ -313,9 +326,17 @@ def test_window_variance_of_a_shift_pair_is_a_clipped_normal_variance():
     *[(Gaussian(0, 1), Gaussian(2, 1), GaussianCopula(r), 32.0 * (1.0 - r))
       for r in (0.999, 0.8, 0.5, -0.8, -0.999)],
     (LocationScale(Pareto(5.0), 1.0, 1.0), Pareto(5.0), Independent(), 5.0 / 6.0),
+    (LocationScale(Gaussian(0, 1), 2.0, 3.0), LocationScale(Gaussian(0, 1), 1.0, 1.0),
+     Independent(), 90.0),
+    # Equal-scale Gaussian translation: x - y is constant along the quantile
+    # diagonal, so Q_x = -rho'(2) Z_1, Q_y = rho'(2) Z_2 and the variance is
+    # 2 (1 - r) rho'(2)^2.  A (cost, coupling) pair stands in for the coupling.
+    *[(Gaussian(0, 1), Gaussian(2, 1), (c, cp), 2.0 * (1.0 - r) * slope ** 2)
+      for c, slope in TRANSLATION_SLOPES for cp, r in NORMAL_SCORE_CORRELATIONS],
 ])
 def test_error_estimate_covers_closed_forms(F, G, cp, exact):
-    r = sigma2(F, G, P2, cp)
+    c, cp = cp if isinstance(cp, tuple) else (P2, cp)
+    r = sigma2(F, G, c, cp)
     assert abs(r.value - exact) <= r.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, exact)
     assert abs(r.value - exact) <= r.est_error + 1e-12 * max(exact, 1.0)
 
@@ -373,37 +394,18 @@ def test_one_sample_flat_cost_gives_zero():
     assert r.value == 0.0
 
 
-# --- reduced independent-sample kernel -------------------------------------------
-
-
-@pytest.mark.parametrize("F, G, target", GAUSSIAN_PAIRS)
-def test_w2_independent_gaussian_pairs(F, G, target):
-    r = sigma2_w2_independent(F, G)
-    assert r.method == "closed_form_w2_independent"
-    assert rel(r.value, target) < 1e-3
-
-
-def test_w2_independent_location_scale_pair():
-    F = LocationScale(Gaussian(0, 1), 2.0, 3.0)
-    G = LocationScale(Gaussian(0, 1), 1.0, 1.0)
-    assert rel(sigma2_w2_independent(F, G).value, 90.0) < 1e-3
-
-
-def test_w2_independent_equal_marginals_warns_to_zero():
-    with pytest.warns(UserWarning, match="coincide"):
-        r = sigma2_w2_independent(Gaussian(0, 1), Gaussian(0, 1))
-    assert r.value == 0.0
+# --- three routes to the independent squared-distance variance ------------------
 
 
 @pytest.mark.parametrize("F, G, target", GAUSSIAN_PAIRS)
 def test_three_routes_agree(F, G, target):
-    """General quadrature, reduced kernel and the exact Gaussian formula coincide."""
+    """Two-sample quadrature, the two one-sample halves and the exact Gaussian formula coincide."""
     general = sigma2(F, G, P2, Independent()).value
-    reduced = sigma2_w2_independent(F, G).value
+    halves = sum(sigma2_one_sample(F, G, P2, side).value for side in ("x", "y"))
     exact = sigma2_gaussian(F, G).value
     assert exact == target
     assert rel(general, exact) < 1e-3
-    assert rel(reduced, exact) < 1e-3
+    assert rel(halves, exact) < 1e-3
 
 
 # --- location-scale closed form ---------------------------------------------------
