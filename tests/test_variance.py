@@ -394,6 +394,31 @@ def test_one_sample_flat_cost_gives_zero():
     assert r.value == 0.0
 
 
+# --- independent squared distance, one sample at a time --------------------------
+
+
+@pytest.mark.parametrize("F, G, target", GAUSSIAN_PAIRS)
+def test_w2_independent_gaussian_pairs(F, G, target):
+    """Each half of the independent W2 variance has its own Gaussian closed form.
+
+    With quantiles m + s z and m' + t z, Q_x = 2 s ((m - m') Z + (s - t) Z^2 / 2),
+    so the x half is 4 s^2 ((m - m')^2 + (s - t)^2 / 2) and the y half swaps s for t.
+    """
+    shape = (F.mean - G.mean) ** 2 + (F.sd - G.sd) ** 2 / 2.0
+    halves = {side: sigma2_one_sample(F, G, P2, side) for side in ("x", "y")}
+    for side, scale in (("x", F.sd), ("y", G.sd)):
+        exact = 4.0 * scale ** 2 * shape
+        assert abs(halves[side].value - exact) <= halves[side].est_error + 1e-9 * exact
+    assert rel(halves["x"].value + halves["y"].value, target) < 1e-9
+
+
+def test_w2_independent_equal_marginals_warns_to_zero():
+    for side in ("x", "y"):
+        with pytest.warns(UserWarning, match="coincide"):
+            r = sigma2_one_sample(Gaussian(0, 1), Gaussian(0, 1), P2, side)
+        assert r.value == 0.0
+
+
 # --- three routes to the independent squared-distance variance ------------------
 
 
