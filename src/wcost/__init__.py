@@ -15,15 +15,9 @@ from .distributions import (
     Pareto,
     Reflected,
     Weibull,
-    cdf,
-    companion,
-    density_quantile,
     format_distribution,
     parse_distribution,
-    psi_inverse,
-    quantile,
     reflect,
-    tail_exponent,
 )
 from .costs import (
     Cost,
@@ -33,7 +27,6 @@ from .costs import (
     QuantileCost,
     check_measure_property,
     parse_cost,
-    theta1,
 )
 from .coupling import (
     Comonotone,
@@ -41,7 +34,6 @@ from .coupling import (
     Coupling,
     GaussianCopula,
     Independent,
-    copula_cdf,
     parse_coupling,
     sample_pairs,
 )

@@ -1,0 +1,56 @@
+"""Helpers shared by the model modules: distributions, costs and couplings.
+
+Every family computes on float arrays and hands back a Python float when each
+argument was a scalar.  Every descriptor is a compact ``name(arg,...)`` string
+(the couplings add a few bare names), read by one parser.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def _as_array(x):
+    return np.asarray(x, dtype=float)
+
+
+def _scalar_like(value, *templates):
+    """Return a float when every input was scalar, else the array unchanged."""
+    if all(np.isscalar(t) or getattr(t, "ndim", 1) == 0 for t in templates):
+        return float(value)
+    return value
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _parse_call(text: str) -> tuple[str, list[str]]:
+    """Split ``name(arg,...)`` into its lower-case name and its top-level arguments."""
+    text = text.strip()
+    open_idx = text.find("(")
+    if open_idx < 0 or not text.endswith(")"):
+        raise ValueError(f"malformed descriptor {text!r}; expected name(arg,...)")
+    body = text[open_idx + 1 : -1]
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+        if ch == "," and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    if depth != 0:
+        raise ValueError(f"unbalanced parentheses in descriptor arguments {body!r}")
+    parts.append(body[start:])
+    return text[:open_idx].strip().lower(), [p.strip() for p in parts] if body.strip() else []
+
+
+def _numeric_args(name: str, args: list[str], usage: str) -> list[float]:
+    """The arguments of ``name(...)`` as floats; ``usage`` names them, comma-separated."""
+    if len(args) != usage.count(",") + 1:
+        raise ValueError(f"{name} descriptor takes ({usage})")
+    try:
+        return [float(a) for a in args]
+    except ValueError as exc:
+        raise ValueError(f"descriptor {name}: expected numeric arguments ({usage}), got {args!r}") from exc

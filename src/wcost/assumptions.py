@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import Cost, QuantileCost, theta1 as cost_theta1
-from .distributions import Distribution, companion, density_quantile, reflect, tail_exponent
+from .costs import Cost, QuantileCost
+from .distributions import Distribution, reflect
 from .errors import UnsupportedCostError
 
 __all__ = [
@@ -160,14 +160,14 @@ def _fg1_single(law: Distribution, xs: np.ndarray) -> tuple[bool, float, float]:
 def _fg2_single(law: Distribution, us: np.ndarray, log_inv: np.ndarray):
     """(1-u)|(log h)'(u)| by centered differences, bounded-sup verdict."""
     du = _REL_STEP * (1.0 - us)
-    hp = np.asarray(density_quantile(law, us + du), dtype=float)
-    hm = np.asarray(density_quantile(law, us - du), dtype=float)
+    hp = np.asarray(law.density_quantile(us + du), dtype=float)
+    hm = np.asarray(law.density_quantile(us - du), dtype=float)
     vals = (1.0 - us) * np.abs(np.log(hp) - np.log(hm)) / (2.0 * du)
     return _bounded_sup(vals, log_inv)
 
 
 def _fg3_single(law: Distribution, us: np.ndarray, log_inv: np.ndarray):
-    return _bounded_sup(np.asarray(companion(law, us), dtype=float), log_inv)
+    return _bounded_sup(np.asarray(law.companion(us), dtype=float), log_inv)
 
 
 def _fg5_single(law: Distribution, xs: np.ndarray):
@@ -180,7 +180,7 @@ def _fg5_single(law: Distribution, xs: np.ndarray):
     sf = np.asarray(law.sf(xs), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (sf / f0) * (1.0 / xs + np.abs(fprime) / f0)
-    return _bounded_sup(vals, np.asarray(tail_exponent(law, xs), dtype=float))
+    return _bounded_sup(vals, np.asarray(law.tail_exponent(xs), dtype=float))
 
 
 def _pairwise(results) -> ConditionStatus:
@@ -301,7 +301,7 @@ def check_cfg(F: Distribution, c: Cost, theta: float | None = None,
     at 64 geometric tail levels 1-u in [1e-6, 1e-10]; a caller-supplied grid
     must stay within the cost's asymptotic regime (x >= l(tau1)).
     """
-    t1 = cost_theta1(c)
+    t1 = c.theta1()
     if theta is None:
         theta = 1.0 + t1 + 0.25
     if theta <= 1.0 + t1:
@@ -317,8 +317,8 @@ def check_cfg(F: Distribution, c: Cost, theta: float | None = None,
         raise ValueError("grid points must be nonzero")
 
     dx = _REL_STEP * np.abs(xs)
-    hi = np.asarray(tail_exponent(F, np.asarray(c.l_inverse(xs + dx), dtype=float)), dtype=float)
-    lo_ = np.asarray(tail_exponent(F, np.asarray(c.l_inverse(xs - dx), dtype=float)), dtype=float)
+    hi = np.asarray(F.tail_exponent(np.asarray(c.l_inverse(xs + dx), dtype=float)), dtype=float)
+    lo_ = np.asarray(F.tail_exponent(np.asarray(c.l_inverse(xs - dx), dtype=float)), dtype=float)
     phi_prime = (hi - lo_) / (2.0 * dx)
     margin = phi_prime - (2.0 + 2.0 * theta / xs)
     i = int(np.argmin(margin))
@@ -342,7 +342,7 @@ def check_tail_sufficient(F: Distribution, c: Cost, zeta: float = 2.5,
         xs = np.asarray(x_grid, dtype=float)
         if xs.size == 0 or np.any(~np.isfinite(xs)):
             raise ValueError("grid points must be finite")
-    margin = (np.asarray(tail_exponent(F, xs), dtype=float)
+    margin = (np.asarray(F.tail_exponent(xs), dtype=float)
               - zeta * np.asarray(c.l(xs), dtype=float))
     i = int(np.argmin(margin))
     status = "pass" if margin[i] >= -1e-9 else "fail"
@@ -373,7 +373,7 @@ def check_csfg(F: Distribution, m: float | None = None, grid_size: int = 64) -> 
     us = _geometric_u_grid(max(u_bar, 0.5), grid_size)
     gamma0 = gamma1 / 2.0
     bound = 1.0 / (gamma0 * np.log(1.0 / (1.0 - us)))
-    gap = bound - np.asarray(companion(F, us), dtype=float)
+    gap = bound - np.asarray(F.companion(us), dtype=float)
     i = int(np.argmin(gap))
     note = f"psi regularly varying, index {gamma1:g}; companion bound with gamma0={gamma0:g}"
     if gamma1 == 1.0:
@@ -385,13 +385,19 @@ def check_csfg(F: Distribution, m: float | None = None, grid_size: int = 64) -> 
 def heavier_right(F: Distribution, G: Distribution) -> Distribution:
     """The marginal with the heavier right tail; F on a tie.
 
-    An unbounded support always outweighs a bounded one; otherwise the deep
-    quantile decides.  The tail conditions, the variance's tail guard and the
+    An unbounded support always outweighs a bounded one.  Then the smaller
+    tail class (the regular-variation index of psi) wins: a Pareto tail is
+    heavier than an exponential one however the two compare at any finite
+    depth.  The quantile at 1 - 1e-8 decides only when the classes tie or one
+    is undeclared.  The tail conditions, the variance's tail guard and the
     Monte Carlo precheck all take their lead law from here.
     """
     f_unbounded = math.isinf(F.support()[1])
     if f_unbounded != math.isinf(G.support()[1]):
         return F if f_unbounded else G
+    f_class, g_class = F.tail_class(), G.tail_class()
+    if f_class is not None and g_class is not None and f_class != g_class:
+        return F if f_class < g_class else G
     u = 1.0 - 1e-8
     return F if float(F.quantile(u)) >= float(G.quantile(u)) else G
 
@@ -446,7 +452,7 @@ def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
                              note="both supports bounded on this side; tail conditions vacuous")
         report = AssumptionReport(fg1=na, fg2=na, fg3=na, fg4=na, fg5=na,
                                   cfg=na, tail_sufficient=na, side=side,
-                                  theta1=cost_theta1(c))
+                                  theta1=c.theta1())
         return report, swapped
     if not math.isinf(light.support()[1]):
         # lighter law compactly supported: marginal checks apply to the heavy
@@ -458,7 +464,7 @@ def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
     else:
         report = check_fg(heavy, light, m=m, grid_size=grid_size)
     report.side = side
-    report.theta1 = cost_theta1(c)
+    report.theta1 = c.theta1()
     try:
         cfg = check_cfg(heavy, c, theta=theta)
         report.cfg = cfg.as_condition()
@@ -489,5 +495,5 @@ def verify_triple(F: Distribution, G: Distribution, c: Cost,
     # side always picks its own default
     left, sw_l = _one_side(reflect(F), reflect(G), reflected_cost(c), "left",
                            None, theta, zeta, grid_size)
-    return TripleReport(right=right, left=left, theta1=cost_theta1(c),
+    return TripleReport(right=right, left=left, theta1=c.theta1(),
                         swapped_right=sw_r, swapped_left=sw_l)

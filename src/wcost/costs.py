@@ -10,10 +10,11 @@ no smooth tail representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from ._model import _as_array, _fmt, _numeric_args, _parse_call, _scalar_like
 from .errors import UnsupportedCostError
 
 __all__ = [
@@ -23,10 +24,7 @@ __all__ = [
     "ExpPowerCost",
     "QuantileCost",
     "TAU1",
-    "evaluate",
-    "gradient",
     "check_measure_property",
-    "theta1",
     "diagonal_contraction",
     "parse_cost",
     "format_cost",
@@ -35,16 +33,6 @@ __all__ = [
 # Distance below which the tail representation is not consulted; the closed
 # forms remain exact there, this only marks where l-based reasoning applies.
 TAU1 = 1e-3
-
-
-def _as_array(x):
-    return np.asarray(x, dtype=float)
-
-
-def _scalar_like(value, *templates):
-    if all(np.isscalar(t) or getattr(t, "ndim", 1) == 0 for t in templates):
-        return float(value)
-    return value
 
 
 class Cost:
@@ -223,19 +211,7 @@ class QuantileCost(Cost):
         return 0.0
 
 
-# --- module-level operations -------------------------------------------------
-
-
-def evaluate(c: Cost, x, y):
-    return c.evaluate(x, y)
-
-
-def gradient(c: Cost, x, y):
-    return c.gradient(x, y)
-
-
-def theta1(c: Cost) -> float:
-    return c.theta1()
+# --- checks -------------------------------------------------------------------
 
 
 def _evaluate_any(c, xg: np.ndarray, yg: np.ndarray) -> np.ndarray:
@@ -303,40 +279,19 @@ def diagonal_contraction(c: Cost, m: float, tau: float) -> float:
 # --- descriptors --------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_KINDS = {"power": PowerCost, "logpower": LogPowerCost, "exppower": ExpPowerCost, "quantile": QuantileCost}
 
 
 def parse_cost(text: str) -> Cost:
     """Parse a descriptor: power(2), logpower(0.5), exppower(1), quantile(0.3)."""
-    text = text.strip()
-    open_idx = text.find("(")
-    if open_idx < 0 or not text.endswith(")"):
-        raise ValueError(f"malformed cost descriptor {text!r}; expected name(value)")
-    name = text[:open_idx].strip().lower()
-    body = text[open_idx + 1 : -1].strip()
-    try:
-        value = float(body)
-    except ValueError as exc:
-        raise ValueError(f"cost descriptor {name}: expected one numeric argument, got {body!r}") from exc
-    makers = {
-        "power": PowerCost,
-        "logpower": LogPowerCost,
-        "exppower": ExpPowerCost,
-        "quantile": QuantileCost,
-    }
-    if name not in makers:
+    name, args = _parse_call(text)
+    if name not in _KINDS:
         raise ValueError(f"unknown cost kind {name!r}")
-    return makers[name](value)
+    return _KINDS[name](*_numeric_args(name, args, "value"))
 
 
 def format_cost(c: Cost) -> str:
-    if isinstance(c, PowerCost):
-        return f"power({_fmt(c.alpha)})"
-    if isinstance(c, LogPowerCost):
-        return f"logpower({_fmt(c.beta)})"
-    if isinstance(c, ExpPowerCost):
-        return f"exppower({_fmt(c.beta)})"
-    if isinstance(c, QuantileCost):
-        return f"quantile({_fmt(c.alpha)})"
+    for name, kind in _KINDS.items():
+        if isinstance(c, kind):
+            return f"{name}({_fmt(*astuple(c))})"
     raise ValueError(f"cannot format cost of type {type(c).__name__}")

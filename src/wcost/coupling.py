@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._model import _as_array, _fmt, _numeric_args, _parse_call, _scalar_like
 from .distributions import Distribution
 from .estimate import PairedSample
 
@@ -22,7 +23,6 @@ __all__ = [
     "Comonotone",
     "Countermonotone",
     "GaussianCopula",
-    "copula_cdf",
     "sample_pairs",
     "bvn_cdf",
     "parse_coupling",
@@ -60,19 +60,12 @@ class Coupling:
 
 
 def _check_unit(u, v):
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
+    ua, va = _as_array(u), _as_array(v)
     # written so that NaN fails the test; an empty array passes
     for a in (ua, va):
         if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
             raise ValueError("copula arguments must lie in [0, 1]")
     return ua, va
-
-
-def _scalar_like(value, *templates):
-    if all(np.isscalar(t) or getattr(t, "ndim", 1) == 0 for t in templates):
-        return float(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -175,10 +168,6 @@ _GL = {
 }
 
 
-def _phi(z):
-    return special.ndtr(z)
-
-
 def bvn_cdf(x, y, r: float):
     """Standard bivariate normal cdf P(X <= x, Y <= y) with correlation r.
 
@@ -215,7 +204,7 @@ def _bvnu(dh, dk, r: float) -> np.ndarray:
         ws = np.concatenate((w, w))
         expo = (sn[:, None] * hk.ravel()[None, :] - hs.ravel()[None, :]) / (1.0 - sn[:, None] ** 2)
         bvn = (ws[:, None] * np.exp(expo)).sum(axis=0).reshape(h.shape)
-        return bvn * asr / (4.0 * math.pi) + _phi(-h) * _phi(-k)
+        return bvn * asr / (4.0 * math.pi) + special.ndtr(-h) * special.ndtr(-k)
 
     # |r| >= 0.925: Drezner--Wesolowsky expansion about |r| = 1.
     if r < 0:
@@ -238,7 +227,7 @@ def _bvnu(dh, dk, r: float) -> np.ndarray:
         )
         m = -hk < 100.0
         b = np.sqrt(bs)
-        sp = math.sqrt(2.0 * math.pi) * _phi(-b / a)
+        sp = math.sqrt(2.0 * math.pi) * special.ndtr(-b / a)
         bvn = bvn - np.where(
             m,
             np.exp(np.where(m, -0.5 * hk, 0.0)) * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
@@ -255,17 +244,13 @@ def _bvnu(dh, dk, r: float) -> np.ndarray:
             bvn = bvn + np.where(m, a * w_node * np.exp(np.where(m, asr1, 0.0)) * (ep - sp1), 0.0)
         bvn = -bvn / (2.0 * math.pi)
     if r > 0:
-        return bvn + _phi(-np.maximum(h, k))
+        return bvn + special.ndtr(-np.maximum(h, k))
     out = -bvn
-    corr = np.where(k > h, _phi(k) - _phi(h), 0.0)
+    corr = np.where(k > h, special.ndtr(k) - special.ndtr(h), 0.0)
     return out + corr
 
 
-# --- operations ---------------------------------------------------------------
-
-
-def copula_cdf(cp: Coupling, u, v):
-    return cp.copula_cdf(u, v)
+# --- sampling -----------------------------------------------------------------
 
 
 def sample_pairs(cp: Coupling, F: Distribution, G: Distribution, n: int, seed: int) -> PairedSample:
@@ -284,30 +269,24 @@ def sample_pairs(cp: Coupling, F: Distribution, G: Distribution, n: int, seed: i
 # --- descriptors --------------------------------------------------------------
 
 
+_BARE = {"independent": Independent, "comonotone": Comonotone, "countermonotone": Countermonotone}
+
+
 def parse_coupling(text: str) -> Coupling:
-    t = text.strip().lower()
-    if t == "independent":
-        return Independent()
-    if t == "comonotone":
-        return Comonotone()
-    if t == "countermonotone":
-        return Countermonotone()
-    if t.startswith("gauss(") and t.endswith(")"):
-        body = t[len("gauss("):-1]
-        try:
-            return GaussianCopula(float(body))
-        except ValueError as exc:
-            raise ValueError(f"gauss coupling: bad correlation {body!r}") from exc
-    raise ValueError(f"unknown coupling descriptor {text!r}")
+    """Parse a descriptor: independent, comonotone, countermonotone or gauss(r)."""
+    bare = text.strip().lower()
+    if bare in _BARE:
+        return _BARE[bare]()
+    name, args = _parse_call(text)
+    if name != "gauss":
+        raise ValueError(f"unknown coupling descriptor {text!r}")
+    return GaussianCopula(*_numeric_args(name, args, "correlation"))
 
 
 def format_coupling(cp: Coupling) -> str:
-    if isinstance(cp, Independent):
-        return "independent"
-    if isinstance(cp, Comonotone):
-        return "comonotone"
-    if isinstance(cp, Countermonotone):
-        return "countermonotone"
+    for name, kind in _BARE.items():
+        if isinstance(cp, kind):
+            return name
     if isinstance(cp, GaussianCopula):
-        return f"gauss({format(cp.r, '.17g')})"
+        return f"gauss({_fmt(cp.r)})"
     raise ValueError(f"cannot format coupling of type {type(cp).__name__}")

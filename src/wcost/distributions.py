@@ -14,11 +14,12 @@ re-derived per family, so a family only has to get cdf/quantile/pdf right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy import special
 
+from ._model import _as_array, _fmt, _numeric_args, _parse_call, _scalar_like
 from .errors import SingularPointError
 
 __all__ = [
@@ -29,27 +30,10 @@ __all__ = [
     "Exponential",
     "LocationScale",
     "Reflected",
-    "cdf",
-    "quantile",
-    "density_quantile",
-    "companion",
-    "tail_exponent",
-    "psi_inverse",
     "reflect",
     "parse_distribution",
     "format_distribution",
 ]
-
-
-def _as_array(x):
-    return np.asarray(x, dtype=float)
-
-
-def _scalar_like(value, template):
-    """Return a float when the input was scalar, else the array unchanged."""
-    if np.isscalar(template) or getattr(template, "ndim", 1) == 0:
-        return float(value)
-    return value
 
 
 def _check_prob_open(u) -> np.ndarray:
@@ -112,7 +96,11 @@ class Distribution:
         ya = _as_array(y)
         if np.any(ya < 0):
             raise ValueError("tail exponent values are nonnegative")
-        return _scalar_like(self.quantile(-np.expm1(-ya)), y)
+        return _scalar_like(self._psi_inverse(ya), y)
+
+    def _psi_inverse(self, ya):
+        """psi_inverse on a checked array; families override it with a closed form."""
+        return self.quantile(-np.expm1(-ya))
 
 
 @dataclass(frozen=True)
@@ -145,11 +133,8 @@ class Gaussian(Distribution):
         # -log(sf) straight from the log-cdf, stable far beyond sf underflow.
         return _scalar_like(-special.log_ndtr(-self._z(x)), x)
 
-    def psi_inverse(self, y):
-        ya = _as_array(y)
-        if np.any(ya < 0):
-            raise ValueError("tail exponent values are nonnegative")
-        return _scalar_like(self.mean - self.sd * special.ndtri_exp(-ya), y)
+    def _psi_inverse(self, ya):
+        return self.mean - self.sd * special.ndtri_exp(-ya)
 
     def tail_class(self):
         return 2.0
@@ -190,11 +175,8 @@ class Pareto(Distribution):
         v = np.where(xa <= 1.0, 0.0, self.p * np.log(np.maximum(xa, 1.0)))
         return _scalar_like(v, x)
 
-    def psi_inverse(self, y):
-        ya = _as_array(y)
-        if np.any(ya < 0):
-            raise ValueError("tail exponent values are nonnegative")
-        return _scalar_like(np.exp(ya / self.p), y)
+    def _psi_inverse(self, ya):
+        return np.exp(ya / self.p)
 
     def support(self):
         return (1.0, math.inf)
@@ -238,11 +220,8 @@ class Weibull(Distribution):
         xa = _as_array(x)
         return _scalar_like(np.where(xa <= 0.0, 0.0, np.maximum(xa, 0.0) ** self.q), x)
 
-    def psi_inverse(self, y):
-        ya = _as_array(y)
-        if np.any(ya < 0):
-            raise ValueError("tail exponent values are nonnegative")
-        return _scalar_like(ya ** (1.0 / self.q), y)
+    def _psi_inverse(self, ya):
+        return ya ** (1.0 / self.q)
 
     def support(self):
         return (0.0, math.inf)
@@ -279,11 +258,8 @@ class Exponential(Distribution):
         xa = _as_array(x)
         return _scalar_like(np.where(xa <= 0.0, 0.0, self.rate * np.maximum(xa, 0.0)), x)
 
-    def psi_inverse(self, y):
-        ya = _as_array(y)
-        if np.any(ya < 0):
-            raise ValueError("tail exponent values are nonnegative")
-        return _scalar_like(ya / self.rate, y)
+    def _psi_inverse(self, ya):
+        return ya / self.rate
 
     def support(self):
         return (0.0, math.inf)
@@ -322,8 +298,8 @@ class LocationScale(Distribution):
     def tail_exponent(self, x):
         return _scalar_like(self.base.tail_exponent(self._z(x)), x)
 
-    def psi_inverse(self, y):
-        return _scalar_like(self.a * _as_array(self.base.psi_inverse(y)) + self.b, y)
+    def _psi_inverse(self, ya):
+        return self.a * _as_array(self.base.psi_inverse(ya)) + self.b
 
     def support(self):
         lo, hi = self.base.support()
@@ -352,12 +328,10 @@ class Reflected(Distribution):
         ua = _check_prob_open(u)
         return _scalar_like(-_as_array(self.base.quantile(1.0 - ua)), u)
 
-    def psi_inverse(self, y):
-        ya = _as_array(y)
-        if np.any(ya < 0):
-            raise ValueError("tail exponent values are nonnegative")
-        # Solve base.cdf(-x) = exp(-y).
-        return _scalar_like(-_as_array(self.base.quantile(np.exp(-ya))), y)
+    def _psi_inverse(self, ya):
+        # Solve base.cdf(-x) = exp(-y) directly.  The base formula goes through
+        # 1 + expm1(-y), which rounds away the digits of a small exp(-y).
+        return -_as_array(self.base.quantile(np.exp(-ya)))
 
     def support(self):
         lo, hi = self.base.support()
@@ -380,100 +354,26 @@ def reflect(d: Distribution) -> Distribution:
     return Reflected(d)
 
 
-# --- module-level operation wrappers ---------------------------------------
-
-
-def cdf(d: Distribution, x):
-    return d.cdf(x)
-
-
-def quantile(d: Distribution, u):
-    return d.quantile(u)
-
-
-def density_quantile(d: Distribution, u):
-    return d.density_quantile(u)
-
-
-def companion(d: Distribution, u):
-    return d.companion(u)
-
-
-def tail_exponent(d: Distribution, x):
-    return d.tail_exponent(x)
-
-
-def psi_inverse(d: Distribution, y):
-    return d.psi_inverse(y)
-
-
 # --- descriptors --------------------------------------------------------------
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _split_args(body: str) -> list[str]:
-    """Split a descriptor argument list on top-level commas."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in descriptor arguments {body!r}")
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in descriptor arguments {body!r}")
-    parts.append(body[start:])
-    return [p.strip() for p in parts]
-
-
-def _parse_call(text: str) -> tuple[str, list[str]]:
-    text = text.strip()
-    open_idx = text.find("(")
-    if open_idx < 0 or not text.endswith(")"):
-        raise ValueError(f"malformed descriptor {text!r}; expected name(arg,...)")
-    name = text[:open_idx].strip().lower()
-    body = text[open_idx + 1 : -1]
-    args = _split_args(body) if body.strip() else []
-    return name, args
-
-
-def _float_arg(args: list[str], idx: int, what: str) -> float:
-    try:
-        return float(args[idx])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"descriptor {what}: expected numeric argument #{idx + 1}") from exc
+_FAMILIES = {
+    "gaussian": (Gaussian, "mean, sd"),
+    "pareto": (Pareto, "shape"),
+    "weibull": (Weibull, "shape"),
+    "exponential": (Exponential, "rate"),
+}
 
 
 def parse_distribution(text: str) -> Distribution:
     """Parse a compact descriptor such as ``gaussian(0,1)`` or ``locscale(pareto(3),1,1)``."""
     name, args = _parse_call(text)
-    if name == "gaussian":
-        if len(args) != 2:
-            raise ValueError("gaussian descriptor takes (mean, sd)")
-        return Gaussian(_float_arg(args, 0, name), _float_arg(args, 1, name))
-    if name == "pareto":
-        if len(args) != 1:
-            raise ValueError("pareto descriptor takes (shape)")
-        return Pareto(_float_arg(args, 0, name))
-    if name == "weibull":
-        if len(args) != 1:
-            raise ValueError("weibull descriptor takes (shape)")
-        return Weibull(_float_arg(args, 0, name))
-    if name == "exponential":
-        if len(args) != 1:
-            raise ValueError("exponential descriptor takes (rate)")
-        return Exponential(_float_arg(args, 0, name))
+    if name in _FAMILIES:
+        family, usage = _FAMILIES[name]
+        return family(*_numeric_args(name, args, usage))
     if name == "locscale":
         if len(args) != 3:
             raise ValueError("locscale descriptor takes (base, scale, shift)")
-        return LocationScale(parse_distribution(args[0]), _float_arg(args, 1, name), _float_arg(args, 2, name))
+        return LocationScale(parse_distribution(args[0]), *_numeric_args(name, args[1:], "scale, shift"))
     if name == "reflect":
         if len(args) != 1:
             raise ValueError("reflect descriptor takes (base)")
@@ -482,16 +382,11 @@ def parse_distribution(text: str) -> Distribution:
 
 
 def format_distribution(d: Distribution) -> str:
-    if isinstance(d, Gaussian):
-        return f"gaussian({_fmt(d.mean)},{_fmt(d.sd)})"
-    if isinstance(d, Pareto):
-        return f"pareto({_fmt(d.p)})"
-    if isinstance(d, Weibull):
-        return f"weibull({_fmt(d.q)})"
-    if isinstance(d, Exponential):
-        return f"exponential({_fmt(d.rate)})"
     if isinstance(d, LocationScale):
         return f"locscale({format_distribution(d.base)},{_fmt(d.a)},{_fmt(d.b)})"
     if isinstance(d, Reflected):
         return f"reflect({format_distribution(d.base)})"
+    for name, (family, _) in _FAMILIES.items():
+        if isinstance(d, family):
+            return f"{name}({','.join(map(_fmt, astuple(d)))})"
     raise ValueError(f"cannot format distribution of type {type(d).__name__}")

@@ -34,8 +34,7 @@ from scipy.special import ndtr, ndtri
 
 from .assumptions import heavier_right
 from .costs import Cost, QuantileCost
-from .coupling import (Comonotone, Countermonotone, Coupling, GaussianCopula, Independent,
-                       copula_cdf)
+from .coupling import Comonotone, Countermonotone, Coupling, GaussianCopula, Independent
 from .distributions import Distribution, Gaussian, reflect
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
@@ -193,7 +192,7 @@ def _copula_excess(cp: Coupling, u, v):
         return _bridge(ua, va)
     if isinstance(cp, Countermonotone):
         return np.where(ua + va >= 1.0, -(1.0 - ua) * (1.0 - va), -ua * va)
-    return np.asarray(copula_cdf(cp, ua, va), dtype=float) - ua * va
+    return np.asarray(cp.copula_cdf(ua, va), dtype=float) - ua * va
 
 
 def _slopes(F: Distribution, G: Distribution, c: Cost, u):

@@ -46,6 +46,24 @@ TRIPLES = tuple((f, g, c) for f, g in _pairs() for c in COSTS)
 OVERFLOW = (("pareto(2.5)", "locscale(pareto(2.5),2,0)", "exppower(1)"),
             ("weibull(0.3)", "locscale(weibull(0.3),1,1)", "exppower(1)"))
 
+#: Pareto shape -> costs whose guard fails, for the triples (pareto(p), exponential(1),
+#: cost) whose lead law changed when ``heavier_right`` began to rank two unbounded tails
+#: by tail class.  The Pareto tail (class 0) is heavier than the exponential one (class
+#: 1), but for p >= 6.5 the quantile at 1 - 1e-8 had picked the exponential, so the
+#: recorded J belong to the lighter tail.  Every other cost passes, under both configs.
+_RELEAD_FAILS = {
+    "6.5": ("power(5)", "logpower(1)", "exppower(0.5)", "exppower(1)"),
+    "7": ("power(5)", "logpower(0.5)", "logpower(1)", "exppower(0.5)", "exppower(1)"),
+    "7.5": ("power(5)", "logpower(0.5)", "logpower(1)", "exppower(0.5)", "exppower(1)"),
+    "8": ("power(5)", "logpower(0.5)", "logpower(1)", "exppower(1)"),
+    "8.5": ("power(5)", "logpower(1)", "exppower(1)"),
+    "9": ("power(5)", "logpower(1)", "exppower(0.5)", "exppower(1)"),
+    "9.5": ("power(5)", "logpower(1)", "exppower(1)"),
+    "10": ("power(5)", "logpower(1)", "exppower(1)"),
+}
+#: triple -> whether the guard passes it with the Pareto tail in the lead
+RELEAD = {(f"pareto({p})", "exponential(1)", c): c not in fails
+          for p, fails in _RELEAD_FAILS.items() for c in COSTS}
 
 CONFIGS = {"default_variance": DEFAULT_VARIANCE_CONFIG, "quadrature_default": QuadratureConfig()}
 

@@ -23,7 +23,6 @@ from wcost.coupling import (
     Countermonotone,
     GaussianCopula,
     Independent,
-    copula_cdf,
     sample_pairs,
 )
 from wcost.distributions import (
@@ -185,7 +184,7 @@ def test_criterion_9_invariant_suites():
     frechet_ok = True
     for cp in (Independent(), Comonotone(), Countermonotone(),
                GaussianCopula(0.6), GaussianCopula(-0.3)):
-        vals = np.asarray(copula_cdf(cp, uu, vv))
+        vals = np.asarray(cp.copula_cdf(uu, vv))
         frechet_ok &= bool(np.all(vals >= np.maximum(uu + vv - 1.0, 0.0) - 1e-9)
                            and np.all(vals <= np.minimum(uu, vv) + 1e-9))
 

@@ -9,6 +9,7 @@ from wcost.assumptions import (
     check_csfg,
     check_fg,
     check_tail_sufficient,
+    heavier_right,
     reflected_cost,
     verify_triple,
 )
@@ -298,6 +299,21 @@ def test_triple_quantile_cost_marks_compatibility_na():
     assert tr.right.tail_sufficient.status == "not-applicable"
     assert tr.all_pass  # not-applicable never counts as failure
     json.dumps(tr.to_dict())
+
+
+def test_heavier_right_ranks_tail_classes_before_quantiles():
+    # Pareto(8) reads 10 at 1 - 1e-8 and Exponential(1) 18.4, but a polynomial
+    # tail (class 0) is heavier than an exponential one (class 1)
+    P8, E1 = Pareto(8.0), Exponential(1.0)
+    assert heavier_right(P8, E1) is P8 and heavier_right(E1, P8) is P8
+    # Gaussian(0, 10) reads 56 there, yet its class-2 tail is the lighter one
+    N10 = Gaussian(0.0, 10.0)
+    assert heavier_right(N10, E1) is E1 and heavier_right(E1, N10) is E1
+    # a tie in class (Weibull(1) is Exponential(1)) leaves it to the quantile
+    W1, E_half = Weibull(1.0), Exponential(0.5)
+    assert heavier_right(W1, E_half) is E_half and heavier_right(E_half, W1) is E_half
+    # an unbounded support still beats a bounded one
+    assert heavier_right(reflect(P8), N10) is N10
 
 
 def test_reflection_plumbing():

@@ -223,6 +223,15 @@ def test_check_failing_frontier_exits_1(capsys):
     assert json.loads(out)["all_pass"] is False
 
 
+def test_check_pareto_against_exponential_leads_with_pareto(capsys):
+    # the Pareto(7) tail is heavier; power(5) needs a Pareto shape above 10
+    code, out, _ = invoke(capsys, "check", "pareto(7)", "exponential(1)", "power(5)")
+    report = json.loads(out)
+    assert code == 1
+    assert report["swapped_right"] is False
+    assert report["right"]["cfg"]["status"] == "fail"
+
+
 # --- sample ---------------------------------------------------------------------
 
 

@@ -11,11 +11,8 @@ from wcost.costs import (
     QuantileCost,
     check_measure_property,
     diagonal_contraction,
-    evaluate,
     format_cost,
-    gradient,
     parse_cost,
-    theta1,
 )
 
 SMOOTH_COSTS = [
@@ -39,9 +36,9 @@ def fd_gradient(c, x, y, h=1e-6):
 
 
 def test_evaluate_worked_examples():
-    assert evaluate(PowerCost(2.0), 1.0, 3.0) == pytest.approx(4.0, abs=1e-14)
-    assert evaluate(ExpPowerCost(1.0), 0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
-    assert evaluate(QuantileCost(0.3), 2.0, 5.0) == pytest.approx(2.1, rel=1e-14)
+    assert PowerCost(2.0).evaluate(1.0, 3.0) == pytest.approx(4.0, abs=1e-14)
+    assert ExpPowerCost(1.0).evaluate(0.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-14)
+    assert QuantileCost(0.3).evaluate(2.0, 5.0) == pytest.approx(2.1, rel=1e-14)
 
 
 @pytest.mark.parametrize("c", SMOOTH_COSTS + [QuantileCost(0.3), QuantileCost(0.7)], ids=format_cost)
@@ -55,9 +52,9 @@ def test_cost_nonnegative_and_zero_on_diagonal(c):
 
 
 def test_gradient_worked_examples():
-    assert gradient(PowerCost(2.0), 3.0, 1.0) == pytest.approx((4.0, -4.0), abs=1e-14)
-    assert gradient(PowerCost(3.0), 2.0, 0.0) == pytest.approx((12.0, -12.0), rel=1e-12)
-    assert gradient(ExpPowerCost(1.0), 1.0, 0.0) == pytest.approx((math.e, -math.e), rel=1e-12)
+    assert PowerCost(2.0).gradient(3.0, 1.0) == pytest.approx((4.0, -4.0), abs=1e-14)
+    assert PowerCost(3.0).gradient(2.0, 0.0) == pytest.approx((12.0, -12.0), rel=1e-12)
+    assert ExpPowerCost(1.0).gradient(1.0, 0.0) == pytest.approx((math.e, -math.e), rel=1e-12)
 
 
 @pytest.mark.parametrize("c", SMOOTH_COSTS, ids=format_cost)
@@ -68,7 +65,7 @@ def test_gradient_matches_finite_differences(c):
         x, y = rng.uniform(-3, 3, 2)
         if abs(x - y) <= 1e-3:
             continue
-        gx, gy = gradient(c, x, y)
+        gx, gy = c.gradient(x, y)
         fx, fy = fd_gradient(c, x, y)
         assert gx == pytest.approx(fx, rel=1e-5, abs=1e-9)
         assert gy == pytest.approx(fy, rel=1e-5, abs=1e-9)
@@ -78,18 +75,18 @@ def test_gradient_matches_finite_differences(c):
 def test_gradient_antisymmetric_equals_radial_slope():
     # For x > y the x-partial is rho'(x-y) and the y-partial its negative.
     for c in SMOOTH_COSTS:
-        gx, gy = gradient(c, 4.0, 1.5)
+        gx, gy = c.gradient(4.0, 1.5)
         assert gx == pytest.approx(c.rho_prime(2.5), rel=1e-12)
         assert gy == pytest.approx(-gx, rel=1e-12)
 
 
 def test_gradient_zero_on_diagonal_for_smooth_power():
-    assert gradient(PowerCost(2.0), 1.0, 1.0) == (0.0, 0.0)
+    assert PowerCost(2.0).gradient(1.0, 1.0) == (0.0, 0.0)
 
 
 def test_quantile_cost_has_no_gradient():
     with pytest.raises(UnsupportedCostError):
-        gradient(QuantileCost(0.5), 1.0, 2.0)
+        QuantileCost(0.5).gradient(1.0, 2.0)
 
 
 def test_measure_property_power_grid():
@@ -148,11 +145,11 @@ def test_measure_property_grid_validation():
 
 
 def test_theta1_closed_forms():
-    assert theta1(PowerCost(2.0)) == 0.0
-    assert theta1(PowerCost(3.5)) == 0.0
-    assert theta1(ExpPowerCost(2.0)) == 1.0
-    assert theta1(LogPowerCost(1.0)) == pytest.approx(0.5)
-    assert theta1(QuantileCost(0.4)) == 0.0
+    assert PowerCost(2.0).theta1() == 0.0
+    assert PowerCost(3.5).theta1() == 0.0
+    assert ExpPowerCost(2.0).theta1() == 1.0
+    assert LogPowerCost(1.0).theta1() == pytest.approx(0.5)
+    assert QuantileCost(0.4).theta1() == 0.0
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
@@ -161,7 +158,7 @@ def test_theta1_matches_numeric_growth_slope(beta):
     c = LogPowerCost(beta)
     pts = [(math.log(t * c.l_prime(t)), math.log(c.l(t))) for t in (1e6, 1e9)]
     slope = (pts[1][0] - pts[0][0]) / (pts[1][1] - pts[0][1])
-    assert slope == pytest.approx(theta1(c), abs=0.05)
+    assert slope == pytest.approx(c.theta1(), abs=0.05)
 
 
 def test_gamma_values():

@@ -11,7 +11,6 @@ from wcost.coupling import (
     Independent,
     _uniform_open,
     bvn_cdf,
-    copula_cdf,
     format_coupling,
     parse_coupling,
     sample_pairs,
@@ -32,23 +31,23 @@ ALL_COUPLINGS = [
 
 
 def test_independent_is_product():
-    assert copula_cdf(Independent(), 0.3, 0.7) == pytest.approx(0.21)
+    assert Independent().copula_cdf(0.3, 0.7) == pytest.approx(0.21)
 
 
 def test_comonotone_is_min():
-    assert copula_cdf(Comonotone(), 0.3, 0.7) == 0.3
+    assert Comonotone().copula_cdf(0.3, 0.7) == 0.3
 
 
 def test_countermonotone_is_positive_part():
-    assert copula_cdf(Countermonotone(), 0.3, 0.6) == 0.0
-    assert copula_cdf(Countermonotone(), 0.8, 0.6) == pytest.approx(0.4)
+    assert Countermonotone().copula_cdf(0.3, 0.6) == 0.0
+    assert Countermonotone().copula_cdf(0.8, 0.6) == pytest.approx(0.4)
 
 
 @pytest.mark.parametrize("r", [0.5, -0.5, 0.3, 0.75, 0.9, -0.95, 0.999])
 def test_gaussian_copula_median_orthant(r):
     # C(1/2, 1/2) = 1/4 + arcsin(r) / (2 pi)
     want = 0.25 + math.asin(r) / (2 * math.pi)
-    assert copula_cdf(GaussianCopula(r), 0.5, 0.5) == pytest.approx(want, abs=5e-8)
+    assert GaussianCopula(r).copula_cdf(0.5, 0.5) == pytest.approx(want, abs=5e-8)
 
 
 @pytest.mark.parametrize("cp", ALL_COUPLINGS)
@@ -56,7 +55,7 @@ def test_frechet_bounds_hold(cp):
     rng = np.random.default_rng(42)
     u = rng.uniform(size=1000)
     v = rng.uniform(size=1000)
-    c = copula_cdf(cp, u, v)
+    c = cp.copula_cdf(u, v)
     lower = np.maximum(u + v - 1.0, 0.0)
     upper = np.minimum(u, v)
     assert np.all(c >= lower - 1e-12)
@@ -65,19 +64,19 @@ def test_frechet_bounds_hold(cp):
 
 @pytest.mark.parametrize("cp", ALL_COUPLINGS)
 def test_copula_boundary_values(cp):
-    assert copula_cdf(cp, 0.0, 0.6) == 0.0
-    assert copula_cdf(cp, 0.6, 0.0) == 0.0
-    assert copula_cdf(cp, 1.0, 0.6) == pytest.approx(0.6, abs=1e-12)
-    assert copula_cdf(cp, 0.6, 1.0) == pytest.approx(0.6, abs=1e-12)
-    assert copula_cdf(cp, 1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert cp.copula_cdf(0.0, 0.6) == 0.0
+    assert cp.copula_cdf(0.6, 0.0) == 0.0
+    assert cp.copula_cdf(1.0, 0.6) == pytest.approx(0.6, abs=1e-12)
+    assert cp.copula_cdf(0.6, 1.0) == pytest.approx(0.6, abs=1e-12)
+    assert cp.copula_cdf(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("cp", ALL_COUPLINGS)
 def test_copula_rejects_out_of_range(cp):
     with pytest.raises(ValueError):
-        copula_cdf(cp, -0.1, 0.5)
+        cp.copula_cdf(-0.1, 0.5)
     with pytest.raises(ValueError):
-        copula_cdf(cp, 0.5, 1.1)
+        cp.copula_cdf(0.5, 1.1)
 
 
 @pytest.mark.parametrize("cp", ALL_COUPLINGS)
@@ -86,12 +85,12 @@ def test_copula_rejects_out_of_range(cp):
 def test_copula_rejects_nan(cp, bad, side):
     args = (bad, 0.5) if side == "u" else (0.5, bad)
     with pytest.raises(ValueError):
-        copula_cdf(cp, *args)
+        cp.copula_cdf(*args)
 
 
 @pytest.mark.parametrize("cp", ALL_COUPLINGS)
 def test_copula_accepts_empty_arrays(cp):
-    assert np.asarray(copula_cdf(cp, np.array([]), np.array([]))).size == 0
+    assert np.asarray(cp.copula_cdf(np.array([]), np.array([]))).size == 0
 
 
 def test_gaussian_copula_rejects_degenerate_correlation():
@@ -103,9 +102,9 @@ def test_gaussian_copula_rejects_degenerate_correlation():
 def test_extreme_correlation_approaches_frechet_bounds():
     grid = np.linspace(0.05, 0.95, 19)
     u, v = np.meshgrid(grid, grid)
-    hi = copula_cdf(GaussianCopula(0.999), u, v)
+    hi = GaussianCopula(0.999).copula_cdf(u, v)
     assert np.max(np.abs(hi - np.minimum(u, v))) < 0.01
-    lo = copula_cdf(GaussianCopula(-0.999), u, v)
+    lo = GaussianCopula(-0.999).copula_cdf(u, v)
     assert np.max(np.abs(lo - np.maximum(u + v - 1.0, 0.0))) < 0.01
 
 

@@ -210,6 +210,14 @@ def test_heavy_tail_frontier_fails_the_gate_below_five(beta):
     assert "diverges" not in message
 
 
+def test_pareto_tail_leads_exponential_and_fails_the_gate():
+    # sigma^2 is infinite: Q_x grows like (1-u)^(-5/7), square-integrable only
+    # for a Pareto shape above 2 * 5.  Judged on the exponential tail, which the
+    # quantile at 1 - 1e-8 ranks heavier (18.4 against 13.9), the guard passed.
+    with pytest.raises(HypothesisGateError, match="tail hypothesis fails on the right side"):
+        sigma2(Pareto(7.0), Exponential(1.0), PowerCost(5.0), Independent())
+
+
 # --- tail guard against its recorded verdicts ----------------------------------
 
 with open(guard_matrix.RECORDED) as fh:
@@ -228,6 +236,10 @@ def test_tail_guard_matches_recorded_verdicts(config):
             # recorded as passes with an overflowed J; such a J now fails the gate
             assert row["pass"] and not got["pass"], triple
             assert got["error"] == "HypothesisGateError", triple
+            continue
+        if triple in guard_matrix.RELEAD:
+            # recorded with the lighter exponential tail as the lead law
+            assert got["pass"] == guard_matrix.RELEAD[triple], triple
             continue
         assert got["pass"] == row["pass"], triple
         if row["pass"]:
