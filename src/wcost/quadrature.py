@@ -206,7 +206,7 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig, scale: float = 0.
     panels = sorted(_refine(heap, split, cfg, scale), key=lambda p: p[1])
     value = math.fsum(p[3] for p in panels)
     error = math.fsum(-p[0] for p in panels)
-    if raise_on_stall and error > _tolerance(cfg, value, scale):
+    if raise_on_stall and not error <= _tolerance(cfg, value, scale):
         raise NonconvergenceError(
             f"1-D quadrature on [{a}, {b}] stalled at error {error:.3e} "
             f"after {len(panels)} panels (tolerance {_tolerance(cfg, value, scale):.3e})"
@@ -257,7 +257,7 @@ def integrate_2d(f, xspan, yspan, cfg: QuadratureConfig, scale: float = 0.0,
     panels = sorted(heap, key=lambda p: (p[1], p[3]))
     value = math.fsum(p[5] for p in panels)
     error = math.fsum(-p[0] for p in panels)
-    if raise_on_stall and error > _tolerance(cfg, value, scale):
+    if raise_on_stall and not error <= _tolerance(cfg, value, scale):
         raise NonconvergenceError(
             f"2-D quadrature stalled at error {error:.3e} after {len(panels)} panels"
         )
@@ -292,8 +292,10 @@ def _tail_limit(strips: list[float], floor: float, what: str) -> tuple[float, fl
     the cumulative sums are accelerated to their limit.  A shrink factor at or
     above the divergence threshold raises instead.  Strips that have changed
     sign by then are not a divergent tail, whose strips keep one sign, so
-    that error says the tail is not resolved rather than divergent.  Returns
-    (limit of the remaining tail mass, residual estimate).
+    that error says the tail is not resolved rather than divergent.  A
+    non-finite strip that gets past the ratio test (NaN compares false there)
+    raises too, rather than turn the limit into NaN.  Returns (limit of the
+    remaining tail mass, residual estimate).
     """
     if all(abs(s) <= floor for s in strips):
         return math.fsum(strips), abs(strips[-1]) if strips else 0.0
@@ -314,6 +316,10 @@ def _tail_limit(strips: list[float], floor: float, what: str) -> tuple[float, fl
                 f"{what}: successive endpoint strips shrink by factor {ratio}; the "
                 "tail integral is divergent or too close to divergence to resolve"
             )
+    for k, s in enumerate(strips):
+        if not math.isfinite(s):
+            raise NonconvergenceError(
+                f"{what}: endpoint strip {k} is {s}; the tail integral is not finite")
     partial = 0.0
     seq = [0.0]
     for s in strips:
@@ -349,7 +355,7 @@ def integrate_open01(f, cfg: QuadratureConfig) -> tuple[float, float, dict]:
     right_tail, right_res = _tail_limit(rights, floor, "upper endpoint of (0,1)")
     value = base + left_tail + right_tail
     est_error = quad_err + left_res + right_res
-    if est_error > _tolerance(cfg, value):
+    if not est_error <= _tolerance(cfg, value):
         raise NonconvergenceError(
             f"open-interval integral: error estimate {est_error:.3e} exceeds "
             f"tolerance {_tolerance(cfg, value):.3e} after {cfg.extrapolation_levels} "
@@ -404,7 +410,7 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
         residual += res
         last_frame += sides[side][-1] if sides[side] else 0.0
     est_error = quad_err + residual
-    if est_error > _tolerance(cfg, value):
+    if not est_error <= _tolerance(cfg, value):
         raise NonconvergenceError(
             f"open-square integral: error estimate {est_error:.3e} exceeds "
             f"tolerance {_tolerance(cfg, value):.3e} after {cfg.extrapolation_levels} "
@@ -419,9 +425,15 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
 
 
 def _legendre_series(coef, rows, x):
-    """sum_j coef[rows, j] P_j(x) by the three-term recurrence (one gather per degree)."""
+    """sum_j coef[rows, j] P_j(x) by the three-term recurrence (one gather per degree).
+
+    Each degree's coefficients are gathered with ``take`` from one
+    degree-major copy of ``coef``: a contiguous row is cheaper to gather from
+    than a strided column, and the operands, hence the sums, are the same.
+    """
+    by_degree = np.ascontiguousarray(coef.T)
     prev, cur = np.ones_like(x), x.copy()
-    total = coef[rows, 0] + coef[rows, 1] * x
+    total = by_degree[0].take(rows) + by_degree[1].take(rows) * x
     nxt = np.empty_like(x)
     for j in range(1, coef.shape[-1] - 1):
         # P_{j+1} = ((2j + 1) x P_j - j P_{j-1}) / (j + 1), without temporaries
@@ -430,7 +442,7 @@ def _legendre_series(coef, rows, x):
         prev *= j / (j + 1)
         nxt -= prev
         prev, cur, nxt = cur, nxt, prev
-        total += coef[rows, j + 1] * cur
+        total += by_degree[j + 1].take(rows) * cur
     return total
 
 
@@ -512,15 +524,18 @@ class CumulativeMesh:
     def open_integral(self, sums, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
         """Sum per-panel integrals over (0, 1): base interval plus each extrapolated tail.
 
-        Returns (value, extrapolation residual); raises NonconvergenceError
-        when a tail's strips stop shrinking.
+        Returns (value, extrapolation residual) as Python floats; raises
+        NonconvergenceError when a tail's strips stop shrinking or are not
+        finite.  The strips reach ``_tail_limit`` as Python floats, on which
+        its scalar arithmetic is cheaper than on numpy scalars and rounds
+        the same.
         """
         by_strip = np.bincount(self.strip, weights=sums, minlength=2 * self.levels + 1)
-        base = float(by_strip[0])
+        base, *strips = by_strip.tolist()
         floor = 0.01 * _tolerance(cfg, base)
-        left, left_res = _tail_limit(list(by_strip[1:self.levels + 1]), floor,
+        left, left_res = _tail_limit(strips[:self.levels], floor,
                                      f"{what}: lower endpoint of (0,1)")
-        right, right_res = _tail_limit(list(by_strip[self.levels + 1:]), floor,
+        right, right_res = _tail_limit(strips[self.levels:], floor,
                                        f"{what}: upper endpoint of (0,1)")
         return base + left + right, left_res + right_res
 

@@ -372,23 +372,26 @@ def _cov_term(mesh: CumulativeMesh, X, Y, ex, ey, q: QuadratureConfig, what: str
     of the bound is its own Kronrod-minus-Gauss gaps plus its discrepancy times
     the sensitivity of the covariance to a uniform shift of X or Y, since an
     error in one panel's sum shifts the influence function everywhere beyond it.
-    Returns (covariance, per-panel error shares, extrapolation residual).
+    A variance passes the same object as ``X`` and ``Y``, and its one-sided
+    moments are computed once.  Returns (covariance, per-panel error shares,
+    extrapolation residual).
     """
+    def moments(Z):
+        sz, dz = mesh.panel_sums(Z)
+        iz, rz = mesh.open_integral(sz, q, what)
+        return iz, rz, dz, float(np.sum(mesh.panel_sums(np.abs(Z))[0]))
+
     sxy, dxy = mesh.panel_sums(X * Y)
-    sx, dx = mesh.panel_sums(X)
-    sy, dy = mesh.panel_sums(Y)
     ixy, rxy = mesh.open_integral(sxy, q, what)
-    ix, rx = mesh.open_integral(sx, q, what)
-    iy, ry = mesh.open_integral(sy, q, what)
-    ax = float(np.sum(mesh.panel_sums(np.abs(X))[0]))
-    ay = float(np.sum(mesh.panel_sums(np.abs(Y))[0]))
+    ix, rx, dx, ax = moments(X)
+    iy, ry, dy, ay = (ix, rx, dx, ax) if Y is X else moments(Y)
     shares = (dxy + abs(iy) * dx + abs(ix) * dy
               + ex * (ay + abs(iy)) + ey * (ax + abs(ix)))
     return ixy - ix * iy, shares, rxy + abs(iy) * rx + abs(ix) * ry
 
 
 def _conditional_means(mesh: CumulativeMesh, r: float, i: int):
-    """E[Q_i(V) | U = u] at the nodes under the Gaussian copula, twice.
+    """E[Q_i(V) | U = u] at the nodes under the Gaussian copula, twice, and the work it took.
 
     V = Phi(r Z_1 + s Z_2), s = sqrt(1 - r^2), with U = Phi(Z_1).  Q_i is known
     on the meshed range, so V is clamped into it; the second mean clamps one
@@ -401,23 +404,33 @@ def _conditional_means(mesh: CumulativeMesh, r: float, i: int):
     Both rules have _INNER_ORDER nodes and come from the module's tables, so
     no call computes them.  The inner rule's own error is not part of
     ``est_error``.  Panels go in blocks to keep the inner points small.
+
+    Without a window, Q_i is read only at inner points inside the wider clamp:
+    both clamps overwrite every other point.  A NaN point fails both clamp
+    tests, so it is read and propagates.  Returns the two means and the number
+    of inner points at which Q_i was read.
     """
     s = math.sqrt(1.0 - r * r)
     windowed = mesh.window != (0.0, 1.0)
     clamps = [(max(mesh.window[0], eps), min(mesh.window[1], 1.0 - eps)) for eps in mesh.cuts[:2]]
+    ends = [mesh.at(i, np.array(clamp)) for clamp in clamps]
     x, w = (_LEGENDRE_X, _LEGENDRE_W) if windowed else (_HERMITE_X, _HERMITE_W)
     means = np.empty((len(clamps), mesh.panels, _NODES.size))
+    evaluated = 0
     for start in range(0, mesh.panels, _PANEL_BLOCK):
         block = slice(start, start + _PANEL_BLOCK)
         z1 = ndtri(mesh.mid[block, None] + mesh.half[block, None] * _NODES)
         if not windowed:
             v = ndtr(r * z1[..., None] + s * x)
-            qv = mesh.at(i, v)
-            for k, (lo, hi) in enumerate(clamps):
-                q_lo, q_hi = mesh.at(i, np.array([lo, hi]))
+            lo, hi = clamps[0]
+            live = ~((v < lo) | (v > hi))
+            qv = np.zeros_like(v)
+            qv[live] = mesh.at(i, v[live])
+            evaluated += int(np.count_nonzero(live))
+            for k, ((lo, hi), (q_lo, q_hi)) in enumerate(zip(clamps, ends)):
                 means[k, block] = np.where(v < lo, q_lo, np.where(v > hi, q_hi, qv)) @ w
             continue
-        for k, (lo, hi) in enumerate(clamps):
+        for k, ((lo, hi), (q_lo, q_hi)) in enumerate(zip(clamps, ends)):
             if k and clamps[k] == clamps[0]:  # the window lies inside both clamps
                 means[k, block] = means[0, block]
                 continue
@@ -425,39 +438,41 @@ def _conditional_means(mesh: CumulativeMesh, r: float, i: int):
             ca, cb = np.clip(a, -_Z_CUT, _Z_CUT), np.clip(b, -_Z_CUT, _Z_CUT)
             z2 = 0.5 * (ca + cb)[..., None] + 0.5 * (cb - ca)[..., None] * x
             v = np.clip(ndtr(r * z1[..., None] + s * z2), lo, hi)
-            q_lo, q_hi = mesh.at(i, np.array([lo, hi]))
             middle = (mesh.at(i, v) * np.exp(-0.5 * z2 * z2)) @ w
+            evaluated += v.size
             means[k, block] = (q_lo * ndtr(a) + q_hi * ndtr(-b)
                                + middle * (0.5 * (cb - ca)) / math.sqrt(2.0 * math.pi))
-    return means[0], means[1]
+    return means[0], means[1], evaluated
 
 
 def _influence_terms(mesh: CumulativeMesh, cp: Coupling | None, q: QuadratureConfig,
                      cross: bool = True):
     """The covariances whose weighted sum is the variance.
 
-    Returns [(name, weight, covariance, per-panel error shares, residual)];
-    with ``cross`` off a Gaussian copula's cross term is left out.
+    Returns [(name, weight, covariance, per-panel error shares, residual)]
+    and the number of inner points at which the cross term read Q_y; with
+    ``cross`` off a Gaussian copula's cross term is left out.
     """
     Q, ep = mesh.Q, mesh.ep
     if cp is None or isinstance(cp, (Comonotone, Countermonotone)):
         # one influence function: Q_x + Q_y, the y part reflected for countermonotone
         S, es = Q.sum(axis=0), ep.sum(axis=0)
         name = "x+y" if Q.shape[0] == 2 else "x"
-        return [(name, 1.0, *_cov_term(mesh, S, S, es, es, q, "influence"))]
+        return [(name, 1.0, *_cov_term(mesh, S, S, es, es, q, "influence"))], 0
     if not isinstance(cp, (Independent, GaussianCopula)):
         raise TypeError(f"no influence-function variance for coupling {cp!r}")
-    terms = [(name, 1.0, *_cov_term(mesh, Q[i], Q[i], ep[i], ep[i], q, f"influence {name}"))
-             for i, name in enumerate(("x", "y"))]
+    terms = [(name, 1.0, *_cov_term(mesh, X, X, e, e, q, f"influence {name}"))
+             for name, X, e in zip(("x", "y"), Q, ep)]
+    evaluated = 0
     if cross and isinstance(cp, GaussianCopula):
-        g, h = _conditional_means(mesh, cp.r, 1)
+        g, h, evaluated = _conditional_means(mesh, cp.r, 1)
         cov, shares, residual = _cov_term(mesh, Q[0], g, ep[0], ep[1], q, "influence cross")
         # Clamping V one truncation level coarser at least doubles what the
         # clamp misses when its strips shrink by 2/3 or faster, so twice the
         # change bounds the rest.
         residual += 2.0 * abs(float(np.sum(mesh.panel_sums(Q[0] * (g - h))[0])))
         terms.append(("cross", 2.0, cov, shares, residual))
-    return terms
+    return terms, evaluated
 
 
 def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
@@ -476,9 +491,12 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
     # does: tails like powers of log(1/u) need the longer strip sequence.
     levels = max(q.extrapolation_levels, 12)
     mesh = CumulativeMesh(f, replace(q, extrapolation_levels=levels), window)
+    inner_evaluations = 0
 
     def measure(mesh, cross):
-        terms = _influence_terms(mesh, cp, q, cross)
+        nonlocal inner_evaluations
+        terms, evaluated = _influence_terms(mesh, cp, q, cross)
+        inner_evaluations += evaluated
         return (math.fsum(weight * cov for _, weight, cov, _, _ in terms),
                 sum(weight * sh for _, weight, _, sh, _ in terms), terms)
 
@@ -502,6 +520,8 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
     diag = {name: {"value": weight * cov, "est_error": weight * (float(np.sum(sh)) + res),
                    "extrapolation_residual": weight * res, **common}
             for name, weight, cov, sh, res in terms}
+    if "cross" in diag:
+        diag["cross"]["inner_evaluations"] = inner_evaluations
     return value, err, diag
 
 

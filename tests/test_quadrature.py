@@ -12,6 +12,8 @@ from wcost.quadrature import (
     CumulativeMesh,
     QuadratureConfig,
     _gk15_panel_2d,
+    _legendre_series,
+    _tail_limit,
     _tolerance,
     gk15_fixed,
     integrate_1d,
@@ -105,6 +107,32 @@ def test_open01_mixed_rate_endpoints():
     exact = math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
     v, e, _ = integrate_open01(lambda u: u**-0.5 * (1.0 - u) ** -0.25, CFG)
     assert v == pytest.approx(exact, rel=1e-9)
+
+
+def test_tail_limit_raises_on_a_nan_strip():
+    # NaN fails every comparison of the shrink-ratio test, so it used to come
+    # out of the extrapolation as a NaN limit
+    with pytest.raises(NonconvergenceError, match="^x: endpoint strip 1 is nan"):
+        _tail_limit([1e-3, float("nan"), 1e-5], 1e-9, "x")
+
+
+def test_open01_raises_on_nan_strips():
+    with pytest.raises(NonconvergenceError, match="upper endpoint of \\(0,1\\).*not finite"):
+        integrate_open01(lambda u: np.where(u > 1 - 1e-6, np.nan, 1.0), CFG)
+
+
+def test_open01_raises_on_a_nan_error_estimate():
+    # the strips stay finite; the NaN sits in the base interval, so only the
+    # final tolerance check can see it
+    with pytest.raises(NonconvergenceError, match="error estimate nan exceeds"):
+        integrate_open01(lambda u: np.where(np.abs(u - 0.5) < 1e-3, np.nan, 1.0),
+                         replace(CFG, max_subdivisions=50))
+
+
+def test_cumulative_mesh_open_integral_raises_on_nan_strips():
+    mesh = CumulativeMesh(lambda u: np.where(u < 1e-6, np.nan, 1.0)[None], LOOSE)
+    with pytest.raises(NonconvergenceError, match="^test: lower endpoint of \\(0,1\\).*not finite"):
+        mesh.open_integral(mesh.panel_sums(mesh.p[0])[0], LOOSE, "test")
 
 
 def test_integrate_2d_separable():
@@ -242,3 +270,51 @@ def test_cumulative_mesh_holds_the_integral_constant_outside_a_window():
     t = np.array([1e-5, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9])
     assert np.allclose(mesh.at(0, t), 0.5 - np.clip(t, 0.25, 0.75), rtol=0, atol=1e-14)
     assert mesh.evaluations == 15 * int(np.sum((mesh.mid > 0.25) & (mesh.mid < 0.75)))
+
+
+def _legendre_series_by_column(coef, rows, x):
+    """The recurrence with one fancy-indexed column gather per degree."""
+    prev, cur = np.ones_like(x), x.copy()
+    total = coef[rows, 0] + coef[rows, 1] * x
+    nxt = np.empty_like(x)
+    for j in range(1, coef.shape[-1] - 1):
+        np.multiply(x, cur, out=nxt)
+        nxt *= (2 * j + 1) / (j + 1)
+        prev *= j / (j + 1)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+        total += coef[rows, j + 1] * cur
+    return total
+
+
+def test_legendre_series_matches_the_column_gather_and_legval():
+    rng = np.random.default_rng(7)
+    coef = rng.normal(size=(9, 16))
+    rows = rng.integers(0, coef.shape[0], size=(4, 15, 48))
+    x = rng.uniform(-1.0, 1.0, size=rows.shape)
+    total = _legendre_series(coef, rows, x)
+    assert np.array_equal(total, _legendre_series_by_column(coef, rows, x))
+    for panel, c in enumerate(coef):
+        mine = rows == panel
+        reference = np.polynomial.legendre.legval(x[mine], c)
+        assert np.allclose(total[mine], reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("strips", [
+    0.3 * 0.5 ** np.arange(12) * (1.0 + 1e-3 * np.sin(np.arange(12))),  # geometric: accelerated
+    np.array([2e-9, -1e-9, 5e-10, 1e-12]),                              # all under the floor
+    np.array([1e-3, 9.99e-4, 9.98e-4]),                                  # stops shrinking: raises
+    np.array([1e-3, -2e-4, 5e-4, -4.9e-4]),                              # sign change: raises
+])
+def test_tail_limit_takes_numpy_and_python_floats_alike(strips):
+    def outcome(values):
+        try:
+            return _tail_limit(values, 1e-9, "x")
+        except NonconvergenceError as exc:
+            return str(exc)
+
+    as_numpy, as_python = outcome(list(strips)), outcome(strips.tolist())
+    assert as_numpy == as_python
+    if isinstance(as_python, tuple):
+        assert [type(v) for v in as_python] == [float, float]
+        assert [v.hex() for v in as_numpy] == [v.hex() for v in as_python]

@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtri, roots_hermitenorm, roots_legendre
+from scipy.special import ndtr, ndtri, roots_hermitenorm, roots_legendre
 
 import wcost.variance as variance_module
 from wcost import parse_cost, parse_distribution
@@ -20,6 +21,8 @@ from wcost.errors import (DegenerateSampleError, HypothesisGateError, Nonconverg
                          UnsupportedCostError)
 from wcost.estimate import PairedSample, empirical_cost, exact_cost
 from wcost.quadrature import (
+    _NODES,
+    CumulativeMesh,
     QuadratureConfig,
     _tolerance,
     graded_breaks,
@@ -174,6 +177,59 @@ def test_inner_rules_equal_scipy_bit_for_bit():
     x, w = roots_legendre(variance_module._INNER_ORDER)
     assert same_bits(variance_module._LEGENDRE_X, x)
     assert same_bits(variance_module._LEGENDRE_W, w)
+
+
+def _inner_mesh(G, eps=DEFAULT_VARIANCE_CONFIG.edge_epsilon):
+    q = replace(DEFAULT_VARIANCE_CONFIG, edge_epsilon=eps, extrapolation_levels=12)
+    slopes = variance_module._two_sample_slopes(Gaussian(0, 1), G, P2, GaussianCopula(0.5))
+    return CumulativeMesh(slopes, q)
+
+
+def _conditional_means_reading_every_point(mesh, r, i):
+    """Q_i read at every inner point, then both clamps applied; also returns the points."""
+    s = math.sqrt(1.0 - r * r)
+    x, w = variance_module._HERMITE_X, variance_module._HERMITE_W
+    clamps = [(eps, 1.0 - eps) for eps in mesh.cuts[:2]]
+    means = np.empty((len(clamps), mesh.panels, _NODES.size))
+    points = []
+    for start in range(0, mesh.panels, variance_module._PANEL_BLOCK):
+        block = slice(start, start + variance_module._PANEL_BLOCK)
+        z1 = ndtri(mesh.mid[block, None] + mesh.half[block, None] * _NODES)
+        v = ndtr(r * z1[..., None] + s * x)
+        qv = mesh.at(i, v)
+        for k, (lo, hi) in enumerate(clamps):
+            q_lo, q_hi = mesh.at(i, np.array([lo, hi]))
+            means[k, block] = np.where(v < lo, q_lo, np.where(v > hi, q_hi, qv)) @ w
+        points.append(v.ravel())
+    return means[0], means[1], np.concatenate(points)
+
+
+def _lower_clamp_on_an_inner_point(G):
+    """(mesh, r) whose widest lower clamp equals one inner point exactly.
+
+    At r = 0 the inner points are Phi of the Hermite nodes, whatever the
+    mesh, and the widest clamp is edge_epsilon / 2^12 exactly.
+    """
+    phi = ndtr(variance_module._HERMITE_X)
+    target = float(phi[phi * 2.0 ** 12 < 1e-2].max())
+    mesh = _inner_mesh(G, eps=target * 2.0 ** 12)
+    assert mesh.cuts[0] == target
+    return mesh, 0.0
+
+
+@pytest.mark.parametrize("G", [Gaussian(2, 1), Exponential(1.0)], ids=["gaussian", "exponential"])
+@pytest.mark.parametrize("r", [0.5, -0.3, 0.9, 0.999, -0.999, "edge"])
+def test_conditional_means_equal_reading_every_inner_point(G, r):
+    # Q_y is read only inside the widest clamp; the clamps overwrite the rest,
+    # so the means keep every bit
+    mesh, r = _lower_clamp_on_an_inner_point(G) if r == "edge" else (_inner_mesh(G), r)
+    g, h, points = _conditional_means_reading_every_point(mesh, r, 1)
+    g_new, h_new, evaluated = variance_module._conditional_means(mesh, r, 1)
+    assert same_bits(g_new, g) and same_bits(h_new, h)
+    lo, hi = mesh.cuts[0], 1.0 - mesh.cuts[0]
+    assert evaluated == np.count_nonzero((points >= lo) & (points <= hi)) < points.size
+    if r == 0.0:
+        assert np.any(points == lo)  # the edge case: read, like every point inside
 
 
 def test_countermonotone_closed_form():
@@ -377,6 +433,46 @@ def test_benchmark_pair_evaluation_budget(cp, names):
                           "extrapolation_residual", "budget_exhausted"}
         assert d["evaluations"] <= 3000
         assert d["budget_exhausted"] is False
+
+
+def _numeric_leaves(tree):
+    if isinstance(tree, dict):
+        for value in tree.values():
+            yield from _numeric_leaves(value)
+    else:
+        yield tree
+
+
+@pytest.mark.parametrize("cp", [Independent(), GaussianCopula(0.5), Comonotone(),
+                                Countermonotone()])
+def test_diagnostics_hold_plain_python_numbers(cp):
+    diagnostics = sigma2(Gaussian(0, 1), Exponential(1.0), P2, cp).diagnostics
+    assert {type(leaf) for leaf in _numeric_leaves(diagnostics)} <= {float, int, bool}
+
+
+@pytest.mark.parametrize("window", [None, 0.05])
+def test_cross_term_counts_its_inner_evaluations(monkeypatch, window):
+    calls = []
+    conditional_means = variance_module._conditional_means
+
+    def counted(mesh, r, i):
+        g, h, evaluated = conditional_means(mesh, r, i)
+        calls.append((evaluated, mesh.panels * _NODES.size * variance_module._INNER_ORDER))
+        return g, h, evaluated
+
+    monkeypatch.setattr(variance_module, "_conditional_means", counted)
+    args = (Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(0.5))
+    res = sigma2(*args) if window is None else sigma2_window(*args, window)
+    influence = res.diagnostics["influence"]
+    assert "inner_evaluations" not in influence["x"] and "inner_evaluations" not in influence["y"]
+    inner = influence["cross"]["inner_evaluations"]
+    assert inner == sum(n for n, _ in calls)  # summed over refinement rounds
+    every_point = sum(total for _, total in calls)
+    if window is None:
+        assert len(calls) >= 2
+        assert inner < 0.7 * every_point  # about 40% lie outside the widest clamp
+    else:
+        assert inner == every_point  # both clamps are the window: each point is read once
 
 
 # --- one-sample variance ---------------------------------------------------------
