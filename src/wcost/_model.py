@@ -15,10 +15,19 @@ def _as_array(x):
 
 
 def _scalar_like(value, *templates):
-    """Return a float when every input was scalar, else the array unchanged."""
-    if all(np.isscalar(t) or getattr(t, "ndim", 1) == 0 for t in templates):
-        return float(value)
-    return value
+    """Return a float when every input was scalar, else the array unchanged.
+
+    An input is scalar when it has ``ndim`` 0 (numpy scalars and 0-d arrays)
+    or, lacking ``ndim``, when ``np.isscalar`` holds (Python numbers).
+    """
+    for t in templates:
+        ndim = getattr(t, "ndim", None)
+        if ndim is None:
+            if not np.isscalar(t):
+                return value
+        elif ndim:
+            return value
+    return float(value)
 
 
 def _fmt(x: float) -> str:

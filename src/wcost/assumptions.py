@@ -42,6 +42,16 @@ _CFG_TOLERANCE = -1e-6
 _REL_STEP = 1e-5
 
 
+def _frozen(levels: np.ndarray) -> np.ndarray:
+    levels.setflags(write=False)
+    return levels
+
+
+# The probability levels of the default grids of check_cfg and check_tail_sufficient.
+_CFG_LEVELS = _frozen(1.0 - np.geomspace(1e-6, 1e-10, 64))
+_SUFFICIENT_LEVELS = _frozen(1.0 - np.geomspace(1e-2, 1e-8, 64))
+
+
 @dataclass(frozen=True)
 class ConditionStatus:
     """Outcome of one condition check with its witness point."""
@@ -129,7 +139,11 @@ def _bounded_sup(values: np.ndarray, log_inv_tail: np.ndarray) -> tuple[bool, fl
     Requires every value finite, the sup below _SUP_CAP, and the least-squares
     slope of log(value) against log(1/(1-u)) over the last decade of 1/(1-u)
     to stay at or below _TREND_CAP.  Polynomial blowup in 1/(1-u) shows up as
-    a positive slope; slowly varying drift does not.  Returns
+    a positive slope; slowly varying drift does not.  The slope is the closed
+    form on centred abscissae, sum(xc (y - mean y)) / sum(xc^2) with
+    xc = x - mean x.  A last decade of one point shows no trend (slope 0); one
+    whose abscissae are not all finite, or do not spread, has no slope to
+    measure and fails with slope inf, as non-finite values do.  Returns
     (ok, sup, location-of-sup, trend slope); the location is reported on the
     same axis as ``log_inv_tail``.
     """
@@ -141,7 +155,12 @@ def _bounded_sup(values: np.ndarray, log_inv_tail: np.ndarray) -> tuple[bool, fl
     last = log_inv_tail >= log_inv_tail[-1] - math.log(10.0)
     y = np.log(np.maximum(values[last], 1e-300))
     x = log_inv_tail[last]
-    slope = float(np.polyfit(x, y, 1)[0]) if x.size >= 2 else 0.0
+    slope = 0.0 if x.size == 1 else math.inf
+    if x.size > 1 and np.all(np.isfinite(x)):
+        xc = x - x.mean()
+        spread = float(np.dot(xc, xc))
+        if spread > 0.0:
+            slope = float(np.dot(xc, y - y.mean())) / spread
     ok = sup < _SUP_CAP and slope <= _TREND_CAP
     return ok, sup, loc, slope
 
@@ -160,8 +179,8 @@ def _fg1_single(law: Distribution, xs: np.ndarray) -> tuple[bool, float, float]:
 def _fg2_single(law: Distribution, us: np.ndarray, log_inv: np.ndarray):
     """(1-u)|(log h)'(u)| by centered differences, bounded-sup verdict."""
     du = _REL_STEP * (1.0 - us)
-    hp = np.asarray(law.density_quantile(us + du), dtype=float)
-    hm = np.asarray(law.density_quantile(us - du), dtype=float)
+    hp, hm = np.asarray(law.density_quantile(np.concatenate((us + du, us - du))),
+                        dtype=float).reshape(2, -1)
     vals = (1.0 - us) * np.abs(np.log(hp) - np.log(hm)) / (2.0 * du)
     return _bounded_sup(vals, log_inv)
 
@@ -173,9 +192,8 @@ def _fg3_single(law: Distribution, us: np.ndarray, log_inv: np.ndarray):
 def _fg5_single(law: Distribution, xs: np.ndarray):
     """Density-space rewrite (1-F)/f * (1/x + |f'|/f), bounded-sup verdict."""
     dx = _REL_STEP * xs
-    f0 = np.asarray(law.pdf(xs), dtype=float)
-    fp = np.asarray(law.pdf(xs + dx), dtype=float)
-    fm = np.asarray(law.pdf(xs - dx), dtype=float)
+    f0, fp, fm = np.asarray(law.pdf(np.concatenate((xs, xs + dx, xs - dx))),
+                            dtype=float).reshape(3, -1)
     fprime = (fp - fm) / (2.0 * dx)
     sf = np.asarray(law.sf(xs), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -285,8 +303,7 @@ class CfgResult:
 
 
 def _default_cfg_grid(F: Distribution, c: Cost) -> np.ndarray:
-    tails = np.geomspace(1e-6, 1e-10, 64)
-    return np.asarray(c.l(np.asarray(F.quantile(1.0 - tails), dtype=float)), dtype=float)
+    return np.asarray(c.l(np.asarray(F.quantile(_CFG_LEVELS), dtype=float)), dtype=float)
 
 
 def check_cfg(F: Distribution, c: Cost, theta: float | None = None,
@@ -337,7 +354,7 @@ def check_tail_sufficient(F: Distribution, c: Cost, zeta: float = 2.5,
     if not zeta > 2.0:
         raise ValueError(f"zeta must exceed 2, got {zeta}")
     if x_grid is None:
-        xs = np.asarray(F.quantile(1.0 - np.geomspace(1e-2, 1e-8, 64)), dtype=float)
+        xs = np.asarray(F.quantile(_SUFFICIENT_LEVELS), dtype=float)
     else:
         xs = np.asarray(x_grid, dtype=float)
         if xs.size == 0 or np.any(~np.isfinite(xs)):

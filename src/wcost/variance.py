@@ -196,11 +196,16 @@ def _copula_excess(cp: Coupling, u, v):
 
 
 def _slopes(F: Distribution, G: Distribution, c: Cost, u):
-    """(partial_x c / h_X, partial_y c / h_Y) along the quantile diagonal at u, stacked."""
+    """(partial_x c / h_X, partial_y c / h_Y) along the quantile diagonal at u, stacked.
+
+    Each quantile is computed once: h_X = f o F^{-1} is the density at the
+    quantile the gradient takes, which is what ``density_quantile`` computes.
+    """
     ua = np.asarray(u, dtype=float)
-    gx, gy = c.gradient(F.quantile(ua), G.quantile(ua))
-    return np.stack((np.asarray(gx, dtype=float) / np.asarray(F.density_quantile(ua), dtype=float),
-                     np.asarray(gy, dtype=float) / np.asarray(G.density_quantile(ua), dtype=float)))
+    x, y = F.quantile(ua), G.quantile(ua)
+    gx, gy = c.gradient(x, y)
+    return np.stack((np.asarray(gx, dtype=float) / np.asarray(F.pdf(x), dtype=float),
+                     np.asarray(gy, dtype=float) / np.asarray(G.pdf(y), dtype=float)))
 
 
 def variance_kernel(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
@@ -243,6 +248,26 @@ def _refine_mesh(mesh: CumulativeMesh, q: QuadratureConfig, measure):
 # --- tail-hypothesis guard and degeneracy warning -----------------------------
 
 
+def _guard_integrand(heavy: Distribution, law: Distribution, c: Cost, ubar: float):
+    """t -> rho'(heavy quantile(u)) sqrt(1 - u) / h_law(u) (1 - ubar) at u = ubar + (1 - ubar) t.
+
+    The heavy quantile is computed once: when ``law`` is the heavy law, h_law
+    is its density at that quantile.  Values that overflow read
+    ``_GUARD_CEILING``.  Returns the integrand as a one-row mesh function.
+    """
+    span = 1.0 - ubar
+
+    def f(t):
+        u = ubar + span * t
+        x = np.asarray(heavy.quantile(u), dtype=float)
+        slope = np.asarray(c.rho_prime(x), dtype=float) * np.sqrt(span * (1.0 - t))
+        dens = heavy.pdf(x) if law is heavy else law.density_quantile(u)
+        vals = (slope / np.asarray(dens, dtype=float)) * span
+        return np.where(np.isfinite(vals), vals, _GUARD_CEILING)[None]
+
+    return f
+
+
 def _slope_tail_integral(heavy: Distribution, law: Distribution, c: Cost,
                          q: QuadratureConfig) -> float:
     """J = int rho'(heavy quantile(u)) sqrt(1-u) / h_law(u) du over the right tail.
@@ -265,21 +290,13 @@ def _slope_tail_integral(heavy: Distribution, law: Distribution, c: Cost,
     q = replace(q, rel_tol=max(q.rel_tol, 1e-3),
                 extrapolation_levels=max(q.extrapolation_levels, 12))
     ubar = max(0.5, float(heavy.cdf(1.0)))
-    span = 1.0 - ubar
-
-    def f(t):
-        u = ubar + span * t
-        vals = (np.asarray(c.rho_prime(np.asarray(heavy.quantile(u), dtype=float)), dtype=float)
-                * np.sqrt(span * (1.0 - t))
-                / np.asarray(law.density_quantile(u), dtype=float)) * span
-        return np.where(np.isfinite(vals), vals, _GUARD_CEILING)[None]
 
     def measure(mesh):
         sums, gaps = mesh.panel_sums(mesh.p[0])
         return float(np.sum(sums)), gaps, sums
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mesh = CumulativeMesh(f, q)
+        mesh = CumulativeMesh(_guard_integrand(heavy, law, c, ubar), q)
         _, gaps, sums, _ = _refine_mesh(mesh, q, measure)
         value, residual = mesh.open_integral(sums, q, "tail guard")
     err = float(np.sum(gaps)) + residual
@@ -365,7 +382,18 @@ def _clamped(total: float, err: float, what: str) -> tuple[float, float, float]:
 # --- influence functions -------------------------------------------------------
 
 
-def _cov_term(mesh: CumulativeMesh, X, Y, ex, ey, q: QuadratureConfig, what: str):
+def _moments(mesh: CumulativeMesh, Z, q: QuadratureConfig, what: str):
+    """One-sided moments of Z(U) for U uniform on (0, 1), from node values on ``mesh``.
+
+    Returns (integral over (0, 1), its extrapolation residual, per-panel
+    Kronrod-minus-Gauss gaps, integral of |Z| over the meshed range).
+    """
+    sz, dz = mesh.panel_sums(Z)
+    iz, rz = mesh.open_integral(sz, q, what)
+    return iz, rz, dz, float(np.sum(mesh.panel_sums(np.abs(Z))[0]))
+
+
+def _cov_term(mesh: CumulativeMesh, X, Y, ex, ey, q: QuadratureConfig, what: str, mx=None):
     """Cov(X(U), Y(U)) for U uniform on (0, 1), from node values on ``mesh``.
 
     ``ex``/``ey`` are per-panel slope-integral discrepancies; a panel's share
@@ -373,21 +401,19 @@ def _cov_term(mesh: CumulativeMesh, X, Y, ex, ey, q: QuadratureConfig, what: str
     the sensitivity of the covariance to a uniform shift of X or Y, since an
     error in one panel's sum shifts the influence function everywhere beyond it.
     A variance passes the same object as ``X`` and ``Y``, and its one-sided
-    moments are computed once.  Returns (covariance, per-panel error shares,
-    extrapolation residual).
+    moments are computed once; ``mx`` passes in X's ``_moments`` when another
+    term has measured them on the same mesh.  Returns (covariance, per-panel
+    error shares, extrapolation residual, X's moments).
     """
-    def moments(Z):
-        sz, dz = mesh.panel_sums(Z)
-        iz, rz = mesh.open_integral(sz, q, what)
-        return iz, rz, dz, float(np.sum(mesh.panel_sums(np.abs(Z))[0]))
-
     sxy, dxy = mesh.panel_sums(X * Y)
     ixy, rxy = mesh.open_integral(sxy, q, what)
-    ix, rx, dx, ax = moments(X)
-    iy, ry, dy, ay = (ix, rx, dx, ax) if Y is X else moments(Y)
+    if mx is None:
+        mx = _moments(mesh, X, q, what)
+    ix, rx, dx, ax = mx
+    iy, ry, dy, ay = mx if Y is X else _moments(mesh, Y, q, what)
     shares = (dxy + abs(iy) * dx + abs(ix) * dy
               + ex * (ay + abs(iy)) + ey * (ax + abs(ix)))
-    return ixy - ix * iy, shares, rxy + abs(iy) * rx + abs(ix) * ry
+    return ixy - ix * iy, shares, rxy + abs(iy) * rx + abs(ix) * ry, mx
 
 
 def _conditional_means(mesh: CumulativeMesh, r: float, i: int):
@@ -445,34 +471,41 @@ def _conditional_means(mesh: CumulativeMesh, r: float, i: int):
     return means[0], means[1], evaluated
 
 
-def _influence_terms(mesh: CumulativeMesh, cp: Coupling | None, q: QuadratureConfig,
-                     cross: bool = True):
-    """The covariances whose weighted sum is the variance.
+def _influence_terms(mesh: CumulativeMesh, cp: Coupling | None, q: QuadratureConfig):
+    """The covariances whose weighted sum is the variance, but a Gaussian copula's cross term.
 
     Returns [(name, weight, covariance, per-panel error shares, residual)]
-    and the number of inner points at which the cross term read Q_y; with
-    ``cross`` off a Gaussian copula's cross term is left out.
+    and, for two influence functions, the one-sided moments of Q_x that the
+    cross term (``_cross_term``) takes from the ``x`` term; None for one.
     """
     Q, ep = mesh.Q, mesh.ep
     if cp is None or isinstance(cp, (Comonotone, Countermonotone)):
         # one influence function: Q_x + Q_y, the y part reflected for countermonotone
         S, es = Q.sum(axis=0), ep.sum(axis=0)
         name = "x+y" if Q.shape[0] == 2 else "x"
-        return [(name, 1.0, *_cov_term(mesh, S, S, es, es, q, "influence"))], 0
+        return [(name, 1.0, *_cov_term(mesh, S, S, es, es, q, "influence")[:3])], None
     if not isinstance(cp, (Independent, GaussianCopula)):
         raise TypeError(f"no influence-function variance for coupling {cp!r}")
-    terms = [(name, 1.0, *_cov_term(mesh, X, X, e, e, q, f"influence {name}"))
-             for name, X, e in zip(("x", "y"), Q, ep)]
-    evaluated = 0
-    if cross and isinstance(cp, GaussianCopula):
-        g, h, evaluated = _conditional_means(mesh, cp.r, 1)
-        cov, shares, residual = _cov_term(mesh, Q[0], g, ep[0], ep[1], q, "influence cross")
-        # Clamping V one truncation level coarser at least doubles what the
-        # clamp misses when its strips shrink by 2/3 or faster, so twice the
-        # change bounds the rest.
-        residual += 2.0 * abs(float(np.sum(mesh.panel_sums(Q[0] * (g - h))[0])))
-        terms.append(("cross", 2.0, cov, shares, residual))
-    return terms, evaluated
+    x, y = (_cov_term(mesh, X, X, e, e, q, f"influence {name}")
+            for name, X, e in zip(("x", "y"), Q, ep))
+    return [("x", 1.0, *x[:3]), ("y", 1.0, *y[:3])], x[3]
+
+
+def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, mx):
+    """A Gaussian copula's cross term 2 Cov(Q_x(U), Q_y(V)), as an entry of ``_influence_terms``.
+
+    ``mx`` holds the one-sided moments of Q_x that the ``x`` term measured on
+    the same mesh.  Returns the term and the number of inner points at which
+    it read Q_y.
+    """
+    Q, ep = mesh.Q, mesh.ep
+    g, h, evaluated = _conditional_means(mesh, r, 1)
+    cov, shares, residual, _ = _cov_term(mesh, Q[0], g, ep[0], ep[1], q, "influence cross", mx)
+    # Clamping V one truncation level coarser at least doubles what the
+    # clamp misses when its strips shrink by 2/3 or faster, so twice the
+    # change bounds the rest.
+    residual += 2.0 * abs(float(np.sum(mesh.panel_sums(Q[0] * (g - h))[0])))
+    return ("cross", 2.0, cov, shares, residual), evaluated
 
 
 def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
@@ -492,11 +525,19 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
     levels = max(q.extrapolation_levels, 12)
     mesh = CumulativeMesh(f, replace(q, extrapolation_levels=levels), window)
     inner_evaluations = 0
+    kept = None  # (panel count, terms, Q_x moments) of the last measurement
 
     def measure(mesh, cross):
-        nonlocal inner_evaluations
-        terms, evaluated = _influence_terms(mesh, cp, q, cross)
-        inner_evaluations += evaluated
+        nonlocal inner_evaluations, kept
+        # A split always adds panels, so the first cross round, on the mesh
+        # that the last round without it measured, reuses that round's terms.
+        if kept is None or kept[0] != mesh.panels:
+            kept = (mesh.panels, *_influence_terms(mesh, cp, q))
+        _, terms, mx = kept
+        if cross:
+            term, evaluated = _cross_term(mesh, cp.r, q, mx)
+            inner_evaluations += evaluated
+            terms = terms + [term]
         return (math.fsum(weight * cov for _, weight, cov, _, _ in terms),
                 sum(weight * sh for _, weight, _, sh, _ in terms), terms)
 

@@ -1,10 +1,15 @@
+import inspect
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import wcost.distributions as distributions_module
+from wcost import parse_cost, parse_distribution
 from wcost.assumptions import (
+    _bounded_sup,
     check_cfg,
     check_csfg,
     check_fg,
@@ -24,6 +29,8 @@ from wcost.distributions import (
     Weibull,
     reflect,
 )
+
+import triple_matrix
 
 P2 = PowerCost(2.0)
 
@@ -119,6 +126,81 @@ def test_growth_law_trips_the_trend_heuristic():
     for s in (r.fg2, r.fg3):
         assert s.witness_value is not None and s.witness_location is not None
     assert not r.all_pass
+
+
+def _decade(x):
+    return x >= x[-1] - math.log(10.0)
+
+
+@pytest.mark.parametrize("axis", ["random", "geometric"])
+def test_bounded_sup_slope_matches_polyfit(axis):
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        if axis == "random":
+            x = np.sort(rng.uniform(0.0, 20.0, 64))
+        else:
+            x = np.log(1.0 / np.geomspace(10.0 ** -rng.uniform(1, 3), 1e-8, 512))
+        values = np.exp(rng.normal(0.0, 1.0) * x + rng.normal(0.0, 0.1, x.size))
+        _, _, _, slope = _bounded_sup(values, x)
+        last = _decade(x)
+        ref = np.polyfit(x[last], np.log(values[last]), 1)[0]
+        assert abs(slope - ref) <= 1e-12, (axis, trial)
+
+
+def test_bounded_sup_constant_values_have_zero_slope():
+    x = np.log(1.0 / np.geomspace(0.1, 1e-8, 512))
+    ok, sup, loc, slope = _bounded_sup(np.full(x.size, 3.7), x)
+    assert ok and slope == 0.0 and sup == 3.7 and loc == x[0]
+
+
+@pytest.mark.parametrize("axis", ["constant", "inf", "nan"])
+def test_bounded_sup_axis_without_spread_fails_without_a_warning(axis):
+    # numpy.polyfit warned (RankWarning) and made up a slope on a constant
+    # axis, and gave LAPACK noise or LinAlgError on an infinite one
+    x = np.linspace(1.0, 20.0, 64)
+    x[-8:] = {"constant": 20.0, "inf": math.inf, "nan": math.nan}[axis]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, sup, _, slope = _bounded_sup(np.linspace(1.0, 2.0, 64), x)
+    assert not ok and slope == math.inf and sup == 2.0
+
+
+def test_bounded_sup_one_point_decade_shows_no_trend():
+    ok, _, _, slope = _bounded_sup(np.array([1.0, 2.0]), np.array([1.0, 10.0]))
+    assert ok and slope == 0.0
+
+
+def test_verify_triple_matches_recorded_reports():
+    with open(triple_matrix.RECORDED) as fh:
+        recorded = json.load(fh)
+    assert len(recorded["triples"]) == len(triple_matrix.TRIPLES) == 100
+    mismatched = [row["triple"] for row in recorded["triples"]
+                  if triple_matrix.report(tuple(row["triple"])) != row["report"]]
+    assert not mismatched
+
+
+def test_verify_triple_fits_trends_without_lstsq_and_counts_its_law_calls(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("trend slopes take the closed form")
+
+    monkeypatch.setattr(np, "polyfit", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    calls = []
+    for cls in vars(distributions_module).values():
+        if isinstance(cls, type) and issubclass(cls, Distribution):
+            for name, fn in list(vars(cls).items()):
+                if inspect.isfunction(fn) and not name.startswith("__"):
+                    def counted(*args, _fn=fn, _name=f"{cls.__name__}.{name}", **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(cls, name, counted)
+    tr = verify_triple(parse_distribution("gaussian(0,1)"), parse_distribution("gaussian(2,1)"),
+                       parse_cost("power(2)"))
+    assert tr.all_pass
+    # 152 calls at 32efc77, where the finite differences took one call per
+    # shifted grid and trend slopes came from numpy.polyfit; 120 with one
+    # call per law and grid
+    assert len(calls) <= 120, sorted(set(calls))
 
 
 def test_report_serializes_to_json():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wcost import SingularPointError
+from wcost._model import _scalar_like
 from wcost.distributions import (
     Exponential,
     Gaussian,
@@ -29,6 +30,38 @@ ALL_LAWS = [
     LocationScale(Pareto(3.0), 0.5, -1.0),
     reflect(Weibull(2.0)),
 ]
+
+
+_ARRAY_0D = np.array(2.0)
+_ARRAY_1D = np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize("templates, scalar", [
+    ((1.5,), True),
+    ((3,), True),
+    ((np.float64(1.5),), True),
+    ((_ARRAY_0D,), True),
+    ((_ARRAY_1D,), False),
+    ((np.ones((2, 2)),), False),
+    (([1.0, 2.0],), False),
+    ((None,), False),
+    ((1.5, np.float64(2.0)), True),
+    ((3, _ARRAY_0D), True),
+    ((1.5, _ARRAY_1D), False),
+    ((_ARRAY_1D, 1.5), False),
+    ((np.int64(3), [1.0]), False),
+    ((), True),
+], ids=repr)
+def test_scalar_like_truth_table(templates, scalar):
+    def reference(value, *templates):
+        if all(np.isscalar(t) or getattr(t, "ndim", 1) == 0 for t in templates):
+            return float(value)
+        return value
+
+    value = np.array(0.25)
+    got = _scalar_like(value, *templates)
+    assert type(got) is type(reference(value, *templates))
+    assert (type(got) is float) is scalar and got == 0.25
 
 
 def test_pareto_cdf_worked_example():

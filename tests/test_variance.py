@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from wcost.coupling import (
     Independent,
     sample_pairs,
 )
-from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto, Weibull
+from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto, Weibull, reflect
 from wcost.errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                          UnsupportedCostError)
 from wcost.estimate import PairedSample, empirical_cost, exact_cost
@@ -329,6 +330,84 @@ def test_tail_guard_evaluates_each_integral_in_one_call(monkeypatch):
     assert len(calls) == len(guard) == 4
     for sizes in calls:
         assert 1 <= len(sizes) <= 2 and sum(sizes) <= 600, sizes
+
+
+# One law of each family, and the wrappers, nested.
+PARITY_LAWS = [Gaussian(0, 1), Gaussian(1.5, 0.5), Exponential(2.0), Weibull(0.7), Weibull(1.5),
+               Pareto(5.0), LocationScale(Pareto(4.0), 2.0, 1.0), reflect(Exponential(1.0)),
+               LocationScale(reflect(Weibull(2.0)), 0.5, -1.0)]
+PARITY_COSTS = [P2, PowerCost(3.0), LogPowerCost(0.5), ExpPowerCost(0.5)]
+# mesh-like points from deep in both tails through the bulk, as a flat array and as columns
+PARITY_U = np.concatenate((np.geomspace(1e-12, 0.5, 200), 1.0 - np.geomspace(0.4, 1e-12, 200)))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("F", PARITY_LAWS, ids=repr)
+def test_slopes_equal_the_gradient_over_density_quantile(F):
+    def reference(F, G, c, u):
+        ua = np.asarray(u, dtype=float)
+        gx, gy = c.gradient(F.quantile(ua), G.quantile(ua))
+        return np.stack((np.asarray(gx, dtype=float) / np.asarray(F.density_quantile(ua), dtype=float),
+                         np.asarray(gy, dtype=float) / np.asarray(G.density_quantile(ua), dtype=float)))
+
+    with np.errstate(all="ignore"):
+        for G in PARITY_LAWS:
+            for c in PARITY_COSTS:
+                for u in (PARITY_U, PARITY_U[:, None]):
+                    assert _same_bits(variance_module._slopes(F, G, c, u),
+                                      reference(F, G, c, u)), (G, c, u.shape)
+
+
+@pytest.mark.parametrize("heavy", [law for law in PARITY_LAWS if math.isinf(law.support()[1])],
+                         ids=repr)
+def test_guard_integrand_equals_the_density_quantile_form(heavy):
+    def reference(heavy, law, c, ubar):
+        span = 1.0 - ubar
+
+        def f(t):
+            u = ubar + span * t
+            vals = (np.asarray(c.rho_prime(np.asarray(heavy.quantile(u), dtype=float)), dtype=float)
+                    * np.sqrt(span * (1.0 - t))
+                    / np.asarray(law.density_quantile(u), dtype=float)) * span
+            return np.where(np.isfinite(vals), vals, variance_module._GUARD_CEILING)[None]
+
+        return f
+
+    t = PARITY_U
+    ubar = max(0.5, float(heavy.cdf(1.0)))
+    with np.errstate(all="ignore"):
+        for law in [heavy] + PARITY_LAWS:
+            for c in PARITY_COSTS:
+                got = variance_module._guard_integrand(heavy, law, c, ubar)(t)
+                assert _same_bits(got, reference(heavy, law, c, ubar)(t)), (law, c)
+
+
+def test_gaussian_cross_rounds_reuse_the_marginal_moments(monkeypatch):
+    # Each round measures the x and y terms (two open integrals each: the
+    # second moment and the mean) and, once it joins, the cross term.  The
+    # first cross round runs on the mesh that the last round without it
+    # measured, so it takes that round's x and y terms; and the cross term
+    # takes Q_x's mean from the x term.  Each round used to end with three
+    # cross integrals, and the first cross round redid x and y.
+    labels = []
+    open_integral = CumulativeMesh.open_integral
+
+    def counted(self, sums, cfg, what):
+        labels.append({"tail guard": "g", "influence x": "x", "influence y": "y",
+                       "influence cross": "c"}[what])
+        return open_integral(self, sums, cfg, what)
+
+    monkeypatch.setattr(CumulativeMesh, "open_integral", counted)
+    res = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(0.5))
+    sequence = "".join(labels)
+    assert re.fullmatch(r"g{4}(?:xxyy)+cc(?:xxyycc)*", sequence), sequence
+    # 32efc77 made 30: gggg, three rounds xxyy, then xxyyccc twice
+    assert sequence == "gggg" + "xxyy" * 3 + "cc" + "xxyycc"
+    assert res.value == 16.000000007826095
 
 
 # --- influence functions against the two-dimensional route ---------------------

@@ -1,0 +1,84 @@
+"""The ``verify_triple`` report matrix and its recorded outputs.
+
+``triple_reports.json`` holds, for every (F, G, cost) triple of ``TRIPLES``,
+what ``verify_triple`` reported with its default arguments: per tail side, the
+status, witness and value of every condition, plus ``theta``, ``tau0``, ``m``
+and the swap flags; or the type and message of the error it raised.  Notes
+are left out: the trend-slope digits in them are rounding noise when the
+slope is within ~1e-12 of zero.  The file was recorded at commit 32efc77,
+where ``_bounded_sup`` took its slope from ``numpy.polyfit``, with
+
+    mkdir -p /tmp/wcost-32efc77 && git archive 32efc77 src | tar -x -C /tmp/wcost-32efc77
+    PYTHONPATH=/tmp/wcost-32efc77/src python3 tests/triple_matrix.py > tests/triple_reports.json
+
+Not collected as tests.
+"""
+
+import json
+import os
+import sys
+
+from wcost import parse_cost, parse_distribution, verify_triple
+
+RECORDED = os.path.join(os.path.dirname(__file__), "triple_reports.json")
+
+COSTS = ("power(1.5)", "power(2)", "power(3)", "logpower(0.5)", "exppower(0.5)")
+
+#: Gaussian, Exponential, Weibull and Pareto laws, shifted or scaled by
+#: ``locscale`` and mirrored by ``reflect``, so that both tail sides, both
+#: lead-law orders and the bounded-side shortcuts all occur.
+PAIRS = (
+    ("gaussian(0,1)", "gaussian(2,1)"),
+    ("gaussian(0,1)", "gaussian(3,2)"),
+    ("gaussian(0,1)", "exponential(1)"),
+    ("gaussian(1,2)", "weibull(1)"),
+    ("exponential(1)", "exponential(2)"),
+    ("exponential(1)", "locscale(exponential(1),1,1)"),
+    ("exponential(1)", "pareto(4)"),
+    ("weibull(1.5)", "weibull(0.7)"),
+    ("weibull(2)", "locscale(weibull(2),1,1)"),
+    ("weibull(0.5)", "pareto(8)"),
+    ("pareto(5)", "locscale(pareto(5),1,1)"),
+    ("pareto(3)", "locscale(pareto(3),2,0)"),
+    ("pareto(10)", "exponential(1)"),
+    ("reflect(exponential(1))", "gaussian(0,1)"),
+    ("reflect(pareto(6))", "reflect(locscale(pareto(6),1,1))"),
+    ("reflect(weibull(1.5))", "exponential(1)"),
+    ("locscale(gaussian(0,1),2,1)", "gaussian(0,1)"),
+    ("locscale(weibull(0.5),1,2)", "weibull(0.5)"),
+    ("locscale(reflect(exponential(1)),1,0.5)", "exponential(1)"),
+    ("reflect(locscale(pareto(4),1,-3))", "gaussian(0,3)"),
+)
+
+TRIPLES = tuple((f, g, c) for f, g in PAIRS for c in COSTS)
+
+_SIDE_KEYS = ("theta", "tau0", "m")
+
+
+def report(triple) -> dict:
+    """Everything ``verify_triple`` reports on ``triple`` apart from its notes."""
+    f, g, c = triple
+    try:
+        tr = verify_triple(parse_distribution(f), parse_distribution(g), parse_cost(c))
+    except (ValueError, ArithmeticError) as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    out = {"swapped_right": tr.swapped_right, "swapped_left": tr.swapped_left,
+           "all_pass": tr.all_pass}
+    for side in (tr.right, tr.left):
+        d = side.to_dict()
+        entry = {key: d[key] for key in _SIDE_KEYS}
+        entry.update({name: [s.status, s.witness_location, s.witness_value]
+                      for name, s in side.conditions().items()})
+        out[side.side] = entry
+    return out
+
+
+def main() -> None:
+    rows = [{"triple": list(t), "report": report(t)} for t in TRIPLES]
+    sys.stdout.write('{"commit": "32efc77", "triples": [\n')
+    sys.stdout.write(",\n".join(json.dumps(r, separators=(",", ":")) for r in rows))
+    sys.stdout.write("\n]}\n")
+
+
+if __name__ == "__main__":
+    main()
