@@ -63,9 +63,18 @@ class PairedSample:
         return self._sorted_cache["xy"]
 
 
+def _finite_sorted_columns(s: PairedSample) -> tuple[np.ndarray, np.ndarray]:
+    """``s.sorted_columns()``; ValueError on NaN or +-inf, which a sort puts at the ends."""
+    cols = s.sorted_columns()
+    for name, col in zip("xy", cols):
+        if not (math.isfinite(col[0]) and math.isfinite(col[-1])):
+            raise ValueError(f"{name} column holds a non-finite value")
+    return cols
+
+
 def empirical_cost(s: PairedSample, c: Cost) -> float:
-    """Mean cost across matched order statistics: (1/n) sum c(x_(i), y_(i))."""
-    xs, ys = s.sorted_columns()
+    """Mean cost across matched order statistics: (1/n) sum c(x_(i), y_(i)); finite columns only."""
+    xs, ys = _finite_sorted_columns(s)
     return float(np.mean(c.evaluate(xs, ys)))
 
 
@@ -76,13 +85,14 @@ def trimmed_empirical_cost(s: PairedSample, c: Cost, eps: float) -> float:
     cells ((i-1)/n, i/n]; each cell's value is weighted by the length of its
     overlap with the window.  eps = 0 reproduces ``empirical_cost`` bit for
     bit.  Note the result is a window integral, not a window average, so it
-    is nonincreasing in eps for nonnegative costs.
+    is nonincreasing in eps for nonnegative costs.  Raises ValueError when a
+    column holds NaN or +-inf.
     """
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"trim level must lie in [0, 1/2), got {eps}")
     if eps == 0.0:
         return empirical_cost(s, c)
-    xs, ys = s.sorted_columns()
+    xs, ys = _finite_sorted_columns(s)
     n = s.n
     edges = np.arange(n + 1) / n
     lo = np.clip(edges[:-1], eps, 1.0 - eps)

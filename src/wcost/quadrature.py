@@ -424,28 +424,6 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
     return value, est_error, diagnostics
 
 
-def _legendre_series(coef, rows, x):
-    """sum_j coef[rows, j] P_j(x) by the three-term recurrence (one gather per degree).
-
-    Each degree's coefficients are gathered with ``take`` from one
-    degree-major copy of ``coef``: a contiguous row is cheaper to gather from
-    than a strided column, and the operands, hence the sums, are the same.
-    """
-    by_degree = np.ascontiguousarray(coef.T)
-    prev, cur = np.ones_like(x), x.copy()
-    total = by_degree[0].take(rows) + by_degree[1].take(rows) * x
-    nxt = np.empty_like(x)
-    for j in range(1, coef.shape[-1] - 1):
-        # P_{j+1} = ((2j + 1) x P_j - j P_{j-1}) / (j + 1), without temporaries
-        np.multiply(x, cur, out=nxt)
-        nxt *= (2 * j + 1) / (j + 1)
-        prev *= j / (j + 1)
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-        total += by_degree[j + 1].take(rows) * cur
-    return total
-
-
 class CumulativeMesh:
     """Running integrals Q_i(t) = -int_{1/2}^t p_i of a vector integrand on (0, 1).
 
@@ -542,10 +520,3 @@ class CumulativeMesh:
         right, right_res = _tail_limit(strips[self.levels:], floor,
                                        f"{what}: upper endpoint of (0,1)")
         return base + left + right, left_res + right_res
-
-    def at(self, i: int, t) -> np.ndarray:
-        """Q_i at arbitrary points, each clamped into the meshed range."""
-        t = np.clip(t, self.breaks[0], self.breaks[-1])
-        k = np.clip(np.searchsorted(self.breaks, t, side="right") - 1, 0, self.panels - 1)
-        coef = self.p[i] @ _ANTI_FIT.T
-        return self.q_lo[i, k] - self.half[k] * _legendre_series(coef, k, (t - self.mid[k]) / self.half[k])

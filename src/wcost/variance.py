@@ -13,8 +13,10 @@ Q_y likewise, with h_X = f o F^{-1}, h_Y = g o G^{-1} the quantile densities and
 Gauss--Kronrod sums on one graded mesh (``quadrature.CumulativeMesh``), after a
 cheap one-dimensional guard that checks the paper's tail hypothesis from the
 tail growth of the cost slope against each quantile density; only the covariance
-of Q_x and Q_y depends on the coupling.  ``sigma2_one_sample`` and the trimmed
-``sigma2_window`` use the same route.
+of Q_x and Q_y depends on the coupling.  Under a Gaussian copula that covariance
+is Mehler's series sum_k r^k alpha_k beta_k in the Hermite coefficients of Q_x
+and Q_y, which are panel sums on the same mesh.  ``sigma2_one_sample`` and the
+trimmed ``sigma2_window`` use the same route.
 Closed forms cover location-scale families and Gaussian marginals.
 ``plug_in_sigma2`` estimates the untrimmed variance from one paired sample
 alone, as the sample variance of the empirical influence values: the same Q_x
@@ -30,7 +32,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .assumptions import heavier_right
 from .costs import Cost, QuantileCost
@@ -39,8 +41,8 @@ from .distributions import Distribution, Gaussian, reflect
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
 from .estimate import PairedSample
-from .quadrature import (_INNER_TIGHTENING, _NODES, CumulativeMesh, QuadratureConfig,
-                         _tolerance, integrate_open01)
+from .quadrature import (_INNER_TIGHTENING, _NODES, _W_DIFF, _W_KRONROD, CumulativeMesh,
+                         QuadratureConfig, _tail_limit, _tolerance, integrate_open01)
 
 __all__ = [
     "DEFAULT_VARIANCE_CONFIG",
@@ -79,65 +81,16 @@ _CLAMP_LIMIT = 1e-8
 #: A guard integral that reaches it has overflowed and fails the gate.
 _GUARD_CEILING = 1e300
 
-#: Node count and normal-score cut of the Gaussian-copula inner integral.  Near
-#: r = +-1 the variance is a small difference of large terms; there 48 nodes
-#: miss it by about 1e-12 relative, 24 by more than its tolerance.  The rules
-#: are tabulated below: a new order needs new tables.
-_INNER_ORDER = 48
-_Z_CUT = 9.0
-_PANEL_BLOCK = 16
-
-# The inner rules as scipy.special.roots_hermitenorm(48) and roots_legendre(48)
-# return them (scipy 1.17.1): the non-negative nodes, ascending, and their
-# weights, in float hex.  scipy returns both rules exactly symmetric, so the
-# mirrored halves equal its output bit for bit.  They are tabulated because
-# scipy computes them with scipy.linalg, an import of about 65 ms and 6 MB;
-# numpy's hermegauss / leggauss weights differ from scipy's by up to ~1300 ulp,
-# which would move sigma2 in its last bits.
-_HERMITE_NODES = """
-    0x1.cdf0dddea679ap-3 0x1.5a93b43a58422p-1 0x1.210463c364b44p+0 0x1.950da2d47302bp+0
-    0x1.04c34ea5c9306p+1 0x1.3f48fb780231cp+1 0x1.7a2a42b1c7f3dp+1 0x1.b57aff0c6c2adp+1
-    0x1.f150e4432c914p+1 0x1.16e200af886eep+2 0x1.3577b31b3ac78p+2 0x1.5478fd57cc5fdp+2
-    0x1.73f7cecbe239bp+2 0x1.94095665785c2p+2 0x1.b4c716554d429p+2 0x1.d6507467fef3ep+2
-    0x1.f8cd156e402d1p+2 0x1.0e384a3530977p+3 0x1.20c059b78fd4cp+3 0x1.3430372e1ebe2p+3
-    0x1.48d2e002762b3p+3 0x1.5f25480d3f65ap+3 0x1.781a09b7963d2p+3 0x1.962d2829d1392p+3
-"""
-_HERMITE_WEIGHTS = """
-    0x1.c260aa6601ecdp-2 0x1.6fc68da061686p-2 0x1.ea11891e5a807p-3 0x1.09f21ea23845ep-3
-    0x1.d4f777cf6e5cap-5 0x1.4eb255c33ec0dp-6 0x1.80e88bfcf7e57p-8 0x1.628f9fa0b22eap-10
-    0x1.03bb7e5dcee00p-12 0x1.2bf990ab624bap-15 0x1.0e3902312d452p-18 0x1.76ddad9502f7fp-22
-    0x1.8a34c2ed64184p-26 0x1.34492ee7d52f2p-30 0x1.5e35d87a374afp-35 0x1.1883a4f6d7107p-40
-    0x1.3119b85d50bebp-46 0x1.acde189fb308bp-53 0x1.6c6614e8e1e2ap-60 0x1.54b1ea99b76fap-68
-    0x1.306fc324a5c5dp-77 0x1.9ce4513ec90eep-88 0x1.12a82d4a8cfb7p-100 0x1.dd5ae7ecf5c93p-117
-"""
-_LEGENDRE_NODES = """
-    0x1.094223ea61974p-5 0x1.8d54ccaa9b7b4p-4 0x1.4a2ef25599832p-3 0x1.cc50f5488fbeep-3
-    0x1.26425a1527d42p-2 0x1.65204357a638ap-2 0x1.a27eb589dea3bp-2 0x1.de1bcb894046ap-2
-    0x1.0bdbc159f3714p-1 0x1.2789ffd1f24a0p-1 0x1.41fae84d5a002p-1 0x1.5b1216aac49a1p-1
-    0x1.72b49a0302d9ap-1 0x1.88c91196f8e2dp-1 0x1.9d37c81006d1dp-1 0x1.afeaccf5eeb9ep-1
-    0x1.c0ce0c3f55453p-1 0x1.cfcf63e4a4e84p-1 0x1.dcdeb7610754ap-1 0x1.e7ee011520dfap-1
-    0x1.f0f1619784730p-1 0x1.f7df2d6c8eed7p-1 0x1.fcaffc9af24a4p-1 0x1.ff5ee9d8af2e2p-1
-"""
-_LEGENDRE_WEIGHTS = """
-    0x1.092a652a0fbacp-4 0x1.080dac3f37257p-4 0x1.05d56c2248c39p-4 0x1.028406fc86d2bp-4
-    0x1.fc3a19b11a28cp-5 0x1.f14a6f9e10abap-5 0x1.e444cde6d0000p-5 0x1.d537300bfd4b4p-5
-    0x1.c431bfe4b31a2p-5 0x1.b146c443c7e2ap-5 0x1.9c8a8d586186cp-5 0x1.86135edf0aa11p-5
-    0x1.6df9583af718dp-5 0x1.54565a91a8414p-5 0x1.3945ed05d7d85p-5 0x1.1ce51f31f702dp-5
-    0x1.fea4d40fed1f0p-6 0x1.c15b1e8f699a2p-6 0x1.822eefbc97568p-6 0x1.416423e8cba4fp-6
-    0x1.fe80c5c315a25p-7 0x1.781605954a54ep-7 0x1.e037f45d9bab5p-8 0x1.9d50bc55d4c98p-9
-"""
-
-
-def _mirrored(nodes: str, weights: str) -> tuple[np.ndarray, np.ndarray]:
-    """The whole symmetric rule, ascending, from its non-negative half in float hex."""
-    x = np.array([float.fromhex(h) for h in nodes.split()])
-    w = np.array([float.fromhex(h) for h in weights.split()])
-    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
-
-
-_HERMITE_X, _HERMITE_W = _mirrored(_HERMITE_NODES, _HERMITE_WEIGHTS)
-_HERMITE_W = _HERMITE_W / math.sqrt(2.0 * math.pi)  # against the standard normal density
-_LEGENDRE_X, _LEGENDRE_W = _mirrored(_LEGENDRE_NODES, _LEGENDRE_WEIGHTS)
+#: Most terms the Mehler series of a Gaussian copula's cross term may take.
+#: Its truncation bound shrinks like |r|^K, and the kinks of a window leave
+#: coefficients that decay like a power of k, so a window at |r| near 1 needs
+#: the most: about 9000 terms at r = 0.9999.
+_SERIES_CAP = 20000
+#: The share of the tolerance that the series' truncation bound may take.
+_SERIES_SHARE = 0.25
+#: Terms in the series' first block, and the most in any block; each block
+#: after the first has twice as many as the last.
+_SERIES_BLOCKS = (16, 512)
 
 #: Relative size, against |Q_x| + |Q_y|, below which Q_x + Q_y is taken as an
 #: exact cancellation (a pair that moves in lockstep) rather than a variance to
@@ -382,130 +335,213 @@ def _clamped(total: float, err: float, what: str) -> tuple[float, float, float]:
 # --- influence functions -------------------------------------------------------
 
 
-def _moments(mesh: CumulativeMesh, Z, q: QuadratureConfig, what: str):
-    """One-sided moments of Z(U) for U uniform on (0, 1), from node values on ``mesh``.
+def _var_term(mesh: CumulativeMesh, X, e, q: QuadratureConfig, what: str):
+    """Var X(U) for U uniform on (0, 1), from node values on ``mesh``.
 
-    Returns (integral over (0, 1), its extrapolation residual, per-panel
-    Kronrod-minus-Gauss gaps, integral of |Z| over the meshed range).
+    ``e`` holds the per-panel slope-integral discrepancies; a panel's share of
+    the bound is its own Kronrod-minus-Gauss gaps plus its discrepancy times
+    the sensitivity of the variance to a uniform shift of X, since an error in
+    one panel's sum shifts the influence function everywhere beyond it (added
+    once per factor of X * X).  Returns (variance, per-panel error shares,
+    extrapolation residual).
     """
-    sz, dz = mesh.panel_sums(Z)
-    iz, rz = mesh.open_integral(sz, q, what)
-    return iz, rz, dz, float(np.sum(mesh.panel_sums(np.abs(Z))[0]))
-
-
-def _cov_term(mesh: CumulativeMesh, X, Y, ex, ey, q: QuadratureConfig, what: str, mx=None):
-    """Cov(X(U), Y(U)) for U uniform on (0, 1), from node values on ``mesh``.
-
-    ``ex``/``ey`` are per-panel slope-integral discrepancies; a panel's share
-    of the bound is its own Kronrod-minus-Gauss gaps plus its discrepancy times
-    the sensitivity of the covariance to a uniform shift of X or Y, since an
-    error in one panel's sum shifts the influence function everywhere beyond it.
-    A variance passes the same object as ``X`` and ``Y``, and its one-sided
-    moments are computed once; ``mx`` passes in X's ``_moments`` when another
-    term has measured them on the same mesh.  Returns (covariance, per-panel
-    error shares, extrapolation residual, X's moments).
-    """
-    sxy, dxy = mesh.panel_sums(X * Y)
-    ixy, rxy = mesh.open_integral(sxy, q, what)
-    if mx is None:
-        mx = _moments(mesh, X, q, what)
-    ix, rx, dx, ax = mx
-    iy, ry, dy, ay = mx if Y is X else _moments(mesh, Y, q, what)
-    shares = (dxy + abs(iy) * dx + abs(ix) * dy
-              + ex * (ay + abs(iy)) + ey * (ax + abs(ix)))
-    return ixy - ix * iy, shares, rxy + abs(iy) * rx + abs(ix) * ry, mx
-
-
-def _conditional_means(mesh: CumulativeMesh, r: float, i: int):
-    """E[Q_i(V) | U = u] at the nodes under the Gaussian copula, twice, and the work it took.
-
-    V = Phi(r Z_1 + s Z_2), s = sqrt(1 - r^2), with U = Phi(Z_1).  Q_i is known
-    on the meshed range, so V is clamped into it; the second mean clamps one
-    truncation level coarser, so that its difference from the first gauges
-    what the clamp leaves out.  Without a window, z_2 -> Q_i(V) bends only at
-    those clamps, far out in the tails, and Gauss--Hermite takes the whole
-    line.  Q_i is constant outside a window, which puts kinks in the bulk, so
-    there the integral splits at them: the constant pieces are normal
-    probabilities and the middle takes Gauss--Legendre (cut at |z_2| = _Z_CUT).
-    Both rules have _INNER_ORDER nodes and come from the module's tables, so
-    no call computes them.  The inner rule's own error is not part of
-    ``est_error``.  Panels go in blocks to keep the inner points small.
-
-    Without a window, Q_i is read only at inner points inside the wider clamp:
-    both clamps overwrite every other point.  A NaN point fails both clamp
-    tests, so it is read and propagates.  Returns the two means and the number
-    of inner points at which Q_i was read.
-    """
-    s = math.sqrt(1.0 - r * r)
-    windowed = mesh.window != (0.0, 1.0)
-    clamps = [(max(mesh.window[0], eps), min(mesh.window[1], 1.0 - eps)) for eps in mesh.cuts[:2]]
-    ends = [mesh.at(i, np.array(clamp)) for clamp in clamps]
-    x, w = (_LEGENDRE_X, _LEGENDRE_W) if windowed else (_HERMITE_X, _HERMITE_W)
-    means = np.empty((len(clamps), mesh.panels, _NODES.size))
-    evaluated = 0
-    for start in range(0, mesh.panels, _PANEL_BLOCK):
-        block = slice(start, start + _PANEL_BLOCK)
-        z1 = ndtri(mesh.mid[block, None] + mesh.half[block, None] * _NODES)
-        if not windowed:
-            v = ndtr(r * z1[..., None] + s * x)
-            lo, hi = clamps[0]
-            live = ~((v < lo) | (v > hi))
-            qv = np.zeros_like(v)
-            qv[live] = mesh.at(i, v[live])
-            evaluated += int(np.count_nonzero(live))
-            for k, ((lo, hi), (q_lo, q_hi)) in enumerate(zip(clamps, ends)):
-                means[k, block] = np.where(v < lo, q_lo, np.where(v > hi, q_hi, qv)) @ w
-            continue
-        for k, ((lo, hi), (q_lo, q_hi)) in enumerate(zip(clamps, ends)):
-            if k and clamps[k] == clamps[0]:  # the window lies inside both clamps
-                means[k, block] = means[0, block]
-                continue
-            a, b = (ndtri(lo) - r * z1) / s, (ndtri(hi) - r * z1) / s
-            ca, cb = np.clip(a, -_Z_CUT, _Z_CUT), np.clip(b, -_Z_CUT, _Z_CUT)
-            z2 = 0.5 * (ca + cb)[..., None] + 0.5 * (cb - ca)[..., None] * x
-            v = np.clip(ndtr(r * z1[..., None] + s * z2), lo, hi)
-            middle = (mesh.at(i, v) * np.exp(-0.5 * z2 * z2)) @ w
-            evaluated += v.size
-            means[k, block] = (q_lo * ndtr(a) + q_hi * ndtr(-b)
-                               + middle * (0.5 * (cb - ca)) / math.sqrt(2.0 * math.pi))
-    return means[0], means[1], evaluated
+    s2, d2 = mesh.panel_sums(X * X)
+    i2, r2 = mesh.open_integral(s2, q, what)
+    s1, d1 = mesh.panel_sums(X)
+    i1, r1 = mesh.open_integral(s1, q, what)
+    a1 = float(np.sum(mesh.panel_sums(np.abs(X))[0]))
+    shares = (d2 + abs(i1) * d1 + abs(i1) * d1
+              + e * (a1 + abs(i1)) + e * (a1 + abs(i1)))
+    return i2 - i1 * i1, shares, r2 + abs(i1) * r1 + abs(i1) * r1
 
 
 def _influence_terms(mesh: CumulativeMesh, cp: Coupling | None, q: QuadratureConfig):
-    """The covariances whose weighted sum is the variance, but a Gaussian copula's cross term.
+    """The variances whose weighted sum is sigma^2, but a Gaussian copula's cross term.
 
-    Returns [(name, weight, covariance, per-panel error shares, residual)]
-    and, for two influence functions, the one-sided moments of Q_x that the
-    cross term (``_cross_term``) takes from the ``x`` term; None for one.
+    Returns [(name, weight, variance, per-panel error shares, residual)].
     """
     Q, ep = mesh.Q, mesh.ep
     if cp is None or isinstance(cp, (Comonotone, Countermonotone)):
         # one influence function: Q_x + Q_y, the y part reflected for countermonotone
         S, es = Q.sum(axis=0), ep.sum(axis=0)
         name = "x+y" if Q.shape[0] == 2 else "x"
-        return [(name, 1.0, *_cov_term(mesh, S, S, es, es, q, "influence")[:3])], None
+        return [(name, 1.0, *_var_term(mesh, S, es, q, "influence"))]
     if not isinstance(cp, (Independent, GaussianCopula)):
         raise TypeError(f"no influence-function variance for coupling {cp!r}")
-    x, y = (_cov_term(mesh, X, X, e, e, q, f"influence {name}")
-            for name, X, e in zip(("x", "y"), Q, ep))
-    return [("x", 1.0, *x[:3]), ("y", 1.0, *y[:3])], x[3]
+    return [(name, 1.0, *_var_term(mesh, X, e, q, f"influence {name}"))
+            for name, X, e in zip(("x", "y"), Q, ep)]
 
 
-def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, mx):
-    """A Gaussian copula's cross term 2 Cov(Q_x(U), Q_y(V)), as an entry of ``_influence_terms``.
+def _hermite_blocks(z):
+    """The normalized Hermite polynomials h_0, h_1, ... at the points ``z``, in blocks.
 
-    ``mx`` holds the one-sided moments of Q_x that the ``x`` term measured on
-    the same mesh.  Returns the term and the number of inner points at which
-    it read Q_y.
+    Yields (k, H) with H[j] = h_{k[j] - 1}(z), from the three-term recurrence
+    h_m = (z h_{m-1} - sqrt(m - 1) h_{m-2}) / sqrt(m).  The first block has
+    ``_SERIES_BLOCKS[0]`` rows and each later one twice as many as the last,
+    up to ``_SERIES_BLOCKS[1]``.
     """
-    Q, ep = mesh.Q, mesh.ep
-    g, h, evaluated = _conditional_means(mesh, r, 1)
-    cov, shares, residual, _ = _cov_term(mesh, Q[0], g, ep[0], ep[1], q, "influence cross", mx)
-    # Clamping V one truncation level coarser at least doubles what the
-    # clamp misses when its strips shrink by 2/3 or faster, so twice the
-    # change bounds the rest.
-    residual += 2.0 * abs(float(np.sum(mesh.panel_sums(Q[0] * (g - h))[0])))
-    return ("cross", 2.0, cov, shares, residual), evaluated
+    size, largest = _SERIES_BLOCKS
+    before = last = np.zeros_like(z)
+    m = 0  # the order of the next row
+    while True:
+        H = np.empty((size,) + z.shape)
+        for row in H:
+            if m == 0:
+                row[...] = 1.0
+            else:
+                np.multiply(z, last, out=row)
+                row -= math.sqrt(m - 1) * before
+                row *= 1.0 / math.sqrt(m)
+            before, last, m = last, row, m + 1
+        yield np.arange(m - size + 1, m + 1), H
+        size = min(2 * size, largest)
+
+
+def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, x, y):
+    """A Gaussian copula's cross term 2 Cov(Q_x(U), Q_y(V)) by Mehler's formula.
+
+    With U = Phi(Z_1), V = Phi(r Z_1 + s Z_2) the covariance is
+    sum_k r^k alpha_k beta_k over the Hermite coefficients
+    alpha_k = E[Q_x(Phi(Z)) h_k(Z)] of Q_x and beta_k of Q_y.  As
+    h_k phi = -(h_{k-1} phi)' / sqrt(k), integration by parts gives
+    alpha_k = -int p_x phi(z) h_{k-1}(z) du / sqrt(k), z = Phi^{-1}(u): a panel
+    sum of the slopes times phi at the nodes' scores, against h_{k-1} from
+    ``_hermite_blocks``, for a block of k at a time.  The slopes vanish
+    beyond the meshed range and outside a window, so these are the
+    coefficients of Q_x held constant there, and panels outside a window are
+    skipped.  ``x`` and ``y`` are the variance terms on the same mesh.
+
+    Clamping does not increase a variance, so with R_x = Var Q_x + its error
+    - sum_{k <= K} alpha_k^2 the rest of the series is at most
+    |r|^{K+1} sqrt(R_x R_y).  That shrinks slowly as r -> 1, where sigma^2 may
+    be tiny, so for r > 0, once the first block of terms has not met the
+    tolerance, the series is also read as
+    sigma^2 = Var(Q_x + Q_y) + 2 sum_k (r^k - 1) alpha_k beta_k: as
+    1 - r^k <= k (1 - r) and sum_k k alpha_k^2 = int p_x^2 phi^2 du, its rest
+    is at most 2 (1 - r) sqrt(D_x D_y), D_x being that integral (plus its
+    error) less sum_{k <= K} k alpha_k^2.  Terms are added until the smaller
+    bound meets its share of the tolerance, or until what a form has left of
+    its sums lies within their error; more than ``_SERIES_CAP`` terms raise.
+    A panel's error share is its gap in each coefficient times |r^k| (or
+    |r^k - 1|) and the other coefficient.  The same sums, taken with Q_x and
+    Q_y held constant beyond each strip of one tail, are extrapolated past
+    the meshed range by ``_unclamped``.  Returns the form with the smaller
+    error estimate, as an entry of ``_influence_terms``, and its diagnostics.
+    """
+    z = ndtri(mesh.mid[:, None] + mesh.half[:, None] * _NODES)
+    weighted = mesh.p * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+    live = np.flatnonzero(np.any(weighted != 0.0, axis=(0, 2)))
+    w = weighted[:, live] * mesh.half[live, None]
+    # per node: the Kronrod weights of alpha and beta, then the Kronrod-minus-Gauss ones
+    rule = np.stack((w[0] * _W_KRONROD, w[1] * _W_KRONROD, w[0] * _W_DIFF, w[1] * _W_DIFF), -1)
+    # column j holds Q_x and Q_y constant beyond the j-th strip of the lower
+    # tail, column levels + 1 + j beyond that of the upper tail
+    strip, levels = mesh.strip[live, None], mesh.levels
+    depth = np.arange(levels + 1)
+    clamps = np.concatenate(((strip <= depth) | (strip > levels), strip <= levels + depth), 1)
+    (vx, ex), (vy, ey) = ((cov, float(np.sum(sh)) + res) for _, _, cov, sh, res in (x, y))
+    # per form, r^k and (r > 0) r^k - 1: the sum, its clamped sums and the per-panel shares
+    forms = [[0.0, np.zeros(clamps.shape[1]), np.zeros(live.size)]]
+    seen = np.zeros(4)  # sum_k alpha_k^2, beta_k^2, k alpha_k^2, k beta_k^2 so far
+    one = None
+    blocks = _hermite_blocks(z[live])
+    k, H = next(blocks)
+    while True:
+        res = np.matmul(H.transpose(1, 0, 2), rule).transpose(1, 2, 0)
+        scale = (1.0 / np.sqrt(k))[:, None, None]
+        sums, gaps = -scale * res[:, :2], scale * np.abs(res[:, 2:])
+        clamped = sums @ clamps
+        a, b = clamped[:, 0, -1], clamped[:, 1, -1]
+        squares = seen + np.cumsum(np.stack((a * a, b * b, k * a * a, k * b * b), 1), axis=0)
+        rk = r ** k
+        weights = (rk, rk - 1.0)[:len(forms)]
+        running = [form[0] + np.cumsum(wk * a * b) for form, wk in zip(forms, weights)]
+        tx, ty = vx - squares[:, 0], vy - squares[:, 1]
+        bounds = [np.abs(rk * r) * np.sqrt(np.maximum(tx + ex, 0.0) * np.maximum(ty + ey, 0.0))]
+        done = (tx <= ex) & (ty <= ey)
+        value = vx + vy + 2.0 * running[0]
+        if one:
+            rx, ry = d[0] - squares[:, 2], d[1] - squares[:, 3]
+            bounds.append((1.0 - r) * np.sqrt(np.maximum(rx + d[2], 0.0)
+                                              * np.maximum(ry + d[3], 0.0)))
+            done |= (rx <= d[2]) & (ry <= d[3])
+            value = np.where(bounds[0] <= bounds[1], value, one[0] + 2.0 * running[1])
+        tight = np.minimum.reduce(bounds)
+        stop = (done | ~(2.0 * tight > _SERIES_SHARE * np.maximum(
+            q.abs_tol, q.rel_tol * np.abs(value)))) & (k <= _SERIES_CAP)
+        if k[0] == 1 and r > 0.0 and one is None and not stop.any():
+            try:
+                one = _var_term(mesh, mesh.Q.sum(axis=0), mesh.ep.sum(axis=0), q,
+                                "influence x+y")
+            except NonconvergenceError:
+                one = False  # the tails of Q_x + Q_y do not resolve: the r^k form stands
+            else:
+                d_sums, d_gaps = mesh.panel_sums(weighted * weighted)
+                d = d_sums.sum(axis=1).tolist() + d_gaps.sum(axis=1).tolist()
+                forms.append([0.0, np.zeros(clamps.shape[1]), np.zeros(live.size)])
+                continue  # read the first block again, in both forms
+        n = int(np.argmax(stop)) + 1 if stop.any() else k.size
+        for form, wk, total in zip(forms, weights, running):
+            form[0] = float(total[n - 1])
+            form[1] = form[1] + wk[:n] @ (clamped[:n, 0] * clamped[:n, 1])
+            form[2] = (form[2] + np.abs(wk[:n] * b[:n]) @ gaps[:n, 0]
+                       + np.abs(wk[:n] * a[:n]) @ gaps[:n, 1])
+        seen = squares[n - 1]
+        if stop.any():
+            break
+        if k[-1] >= _SERIES_CAP:
+            raise NonconvergenceError(
+                f"influence cross: series truncation bound "
+                f"{2.0 * tight[_SERIES_CAP - k[0]]:.3e} still exceeds its share of the "
+                f"tolerance after {_SERIES_CAP} terms (r = {r})")
+        k, H = next(blocks)
+    bound = [float(b[n - 1]) for b in bounds]
+    # (covariance, extrapolation residual, per-panel shares, truncation bound) of each form
+    floor = 0.01 * _tolerance(q, float(value[n - 1]))
+    found = [(*_unclamped(mesh, forms[0], floor), _on_panels(mesh, live, forms[0][2]), bound[0])]
+    if one:
+        # Var(Q_x + Q_y) enters sigma^2 once, so half of it, and of its error, here
+        series, rest = _unclamped(mesh, forms[1], floor)
+        found.append((0.5 * (one[0] - vx - vy) + series, 0.5 * one[2] + rest,
+                      _on_panels(mesh, live, forms[1][2]) + 0.5 * one[1], bound[1]))
+    cov, residual, shares, bound = min(found, key=lambda f: f[1] + f[3] + float(np.sum(f[2])))
+    return (("cross", 2.0, cov, shares, residual + bound),
+            {"series_terms": int(k[n - 1]), "truncation_bound": 2.0 * bound})
+
+
+def _unclamped(mesh: CumulativeMesh, form, floor: float) -> tuple[float, float]:
+    """A series sum with Q_x and Q_y continued beyond the meshed range.
+
+    ``form`` holds the sum and its sums with Q_x and Q_y held constant beyond
+    each strip of one tail.  As the clamp moves a strip deeper those sums
+    shrink geometrically toward the unclamped sum, so each tail's changes are
+    accelerated to their limit as in ``CumulativeMesh.open_integral``; changes
+    within ``floor`` count as converged.  Left at the last strip instead, a
+    tail misses at most twice its last change when its changes shrink by 2/3
+    or faster, and that gauge also stands where they do not shrink
+    geometrically (they may change sign where the coefficients' deep-strip
+    parts cancel).  Each tail takes the reading with the smaller residual.
+    Returns (the sum, the residual).
+    """
+    total, residual, clamped = form[0], 0.0, form[1].tolist()
+    for sums in (clamped[:mesh.levels + 1], clamped[mesh.levels + 1:]):
+        steps = [after - before for before, after in zip(sums, sums[1:])]
+        readings = [(0.0, 2.0 * abs(steps[-1]))]
+        try:
+            tail, res = _tail_limit(steps, floor, "influence cross")
+            readings.append((tail - math.fsum(steps), res))
+        except NonconvergenceError:
+            pass  # the gauge stands
+        rest, res = min(readings, key=lambda reading: reading[1])
+        total, residual = total + rest, residual + res
+    return total, residual
+
+
+def _on_panels(mesh: CumulativeMesh, live, values):
+    """Per-panel values given on the panels ``live``, zero elsewhere."""
+    out = np.zeros(mesh.panels)
+    out[live] = values
+    return out
 
 
 def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
@@ -516,7 +552,7 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
     single influence function; two rows, x then y, otherwise).  The mesh is
     bisected where the error shares concentrate until they total at most the
     tolerance over the inner tightening, or the panel budget is spent; a
-    Gaussian copula's cross term, the costly one, joins once the others meet it.
+    Gaussian copula's cross term joins once the others meet it.
     Returns (value, est_error, per-term diagnostics) before clamping; raises
     NonconvergenceError when the error bound misses the tolerance.
     """
@@ -524,19 +560,18 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
     # does: tails like powers of log(1/u) need the longer strip sequence.
     levels = max(q.extrapolation_levels, 12)
     mesh = CumulativeMesh(f, replace(q, extrapolation_levels=levels), window)
-    inner_evaluations = 0
-    kept = None  # (panel count, terms, Q_x moments) of the last measurement
+    kept = None  # (panel count, terms) of the last measurement
+    series = {}
 
     def measure(mesh, cross):
-        nonlocal inner_evaluations, kept
+        nonlocal kept, series
         # A split always adds panels, so the first cross round, on the mesh
         # that the last round without it measured, reuses that round's terms.
         if kept is None or kept[0] != mesh.panels:
-            kept = (mesh.panels, *_influence_terms(mesh, cp, q))
-        _, terms, mx = kept
+            kept = (mesh.panels, _influence_terms(mesh, cp, q))
+        terms = kept[1]
         if cross:
-            term, evaluated = _cross_term(mesh, cp.r, q, mx)
-            inner_evaluations += evaluated
+            term, series = _cross_term(mesh, cp.r, q, *terms)
             terms = terms + [term]
         return (math.fsum(weight * cov for _, weight, cov, _, _ in terms),
                 sum(weight * sh for _, weight, _, sh, _ in terms), terms)
@@ -562,7 +597,7 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
                    "extrapolation_residual": weight * res, **common}
             for name, weight, cov, sh, res in terms}
     if "cross" in diag:
-        diag["cross"]["inner_evaluations"] = inner_evaluations
+        diag["cross"].update(series)
     return value, err, diag
 
 
@@ -586,16 +621,18 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     double integral of ``variance_kernel`` but needs only one-dimensional
     quadrature: independent pairs add Var Q_x and Var Q_y, the Frechet
     extremes take the variance of Q_x(u) + Q_y(u) or Q_x(u) + Q_y(1 - u), and
-    the Gaussian copula adds twice the covariance, a normal-score integral
-    with a Gauss--Hermite inner rule.  ``est_error`` sums the Kronrod-minus-
-    Gauss gaps, their propagation through the running sums and the
-    extrapolation residual of each tail.  When Q_x + Q_y cancels to rounding
+    the Gaussian copula adds twice the covariance, summed as Mehler's series
+    in the Hermite coefficients of Q_x and Q_y.  ``est_error`` sums the
+    Kronrod-minus-Gauss gaps, their propagation through the running sums, the
+    extrapolation residual of each tail (the series' tails too) and, for the
+    Gaussian copula, the series' truncation bound.  When Q_x + Q_y cancels to rounding
     (a pair that moves in lockstep) the value is exactly 0.0.
 
     Raises HypothesisGateError (a NonconvergenceError) when the tail guard
     finds the paper's tail hypothesis false, NonconvergenceError when the
-    quadrature misses its tolerance, and UnsupportedCostError for costs
-    without the gradient and radial-slope machinery.
+    quadrature misses its tolerance (a Mehler series that needs more than
+    ``_SERIES_CAP`` terms says "series truncation"), and UnsupportedCostError
+    for costs without the gradient and radial-slope machinery.
     """
     if q is None:
         q = DEFAULT_VARIANCE_CONFIG
@@ -753,7 +790,8 @@ def plug_in_sigma2(s: PairedSample, c: Cost, eps: float = 0.0) -> VarianceResult
     The value is an exact function of the sample, so ``est_error`` is 0.0; its
     sampling error is not included, use replicate spread for that.  Tied values
     share one Q-hat value, so the value does not depend on how ties are ordered
-    and any sort order gives it.  Raises DegenerateSampleError on a constant column.
+    and any sort order gives it.  Raises DegenerateSampleError on a constant
+    column and ValueError on a column that holds NaN or +-inf.
     """
     n = s.n
     if n < 50:
@@ -762,7 +800,10 @@ def plug_in_sigma2(s: PairedSample, c: Cost, eps: float = 0.0) -> VarianceResult
         raise ValueError(f"eps must lie in [0, 0.5), got {eps}")
     xs, ys = s.xs, s.ys
     for name, col in (("x", xs), ("y", ys)):
-        if float(np.min(col)) == float(np.max(col)):
+        lo, hi = float(np.min(col)), float(np.max(col))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} column holds a non-finite value")
+        if lo == hi:
             raise DegenerateSampleError(
                 f"{name} column is constant; its quantile function has no spread")
     ox, oy = np.argsort(xs), np.argsort(ys)

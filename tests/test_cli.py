@@ -194,7 +194,8 @@ def test_variance_sign_changing_strips_exit_3_as_unresolved(capsys):
                QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8))
     assert not isinstance(info.value, HypothesisGateError)
     code, out, err = invoke(capsys, "variance", "gaussian(0,1)", "gaussian(1,2)",
-                            "logpower(0.5)", "gauss(-0.3)")
+                            "power(2)", "countermonotone", "--abs-tol", "1e-9",
+                            "--rel-tol", "1e-8")
     assert code == 3 and out == ""
     for message in (str(info.value), err):
         assert "strips change sign" in message

@@ -128,6 +128,26 @@ def test_trimmed_rejects_bad_eps(eps):
         trimmed_empirical_cost(s, P2, eps)
 
 
+def _with_non_finite(column, bad):
+    """Sixty pairs of a smooth sample with ``bad`` at position 17 of ``column``."""
+    xs, ys = np.linspace(-1.0, 1.0, 60), np.linspace(0.5, 3.0, 60) ** 2
+    (xs if column == "x" else ys)[17] = bad
+    return PairedSample(xs, ys)
+
+
+NON_FINITE = [(column, bad) for column in ("x", "y") for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("column, bad", NON_FINITE)
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_estimators_reject_non_finite_values(column, bad, eps):
+    s = _with_non_finite(column, bad)
+    with pytest.raises(ValueError, match=f"^{column} column holds a non-finite value"):
+        trimmed_empirical_cost(s, P2, eps)
+    with pytest.raises(ValueError, match=f"^{column} column holds a non-finite value"):
+        empirical_cost(s, P2)
+
+
 def test_empirical_quantile_worked_examples():
     col = [5.0, 1.0, 3.0]
     assert empirical_quantile(col, 0.5) == 3.0

@@ -12,7 +12,6 @@ from wcost.quadrature import (
     CumulativeMesh,
     QuadratureConfig,
     _gk15_panel_2d,
-    _legendre_series,
     _tail_limit,
     _tolerance,
     gk15_fixed,
@@ -248,16 +247,15 @@ def test_integrate_2d_matches_the_resumming_loop_bit_for_bit(cfg):
 
 def test_cumulative_mesh_builds_the_running_integral_from_one_half():
     # p = 1/phi(Phi^{-1}(u)) integrates to Q(t) = -Phi^{-1}(t), which the mesh
-    # reproduces at its nodes and, by interpolation, anywhere inside (to the
-    # resolution of doubles next to 1 - 4e-9, the deepest upper strip)
+    # reproduces at its nodes and at each panel's left end (to the resolution
+    # of doubles next to 1 - 4e-9, the deepest upper strip)
     p = lambda u: (math.sqrt(2.0 * math.pi) * np.exp(0.5 * special.ndtri(u) ** 2))[None]
     mesh = CumulativeMesh(p, LOOSE)
     for _ in range(2):
         mesh.split(np.ones(mesh.panels, dtype=bool))
     nodes = mesh.mid[:, None] + mesh.half[:, None] * _NODES
     assert np.allclose(mesh.Q[0], -special.ndtri(nodes), rtol=0, atol=2e-8)
-    u = mesh.mid[:, None] + mesh.half[:, None] * np.linspace(-1.0, 1.0, 11)
-    assert np.allclose(mesh.at(0, u), -special.ndtri(u), rtol=0, atol=2e-8)
+    assert np.allclose(mesh.q_lo[0], -special.ndtri(mesh.breaks[:-1]), rtol=0, atol=2e-8)
     # E[Q(U)^2] = 1 for U uniform, with both open ends extrapolated
     sums, _ = mesh.panel_sums(mesh.Q[0] ** 2)
     value, residual = mesh.open_integral(sums, LOOSE, "test")
@@ -267,37 +265,9 @@ def test_cumulative_mesh_builds_the_running_integral_from_one_half():
 
 def test_cumulative_mesh_holds_the_integral_constant_outside_a_window():
     mesh = CumulativeMesh(lambda u: np.ones((1, np.size(u))), LOOSE, window=(0.25, 0.75))
-    t = np.array([1e-5, 0.1, 0.25, 0.5, 0.6, 0.75, 0.9])
-    assert np.allclose(mesh.at(0, t), 0.5 - np.clip(t, 0.25, 0.75), rtol=0, atol=1e-14)
+    nodes = mesh.mid[:, None] + mesh.half[:, None] * _NODES
+    assert np.allclose(mesh.Q[0], 0.5 - np.clip(nodes, 0.25, 0.75), rtol=0, atol=1e-14)
     assert mesh.evaluations == 15 * int(np.sum((mesh.mid > 0.25) & (mesh.mid < 0.75)))
-
-
-def _legendre_series_by_column(coef, rows, x):
-    """The recurrence with one fancy-indexed column gather per degree."""
-    prev, cur = np.ones_like(x), x.copy()
-    total = coef[rows, 0] + coef[rows, 1] * x
-    nxt = np.empty_like(x)
-    for j in range(1, coef.shape[-1] - 1):
-        np.multiply(x, cur, out=nxt)
-        nxt *= (2 * j + 1) / (j + 1)
-        prev *= j / (j + 1)
-        nxt -= prev
-        prev, cur, nxt = cur, nxt, prev
-        total += coef[rows, j + 1] * cur
-    return total
-
-
-def test_legendre_series_matches_the_column_gather_and_legval():
-    rng = np.random.default_rng(7)
-    coef = rng.normal(size=(9, 16))
-    rows = rng.integers(0, coef.shape[0], size=(4, 15, 48))
-    x = rng.uniform(-1.0, 1.0, size=rows.shape)
-    total = _legendre_series(coef, rows, x)
-    assert np.array_equal(total, _legendre_series_by_column(coef, rows, x))
-    for panel, c in enumerate(coef):
-        mine = rows == panel
-        reference = np.polynomial.legendre.legval(x[mine], c)
-        assert np.allclose(total[mine], reference, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("strips", [

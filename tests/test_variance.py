@@ -1,11 +1,12 @@
 import json
 import math
+import os
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri, roots_hermitenorm, roots_legendre
+from scipy.special import ndtr, ndtri, roots_hermitenorm
 
 import wcost.variance as variance_module
 from wcost import parse_cost, parse_distribution
@@ -22,6 +23,7 @@ from wcost.errors import (DegenerateSampleError, HypothesisGateError, Nonconverg
                          UnsupportedCostError)
 from wcost.estimate import PairedSample, empirical_cost, exact_cost
 from wcost.quadrature import (
+    _ANTI_FIT,
     _NODES,
     CumulativeMesh,
     QuadratureConfig,
@@ -168,41 +170,40 @@ def test_gaussian_copula_closed_form(r_copula, target):
     assert rel(r.value, target) < 1e-3
 
 
-def test_inner_rules_equal_scipy_bit_for_bit():
-    # The Gaussian-copula cross term takes its rules from tables, so that no
-    # call loads scipy.linalg; they must be scipy's rules to the last bit.
-    # same_bits compares shapes too, so each table has _INNER_ORDER entries.
-    x, w = roots_hermitenorm(variance_module._INNER_ORDER)
-    assert same_bits(variance_module._HERMITE_X, x)
-    assert same_bits(variance_module._HERMITE_W, w / math.sqrt(2.0 * math.pi))
-    x, w = roots_legendre(variance_module._INNER_ORDER)
-    assert same_bits(variance_module._LEGENDRE_X, x)
-    assert same_bits(variance_module._LEGENDRE_W, w)
+# A 48-node Gauss--Hermite rule against the standard normal density: the
+# inner rule of the conditional means that the cross term took before the
+# Mehler series, kept here as a reference.
+_INNER_X, _INNER_W = roots_hermitenorm(48)
+_INNER_W = _INNER_W / math.sqrt(2.0 * math.pi)
 
 
 def _inner_mesh(G, eps=DEFAULT_VARIANCE_CONFIG.edge_epsilon):
     q = replace(DEFAULT_VARIANCE_CONFIG, edge_epsilon=eps, extrapolation_levels=12)
     slopes = variance_module._two_sample_slopes(Gaussian(0, 1), G, P2, GaussianCopula(0.5))
-    return CumulativeMesh(slopes, q)
+    mesh = CumulativeMesh(slopes, q)
+    for _ in range(2):
+        mesh.split(np.ones(mesh.panels, dtype=bool))
+    return mesh
+
+
+def _q_at(mesh, i, t):
+    """Q_i at points of the meshed range, from each panel's Legendre interpolant."""
+    k = np.clip(np.searchsorted(mesh.breaks, t, side="right") - 1, 0, mesh.panels - 1)
+    coef = np.moveaxis((mesh.p[i] @ _ANTI_FIT.T)[k], -1, 0)
+    x = (t - mesh.mid[k]) / mesh.half[k]
+    return mesh.q_lo[i, k] - mesh.half[k] * np.polynomial.legendre.legval(x, coef, tensor=False)
 
 
 def _conditional_means_reading_every_point(mesh, r, i):
-    """Q_i read at every inner point, then both clamps applied; also returns the points."""
+    """E[Q_i(V) | U] at the nodes, with Q_i read at every point of the inner rule.
+
+    V = Phi(r Z_1 + s Z_2) with U = Phi(Z_1), clamped into the meshed range,
+    where Q_i is held constant.
+    """
     s = math.sqrt(1.0 - r * r)
-    x, w = variance_module._HERMITE_X, variance_module._HERMITE_W
-    clamps = [(eps, 1.0 - eps) for eps in mesh.cuts[:2]]
-    means = np.empty((len(clamps), mesh.panels, _NODES.size))
-    points = []
-    for start in range(0, mesh.panels, variance_module._PANEL_BLOCK):
-        block = slice(start, start + variance_module._PANEL_BLOCK)
-        z1 = ndtri(mesh.mid[block, None] + mesh.half[block, None] * _NODES)
-        v = ndtr(r * z1[..., None] + s * x)
-        qv = mesh.at(i, v)
-        for k, (lo, hi) in enumerate(clamps):
-            q_lo, q_hi = mesh.at(i, np.array([lo, hi]))
-            means[k, block] = np.where(v < lo, q_lo, np.where(v > hi, q_hi, qv)) @ w
-        points.append(v.ravel())
-    return means[0], means[1], np.concatenate(points)
+    z1 = ndtri(mesh.mid[:, None] + mesh.half[:, None] * _NODES)
+    v = np.clip(ndtr(r * z1[..., None] + s * _INNER_X), mesh.cuts[0], 1.0 - mesh.cuts[0])
+    return _q_at(mesh, i, v) @ _INNER_W
 
 
 def _lower_clamp_on_an_inner_point(G):
@@ -211,7 +212,7 @@ def _lower_clamp_on_an_inner_point(G):
     At r = 0 the inner points are Phi of the Hermite nodes, whatever the
     mesh, and the widest clamp is edge_epsilon / 2^12 exactly.
     """
-    phi = ndtr(variance_module._HERMITE_X)
+    phi = ndtr(_INNER_X)
     target = float(phi[phi * 2.0 ** 12 < 1e-2].max())
     mesh = _inner_mesh(G, eps=target * 2.0 ** 12)
     assert mesh.cuts[0] == target
@@ -221,16 +222,27 @@ def _lower_clamp_on_an_inner_point(G):
 @pytest.mark.parametrize("G", [Gaussian(2, 1), Exponential(1.0)], ids=["gaussian", "exponential"])
 @pytest.mark.parametrize("r", [0.5, -0.3, 0.9, 0.999, -0.999, "edge"])
 def test_conditional_means_equal_reading_every_inner_point(G, r):
-    # Q_y is read only inside the widest clamp; the clamps overwrite the rest,
-    # so the means keep every bit
+    # The covariance of Q_x with the conditional means E[Q_y(V) | U] that read
+    # Q_y at every inner point equals the Mehler series' cross covariance on
+    # the same mesh, within the series' own error bound.  The reference holds
+    # Q_y constant beyond the meshed range, where the series extrapolates;
+    # for these light tails that part is far below both bounds
     mesh, r = _lower_clamp_on_an_inner_point(G) if r == "edge" else (_inner_mesh(G), r)
-    g, h, points = _conditional_means_reading_every_point(mesh, r, 1)
-    g_new, h_new, evaluated = variance_module._conditional_means(mesh, r, 1)
-    assert same_bits(g_new, g) and same_bits(h_new, h)
-    lo, hi = mesh.cuts[0], 1.0 - mesh.cuts[0]
-    assert evaluated == np.count_nonzero((points >= lo) & (points <= hi)) < points.size
+    q = DEFAULT_VARIANCE_CONFIG
+    g = _conditional_means_reading_every_point(mesh, r, 1)
+    # Cov(Q_x(U), g(U)), with the Kronrod-minus-Gauss gaps and strip residuals of its parts
+    ((ixg, rxg), dxg), ((ix, rx), dx), ((ig, rg), dg) = [
+        (mesh.open_integral(sums, q, "reference"), float(np.sum(gaps)))
+        for sums, gaps in map(mesh.panel_sums, (mesh.Q[0] * g, mesh.Q[0], g))]
+    reference = ixg - ix * ig
+    reference_error = dxg + rxg + abs(ig) * (dx + rx) + abs(ix) * (dg + rg)
+    x, y = variance_module._influence_terms(mesh, GaussianCopula(0.5), q)
+    (_, _, cov, shares, residual), series = variance_module._cross_term(mesh, r, q, x, y)
+    bound = float(np.sum(shares)) + residual
+    assert abs(cov - reference) <= bound + reference_error
+    assert bound < 1e-5 * math.sqrt(x[2] * y[2])
     if r == 0.0:
-        assert np.any(points == lo)  # the edge case: read, like every point inside
+        assert cov == 0.0 and series["series_terms"] == 1
 
 
 def test_countermonotone_closed_form():
@@ -390,24 +402,30 @@ def test_gaussian_cross_rounds_reuse_the_marginal_moments(monkeypatch):
     # Each round measures the x and y terms (two open integrals each: the
     # second moment and the mean) and, once it joins, the cross term.  The
     # first cross round runs on the mesh that the last round without it
-    # measured, so it takes that round's x and y terms; and the cross term
-    # takes Q_x's mean from the x term.  Each round used to end with three
-    # cross integrals, and the first cross round redid x and y.
+    # measured, so it takes that round's x and y terms.  The Mehler series
+    # makes no open integral of its own; its near-one form (r > 0) makes two,
+    # for Var(Q_x + Q_y), but only once the first block of terms has not met
+    # the tolerance, which one term does here.
     labels = []
     open_integral = CumulativeMesh.open_integral
+    cross_term = variance_module._cross_term
 
     def counted(self, sums, cfg, what):
         labels.append({"tail guard": "g", "influence x": "x", "influence y": "y",
-                       "influence cross": "c"}[what])
+                       "influence x+y": "s"}[what])
         return open_integral(self, sums, cfg, what)
 
+    def counted_cross(*args):
+        labels.append("c")
+        return cross_term(*args)
+
     monkeypatch.setattr(CumulativeMesh, "open_integral", counted)
+    monkeypatch.setattr(variance_module, "_cross_term", counted_cross)
     res = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(0.5))
     sequence = "".join(labels)
-    assert re.fullmatch(r"g{4}(?:xxyy)+cc(?:xxyycc)*", sequence), sequence
-    # 32efc77 made 30: gggg, three rounds xxyy, then xxyyccc twice
-    assert sequence == "gggg" + "xxyy" * 3 + "cc" + "xxyycc"
-    assert res.value == 16.000000007826095
+    assert re.fullmatch(r"g{4}(?:xxyy)+c(?:ss)?(?:xxyyc(?:ss)?)*", sequence), sequence
+    assert sequence == "gggg" + "xxyy" * 3 + "c"
+    assert res.value == 15.999999999999748
 
 
 # --- influence functions against the two-dimensional route ---------------------
@@ -488,6 +506,83 @@ def test_error_estimate_covers_closed_forms(F, G, cp, exact):
     assert abs(r.value - exact) <= r.est_error + 1e-12 * max(exact, 1.0)
 
 
+@pytest.mark.parametrize("c, slope", [TRANSLATION_SLOPES[1], TRANSLATION_SLOPES[3], (P2, 4.0)],
+                         ids=["power3", "exppower1", "power2"])
+@pytest.mark.parametrize("gap", [1e-4, 1e-8, 1e-12])
+def test_gaussian_translation_near_the_comonotone_limit(c, slope, gap):
+    # sigma2 = 2 gap rho'(2)^2 is far below the tolerance's absolute floor.
+    # The clamp's kinks leave the series a tail whose plain bound shrinks
+    # only like r^K; the form in r^k - 1 needs one term.
+    r = 1.0 - gap
+    exact = 2.0 * (1.0 - r) * slope ** 2
+    res = sigma2(Gaussian(0, 1), Gaussian(2, 1), c, GaussianCopula(r))
+    assert abs(res.value - exact) <= res.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, exact)
+    assert res.diagnostics["influence"]["cross"]["series_terms"] <= 2
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+@pytest.mark.parametrize("r", [0.999, -0.999, 0.9999])
+def test_window_near_the_frechet_limits_returns_a_value(r, eps):
+    # A window's kinks in the bulk leave Hermite coefficients that decay like
+    # a power of k, so the series runs long here: thousands of terms at
+    # r = 0.999 and eps = 0.2, where the 48-point inner rule returned 0.068436884
+    res = sigma2_window(Gaussian(0, 1), Exponential(1.0), P2, GaussianCopula(r), eps)
+    cross = res.diagnostics["influence"]["cross"]
+    assert math.isfinite(res.value) and not cross["budget_exhausted"]
+    assert cross["series_terms"] <= variance_module._SERIES_CAP
+    assert res.est_error <= _tolerance(DEFAULT_VARIANCE_CONFIG, res.value)
+
+
+def test_series_past_its_cap_raises_a_typed_error(monkeypatch):
+    monkeypatch.setattr(variance_module, "_SERIES_CAP", 40)
+    with pytest.raises(NonconvergenceError, match="cross: series truncation .* after 40 terms"):
+        sigma2_window(Gaussian(0, 1), Exponential(1.0), P2, GaussianCopula(0.999), 0.2)
+
+
+with open(os.path.join(os.path.dirname(__file__), "gauss_cross_oracles.json")) as _fh:
+    GAUSS_CROSS_ORACLES = json.load(_fh)["cases"]
+
+
+def _gauss_cross_case(row):
+    return (parse_distribution(row["F"]), parse_distribution(row["G"]), parse_cost(row["cost"]),
+            GaussianCopula(row["r"]))
+
+
+def _gauss_cross_sigma2(row):
+    if row["window_score"] is None:
+        return sigma2(*_gauss_cross_case(row))
+    return sigma2_window(*_gauss_cross_case(row), float(ndtr(-row["window_score"])))
+
+
+@pytest.mark.parametrize("row", GAUSS_CROSS_ORACLES, ids=[
+    f"{r['G']}-{r['cost']}-{r['r']}" + ("" if r["window_score"] is None else "-window")
+    for r in GAUSS_CROSS_ORACLES])
+def test_gaussian_copula_matches_recorded_brute_force_sums(row):
+    # gauss_cross_oracles.py sums the variance on grids of normal scores, with
+    # no part of sigma2's mesh, strips, clamps or series.  Before the Mehler
+    # series the exppower(0.5) case, whose slope is singular where the
+    # quantiles cross, came out 2.2e-4 low, 49x its est_error: the inner rule
+    # could not resolve the cusp of Q_y.  The windows at r = +-0.999 have
+    # kinks in the bulk, whose Hermite coefficients decay slowly
+    res = _gauss_cross_sigma2(row)
+    oracle = row["value"]
+    assert row["grid_error"] < 1e-2 * _tolerance(DEFAULT_VARIANCE_CONFIG, oracle)
+    assert abs(res.value - oracle) <= res.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, oracle)
+
+
+@pytest.mark.parametrize("r", [0.5, -0.3])
+def test_logpower_gaussian_copula_is_finite_and_within_its_error_of_the_oracle(r):
+    # Before the Mehler series, r = -0.3 raised on sign-changing endpoint
+    # strips of the cross integral, and r = 0.5 missed the brute-force value by
+    # about 3x est_error, the inner rule's error not being part of it
+    row, = (row for row in GAUSS_CROSS_ORACLES
+            if row["cost"] == "logpower(0.5)" and row["r"] == r)
+    res = _gauss_cross_sigma2(row)
+    assert math.isfinite(res.value)
+    assert not any(d["budget_exhausted"] for d in res.diagnostics["influence"].values())
+    assert abs(res.value - row["value"]) <= res.est_error
+
+
 @pytest.mark.parametrize("cp", [Independent(), GaussianCopula(0.5), Comonotone(),
                                 Countermonotone()])
 def test_repeated_calls_are_bit_identical(cp):
@@ -530,28 +625,31 @@ def test_diagnostics_hold_plain_python_numbers(cp):
 
 
 @pytest.mark.parametrize("window", [None, 0.05])
-def test_cross_term_counts_its_inner_evaluations(monkeypatch, window):
-    calls = []
-    conditional_means = variance_module._conditional_means
+def test_cross_term_counts_its_series_terms(monkeypatch, window):
+    drawn = []  # per round, the sizes of the blocks of terms drawn
+    hermite_blocks = variance_module._hermite_blocks
 
-    def counted(mesh, r, i):
-        g, h, evaluated = conditional_means(mesh, r, i)
-        calls.append((evaluated, mesh.panels * _NODES.size * variance_module._INNER_ORDER))
-        return g, h, evaluated
+    def counted(*args):
+        drawn.append([])
+        for k, H in hermite_blocks(*args):
+            drawn[-1].append(k.size)
+            yield k, H
 
-    monkeypatch.setattr(variance_module, "_conditional_means", counted)
-    args = (Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(0.5))
-    res = sigma2(*args) if window is None else sigma2_window(*args, window)
-    influence = res.diagnostics["influence"]
-    assert "inner_evaluations" not in influence["x"] and "inner_evaluations" not in influence["y"]
-    inner = influence["cross"]["inner_evaluations"]
-    assert inner == sum(n for n, _ in calls)  # summed over refinement rounds
-    every_point = sum(total for _, total in calls)
-    if window is None:
-        assert len(calls) >= 2
-        assert inner < 0.7 * every_point  # about 40% lie outside the widest clamp
-    else:
-        assert inner == every_point  # both clamps are the window: each point is read once
+    monkeypatch.setattr(variance_module, "_hermite_blocks", counted)
+    args = (Gaussian(0, 1), Gaussian(2, 1), P2)
+    runs = [sigma2(*args, cp) if window is None else sigma2_window(*args, cp, window)
+            for cp in (GaussianCopula(0.5), Independent())]
+    gauss, independent = (res.diagnostics["influence"] for res in runs)
+    for name in ("x", "y"):
+        assert not {"series_terms", "truncation_bound", "inner_evaluations"} & set(gauss[name])
+    cross = gauss["cross"]
+    assert "inner_evaluations" not in cross
+    # the last round's series ends in its last block
+    assert sum(drawn[-1]) - drawn[-1][-1] < cross["series_terms"] <= sum(drawn[-1])
+    assert 0.0 < cross["truncation_bound"] <= cross["est_error"]
+    # tripwire: the series is short here, and the cross term costs few extra slopes
+    assert cross["series_terms"] <= 40
+    assert cross["evaluations"] <= 1.5 * independent["x"]["evaluations"]
 
 
 # --- one-sample variance ---------------------------------------------------------
@@ -793,6 +891,16 @@ def test_plug_in_rejects_constant_column():
     s = PairedSample(np.ones(100), np.linspace(0.0, 1.0, 100))
     with pytest.raises(DegenerateSampleError, match="constant"):
         plug_in_sigma2(s, P2)
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plug_in_rejects_non_finite_values(column, bad, recwarn):
+    cols = {"x": np.linspace(-1.0, 1.0, 100), "y": np.linspace(0.5, 3.0, 100) ** 2}
+    cols[column][17] = bad
+    with pytest.raises(ValueError, match=f"^{column} column holds a non-finite value"):
+        plug_in_sigma2(PairedSample(cols["x"], cols["y"]), P2)
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("kwargs", [{"eps": -0.1}, {"eps": 0.5}])
