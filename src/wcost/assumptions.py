@@ -6,17 +6,20 @@ condition tying the heavier tail to the cost's growth.  True boundedness and
 smoothness statements are not decidable from finitely many evaluations, so
 each checker operationalizes its condition on explicit tail grids and reports
 a pass/fail with the witness value and location; the heuristics involved are
-spelled out in the docstrings.
+spelled out in the docstrings.  ``tail_gate`` decides the compatibility
+condition in closed form, for ``sigma2``, the Monte Carlo precheck and
+``verify_triple`` alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .costs import Cost, QuantileCost
+from .costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from .distributions import Distribution, reflect
 from .errors import UnsupportedCostError
 
@@ -24,6 +27,7 @@ __all__ = [
     "ConditionStatus",
     "AssumptionReport",
     "CfgResult",
+    "GateVerdict",
     "TripleReport",
     "check_fg",
     "check_cfg",
@@ -32,6 +36,7 @@ __all__ = [
     "verify_triple",
     "reflected_cost",
     "heavier_right",
+    "tail_gate",
 ]
 
 # A numeric "bounded on (u-bar, 1)" verdict: finite values, sup below this
@@ -297,9 +302,15 @@ class CfgResult:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def as_condition(self) -> ConditionStatus:
-        return ConditionStatus(self.status, self.margin, self.witness_location,
-                               f"theta={self.theta:.6g}")
+
+def _resolve_theta(c: Cost, theta: float | None) -> float:
+    """theta for ``check_cfg``: 1 + theta1(c) + 1/4 by default, else it must exceed 1 + theta1."""
+    t1 = c.theta1()
+    if theta is None:
+        return 1.0 + t1 + 0.25
+    if theta <= 1.0 + t1:
+        raise ValueError(f"theta must exceed 1 + theta1 = {1.0 + t1}, got {theta}")
+    return float(theta)
 
 
 def _default_cfg_grid(F: Distribution, c: Cost) -> np.ndarray:
@@ -318,11 +329,7 @@ def check_cfg(F: Distribution, c: Cost, theta: float | None = None,
     at 64 geometric tail levels 1-u in [1e-6, 1e-10]; a caller-supplied grid
     must stay within the cost's asymptotic regime (x >= l(tau1)).
     """
-    t1 = c.theta1()
-    if theta is None:
-        theta = 1.0 + t1 + 0.25
-    if theta <= 1.0 + t1:
-        raise ValueError(f"theta must exceed 1 + theta1 = {1.0 + t1}, got {theta}")
+    theta = _resolve_theta(c, theta)
     if x_grid is None:
         xs = _default_cfg_grid(F, c)
     else:
@@ -402,19 +409,20 @@ def check_csfg(F: Distribution, m: float | None = None, grid_size: int = 64) -> 
 def heavier_right(F: Distribution, G: Distribution) -> Distribution:
     """The marginal with the heavier right tail; F on a tie.
 
-    An unbounded support always outweighs a bounded one.  Then the smaller
-    tail class (the regular-variation index of psi) wins: a Pareto tail is
-    heavier than an exponential one however the two compare at any finite
-    depth.  The quantile at 1 - 1e-8 decides only when the classes tie or one
-    is undeclared.  The tail conditions, the variance's tail guard and the
-    Monte Carlo precheck all take their lead law from here.
+    An unbounded support always outweighs a bounded one.  Then the declared
+    tail constants (gamma, C) rank the tails: the smaller class gamma wins, so
+    a Pareto tail is heavier than an exponential one however the two compare
+    at any finite depth, and within one class the smaller C wins (the smaller
+    Pareto index, or the slower stretched-exponential rate).  The quantile at
+    1 - 1e-8 decides only when the constants tie or one is undeclared.  The
+    tail conditions and ``tail_gate`` take their lead law from here.
     """
     f_unbounded = math.isinf(F.support()[1])
     if f_unbounded != math.isinf(G.support()[1]):
         return F if f_unbounded else G
-    f_class, g_class = F.tail_class(), G.tail_class()
-    if f_class is not None and g_class is not None and f_class != g_class:
-        return F if f_class < g_class else G
+    f_tail, g_tail = F.tail_constants(), G.tail_constants()
+    if f_tail is not None and g_tail is not None and f_tail != g_tail:
+        return F if f_tail < g_tail else G
     u = 1.0 - 1e-8
     return F if float(F.quantile(u)) >= float(G.quantile(u)) else G
 
@@ -428,6 +436,106 @@ def reflected_cost(c: Cost) -> Cost:
     if isinstance(c, QuantileCost):
         return QuantileCost(1.0 - c.alpha)
     return c
+
+
+# --- the tail gate ---------------------------------------------------------------
+
+_HALF = Fraction(1, 2)
+
+
+@dataclass(frozen=True)
+class GateVerdict:
+    """``tail_gate``'s verdict -- "pass", "fail" or "not-applicable" -- and its witness.
+
+    The witness is the tail ``side``, the ``marginal`` ("x" or "y") whose
+    quantile the rule read, the ``margin`` (1/2 - lambda - delta, -inf for a
+    slope that outgrows every power of the lead quantile, or ``check_cfg``'s
+    margin on the grid fallback) and the ``rule`` that decided.
+    """
+
+    status: str
+    side: str | None = None
+    marginal: str | None = None
+    margin: float | None = None
+    rule: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return self.status == "fail"
+
+
+def _growth_rate(c: Cost, gamma: float, C: float):
+    """lambda for the lead tail (gamma, C); None for a cost outside the table of ``tail_gate``."""
+    if isinstance(c, PowerCost):
+        return (Fraction(c.alpha) - 1) / Fraction(C) if gamma == 0.0 else Fraction(0)
+    if isinstance(c, LogPowerCost):
+        return math.inf if gamma == 0.0 else Fraction(0)
+    if isinstance(c, ExpPowerCost):
+        if gamma == 0.0 or c.beta > gamma:
+            return math.inf
+        return 1 / Fraction(C) if c.beta == gamma else Fraction(0)
+    return None
+
+
+def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> GateVerdict:
+    """The paper's tail hypothesis for (F, G, c), decided in closed form.
+
+    With phi = psi_H o l^{-1}, the CLT needs phi'(x) >= 2 + 2 theta/x far out
+    on the heavier tail H.  On each tail side whose lead law
+    H = ``heavier_right`` is unbounded (the left one by reflection), the gate
+    fails iff lambda(c, H) + delta(L) >= 1/2 for a marginal L in ``which``
+    ("x" is F, "y" is G).  lambda is the exponential rate in s = -log(1-u) of
+    rho'(H^{-1}(u)): (alpha - 1)/p for power(alpha) on a Pareto-class H of
+    index p, infinite for logpower and exppower there; on psi_H ~ C x^gamma
+    it is 0, but exppower(beta) has 1/C at beta = gamma and is infinite above.
+    delta(L) is 1/p for a Pareto-class L, else 0.  Their sum is the rate of
+    the integrand of J = int rho'(H^{-1}(u)) sqrt(1-u) / h_L(u) du, the
+    L-statistic condition (del Barrio, Gine & Utzet 2005), and for L = H the
+    limit of the paper's condition: phi' -> p/alpha, C or infinity against 2.
+    The boundary is decided exactly (``Fraction`` of the float parameters),
+    so p = 2 alpha fails.
+
+    A lead law without tail constants, or another cost, takes ``check_cfg``'s
+    grid verdict on the lead law; a cost without ``l`` or ``theta1`` is
+    not-applicable there, and passes.  Returns the verdict with the lowest
+    margin, a failing one first; not-applicable when no side is unbounded.
+    """
+    verdicts = []
+    for side, A, B, cost in (("right", F, G, c),
+                             ("left", reflect(F), reflect(G), reflected_cost(c))):
+        lead = heavier_right(A, B)
+        if math.isinf(lead.support()[1]):
+            verdicts.append(_side_gate(A, B, lead, cost, side, which))
+    if not verdicts:
+        return GateVerdict("not-applicable", rule="no unbounded tail")
+    return min(verdicts, key=lambda v: (not v.failed, math.inf if v.margin is None else v.margin))
+
+
+def _side_gate(A: Distribution, B: Distribution, lead: Distribution, c: Cost, side: str,
+               which) -> GateVerdict:
+    """``tail_gate`` on one side, given its unbounded lead law (A or B)."""
+    tail = lead.tail_constants()
+    lam = None if tail is None else _growth_rate(c, *tail)
+    deltas = {}
+    for key in which:
+        law = A if key == "x" else B
+        if law is not lead and not math.isinf(law.support()[1]):
+            deltas[key] = Fraction(0)  # bounded on this side
+        elif (law_tail := law.tail_constants()) is not None:
+            deltas[key] = 1 / Fraction(law_tail[1]) if law_tail[0] == 0.0 else Fraction(0)
+    if lam is None or len(deltas) < len(which):
+        try:
+            res = check_cfg(lead, c)
+        except (ValueError, NotImplementedError) as exc:
+            return GateVerdict("not-applicable", side,
+                               rule=f"cost has no asymptotic profile l ({exc})")
+        return GateVerdict(res.status, side, "x" if lead is A else "y", res.margin,
+                           f"grid: check_cfg at x = {res.witness_location:.6g}")
+    key = max(which, key=deltas.get)
+    total = lam + deltas[key]
+    return GateVerdict("fail" if total >= _HALF else "pass", side, key, float(_HALF - total),
+                       f"closed form: lambda + delta = {float(lam):.6g} + {float(deltas[key]):.6g}"
+                       f" {'>=' if total >= _HALF else '<'} 1/2")
 
 
 @dataclass
@@ -482,12 +590,10 @@ def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
         report = check_fg(heavy, light, m=m, grid_size=grid_size)
     report.side = side
     report.theta1 = c.theta1()
-    try:
-        cfg = check_cfg(heavy, c, theta=theta)
-        report.cfg = cfg.as_condition()
-        report.theta = cfg.theta
-    except UnsupportedCostError:
-        report.cfg = ConditionStatus("not-applicable", note="cost has no asymptotic profile l")
+    gate = _side_gate(F, G, heavy, c, side, ("x", "y"))
+    report.cfg = ConditionStatus(gate.status, gate.margin, None, gate.rule)
+    if gate.status != "not-applicable":
+        report.theta = _resolve_theta(c, theta)
     try:
         report.tail_sufficient = check_tail_sufficient(heavy, c, zeta=zeta)
         report.zeta = zeta
@@ -505,7 +611,9 @@ def verify_triple(F: Distribution, G: Distribution, c: Cost,
     The right tail is checked for the pair as given; the left tail is checked
     after reflecting both laws (and the cost, which matters only for the
     asymmetric pinball cost).  On each side the heavier-tailed law takes the
-    lead role automatically.
+    lead role automatically.  Each side's compatibility condition ``cfg`` is
+    ``tail_gate``'s verdict there, its margin the witness value and its rule
+    the note; ``theta`` is checked and reported, as the rule is its limit.
     """
     right, sw_r = _one_side(F, G, c, "right", m, theta, zeta, grid_size)
     # a caller-chosen threshold is meaningless after reflection, so the left

@@ -65,9 +65,14 @@ class Distribution:
     def support(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
-    def tail_class(self) -> float | None:
-        """Regular-variation index of psi at +inf, or None when unclassified."""
+    def tail_constants(self) -> tuple[float, float] | None:
+        """(gamma, C) with psi(x) ~ C x^gamma at +inf, or ~ C log x for gamma = 0; None if undeclared."""
         return None
+
+    def tail_class(self) -> float | None:
+        """Regular-variation index gamma of psi at +inf, or None when unclassified."""
+        constants = self.tail_constants()
+        return None if constants is None else constants[0]
 
     # --- derived quantile-side machinery -----------------------------------
 
@@ -136,8 +141,8 @@ class Gaussian(Distribution):
     def _psi_inverse(self, ya):
         return self.mean - self.sd * special.ndtri_exp(-ya)
 
-    def tail_class(self):
-        return 2.0
+    def tail_constants(self):
+        return (2.0, 1.0 / (2.0 * self.sd * self.sd))
 
 
 @dataclass(frozen=True)
@@ -181,8 +186,8 @@ class Pareto(Distribution):
     def support(self):
         return (1.0, math.inf)
 
-    def tail_class(self):
-        return 0.0
+    def tail_constants(self):
+        return (0.0, self.p)
 
 
 @dataclass(frozen=True)
@@ -206,10 +211,11 @@ class Weibull(Distribution):
         return _scalar_like(v, x)
 
     def pdf(self, x):
+        # at x = 0 the right limit: +inf for q < 1, 1 for q = 1, 0 for q > 1
         xa = _as_array(x)
         xp = np.maximum(xa, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(xa <= 0.0, 0.0, self.q * xp ** (self.q - 1.0) * np.exp(-(xp**self.q)))
+            v = np.where(xa < 0.0, 0.0, self.q * xp ** (self.q - 1.0) * np.exp(-(xp**self.q)))
         return _scalar_like(v, x)
 
     def quantile(self, u):
@@ -226,8 +232,8 @@ class Weibull(Distribution):
     def support(self):
         return (0.0, math.inf)
 
-    def tail_class(self):
-        return self.q
+    def tail_constants(self):
+        return (self.q, 1.0)
 
 
 @dataclass(frozen=True)
@@ -264,8 +270,8 @@ class Exponential(Distribution):
     def support(self):
         return (0.0, math.inf)
 
-    def tail_class(self):
-        return 1.0
+    def tail_constants(self):
+        return (1.0, self.rate)
 
 
 @dataclass(frozen=True)
@@ -305,13 +311,15 @@ class LocationScale(Distribution):
         lo, hi = self.base.support()
         return (self.a * lo + self.b, self.a * hi + self.b)
 
-    def tail_class(self):
-        return self.base.tail_class()
+    def tail_constants(self):
+        # psi(x) = psi_base((x - b) / a): C scales by a^-gamma (by 1 in the log class)
+        tail = self.base.tail_constants()
+        return None if tail is None else (tail[0], tail[1] * self.a ** -tail[0])
 
 
 @dataclass(frozen=True)
 class Reflected(Distribution):
-    """Law of -X for X ~ base (used for left-tail checks)."""
+    """Law of -X for X ~ base (used for left-tail checks); it declares no tail constants."""
 
     base: Distribution
 
@@ -336,11 +344,6 @@ class Reflected(Distribution):
     def support(self):
         lo, hi = self.base.support()
         return (-hi, -lo)
-
-    def tail_class(self):
-        # The right tail of -X is the left tail of X; only classified when that
-        # tail is a known reflection-symmetric case (handled by reflect()).
-        return None
 
 
 def reflect(d: Distribution) -> Distribution:

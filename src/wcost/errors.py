@@ -16,11 +16,16 @@ class NonconvergenceError(RuntimeError):
 class HypothesisGateError(NonconvergenceError):
     """The paper's tail hypothesis fails for this cost and pair of marginals.
 
-    The guard integral of the cost's radial slope against a quantile density
-    does not converge to a finite value.  The asymptotic variance may then be
-    infinite, or it may be finite while the normal limit does not hold; the gate
-    cannot tell which.
+    ``assumptions.tail_gate`` finds the cost's slope growing too fast against
+    the heavier tail and a marginal's quantile: lambda + delta reaches 1/2.
+    The asymptotic variance may then be infinite, or it may be finite while the
+    normal limit does not hold; the gate cannot tell which.  ``verdict`` is the
+    gate's ``GateVerdict``: side, marginal, margin and rule.
     """
+
+    def __init__(self, message: str, verdict=None):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 class UnsupportedCostError(ValueError):

@@ -15,7 +15,6 @@ processes, one per usable core by default.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import threading
@@ -28,11 +27,11 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .assumptions import check_cfg, heavier_right, reflected_cost
+from .assumptions import tail_gate
 from .costs import Cost, PowerCost
 from .coupling import Coupling, Independent, sample_pairs
-from .distributions import Distribution, Gaussian, reflect
-from .errors import DegenerateSampleError, NonconvergenceError, UnsupportedCostError
+from .distributions import Distribution, Gaussian
+from .errors import DegenerateSampleError
 from .estimate import empirical_cost, exact_cost, trimmed_empirical_cost
 from .quadrature import QuadratureConfig
 from .variance import plug_in_sigma2, sigma2, sigma2_gaussian, sigma2_window
@@ -275,28 +274,15 @@ def _simulate(cfg: MCConfig, eps: float, workers: int, plug_eps=()):
 
 
 def _assumption_precheck(F: Distribution, G: Distribution, c: Cost):
-    """Cost-growth/tail-decay compatibility on each unbounded side; warn, don't stop."""
-    problems = []
-    sides = (("right", F, G, c),
-             ("left", reflect(F), reflect(G), reflected_cost(c)))
-    for side, A, B, cost in sides:
-        lead = heavier_right(A, B)
-        if not math.isinf(lead.support()[1]):
-            continue
-        try:
-            res = check_cfg(lead, cost)
-        except (ValueError, NotImplementedError, UnsupportedCostError,
-                NonconvergenceError) as exc:
-            problems.append(f"{side} tail: compatibility check not applicable ({exc})")
-            continue
-        if not res.passed:
-            problems.append(
-                f"{side} tail: cost growth outpaces tail decay "
-                f"(margin {res.margin:.3g} at x={res.witness_location:.3g})")
-    if problems:
-        warnings.warn("; ".join(problems) + " -- continuing, but the normal "
-                      "approximation may not hold", UserWarning, stacklevel=4)
-    return not problems, tuple(problems)
+    """``tail_gate``'s verdict; on a failure warn, with its witness, but don't stop."""
+    verdict = tail_gate(F, G, c)
+    if not verdict.failed:
+        return True, ()
+    problem = (f"{verdict.side} tail: cost growth outpaces tail decay "
+               f"({verdict.rule}; margin {verdict.margin:.3g})")
+    warnings.warn(problem + " -- continuing, but the normal approximation may not hold",
+                  UserWarning, stacklevel=4)
+    return False, (problem,)
 
 
 # --- standardization ------------------------------------------------------------

@@ -10,9 +10,9 @@ variance of a one-dimensional influence function, the classical L-statistic form
 
 Q_y likewise, with h_X = f o F^{-1}, h_Y = g o G^{-1} the quantile densities and
 (U, V) drawn from the coupling's copula.  ``sigma2`` builds Q_x and Q_y as running
-Gauss--Kronrod sums on one graded mesh (``quadrature.CumulativeMesh``), after a
-cheap one-dimensional guard that checks the paper's tail hypothesis from the
-tail growth of the cost slope against each quantile density; only the covariance
+Gauss--Kronrod sums on one graded mesh (``quadrature.CumulativeMesh``), after
+``assumptions.tail_gate`` has checked the paper's tail hypothesis in closed form
+from the growth of the cost slope against each quantile; only the covariance
 of Q_x and Q_y depends on the coupling.  Under a Gaussian copula that covariance
 is Mehler's series sum_k r^k alpha_k beta_k in the Hermite coefficients of Q_x
 and Q_y, which are panel sums on the same mesh.  ``sigma2_one_sample`` and the
@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .assumptions import heavier_right
+from .assumptions import tail_gate
 from .costs import Cost, QuantileCost
 from .coupling import Comonotone, Countermonotone, Coupling, GaussianCopula, Independent
-from .distributions import Distribution, Gaussian, reflect
+from .distributions import Distribution, Gaussian
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
 from .estimate import PairedSample
@@ -75,11 +75,6 @@ _METHODS = frozenset({
 #: covariance quadratic form, so a materially negative integral means the
 #: quadrature failed.
 _CLAMP_LIMIT = 1e-8
-
-#: Stand-in for overflowed guard integrand values; keeps the divergence detector
-#: working (huge strips with ratio ~1) without poisoning the arithmetic with inf.
-#: A guard integral that reaches it has overflowed and fails the gate.
-_GUARD_CEILING = 1e300
 
 #: Most terms the Mehler series of a Gaussian copula's cross term may take.
 #: Its truncation bound shrinks like |r|^K, and the kinks of a window leave
@@ -177,119 +172,22 @@ def variance_kernel(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
     return kernel
 
 
-def _refine_mesh(mesh: CumulativeMesh, q: QuadratureConfig, measure):
-    """Bisect ``mesh`` where the error shares concentrate until they meet the target.
+# --- tail-hypothesis gate and degeneracy warning -------------------------------
 
-    ``measure(mesh)`` returns (value, per-panel error shares, payload).  Panels
-    whose share exceeds their part of the tolerance over the inner tightening
-    are split, worst first, until the shares total at most that target or the
-    panel budget is spent.  Returns the last (value, shares, payload) and
-    whether the budget ran out.
+
+def _gate(F: Distribution, G: Distribution, c: Cost, which: tuple[str, ...]) -> dict:
+    """``tail_gate``'s verdict as a diagnostics block; raises HypothesisGateError if it fails.
+
+    No influence-function work is spent then: the variance may be infinite, or
+    the normal limit may not hold.
     """
-    while True:
-        value, shares, payload = measure(mesh)
-        target = _tolerance(q, value) / _INNER_TIGHTENING
-        if float(np.sum(shares)) <= target:
-            return value, shares, payload, False
-        worst = np.argsort(-shares, kind="stable")[:max(q.max_subdivisions - mesh.panels, 0)]
-        mask = np.zeros(mesh.panels, dtype=bool)
-        mask[worst] = shares[worst] > target / mesh.panels
-        if not mesh.split(mask):
-            return value, shares, payload, True
-
-
-# --- tail-hypothesis guard and degeneracy warning -----------------------------
-
-
-def _guard_integrand(heavy: Distribution, law: Distribution, c: Cost, ubar: float):
-    """t -> rho'(heavy quantile(u)) sqrt(1 - u) / h_law(u) (1 - ubar) at u = ubar + (1 - ubar) t.
-
-    The heavy quantile is computed once: when ``law`` is the heavy law, h_law
-    is its density at that quantile.  Values that overflow read
-    ``_GUARD_CEILING``.  Returns the integrand as a one-row mesh function.
-    """
-    span = 1.0 - ubar
-
-    def f(t):
-        u = ubar + span * t
-        x = np.asarray(heavy.quantile(u), dtype=float)
-        slope = np.asarray(c.rho_prime(x), dtype=float) * np.sqrt(span * (1.0 - t))
-        dens = heavy.pdf(x) if law is heavy else law.density_quantile(u)
-        vals = (slope / np.asarray(dens, dtype=float)) * span
-        return np.where(np.isfinite(vals), vals, _GUARD_CEILING)[None]
-
-    return f
-
-
-def _slope_tail_integral(heavy: Distribution, law: Distribution, c: Cost,
-                         q: QuadratureConfig) -> float:
-    """J = int rho'(heavy quantile(u)) sqrt(1-u) / h_law(u) du over the right tail.
-
-    The window starts where the heavy quantile clears 1, so the radial slope is
-    evaluated at safely positive distances.  Divergence of this one-dimensional
-    integral is the cheap certificate that the two-dimensional variance integral
-    has a non-integrable tail.  J is summed on one ``CumulativeMesh`` that holds
-    the base interval and every truncation strip, so each refinement round
-    evaluates the integrand once, and ``open_integral`` puts the strips through
-    the same shrink-ratio divergence test as ``integrate_open01``.  Only the
-    convergence verdict matters -- the value is a diagnostic -- so the
-    quadrature runs at a coarse relative tolerance with deep truncation
-    halvings: convergent-but-slow tails (mass decaying like a small power of
-    1-u) would otherwise fail the accuracy check, not because they diverge but
-    because their tail mass is expensive to pin down.  A J that overflows
-    (infinite, or at the stand-in ceiling for overflowed integrand values)
-    fails like a divergent one.
-    """
-    q = replace(q, rel_tol=max(q.rel_tol, 1e-3),
-                extrapolation_levels=max(q.extrapolation_levels, 12))
-    ubar = max(0.5, float(heavy.cdf(1.0)))
-
-    def measure(mesh):
-        sums, gaps = mesh.panel_sums(mesh.p[0])
-        return float(np.sum(sums)), gaps, sums
-
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mesh = CumulativeMesh(_guard_integrand(heavy, law, c, ubar), q)
-        _, gaps, sums, _ = _refine_mesh(mesh, q, measure)
-        value, residual = mesh.open_integral(sums, q, "tail guard")
-    err = float(np.sum(gaps)) + residual
-    if not (err <= _tolerance(q, value) and abs(value) < _GUARD_CEILING):
-        raise NonconvergenceError(
-            f"tail guard: J = {value:.3e} with error estimate {err:.3e} "
-            f"(tolerance {_tolerance(q, value):.3e})")
-    return float(value)
-
-
-def _tail_guard(F: Distribution, G: Distribution, c: Cost, q: QuadratureConfig,
-                which: tuple[str, ...]) -> dict:
-    """Run the tail-hypothesis guard for each relevant (tail side, marginal density) pair.
-
-    Returns the finite guard integrals keyed like ``"right_x"``; raises
-    HypothesisGateError as soon as one fails to converge or overflows: the
-    paper's tail hypothesis then fails, and the variance may be infinite or the
-    normal limit may not hold, so no influence-function work is spent.  Tail sides where both
-    supports are bounded need no guard: every kernel factor stays integrable there.
-    """
-    out: dict[str, float] = {}
-    for side, (A, B) in (("right", (F, G)), ("left", (reflect(F), reflect(G)))):
-        heavy = heavier_right(A, B)
-        if not math.isinf(heavy.support()[1]):
-            continue
-        for key in which:
-            law = A if key == "x" else B
-            try:
-                out[f"{side}_{key}"] = _slope_tail_integral(heavy, law, c, q)
-            except NonconvergenceError as exc:
-                marginal = "first" if key == "x" else "second"
-                raise HypothesisGateError(
-                    f"the paper's tail hypothesis fails on the {side} side: the guard "
-                    f"integral J = int rho'(Q_heavy(u)) sqrt(1 - u) / h(u) du of the cost's "
-                    f"radial slope against the {marginal} marginal's quantile density h "
-                    "does not converge to a finite value (or is too close to the frontier "
-                    "to resolve); the asymptotic variance may be infinite, or the normal "
-                    "limit may not hold"
-                ) from exc
-    return out
+    verdict = tail_gate(F, G, c, which)
+    if verdict.failed:
+        raise HypothesisGateError(
+            f"the paper's tail hypothesis fails on the {verdict.side} side, marginal "
+            f"{verdict.marginal}: {verdict.rule}, margin {verdict.margin:.3g}; the asymptotic "
+            "variance may be infinite, or the normal limit may not hold", verdict)
+    return asdict(verdict)
 
 
 def _warn_if_tails_meet(F: Distribution, G: Distribution) -> None:
@@ -550,14 +448,14 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
 
     ``f`` maps points to the stacked slopes (one row and ``cp`` None for a
     single influence function; two rows, x then y, otherwise).  The mesh is
-    bisected where the error shares concentrate until they total at most the
-    tolerance over the inner tightening, or the panel budget is spent; a
-    Gaussian copula's cross term joins once the others meet it.
+    bisected where the error shares concentrate, worst first, until they total
+    at most the tolerance over the inner tightening, or the panel budget is
+    spent; a Gaussian copula's cross term joins once the others meet it.
     Returns (value, est_error, per-term diagnostics) before clamping; raises
     NonconvergenceError when the error bound misses the tolerance.
     """
-    # Halvings cost two panels each in one dimension, so go as deep as the guard
-    # does: tails like powers of log(1/u) need the longer strip sequence.
+    # Halvings cost two panels each in one dimension, so go at least 12 deep:
+    # tails like powers of log(1/u) need the longer strip sequence.
     levels = max(q.extrapolation_levels, 12)
     mesh = CumulativeMesh(f, replace(q, extrapolation_levels=levels), window)
     kept = None  # (panel count, terms) of the last measurement
@@ -578,8 +476,17 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
 
     exhausted = False
     for cross in (False, True) if isinstance(cp, GaussianCopula) else (False,):
-        value, shares, terms, spent = _refine_mesh(mesh, q, lambda m: measure(m, cross))
-        exhausted |= spent
+        while True:
+            value, shares, terms = measure(mesh, cross)
+            target = _tolerance(q, value) / _INNER_TIGHTENING
+            if float(np.sum(shares)) <= target:
+                break
+            worst = np.argsort(-shares, kind="stable")[:max(q.max_subdivisions - mesh.panels, 0)]
+            mask = np.zeros(mesh.panels, dtype=bool)
+            mask[worst] = shares[worst] > target / mesh.panels
+            if not mesh.split(mask):
+                exhausted = True
+                break
     err = float(np.sum(shares)) + math.fsum(weight * res for _, weight, _, _, res in terms)
     if isinstance(cp, (Comonotone, Countermonotone)):
         # Q_x + Q_y at rounding level next to |Q_x| + |Q_y|: an exact cancellation
@@ -615,7 +522,7 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
            q: QuadratureConfig | None = None) -> VarianceResult:
     """Asymptotic variance of sqrt(n) times the estimation error of the paired cost.
 
-    After the one-dimensional tail guard, evaluates Var[Q_x(U) + Q_y(V)] for
+    Once ``assumptions.tail_gate`` passes, evaluates Var[Q_x(U) + Q_y(V)] for
     (U, V) drawn from the coupling, with Q_x(t) = -int_{1/2}^t
     partial_x c(F^{-1}, G^{-1}) / h_X and Q_y likewise.  This equals the
     double integral of ``variance_kernel`` but needs only one-dimensional
@@ -628,8 +535,9 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     Gaussian copula, the series' truncation bound.  When Q_x + Q_y cancels to rounding
     (a pair that moves in lockstep) the value is exactly 0.0.
 
-    Raises HypothesisGateError (a NonconvergenceError) when the tail guard
-    finds the paper's tail hypothesis false, NonconvergenceError when the
+    ``diagnostics["gate"]`` holds the gate's verdict and witness.  Raises
+    HypothesisGateError (a NonconvergenceError) when the gate finds the
+    paper's tail hypothesis false, NonconvergenceError when the
     quadrature misses its tolerance (a Mehler series that needs more than
     ``_SERIES_CAP`` terms says "series truncation"), and UnsupportedCostError
     for costs without the gradient and radial-slope machinery.
@@ -638,11 +546,11 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
         q = DEFAULT_VARIANCE_CONFIG
     _require_gradient(c)
     _warn_if_tails_meet(F, G)
-    guard = _tail_guard(F, G, c, q, ("x", "y"))
+    gate = _gate(F, G, c, ("x", "y"))
     v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q)
     value, err, clamp = _clamped(v, e, "variance integral")
     return VarianceResult(value, err, "quadrature",
-                          {"influence": terms, "tail_guard": guard, "clamp": clamp})
+                          {"influence": terms, "gate": gate, "clamp": clamp})
 
 
 def sigma2_window(F: Distribution, G: Distribution, c: Cost, cp: Coupling, eps: float,
@@ -651,7 +559,7 @@ def sigma2_window(F: Distribution, G: Distribution, c: Cost, cp: Coupling, eps: 
 
     The influence functions are held constant outside the window.  The window
     excludes both tails, so this exists even when the full-interval variance
-    diverges; no tail guard runs.
+    diverges; no tail gate runs.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"window trim must lie in (0, 1/2), got {eps}")
@@ -671,7 +579,8 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
     variance Var Q_x(U), U uniform, where Q_x is the running integral of the
     matching partial slope of the cost along the quantile diagonal over the same
     marginal's quantile density (see ``sigma2``).  Under independent pairing the
-    two sides add up to the two-sample value.
+    two sides add up to the two-sample value.  The tail gate reads only this
+    side's marginal.
     """
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
@@ -679,12 +588,12 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
         q = DEFAULT_VARIANCE_CONFIG
     _require_gradient(c)
     _warn_if_tails_meet(F, G)
-    guard = _tail_guard(F, G, c, q, (side,))
+    gate = _gate(F, G, c, (side,))
     row = 0 if side == "x" else 1
     v, e, terms = _influence_sigma2(lambda u: _slopes(F, G, c, u)[row:row + 1], None, q)
     value, err, clamp = _clamped(v, e, "one-sample variance integral")
     return VarianceResult(value, err, "quadrature",
-                          {"side": side, "tail_guard": guard, "clamp": clamp,
+                          {"side": side, "gate": gate, "clamp": clamp,
                            "influence": {side: terms["x"]}})
 
 

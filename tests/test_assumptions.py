@@ -16,9 +16,10 @@ from wcost.assumptions import (
     check_tail_sufficient,
     heavier_right,
     reflected_cost,
+    tail_gate,
     verify_triple,
 )
-from wcost.costs import PowerCost, QuantileCost
+from wcost.costs import ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from wcost.distributions import (
     Distribution,
     Exponential,
@@ -174,8 +175,10 @@ def test_verify_triple_matches_recorded_reports():
     with open(triple_matrix.RECORDED) as fh:
         recorded = json.load(fh)
     assert len(recorded["triples"]) == len(triple_matrix.TRIPLES) == 100
+    # cfg is compared by status: its witness is now the gate's margin and rule
     mismatched = [row["triple"] for row in recorded["triples"]
-                  if triple_matrix.report(tuple(row["triple"])) != row["report"]]
+                  if triple_matrix.cfg_status_only(triple_matrix.report(tuple(row["triple"])))
+                  != triple_matrix.expected(tuple(row["triple"]), row["report"])]
     assert not mismatched
 
 
@@ -372,7 +375,8 @@ def test_triple_swaps_to_heavier_lead():
     tr = verify_triple(Pareto(6), Pareto(5), P2)
     assert tr.swapped_right
     assert tr.right.cfg.status == "pass"
-    assert tr.right.cfg.witness_value == pytest.approx(0.0476, abs=0.01)
+    # the gate's margin on the Pareto(5) lead: 1/2 - (1/5 + 1/5)
+    assert tr.right.cfg.witness_value == pytest.approx(0.1, rel=1e-15)
 
 
 def test_triple_quantile_cost_marks_compatibility_na():
@@ -391,11 +395,67 @@ def test_heavier_right_ranks_tail_classes_before_quantiles():
     # Gaussian(0, 10) reads 56 there, yet its class-2 tail is the lighter one
     N10 = Gaussian(0.0, 10.0)
     assert heavier_right(N10, E1) is E1 and heavier_right(E1, N10) is E1
-    # a tie in class (Weibull(1) is Exponential(1)) leaves it to the quantile
+    # within a class the smaller constant leads: Exponential(0.5) has C = 1/2
+    # against Weibull(1)'s 1, and Pareto(3) leads 100 Pareto(10), which reads
+    # 631 at 1 - 1e-8 against its 464
     W1, E_half = Weibull(1.0), Exponential(0.5)
     assert heavier_right(W1, E_half) is E_half and heavier_right(E_half, W1) is E_half
+    P3, P10 = Pareto(3.0), LocationScale(Pareto(10.0), 100.0, 0.0)
+    assert heavier_right(P3, P10) is P3 and heavier_right(P10, P3) is P3
+    # a tie in both constants leaves it to the quantile
+    P5, P5_shift = Pareto(5.0), LocationScale(Pareto(5.0), 1.0, 1.0)
+    assert heavier_right(P5, P5_shift) is P5_shift and heavier_right(P5_shift, P5) is P5_shift
     # an unbounded support still beats a bounded one
     assert heavier_right(reflect(P8), N10) is N10
+
+
+# --- the tail gate ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("F, c, margin", [
+    (Pareto(4.0), P2, 0.0),  # p = 2 alpha: J ~ int du / (1 - u), fails
+    (Pareto(4.5), P2, 0.5 - 2.0 / 4.5),
+    (Pareto(2.5), PowerCost(1.5), 0.5 - 1.5 / 2.5),
+    (Exponential(2.0), ExpPowerCost(1.0), 0.0),  # lambda = 1/C = 1/2
+    (Exponential(2.5), ExpPowerCost(1.0), 0.1),
+    (Gaussian(0.0, 0.5), ExpPowerCost(2.0), 0.0),  # C = 1 / (2 sd^2) = 2
+    (Weibull(0.5), ExpPowerCost(0.5), -0.5),
+    (Weibull(0.5), ExpPowerCost(0.4), 0.5),
+    (Weibull(0.5), ExpPowerCost(1.0), -math.inf),
+    (Pareto(10.0), LogPowerCost(0.5), -math.inf),
+])
+def test_tail_gate_decides_the_frontier_exactly(F, c, margin):
+    G = LocationScale(F, 1.0, 1.0)
+    verdict = tail_gate(F, G, c)
+    # both marginals have the same delta, and the first one is named on a tie
+    assert verdict.margin == pytest.approx(margin, abs=1e-15)
+    assert verdict.failed == (margin <= 0.0)
+    assert verdict.status == ("fail" if margin <= 0.0 else "pass")
+    assert (verdict.side, verdict.marginal) == ("right", "x")
+    assert verdict.rule.startswith("closed form: lambda + delta = ")
+
+
+def test_tail_gate_reads_only_the_named_marginals():
+    # lambda = 1/4 from the Pareto(4) lead; delta is 1/4 for it and 0 for the Gaussian
+    F, G = Pareto(4.0), Gaussian(0.0, 1.0)
+    assert tail_gate(F, G, P2).failed
+    assert tail_gate(F, G, P2, ("x",)).failed
+    y_only = tail_gate(F, G, P2, ("y",))
+    assert (y_only.status, y_only.side, y_only.marginal, y_only.margin) == ("pass", "right", "y", 0.25)
+
+
+def test_tail_gate_falls_back_to_the_grid_without_tail_constants():
+    law = _StretchTail()
+    grid = check_cfg(law, P2)
+    verdict = tail_gate(law, Gaussian(0.0, 1.0), P2)
+    assert (verdict.status, verdict.side, verdict.marginal) == (grid.status, "right", "x")
+    assert verdict.margin == grid.margin and verdict.rule.startswith("grid: check_cfg")
+
+
+def test_tail_gate_passes_costs_without_a_tail_representation():
+    verdict = tail_gate(Pareto(3.0), Pareto(4.0), QuantileCost(0.3))
+    assert verdict.status == "not-applicable" and not verdict.failed
+    assert verdict.margin is None and "no asymptotic profile" in verdict.rule
 
 
 def test_reflection_plumbing():

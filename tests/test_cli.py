@@ -158,14 +158,19 @@ def test_variance_diagnostics_show_quadrature_counters(capsys, fmt):
     assert code == 0
     fields = ("panels", "evaluations", "truncation_levels", "extrapolation_residual",
               "budget_exhausted")
+    gate = ("status", "side", "marginal", "margin", "rule")
     if fmt == "json":
-        influence = json.loads(out)["diagnostics"]["influence"]
+        diagnostics = json.loads(out)["diagnostics"]
+        influence = diagnostics["influence"]
         assert set(influence) == {"x", "y", "cross"}
         assert all(d[k] is not None for d in influence.values() for k in fields)
+        # the gate's verdict and witness, shown though it passes
+        assert tuple(diagnostics["gate"]) == gate and diagnostics["gate"]["status"] == "pass"
     else:
         keys = {line.split(",")[0] for line in out.splitlines()}
         assert {f"diagnostics.influence.{name}.{k}" for name in ("x", "y", "cross")
                 for k in fields} <= keys
+        assert {f"diagnostics.gate.{k}" for k in gate} <= keys
 
 
 def test_variance_nonconvergent_tail_exits_3(capsys):
@@ -183,6 +188,7 @@ def test_variance_failed_tail_hypothesis_exits_3(capsys):
     assert code == 3 and out == ""
     assert "tail hypothesis fails" in err and "normal limit may not hold" in err
     assert "diverges" not in err
+    assert "marginal x: closed form: lambda + delta = 0.25 + 0.25 >= 1/2, margin 0;" in err
 
 
 def test_variance_sign_changing_strips_exit_3_as_unresolved(capsys):

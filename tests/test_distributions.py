@@ -169,6 +169,29 @@ def test_gaussian_tail_class_and_supports():
     assert reflect(Pareto(2.0)).support() == (-math.inf, -1.0)
 
 
+def test_tail_constants_scale_with_location_scale():
+    # psi(x) ~ C x^gamma, or C log x in the Pareto class (gamma = 0)
+    assert Gaussian(3.0, 0.5).tail_constants() == (2.0, 2.0)
+    assert Exponential(2.5).tail_constants() == (1.0, 2.5)
+    assert Weibull(0.7).tail_constants() == (0.7, 1.0)
+    assert Pareto(4.0).tail_constants() == (0.0, 4.0)
+    assert LocationScale(Exponential(1.0), 0.5, 3.0).tail_constants() == (1.0, 2.0)
+    assert LocationScale(Pareto(3.0), 100.0, 0.0).tail_constants() == (0.0, 3.0)
+    assert reflect(Exponential(1.0)).tail_constants() is None
+    assert reflect(Exponential(1.0)).tail_class() is None
+
+
+def test_weibull_density_at_zero_is_its_right_limit():
+    # the bits away from 0 do not move; at 0 itself the density is the limit
+    for q, at_zero in ((0.3, math.inf), (0.5, math.inf), (1.0, 1.0), (2.0, 0.0)):
+        law = Weibull(q)
+        assert law.pdf(0.0) == at_zero and law.pdf(-1.0) == 0.0
+        assert np.array_equal(law.pdf(np.array([-1.0, 0.0])), [0.0, at_zero])
+    # 1 + Weibull(0.5) reads its quantile 1.0 exactly where u^2 is below ulp(1)
+    shifted = LocationScale(Weibull(0.5), 1.0, 1.0)
+    assert shifted.quantile(1e-9) == 1.0 and shifted.pdf(1.0) == math.inf
+
+
 def test_quantile_rejects_closed_endpoints():
     for bad in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):

@@ -318,7 +318,10 @@ def test_failing_tail_check_warns_and_flags_but_continues():
     with pytest.warns(UserWarning, match="tail"):
         rep = run_clt_experiment(cfg)
     assert not rep.assumptions_ok
-    assert any("right tail" in note for note in rep.notes)
+    # the note carries the gate's witness: 1/3.9 + 1/3.9 against 1/2
+    assert any(note.startswith("right tail: cost growth outpaces tail decay (closed form: "
+                               "lambda + delta = 0.25641 + 0.25641 >= 1/2; margin -0.0128)")
+               for note in rep.notes)
 
 
 def test_nonconvergent_population_cost_propagates():
