@@ -53,9 +53,7 @@ from .assumptions import (
     ConditionStatus,
     TripleReport,
     check_cfg,
-    check_csfg,
     check_fg,
-    check_tail_sufficient,
     verify_triple,
 )
 from .variance import (

@@ -21,7 +21,6 @@ import numpy as np
 
 from .costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from .distributions import Distribution, reflect
-from .errors import UnsupportedCostError
 
 __all__ = [
     "ConditionStatus",
@@ -31,8 +30,6 @@ __all__ = [
     "TripleReport",
     "check_fg",
     "check_cfg",
-    "check_tail_sufficient",
-    "check_csfg",
     "verify_triple",
     "reflected_cost",
     "heavier_right",
@@ -52,9 +49,9 @@ def _frozen(levels: np.ndarray) -> np.ndarray:
     return levels
 
 
-# The probability levels of the default grids of check_cfg and check_tail_sufficient.
+# The probability levels of check_cfg's grid, and the size of the marginal checks' grids.
 _CFG_LEVELS = _frozen(1.0 - np.geomspace(1e-6, 1e-10, 64))
-_SUFFICIENT_LEVELS = _frozen(1.0 - np.geomspace(1e-2, 1e-8, 64))
+_FG_GRID_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -92,50 +89,31 @@ class AssumptionReport:
     fg4: ConditionStatus = _NA
     fg5: ConditionStatus = _NA
     cfg: ConditionStatus = _NA
-    tail_sufficient: ConditionStatus = _NA
     theta1: float | None = None
-    theta: float | None = None
-    zeta: float | None = None
     tau0: float | None = None
     m: float | None = None
     side: str = "right"
     u_grid: np.ndarray | None = field(default=None, repr=False)
-    x_grid: np.ndarray | None = field(default=None, repr=False)
 
     def conditions(self) -> dict[str, ConditionStatus]:
         return {
             "fg1": self.fg1, "fg2": self.fg2, "fg3": self.fg3,
             "fg4": self.fg4, "fg5": self.fg5, "cfg": self.cfg,
-            "tail_sufficient": self.tail_sufficient,
         }
 
     @property
     def all_pass(self) -> bool:
-        """No outright failure among the necessary conditions.
-
-        ``tail_sufficient`` is advisory (sufficient, not necessary) and does
-        not count against the verdict.
-        """
-        return not any(
-            s.status == "fail" for name, s in self.conditions().items()
-            if name != "tail_sufficient"
-        )
+        """No outright failure among the conditions."""
+        return not any(s.status == "fail" for s in self.conditions().values())
 
     def to_dict(self) -> dict:
         out = {name: s.to_dict() for name, s in self.conditions().items()}
         out["theta1"] = self.theta1
-        out["theta"] = self.theta
-        out["zeta"] = self.zeta
         out["tau0"] = self.tau0
         out["m"] = self.m
         out["side"] = self.side
         out["all_pass"] = self.all_pass
         return out
-
-
-def _geometric_u_grid(u_bar: float, size: int, top: float = 1e-8) -> np.ndarray:
-    """Geometric grid in 1-u from (1 - u_bar) down to ``top``."""
-    return 1.0 - np.geomspace(1.0 - u_bar, top, size)
 
 
 def _bounded_sup(values: np.ndarray, log_inv_tail: np.ndarray) -> tuple[bool, float, float, float]:
@@ -213,8 +191,7 @@ def _pairwise(results) -> ConditionStatus:
                            f"trend slope {worst[3]:.3g}")
 
 
-def _marginal_report(F: Distribution, laws, m: float | None,
-                     grid_size: int) -> AssumptionReport:
+def _marginal_report(laws, m: float | None) -> AssumptionReport:
     """Shared grid construction + FG1/FG2/FG3/FG5 over one or two laws.
 
     Quantile-side checks share one u-grid (each law is probed at its own
@@ -231,15 +208,15 @@ def _marginal_report(F: Distribution, laws, m: float | None,
     u_bar = max(float(law.cdf(m)) for law in laws)
     if not u_bar < 1.0 - 1e-8:
         raise ValueError(f"threshold m={m} leaves no tail to examine")
-    us = _geometric_u_grid(u_bar, grid_size)
+    us = 1.0 - np.geomspace(1.0 - u_bar, 1e-8, _FG_GRID_SIZE)
     log_inv = np.log(1.0 / (1.0 - us))
 
     grids = []
     for law in laws:
         x_max = float(law.quantile(1.0 - 1e-8))
-        grids.append(np.geomspace(m, x_max, grid_size) if x_max > m else None)
+        grids.append(np.geomspace(m, x_max, _FG_GRID_SIZE) if x_max > m else None)
 
-    report = AssumptionReport(m=float(m), u_grid=us, x_grid=grids[0])
+    report = AssumptionReport(m=float(m), u_grid=us)
 
     ones = [_fg1_single(law, xs) for law, xs in zip(laws, grids) if xs is not None]
     ok1 = all(o for o, _, _ in ones)
@@ -255,8 +232,7 @@ def _marginal_report(F: Distribution, laws, m: float | None,
     return report
 
 
-def check_fg(F: Distribution, G: Distribution, m: float | None = None,
-             grid_size: int = 512) -> AssumptionReport:
+def check_fg(F: Distribution, G: Distribution, m: float | None = None) -> AssumptionReport:
     """Verify the marginal tail conditions for the pair (F, G).
 
     F should carry the heavier right tail (the quantile gap tau must stay
@@ -272,7 +248,7 @@ def check_fg(F: Distribution, G: Distribution, m: float | None = None,
     * the density-space rewrite of the two bounded checks,
       (1-F)/f * (1/x + |f'|/f), as an independent route to the same verdict.
     """
-    report = _marginal_report(F, (F, G), m, grid_size)
+    report = _marginal_report((F, G), m)
     us = report.u_grid
 
     # quantile-gap separation
@@ -296,47 +272,26 @@ class CfgResult:
     margin: float
     theta: float
     witness_location: float
-    x_grid: np.ndarray = field(repr=False, compare=False, default=None)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-def _resolve_theta(c: Cost, theta: float | None) -> float:
-    """theta for ``check_cfg``: 1 + theta1(c) + 1/4 by default, else it must exceed 1 + theta1."""
-    t1 = c.theta1()
-    if theta is None:
-        return 1.0 + t1 + 0.25
-    if theta <= 1.0 + t1:
-        raise ValueError(f"theta must exceed 1 + theta1 = {1.0 + t1}, got {theta}")
-    return float(theta)
-
-
-def _default_cfg_grid(F: Distribution, c: Cost) -> np.ndarray:
-    return np.asarray(c.l(np.asarray(F.quantile(_CFG_LEVELS), dtype=float)), dtype=float)
-
-
-def check_cfg(F: Distribution, c: Cost, theta: float | None = None,
-              x_grid=None) -> CfgResult:
-    """Compatibility of the heavier tail with the cost's growth.
+def check_cfg(F: Distribution, c: Cost) -> CfgResult:
+    """Compatibility of the heavier tail with the cost's growth, on a grid.
 
     Writing phi = psi_F o l^{-1}, the condition requires
-    phi'(x) >= 2 + 2*theta/x on the far tail for some theta > 1 + theta1(c).
-    phi' is taken by centered differences (relative step 1e-5) through the
-    cost's closed-form l^{-1}; the result reports the minimal margin over the
-    grid and passes iff it exceeds -1e-6.  The default grid places x = l(F^{-1}(u))
-    at 64 geometric tail levels 1-u in [1e-6, 1e-10]; a caller-supplied grid
-    must stay within the cost's asymptotic regime (x >= l(tau1)).
+    phi'(x) >= 2 + 2*theta/x on the far tail for some theta > 1 + theta1(c);
+    here theta = 1 + theta1(c) + 1/4.  phi' is taken by centered differences
+    (relative step 1e-5) through the cost's closed-form l^{-1} at
+    x = l(F^{-1}(u)) on 64 geometric tail levels 1-u in [1e-6, 1e-10]; the
+    result reports the minimal margin over the grid and passes iff it
+    exceeds -1e-6.  ``tail_gate`` falls back on it for laws or costs outside
+    its closed-form table.
     """
-    theta = _resolve_theta(c, theta)
-    if x_grid is None:
-        xs = _default_cfg_grid(F, c)
-    else:
-        xs = np.asarray(x_grid, dtype=float)
-        lo = float(c.l(np.asarray(1e-3)))
-        if xs.size == 0 or np.any(~np.isfinite(xs)) or np.any(xs < lo):
-            raise ValueError(f"grid points must be finite and >= l(tau1) = {lo:.6g}")
+    theta = 1.0 + c.theta1() + 0.25
+    xs = np.asarray(c.l(np.asarray(F.quantile(_CFG_LEVELS), dtype=float)), dtype=float)
     if np.any(xs == 0.0):
         raise ValueError("grid points must be nonzero")
 
@@ -347,63 +302,7 @@ def check_cfg(F: Distribution, c: Cost, theta: float | None = None,
     margin = phi_prime - (2.0 + 2.0 * theta / xs)
     i = int(np.argmin(margin))
     status = "pass" if margin[i] >= _CFG_TOLERANCE else "fail"
-    return CfgResult(status, float(margin[i]), float(theta), float(xs[i]), xs)
-
-
-def check_tail_sufficient(F: Distribution, c: Cost, zeta: float = 2.5,
-                          x_grid=None) -> ConditionStatus:
-    """Tractable sufficient condition: P(X > x) <= exp(l(x))^(-zeta), zeta > 2.
-
-    Equivalently psi_F(x) >= zeta * l(x) pointwise; when it holds, the
-    compatibility condition follows with arbitrarily large theta.  Failing
-    here is inconclusive (the condition is not necessary).
-    """
-    if not zeta > 2.0:
-        raise ValueError(f"zeta must exceed 2, got {zeta}")
-    if x_grid is None:
-        xs = np.asarray(F.quantile(_SUFFICIENT_LEVELS), dtype=float)
-    else:
-        xs = np.asarray(x_grid, dtype=float)
-        if xs.size == 0 or np.any(~np.isfinite(xs)):
-            raise ValueError("grid points must be finite")
-    margin = (np.asarray(F.tail_exponent(xs), dtype=float)
-              - zeta * np.asarray(c.l(xs), dtype=float))
-    i = int(np.argmin(margin))
-    status = "pass" if margin[i] >= -1e-9 else "fail"
-    return ConditionStatus(status, float(margin[i]), float(xs[i]), f"zeta={zeta:g}")
-
-
-def check_csfg(F: Distribution, m: float | None = None, grid_size: int = 64) -> ConditionStatus:
-    """Sufficient condition for the marginal checks from tail classification.
-
-    A law whose tail exponent psi is slowly varying (regular-variation index
-    0, e.g. polynomial tails) satisfies the marginal conditions outright.
-    With index gamma1 > 0 (stretched-exponential and Gaussian-like tails) the
-    companion must additionally obey H(u) <= 1/(gamma0 * log(1/(1-u))) on the
-    tail grid, checked here with gamma0 = gamma1/2.  Raises for laws without
-    a declared tail class.
-    """
-    gamma1 = F.tail_class()
-    if gamma1 is None:
-        raise ValueError(f"{type(F).__name__} has no declared tail class")
-    gamma1 = float(gamma1)
-    if gamma1 == 0.0:
-        return ConditionStatus("pass", None, None, "psi slowly varying (index 0)")
-    if m is None:
-        m = float(F.quantile(0.95))
-    u_bar = float(F.cdf(m))
-    if not u_bar < 1.0 - 1e-8:
-        raise ValueError(f"threshold m={m} leaves no tail to examine")
-    us = _geometric_u_grid(max(u_bar, 0.5), grid_size)
-    gamma0 = gamma1 / 2.0
-    bound = 1.0 / (gamma0 * np.log(1.0 / (1.0 - us)))
-    gap = bound - np.asarray(F.companion(us), dtype=float)
-    i = int(np.argmin(gap))
-    note = f"psi regularly varying, index {gamma1:g}; companion bound with gamma0={gamma0:g}"
-    if gamma1 == 1.0:
-        note += "; index-1 case uses the family's exact psi"
-    status = "pass" if gap[i] >= 0.0 else "fail"
-    return ConditionStatus(status, float(gap[i]), float(us[i]), note)
+    return CfgResult(status, float(margin[i]), float(theta), float(xs[i]))
 
 
 def heavier_right(F: Distribution, G: Distribution) -> Distribution:
@@ -564,8 +463,7 @@ class TripleReport:
 
 
 def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
-              m: float | None, theta: float | None, zeta: float,
-              grid_size: int) -> tuple[AssumptionReport, bool]:
+              m: float | None) -> tuple[AssumptionReport, bool]:
     # the marginal conditions name F as the heavier tail
     heavy = heavier_right(F, G)
     swapped = heavy is not F
@@ -576,36 +474,26 @@ def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
         na = ConditionStatus("not-applicable",
                              note="both supports bounded on this side; tail conditions vacuous")
         report = AssumptionReport(fg1=na, fg2=na, fg3=na, fg4=na, fg5=na,
-                                  cfg=na, tail_sufficient=na, side=side,
-                                  theta1=c.theta1())
+                                  cfg=na, side=side, theta1=c.theta1())
         return report, swapped
     if not math.isinf(light.support()[1]):
         # lighter law compactly supported: marginal checks apply to the heavy
         # law alone and the separation condition is discarded
-        report = _marginal_report(heavy, (heavy,), m, grid_size)
+        report = _marginal_report((heavy,), m)
         report.fg4 = ConditionStatus(
             "not-applicable",
             note="lighter law compactly supported on this side; separation condition discarded")
     else:
-        report = check_fg(heavy, light, m=m, grid_size=grid_size)
+        report = check_fg(heavy, light, m=m)
     report.side = side
     report.theta1 = c.theta1()
     gate = _side_gate(F, G, heavy, c, side, ("x", "y"))
     report.cfg = ConditionStatus(gate.status, gate.margin, None, gate.rule)
-    if gate.status != "not-applicable":
-        report.theta = _resolve_theta(c, theta)
-    try:
-        report.tail_sufficient = check_tail_sufficient(heavy, c, zeta=zeta)
-        report.zeta = zeta
-    except UnsupportedCostError:
-        report.tail_sufficient = ConditionStatus("not-applicable",
-                                                 note="cost has no asymptotic profile l")
     return report, swapped
 
 
 def verify_triple(F: Distribution, G: Distribution, c: Cost,
-                  m: float | None = None, theta: float | None = None,
-                  zeta: float = 2.5, grid_size: int = 512) -> TripleReport:
+                  m: float | None = None) -> TripleReport:
     """Run the full hypothesis set on both tails of (F, G, c).
 
     The right tail is checked for the pair as given; the left tail is checked
@@ -613,12 +501,11 @@ def verify_triple(F: Distribution, G: Distribution, c: Cost,
     asymmetric pinball cost).  On each side the heavier-tailed law takes the
     lead role automatically.  Each side's compatibility condition ``cfg`` is
     ``tail_gate``'s verdict there, its margin the witness value and its rule
-    the note; ``theta`` is checked and reported, as the rule is its limit.
+    the note.  ``all_pass`` reads every condition reported.
     """
-    right, sw_r = _one_side(F, G, c, "right", m, theta, zeta, grid_size)
+    right, sw_r = _one_side(F, G, c, "right", m)
     # a caller-chosen threshold is meaningless after reflection, so the left
     # side always picks its own default
-    left, sw_l = _one_side(reflect(F), reflect(G), reflected_cost(c), "left",
-                           None, theta, zeta, grid_size)
+    left, sw_l = _one_side(reflect(F), reflect(G), reflected_cost(c), "left", None)
     return TripleReport(right=right, left=left, theta1=c.theta1(),
                         swapped_right=sw_r, swapped_left=sw_l)

@@ -192,9 +192,8 @@ def cmd_variance(args) -> tuple[int, dict]:
 
 def cmd_check(args) -> tuple[int, dict]:
     report = verify_triple(parse_distribution(args.F), parse_distribution(args.G),
-                           parse_cost(args.cost), theta=args.theta, zeta=args.zeta)
-    params = {"F": args.F, "G": args.G, "cost": args.cost,
-              "theta": args.theta, "zeta": args.zeta}
+                           parse_cost(args.cost))
+    params = {"F": args.F, "G": args.G, "cost": args.cost}
     run = RunConfig("check", params, None, args.out, args.format)
     code = 0 if report.all_pass else 1
     return code, _payload(run, report.to_dict())
@@ -314,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("F")
     p.add_argument("G")
     p.add_argument("cost")
-    p.add_argument("--theta", type=float, help="tail/growth margin parameter")
-    p.add_argument("--zeta", type=float, default=2.5,
-                   help="exponent for the sufficient tail bound (default 2.5)")
     routing(p)
     p.set_defaults(handler=cmd_check)
 

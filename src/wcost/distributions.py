@@ -69,11 +69,6 @@ class Distribution:
         """(gamma, C) with psi(x) ~ C x^gamma at +inf, or ~ C log x for gamma = 0; None if undeclared."""
         return None
 
-    def tail_class(self) -> float | None:
-        """Regular-variation index gamma of psi at +inf, or None when unclassified."""
-        constants = self.tail_constants()
-        return None if constants is None else constants[0]
-
     # --- derived quantile-side machinery -----------------------------------
 
     def density_quantile(self, u):

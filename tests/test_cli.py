@@ -239,6 +239,26 @@ def test_check_pareto_against_exponential_leads_with_pareto(capsys):
     assert report["right"]["cfg"]["status"] == "fail"
 
 
+def test_check_sides_hold_only_the_verdict_conditions(capsys):
+    code, out, _ = invoke(capsys, "check", "pareto(10)", "exponential(1)", "logpower(0.5)")
+    report = json.loads(out)
+    # a logpower slope outgrows every power of the Pareto quantile: sigma2 is infinite
+    assert code == 1 and report["right"]["cfg"]["status"] == "fail"
+    conditions = {"fg1", "fg2", "fg3", "fg4", "fg5", "cfg"}
+    for side in ("right", "left"):
+        assert {k for k, v in report[side].items() if isinstance(v, dict)} == conditions
+        assert not {"theta", "zeta", "tail_sufficient"} & set(report[side])
+    assert set(report["config"]["params"]) == {"F", "G", "cost"}
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--zeta"])
+def test_check_rejects_retired_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "pareto(5)", "locscale(pareto(5),1,1)", "power(2)", flag, "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # --- sample ---------------------------------------------------------------------
 
 

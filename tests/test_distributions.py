@@ -160,10 +160,10 @@ def test_gaussian_tail_exponent_beyond_underflow():
 
 
 def test_gaussian_tail_class_and_supports():
-    assert Gaussian(0.0, 1.0).tail_class() == 2.0
-    assert Pareto(4.0).tail_class() == 0.0
-    assert Weibull(1.7).tail_class() == 1.7
-    assert Exponential(2.0).tail_class() == 1.0
+    assert Gaussian(0.0, 1.0).tail_constants()[0] == 2.0
+    assert Pareto(4.0).tail_constants()[0] == 0.0
+    assert Weibull(1.7).tail_constants()[0] == 1.7
+    assert Exponential(2.0).tail_constants()[0] == 1.0
     assert Pareto(2.0).support() == (1.0, math.inf)
     assert Weibull(2.0).support() == (0.0, math.inf)
     assert reflect(Pareto(2.0)).support() == (-math.inf, -1.0)
@@ -178,7 +178,6 @@ def test_tail_constants_scale_with_location_scale():
     assert LocationScale(Exponential(1.0), 0.5, 3.0).tail_constants() == (1.0, 2.0)
     assert LocationScale(Pareto(3.0), 100.0, 0.0).tail_constants() == (0.0, 3.0)
     assert reflect(Exponential(1.0)).tail_constants() is None
-    assert reflect(Exponential(1.0)).tail_class() is None
 
 
 def test_weibull_density_at_zero_is_its_right_limit():

@@ -1,8 +1,9 @@
 """Monte Carlo harness tests.
 
 Distributional thresholds (KS, var(z), coverage) were frozen from an
-oversized calibration run recorded in scratch/mc_calibration.log; they are
-descriptive desk-scale bounds, not formal test levels.
+oversized calibration run whose log is not in the repository (ROADMAP item 9
+tracks recording it); they are descriptive desk-scale bounds, not formal test
+levels.
 """
 
 import functools

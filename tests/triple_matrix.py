@@ -7,7 +7,11 @@ and the swap flags; or the type and message of the error it raised.  Notes
 are left out: the trend-slope digits in them are rounding noise when the
 slope is within ~1e-12 of zero.  The file was recorded at commit 32efc77,
 where ``_bounded_sup`` took its slope from ``numpy.polyfit`` and ``cfg`` came
-from ``check_cfg``'s grid (``CFG_MOVED`` lists where ``tail_gate`` differs), with
+from ``check_cfg``'s grid (``CFG_MOVED`` lists where ``tail_gate`` differs).
+``verify_triple`` no longer reports ``theta`` or the advisory
+``tail_sufficient`` condition (``RETIRED``); ``expected`` drops both from the
+recorded sides.  The file was written, when ``_SIDE_KEYS`` still held
+``theta``, with
 
     mkdir -p /tmp/wcost-32efc77 && git archive 32efc77 src | tar -x -C /tmp/wcost-32efc77
     PYTHONPATH=/tmp/wcost-32efc77/src python3 tests/triple_matrix.py > tests/triple_reports.json
@@ -71,7 +75,9 @@ CFG_MOVED = {
 #: triple -> ``all_pass`` where a moved ``cfg`` status moved it
 ALL_PASS_MOVED = {("locscale(weibull(0.5),1,2)", "weibull(0.5)", "logpower(0.5)"): True}
 
-_SIDE_KEYS = ("theta", "tau0", "m")
+_SIDE_KEYS = ("tau0", "m")
+#: recorded per-side keys that ``verify_triple`` no longer reports
+RETIRED = ("theta", "tail_sufficient")
 
 
 def report(triple) -> dict:
@@ -93,9 +99,14 @@ def report(triple) -> dict:
 
 
 def expected(triple, recorded: dict) -> dict:
-    """A recorded report as ``tail_gate`` moves it, each side's ``cfg`` cut to its status."""
+    """A recorded report as ``tail_gate`` moves it, each side's ``cfg`` cut to its status.
+
+    The ``RETIRED`` keys are dropped from each side.
+    """
     out = cfg_status_only(recorded)
     for side in ("right", "left"):
+        for key in RETIRED if side in out else ():
+            out[side].pop(key, None)
         if (triple, side) in CFG_MOVED:
             out[side]["cfg"] = CFG_MOVED[(triple, side)]
     if triple in ALL_PASS_MOVED:
