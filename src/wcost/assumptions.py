@@ -44,13 +44,9 @@ _CFG_TOLERANCE = -1e-6
 _REL_STEP = 1e-5
 
 
-def _frozen(levels: np.ndarray) -> np.ndarray:
-    levels.setflags(write=False)
-    return levels
-
-
 # The probability levels of check_cfg's grid, and the size of the marginal checks' grids.
-_CFG_LEVELS = _frozen(1.0 - np.geomspace(1e-6, 1e-10, 64))
+_CFG_LEVELS = 1.0 - np.geomspace(1e-6, 1e-10, 64)
+_CFG_LEVELS.setflags(write=False)
 _FG_GRID_SIZE = 512
 
 
