@@ -11,7 +11,9 @@ import numpy as np
 
 
 def _as_array(x):
-    return np.asarray(x, dtype=float)
+    """``x`` as a float array; a scalar becomes a 1-element one, to round as in an array."""
+    a = np.asarray(x, dtype=float)
+    return a.reshape(1) if a.ndim == 0 else a
 
 
 def _scalar_like(value, *templates):
@@ -27,7 +29,7 @@ def _scalar_like(value, *templates):
                 return value
         elif ndim:
             return value
-    return float(value)
+    return float(np.asarray(value).reshape(-1)[0])
 
 
 def _fmt(x: float) -> str:

@@ -395,15 +395,26 @@ def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> Ga
     not-applicable there, and passes.  Returns the verdict with the lowest
     margin, a failing one first; not-applicable when no side is unbounded.
     """
-    verdicts = []
+    return _worst(_side_verdicts(F, G, c, which))
+
+
+def _side_verdicts(F: Distribution, G: Distribution, c: Cost, which) -> dict[str, GateVerdict]:
+    """``tail_gate``'s verdict on each tail side whose lead law is unbounded, keyed by side."""
+    verdicts = {}
     for side, A, B, cost in (("right", F, G, c),
                              ("left", reflect(F), reflect(G), reflected_cost(c))):
         lead = heavier_right(A, B)
         if math.isinf(lead.support()[1]):
-            verdicts.append(_side_gate(A, B, lead, cost, side, which))
+            verdicts[side] = _side_gate(A, B, lead, cost, side, which)
+    return verdicts
+
+
+def _worst(verdicts: dict[str, GateVerdict]) -> GateVerdict:
+    """The verdict with the lowest margin, a failing one first; not-applicable for none."""
     if not verdicts:
         return GateVerdict("not-applicable", rule="no unbounded tail")
-    return min(verdicts, key=lambda v: (not v.failed, math.inf if v.margin is None else v.margin))
+    return min(verdicts.values(),
+               key=lambda v: (not v.failed, math.inf if v.margin is None else v.margin))
 
 
 def _side_gate(A: Distribution, B: Distribution, lead: Distribution, c: Cost, side: str,

@@ -1,12 +1,15 @@
-"""Deterministic adaptive quadrature with endpoint-truncation extrapolation.
+"""Deterministic adaptive quadrature on 15-point Gauss--Kronrod panels.
 
-Integrals over the open unit interval (or square) with integrable endpoint
-singularities are computed as: adaptive 15-point Gauss--Kronrod on a truncated
-domain, plus a tail correction obtained by halving the truncation level a few
-times and accelerating the resulting sequence (Aitken's delta-squared, i.e.
-Richardson with estimated ratio).  The strip masses added by each halving also
-power the divergence test: if they stop shrinking geometrically the integral
-is declared nonconvergent rather than silently truncated.
+``CumulativeMesh`` carries the variances' running integrals on a finite
+range; they map each tail onto it themselves.  The open-interval (and
+open-square) integrals of ``exact_cost``, the location-scale moments and the
+two-dimensional variance oracle are computed as: adaptive Gauss--Kronrod on a
+truncated domain, plus a tail correction obtained by halving the truncation
+level a few times and accelerating the resulting sequence (Aitken's
+delta-squared, i.e. Richardson with estimated ratio).  The strip masses added
+by each halving also power their divergence test: if they stop shrinking
+geometrically the integral is declared nonconvergent rather than silently
+truncated.
 
 Everything is deterministic: panels are summed in domain order with
 compensated summation, never in refinement order.
@@ -88,7 +91,11 @@ _INNER_TIGHTENING = 20.0
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the adaptive integrators."""
+    """Tolerances and budgets for the adaptive integrators.
+
+    ``edge_epsilon`` and ``extrapolation_levels`` govern only the truncated
+    integrals of ``exact_cost``, the location-scale moments and the 2-D oracle.
+    """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
@@ -425,30 +432,19 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
 
 
 class CumulativeMesh:
-    """Running integrals Q_i(t) = -int_{1/2}^t p_i of a vector integrand on (0, 1).
+    """Running integrals Q_i(x) = -int_0^x p_i of a vector integrand on [breaks[0], breaks[-1]].
 
-    ``f`` maps an array of n points to an (m, n) array of the components p_i.
-    Each 15-point Gauss--Kronrod panel carries the node samples; Q at a node is
-    the panel sums accumulated outward from 1/2 plus the integral of the
-    panel's interpolant up to the node.  The mesh starts from ``graded_breaks``
-    on (eps, 1 - eps) and the truncation-halving cuts eps/2^k, 1 - eps/2^k of
-    ``integrate_open01``, so each panel lies in the base interval or in one
-    endpoint strip and any integral over the panels extrapolates to (0, 1)
-    strip by strip (``open_integral``).  Outside ``window`` the integrand is
-    taken as zero, which holds Q constant there.
+    ``f`` maps an array of n points to an (m, n) array of the components p_i;
+    ``breaks`` are the initial panel ends and hold 0.  Each 15-point
+    Gauss--Kronrod panel carries the node samples; Q at a node is the panel
+    sums accumulated outward from 0 plus the integral of the panel's
+    interpolant up to the node.
     """
 
-    def __init__(self, f, cfg: QuadratureConfig, window=(0.0, 1.0)):
+    def __init__(self, f, breaks):
         self.f = f
-        self.window = window
-        self.levels = cfg.extrapolation_levels
         self.evaluations = 0
-        eps = cfg.edge_epsilon
-        #: truncation levels eps/2^k, ascending (eps last)
-        self.cuts = eps * 0.5 ** np.arange(self.levels, -1, -1)
-        pts = {0.5, *graded_breaks(eps, 1.0 - eps), *self.cuts, *(1.0 - self.cuts)}
-        pts.update(w for w in window if 0.0 < w < 1.0)
-        self.breaks = np.array(sorted(pts))
+        self.breaks = np.asarray(breaks, dtype=float)
         self.p = self._sample(self.breaks[:-1], self.breaks[1:])
         self._update()
 
@@ -456,18 +452,15 @@ class CumulativeMesh:
     def panels(self) -> int:
         return self.breaks.size - 1
 
+    def nodes(self) -> np.ndarray:
+        """The node abscissae, shape (panels, 15)."""
+        return self.mid[:, None] + self.half[:, None] * _NODES
+
     def _sample(self, lo, hi):
-        u = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
-        if self.window == (0.0, 1.0):  # every node lies inside
-            vals = np.asarray(self.f(u.ravel()), dtype=float)
-            self.evaluations += vals.shape[-1]
-            return vals.reshape((vals.shape[0],) + u.shape)
-        inside = (u >= self.window[0]) & (u <= self.window[1])
-        vals = np.asarray(self.f(u[inside]), dtype=float)
+        x = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
+        vals = np.asarray(self.f(x.ravel()), dtype=float)
         self.evaluations += vals.shape[-1]
-        out = np.zeros((vals.shape[0],) + u.shape)
-        out[:, inside] = vals
-        return out
+        return vals.reshape((vals.shape[0],) + x.shape)
 
     def _update(self) -> None:
         lo, hi = self.breaks[:-1], self.breaks[1:]
@@ -475,16 +468,13 @@ class CumulativeMesh:
         sums = self.half * (self.p @ _W_KRONROD)
         #: per panel, the Kronrod-minus-Gauss discrepancy of int p_i
         self.ep = self.half * np.abs(self.p @ _W_DIFF)
-        k0 = int(np.searchsorted(lo, 0.5))
-        right = -np.cumsum(sums[:, k0:], axis=1)
-        #: Q_i at each panel's left end, summed outward from 1/2 on both sides
-        self.q_lo = np.concatenate((np.cumsum(sums[:, k0 - 1::-1], axis=1)[:, ::-1],
-                                    np.zeros((sums.shape[0], 1)), right[:, :-1]), axis=1)
+        k0 = int(np.searchsorted(lo, 0.0))
+        #: Q_i at each break, summed outward from 0 on both sides, shape (m, panels + 1)
+        self.q_breaks = np.concatenate((np.cumsum(sums[:, k0 - 1::-1], axis=1)[:, ::-1],
+                                        np.zeros((sums.shape[0], 1)),
+                                        -np.cumsum(sums[:, k0:], axis=1)), axis=1)
         #: Q_i at the nodes, shape (m, panels, 15)
-        self.Q = self.q_lo[..., None] - self.half[:, None] * (self.p @ _CUMULATIVE.T)
-        left = self.levels + 1 - np.searchsorted(self.cuts, self.mid)
-        right_level = self.levels + 1 - np.searchsorted(self.cuts, 1.0 - self.mid)
-        self.strip = np.where(left > 0, left, np.where(right_level > 0, self.levels + right_level, 0))
+        self.Q = self.q_breaks[:, :-1, None] - self.half[:, None] * (self.p @ _CUMULATIVE.T)
 
     def split(self, mask) -> bool:
         """Bisect the masked panels; False when none can be split any more."""
@@ -502,21 +492,3 @@ class CumulativeMesh:
     def panel_sums(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Per-panel Kronrod integrals of node values and their Kronrod-minus-Gauss gaps."""
         return self.half * (values @ _W_KRONROD), self.half * np.abs(values @ _W_DIFF)
-
-    def open_integral(self, sums, cfg: QuadratureConfig, what: str) -> tuple[float, float]:
-        """Sum per-panel integrals over (0, 1): base interval plus each extrapolated tail.
-
-        Returns (value, extrapolation residual) as Python floats; raises
-        NonconvergenceError when a tail's strips stop shrinking or are not
-        finite.  The strips reach ``_tail_limit`` as Python floats, on which
-        its scalar arithmetic is cheaper than on numpy scalars and rounds
-        the same.
-        """
-        by_strip = np.bincount(self.strip, weights=sums, minlength=2 * self.levels + 1)
-        base, *strips = by_strip.tolist()
-        floor = 0.01 * _tolerance(cfg, base)
-        left, left_res = _tail_limit(strips[:self.levels], floor,
-                                     f"{what}: lower endpoint of (0,1)")
-        right, right_res = _tail_limit(strips[self.levels:], floor,
-                                       f"{what}: upper endpoint of (0,1)")
-        return base + left + right, left_res + right_res

@@ -10,13 +10,17 @@ variance of a one-dimensional influence function, the classical L-statistic form
 
 Q_y likewise, with h_X = f o F^{-1}, h_Y = g o G^{-1} the quantile densities and
 (U, V) drawn from the coupling's copula.  ``sigma2`` builds Q_x and Q_y as running
-Gauss--Kronrod sums on one graded mesh (``quadrature.CumulativeMesh``), after
+Gauss--Kronrod sums on one mesh (``quadrature.CumulativeMesh``), after
 ``assumptions.tail_gate`` has checked the paper's tail hypothesis in closed form
 from the growth of the cost slope against each quantile; only the covariance
 of Q_x and Q_y depends on the coupling.  Under a Gaussian copula that covariance
 is Mehler's series sum_k r^k alpha_k beta_k in the Hermite coefficients of Q_x
-and Q_y, which are panel sums on the same mesh.  ``sigma2_one_sample`` and the
-trimmed ``sigma2_window`` use the same route.
+and Q_y, which are panel sums on the same mesh.  Each half of (0, 1) lies along
+its own tail coordinate, s = -log(1 - u) above 1/2 and s = -log u below, as a
+mapped infinite range (QUADPACK's QAGI): there the variance integrand decays
+like e^{-2 m s}, m the gate's margin (del Barrio, Gine & Utzet 2005), which
+sets the mesh's depth and bounds what holding Q constant beyond it misses.
+``sigma2_one_sample`` and the trimmed ``sigma2_window`` use the same route.
 Closed forms cover location-scale families and Gaussian marginals.
 ``plug_in_sigma2`` estimates the untrimmed variance from one paired sample
 alone, as the sample variance of the empirical influence values: the same Q_x
@@ -29,20 +33,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
 
-from .assumptions import tail_gate
+from .assumptions import _side_verdicts, _worst
 from .costs import Cost, QuantileCost
 from .coupling import Comonotone, Countermonotone, Coupling, GaussianCopula, Independent
-from .distributions import Distribution, Gaussian
+from .distributions import Distribution, Gaussian, reflect
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
 from .estimate import PairedSample
-from .quadrature import (_INNER_TIGHTENING, _NODES, _W_DIFF, _W_KRONROD, CumulativeMesh,
-                         QuadratureConfig, _tail_limit, _tolerance, integrate_open01)
+from .quadrature import (_INNER_TIGHTENING, _W_DIFF, _W_KRONROD, CumulativeMesh,
+                         QuadratureConfig, _tolerance, integrate_open01)
 
 __all__ = [
     "DEFAULT_VARIANCE_CONFIG",
@@ -94,6 +98,17 @@ _SERIES_BLOCKS = (16, 512)
 _CANCELLATION = 1e-12
 
 _SEPARATION_PROBES = (1e-6, 1e-4, 1e-2, 1.0 - 1e-2, 1.0 - 1e-4, 1.0 - 1e-6)
+
+_LOG2 = math.log(2.0)
+_HALVES = ("left", "right")
+_STANDARD = Gaussian(0.0, 1.0)
+#: The deepest mesh end in s: e^{-s} stays a normal double to s = 708.
+_DEPTH_CAP = 700.0
+#: The mesh's depth in s on a tail whose margin the gate cannot size.
+_FIXED_DEPTH = 64.0
+#: Added to the log of the relative tolerance in ``_depth``: room for the
+#: constant in front of a tail's e^{-2 m s}.
+_DEPTH_SLACK = 4.0
 
 
 @dataclass(frozen=True)
@@ -175,19 +190,24 @@ def variance_kernel(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
 # --- tail-hypothesis gate and degeneracy warning -------------------------------
 
 
-def _gate(F: Distribution, G: Distribution, c: Cost, which: tuple[str, ...]) -> dict:
-    """``tail_gate``'s verdict as a diagnostics block; raises HypothesisGateError if it fails.
+def _gate(F: Distribution, G: Distribution, c: Cost, which: tuple[str, ...]):
+    """``tail_gate``'s verdict as a diagnostics block, and the margins of the left and right tails.
 
-    No influence-function work is spent then: the variance may be infinite, or
-    the normal limit may not hold.
+    Raises HypothesisGateError if the gate fails; no influence-function work
+    is spent then: the variance may be infinite, or the normal limit may not
+    hold.  A bounded side's margin is 1/2, as Q tends to a limit there; a
+    side that the grid or no rule decided has None.
     """
-    verdict = tail_gate(F, G, c, which)
+    sides = _side_verdicts(F, G, c, which)
+    verdict = _worst(sides)
     if verdict.failed:
         raise HypothesisGateError(
             f"the paper's tail hypothesis fails on the {verdict.side} side, marginal "
             f"{verdict.marginal}: {verdict.rule}, margin {verdict.margin:.3g}; the asymptotic "
             "variance may be infinite, or the normal limit may not hold", verdict)
-    return asdict(verdict)
+    return asdict(verdict), [0.5 if side not in sides
+                             else sides[side].margin if sides[side].rule.startswith("closed form")
+                             else None for side in _HALVES]
 
 
 def _warn_if_tails_meet(F: Distribution, G: Distribution) -> None:
@@ -233,41 +253,84 @@ def _clamped(total: float, err: float, what: str) -> tuple[float, float, float]:
 # --- influence functions -------------------------------------------------------
 
 
-def _var_term(mesh: CumulativeMesh, X, e, q: QuadratureConfig, what: str):
-    """Var X(U) for U uniform on (0, 1), from node values on ``mesh``.
+def _tail_slopes(F: Distribution, G: Distribution, c: Cost, sigma):
+    """The slopes of ``_slopes`` at u(sigma), times du/dsigma = e^{-s}, stacked.
 
-    ``e`` holds the per-panel slope-integral discrepancies; a panel's share of
-    the bound is its own Kronrod-minus-Gauss gaps plus its discrepancy times
-    the sensitivity of the variance to a uniform shift of X, since an error in
-    one panel's sum shifts the influence function everywhere beyond it (added
-    once per factor of X * X).  Returns (variance, per-panel error shares,
-    extrapolation residual).
+    sigma = s - log 2 with s = -log(1 - u) on the right half and
+    sigma = log 2 - s with s = -log u on the left, so sigma = 0 is u = 1/2.
+    The quantiles are closed forms exact in each tail: psi_inverse(s) of the
+    law on the right half, and of its reflection, negated, on the left.
     """
-    s2, d2 = mesh.panel_sums(X * X)
-    i2, r2 = mesh.open_integral(s2, q, what)
-    s1, d1 = mesh.panel_sums(X)
-    i1, r1 = mesh.open_integral(s1, q, what)
-    a1 = float(np.sum(mesh.panel_sums(np.abs(X))[0]))
-    shares = (d2 + abs(i1) * d1 + abs(i1) * d1
-              + e * (a1 + abs(i1)) + e * (a1 + abs(i1)))
-    return i2 - i1 * i1, shares, r2 + abs(i1) * r1 + abs(i1) * r1
+    s = np.abs(sigma) + _LOG2
+    right = sigma >= 0.0
+    x, y = np.empty_like(s), np.empty_like(s)
+    for D, out in ((F, x), (G, y)):
+        out[right] = D.psi_inverse(s[right])
+        out[~right] = -np.asarray(reflect(D).psi_inverse(s[~right]))
+    gx, gy = c.gradient(x, y)
+    w = np.exp(-s)
+    return np.stack((gx * (w / np.asarray(F.pdf(x))), gy * (w / np.asarray(G.pdf(y)))))
 
 
-def _influence_terms(mesh: CumulativeMesh, cp: Coupling | None, q: QuadratureConfig):
+def _weights(sigma):
+    """du/dsigma = e^{-s} at points sigma."""
+    return np.exp(-(np.abs(sigma) + _LOG2))
+
+
+def _var_term(mesh: CumulativeMesh, X, Xb, e, margins, what: str):
+    """Var X(U) for U uniform on (0, 1), from X at the nodes and ``Xb`` at the breaks.
+
+    Beyond each half's depth S, X is held at its end value X_S: X_S^2 e^{-S}
+    joins E X^2.  Where X^2 e^{-s} decays like e^{-2 m s} (m from
+    ``margins``), that and the true tail are both at most X_S^2 e^{-S} / m, and
+    |X| e^{-s} decays faster: the half's tail bound.  A margin of None is half
+    the decay rate over the last panel, and a tail that does not decay raises.
+    A panel's error share is its Kronrod-minus-Gauss gaps plus its
+    slope-integral discrepancy ``e`` times twice the integral of |X| + |E X|
+    from the panel outward.  Returns (variance, per-panel shares, per-half
+    tail bounds, 0.0 for no other part).
+    """
+    w = _weights(mesh.nodes())
+    (s2, d2), (s1, d1), (a, _) = (mesh.panel_sums(v * w) for v in (X * X, X, np.abs(X)))
+    lo, hi = mesh.breaks[:-1], mesh.breaks[1:]
+    end, depth = Xb[[0, -1]], np.abs(mesh.breaks[[0, -1]]) + _LOG2
+    mass = np.exp(-depth)
+    i2 = math.fsum(s2.tolist()) + float(np.sum(end * end * mass))
+    i1 = math.fsum(s1.tolist()) + float(np.sum(end * mass))
+    inner = np.abs(mesh.breaks[[1, -2]]) + _LOG2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.log(Xb[[1, -2]] ** 2 * np.exp(-inner) / (end * end * mass)) / (depth - inner)
+    # a half without a margin takes half the decay rate of X^2 e^{-s} over its last panel
+    m = np.array([margin if margin is not None else 0.5 * rate[h] if end[h] else math.inf
+                  for h, margin in enumerate(margins)])
+    if not np.all(m > 0.0):
+        h = int(np.argmin(m > 0.0))
+        raise NonconvergenceError(
+            f"{what}: the {_HALVES[h]} tail does not decay by depth s = {depth[h]:.4g}")
+    tails = (end * end + 2.0 * abs(i1) * np.abs(end)) * mass / m
+    k0 = int(np.searchsorted(lo, 0.0))
+    beyond = np.concatenate((np.cumsum(a[:k0]) + abs(end[0]) * mass[0],
+                             np.cumsum(a[k0:][::-1])[::-1] + abs(end[1]) * mass[1]))
+    beyond += abs(i1) * 0.5 * np.exp(-np.maximum(lo, -hi))
+    return i2 - i1 * i1, d2 + 2.0 * abs(i1) * d1 + 2.0 * e * beyond, tails, 0.0
+
+
+def _influence_terms(mesh: CumulativeMesh, cp: Coupling | None, margins):
     """The variances whose weighted sum is sigma^2, but a Gaussian copula's cross term.
 
-    Returns [(name, weight, variance, per-panel error shares, residual)].
+    Returns [(name, weight, variance, per-panel error shares, per-half tail
+    bounds, the rest of the error bound)].
     """
-    Q, ep = mesh.Q, mesh.ep
+    Q, Qb, ep = mesh.Q, mesh.q_breaks, mesh.ep
     if cp is None or isinstance(cp, (Comonotone, Countermonotone)):
         # one influence function: Q_x + Q_y, the y part reflected for countermonotone
-        S, es = Q.sum(axis=0), ep.sum(axis=0)
         name = "x+y" if Q.shape[0] == 2 else "x"
-        return [(name, 1.0, *_var_term(mesh, S, es, q, "influence"))]
+        return [(name, 1.0, *_var_term(mesh, Q.sum(axis=0), Qb.sum(axis=0), ep.sum(axis=0),
+                                       margins, "influence"))]
     if not isinstance(cp, (Independent, GaussianCopula)):
         raise TypeError(f"no influence-function variance for coupling {cp!r}")
-    return [(name, 1.0, *_var_term(mesh, X, e, q, f"influence {name}"))
-            for name, X, e in zip(("x", "y"), Q, ep)]
+    return [(name, 1.0, *_var_term(mesh, X, Xb, e, margins, f"influence {name}"))
+            for name, X, Xb, e in zip(("x", "y"), Q, Qb, ep)]
 
 
 def _hermite_blocks(z):
@@ -295,19 +358,19 @@ def _hermite_blocks(z):
         size = min(2 * size, largest)
 
 
-def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, x, y):
+def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, x, y, margins):
     """A Gaussian copula's cross term 2 Cov(Q_x(U), Q_y(V)) by Mehler's formula.
 
     With U = Phi(Z_1), V = Phi(r Z_1 + s Z_2) the covariance is
     sum_k r^k alpha_k beta_k over the Hermite coefficients
     alpha_k = E[Q_x(Phi(Z)) h_k(Z)] of Q_x and beta_k of Q_y.  As
     h_k phi = -(h_{k-1} phi)' / sqrt(k), integration by parts gives
-    alpha_k = -int p_x phi(z) h_{k-1}(z) du / sqrt(k), z = Phi^{-1}(u): a panel
-    sum of the slopes times phi at the nodes' scores, against h_{k-1} from
-    ``_hermite_blocks``, for a block of k at a time.  The slopes vanish
-    beyond the meshed range and outside a window, so these are the
-    coefficients of Q_x held constant there, and panels outside a window are
-    skipped.  ``x`` and ``y`` are the variance terms on the same mesh.
+    alpha_k = -int p_x phi(z) h_{k-1}(z) du / sqrt(k), z = Phi^{-1}(u) =
+    +-psi_inverse(s) of the standard normal law: a panel sum of the mesh's
+    slopes times phi at the nodes' scores, against h_{k-1} from
+    ``_hermite_blocks``, for a block of k at a time.  These are the
+    coefficients of Q_x and Q_y held constant beyond the meshed range.  ``x``
+    and ``y`` are the variance terms on the same mesh.
 
     Clamping does not increase a variance, so with R_x = Var Q_x + its error
     - sum_{k <= K} alpha_k^2 the rest of the series is at most
@@ -321,35 +384,36 @@ def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, x, y):
     bound meets its share of the tolerance, or until what a form has left of
     its sums lies within their error; more than ``_SERIES_CAP`` terms raise.
     A panel's error share is its gap in each coefficient times |r^k| (or
-    |r^k - 1|) and the other coefficient.  The same sums, taken with Q_x and
-    Q_y held constant beyond each strip of one tail, are extrapolated past
-    the meshed range by ``_unclamped``.  Returns the form with the smaller
-    error estimate, as an entry of ``_influence_terms``, and its diagnostics.
+    |r^k - 1|) and the other coefficient.  Holding Q_x and Q_y constant beyond
+    the mesh moves the covariance by at most sd(D_x) (sd(Q_y) + sd(D_y))
+    + sd(Q_x) sd(D_y) (Cauchy--Schwarz), D_x being Q_x less its clamped form,
+    whose second moment is at most 4 times the x term's tail bound on each
+    half: the cross term's tail bound (twice it in the second reading).
+    Returns the form with the smaller error estimate, as an entry of
+    ``_influence_terms``, and its diagnostics.
     """
-    z = ndtri(mesh.mid[:, None] + mesh.half[:, None] * _NODES)
+    sigma = mesh.nodes()
+    z = np.where(sigma >= 0.0, 1.0, -1.0) * _STANDARD.psi_inverse(np.abs(sigma) + _LOG2)
     weighted = mesh.p * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
-    live = np.flatnonzero(np.any(weighted != 0.0, axis=(0, 2)))
-    w = weighted[:, live] * mesh.half[live, None]
+    v = weighted * mesh.half[:, None]
     # per node: the Kronrod weights of alpha and beta, then the Kronrod-minus-Gauss ones
-    rule = np.stack((w[0] * _W_KRONROD, w[1] * _W_KRONROD, w[0] * _W_DIFF, w[1] * _W_DIFF), -1)
-    # column j holds Q_x and Q_y constant beyond the j-th strip of the lower
-    # tail, column levels + 1 + j beyond that of the upper tail
-    strip, levels = mesh.strip[live, None], mesh.levels
-    depth = np.arange(levels + 1)
-    clamps = np.concatenate(((strip <= depth) | (strip > levels), strip <= levels + depth), 1)
-    (vx, ex), (vy, ey) = ((cov, float(np.sum(sh)) + res) for _, _, cov, sh, res in (x, y))
-    # per form, r^k and (r > 0) r^k - 1: the sum, its clamped sums and the per-panel shares
-    forms = [[0.0, np.zeros(clamps.shape[1]), np.zeros(live.size)]]
+    rule = np.stack((v[0] * _W_KRONROD, v[1] * _W_KRONROD, v[0] * _W_DIFF, v[1] * _W_DIFF), -1)
+    (vx, ex), (vy, ey) = ((cov, float(np.sum(sh) + np.sum(t))) for _, _, cov, sh, t, _ in (x, y))
+    # sd(D_x) per half, and the Cauchy--Schwarz tail bound of the covariance per half
+    dx, dy = np.sqrt(4.0 * x[4]), np.sqrt(4.0 * y[4])
+    sx, sy = math.sqrt(max(vx, 0.0)), math.sqrt(max(vy, 0.0))
+    cs = dx * (sy + float(np.sum(dy))) + sx * dy
+    # per form, r^k and (r > 0) r^k - 1: the sum and the per-panel shares
+    forms = [[0.0, np.zeros(mesh.panels)]]
     seen = np.zeros(4)  # sum_k alpha_k^2, beta_k^2, k alpha_k^2, k beta_k^2 so far
     one = None
-    blocks = _hermite_blocks(z[live])
+    blocks = _hermite_blocks(z)
     k, H = next(blocks)
     while True:
         res = np.matmul(H.transpose(1, 0, 2), rule).transpose(1, 2, 0)
         scale = (1.0 / np.sqrt(k))[:, None, None]
         sums, gaps = -scale * res[:, :2], scale * np.abs(res[:, 2:])
-        clamped = sums @ clamps
-        a, b = clamped[:, 0, -1], clamped[:, 1, -1]
+        a, b = sums[:, 0].sum(axis=1), sums[:, 1].sum(axis=1)
         squares = seen + np.cumsum(np.stack((a * a, b * b, k * a * a, k * b * b), 1), axis=0)
         rk = r ** k
         weights = (rk, rk - 1.0)[:len(forms)]
@@ -368,21 +432,16 @@ def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, x, y):
         stop = (done | ~(2.0 * tight > _SERIES_SHARE * np.maximum(
             q.abs_tol, q.rel_tol * np.abs(value)))) & (k <= _SERIES_CAP)
         if k[0] == 1 and r > 0.0 and one is None and not stop.any():
-            try:
-                one = _var_term(mesh, mesh.Q.sum(axis=0), mesh.ep.sum(axis=0), q,
-                                "influence x+y")
-            except NonconvergenceError:
-                one = False  # the tails of Q_x + Q_y do not resolve: the r^k form stands
-            else:
-                d_sums, d_gaps = mesh.panel_sums(weighted * weighted)
-                d = d_sums.sum(axis=1).tolist() + d_gaps.sum(axis=1).tolist()
-                forms.append([0.0, np.zeros(clamps.shape[1]), np.zeros(live.size)])
-                continue  # read the first block again, in both forms
+            one = _var_term(mesh, mesh.Q.sum(axis=0), mesh.q_breaks.sum(axis=0),
+                            mesh.ep.sum(axis=0), margins, "influence x+y")
+            d_sums, d_gaps = mesh.panel_sums(weighted * weighted / _weights(sigma))
+            d = d_sums.sum(axis=1).tolist() + d_gaps.sum(axis=1).tolist()
+            forms.append([0.0, np.zeros(mesh.panels)])
+            continue  # read the first block again, in both forms
         n = int(np.argmax(stop)) + 1 if stop.any() else k.size
         for form, wk, total in zip(forms, weights, running):
             form[0] = float(total[n - 1])
-            form[1] = form[1] + wk[:n] @ (clamped[:n, 0] * clamped[:n, 1])
-            form[2] = (form[2] + np.abs(wk[:n] * b[:n]) @ gaps[:n, 0]
+            form[1] = (form[1] + np.abs(wk[:n] * b[:n]) @ gaps[:n, 0]
                        + np.abs(wk[:n] * a[:n]) @ gaps[:n, 1])
         seen = squares[n - 1]
         if stop.any():
@@ -394,100 +453,109 @@ def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, x, y):
                 f"tolerance after {_SERIES_CAP} terms (r = {r})")
         k, H = next(blocks)
     bound = [float(b[n - 1]) for b in bounds]
-    # (covariance, extrapolation residual, per-panel shares, truncation bound) of each form
-    floor = 0.01 * _tolerance(q, float(value[n - 1]))
-    found = [(*_unclamped(mesh, forms[0], floor), _on_panels(mesh, live, forms[0][2]), bound[0])]
+    # (covariance, per-half tail bounds, per-panel shares, truncation bound) of each form
+    found = [(forms[0][0], cs, forms[0][1], bound[0])]
     if one:
         # Var(Q_x + Q_y) enters sigma^2 once, so half of it, and of its error, here
-        series, rest = _unclamped(mesh, forms[1], floor)
-        found.append((0.5 * (one[0] - vx - vy) + series, 0.5 * one[2] + rest,
-                      _on_panels(mesh, live, forms[1][2]) + 0.5 * one[1], bound[1]))
-    cov, residual, shares, bound = min(found, key=lambda f: f[1] + f[3] + float(np.sum(f[2])))
-    return (("cross", 2.0, cov, shares, residual + bound),
+        found.append((0.5 * (one[0] - vx - vy) + forms[1][0], 0.5 * one[2] + 2.0 * cs,
+                      forms[1][1] + 0.5 * one[1], bound[1]))
+    cov, tails, shares, bound = min(found, key=lambda f: float(np.sum(f[1])) + f[3]
+                                    + float(np.sum(f[2])))
+    return (("cross", 2.0, cov, shares, tails, bound),
             {"series_terms": int(k[n - 1]), "truncation_bound": 2.0 * bound})
 
 
-def _unclamped(mesh: CumulativeMesh, form, floor: float) -> tuple[float, float]:
-    """A series sum with Q_x and Q_y continued beyond the meshed range.
+def _depth(margin: float | None, q: QuadratureConfig, side: str) -> float:
+    """The depth in s where e^{-2 m s} / m of a tail of margin m meets the tolerance squared.
 
-    ``form`` holds the sum and its sums with Q_x and Q_y held constant beyond
-    each strip of one tail.  As the clamp moves a strip deeper those sums
-    shrink geometrically toward the unclamped sum, so each tail's changes are
-    accelerated to their limit as in ``CumulativeMesh.open_integral``; changes
-    within ``floor`` count as converged.  Left at the last strip instead, a
-    tail misses at most twice its last change when its changes shrink by 2/3
-    or faster, and that gauge also stands where they do not shrink
-    geometrically (they may change sign where the coefficients' deep-strip
-    parts cancel).  Each tail takes the reading with the smaller residual.
-    Returns (the sum, the residual).
+    The square is for the cross term's Cauchy--Schwarz tail bound, the square
+    root of the variances' ones.  A margin of None takes ``_FIXED_DEPTH``.
     """
-    total, residual, clamped = form[0], 0.0, form[1].tolist()
-    for sums in (clamped[:mesh.levels + 1], clamped[mesh.levels + 1:]):
-        steps = [after - before for before, after in zip(sums, sums[1:])]
-        readings = [(0.0, 2.0 * abs(steps[-1]))]
-        try:
-            tail, res = _tail_limit(steps, floor, "influence cross")
-            readings.append((tail - math.fsum(steps), res))
-        except NonconvergenceError:
-            pass  # the gauge stands
-        rest, res = min(readings, key=lambda reading: reading[1])
-        total, residual = total + rest, residual + res
-    return total, residual
+    if margin is None:
+        return _FIXED_DEPTH
+    decades = 2.0 * (math.log(2.0 * _INNER_TIGHTENING / q.rel_tol) + _DEPTH_SLACK)
+    return _deep_enough(_LOG2 + (decades - math.log(margin)) / (2.0 * margin), margin, side)
 
 
-def _on_panels(mesh: CumulativeMesh, live, values):
-    """Per-panel values given on the panels ``live``, zero elsewhere."""
-    out = np.zeros(mesh.panels)
-    out[live] = values
-    return out
+def _deep_enough(depth: float, margin: float, side: str) -> float:
+    """``depth``, or NonconvergenceError past ``_DEPTH_CAP``, where e^{-s} leaves the doubles."""
+    if depth > _DEPTH_CAP:
+        raise NonconvergenceError(
+            f"influence: the {side} tail decays like e^(-2 m s) with margin m = {margin:.3g}; "
+            f"its tail bound needs depth s = {depth:.4g} > {_DEPTH_CAP:g}, where e^(-s) "
+            "leaves the doubles: too near the tail frontier to resolve")
+    return depth
 
 
-def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
-                      window=(0.0, 1.0)) -> tuple[float, float, dict]:
+def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
+                      depth: float | None = None) -> tuple[float, float, dict]:
     """Variance of the summed influence functions of the slopes ``f``, under coupling ``cp``.
 
-    ``f`` maps points to the stacked slopes (one row and ``cp`` None for a
-    single influence function; two rows, x then y, otherwise).  The mesh is
-    bisected where the error shares concentrate, worst first, until they total
-    at most the tolerance over the inner tightening, or the panel budget is
-    spent; a Gaussian copula's cross term joins once the others meet it.
+    ``f`` maps points sigma to the stacked slopes times du/dsigma (one row and
+    ``cp`` None for a single influence function; two rows, x then y,
+    otherwise).  ``margins`` holds the tail margin m of each half (left,
+    right): inf where holding Q constant beyond the mesh is exact (a window
+    ``depth`` deep), None where no rule sizes it; ``_depth`` sets the depth
+    of the others.  The mesh starts from ``_breaks`` and is bisected where
+    the error shares concentrate, worst first, until they total at most the
+    tolerance over the inner tightening, or the panel budget is spent; a
+    Gaussian copula's cross term joins once the others meet it.  A half whose
+    tail bound takes more than half that target goes as much deeper as its
+    margin says, and the mesh starts again.
     Returns (value, est_error, per-term diagnostics) before clamping; raises
-    NonconvergenceError when the error bound misses the tolerance.
+    NonconvergenceError, naming the largest part of the error, when the error
+    bound misses the tolerance.
     """
-    # Halvings cost two panels each in one dimension, so go at least 12 deep:
-    # tails like powers of log(1/u) need the longer strip sequence.
-    levels = max(q.extrapolation_levels, 12)
-    mesh = CumulativeMesh(f, replace(q, extrapolation_levels=levels), window)
-    kept = None  # (panel count, terms) of the last measurement
-    series = {}
+    depths = [depth or _depth(m, q, side) for m, side in zip(margins, _HALVES)]
+    while True:
+        mesh = CumulativeMesh(f, _breaks(depths))
+        kept = None  # (panel count, terms) of the last measurement
+        series = {}
 
-    def measure(mesh, cross):
-        nonlocal kept, series
-        # A split always adds panels, so the first cross round, on the mesh
-        # that the last round without it measured, reuses that round's terms.
-        if kept is None or kept[0] != mesh.panels:
-            kept = (mesh.panels, _influence_terms(mesh, cp, q))
-        terms = kept[1]
-        if cross:
-            term, series = _cross_term(mesh, cp.r, q, *terms)
-            terms = terms + [term]
-        return (math.fsum(weight * cov for _, weight, cov, _, _ in terms),
-                sum(weight * sh for _, weight, _, sh, _ in terms), terms)
+        def measure(mesh, cross):
+            nonlocal kept, series
+            # A split always adds panels, so the first cross round, on the mesh
+            # that the last round without it measured, reuses that round's terms.
+            if kept is None or kept[0] != mesh.panels:
+                bad = mesh.mid[~np.all(np.isfinite(mesh.p), axis=(0, 2))]
+                if bad.size:
+                    raise NonconvergenceError(
+                        f"influence: the cost slopes are not finite near s = "
+                        f"{abs(bad[0]) + _LOG2:.4g} on the {_HALVES[int(bad[0] >= 0.0)]} tail")
+                kept = (mesh.panels, _influence_terms(mesh, cp, margins))
+            terms = kept[1]
+            if cross:
+                term, series = _cross_term(mesh, cp.r, q, *terms, margins)
+                terms = terms + [term]
+            return (math.fsum(weight * cov for _, weight, cov, _, _, _ in terms),
+                    sum(weight * sh for _, weight, _, sh, _, _ in terms), terms)
 
-    exhausted = False
-    for cross in (False, True) if isinstance(cp, GaussianCopula) else (False,):
-        while True:
-            value, shares, terms = measure(mesh, cross)
-            target = _tolerance(q, value) / _INNER_TIGHTENING
-            if float(np.sum(shares)) <= target:
-                break
-            worst = np.argsort(-shares, kind="stable")[:max(q.max_subdivisions - mesh.panels, 0)]
-            mask = np.zeros(mesh.panels, dtype=bool)
-            mask[worst] = shares[worst] > target / mesh.panels
-            if not mesh.split(mask):
-                exhausted = True
-                break
-    err = float(np.sum(shares)) + math.fsum(weight * res for _, weight, _, _, res in terms)
+        exhausted = False
+        for cross in (False, True) if isinstance(cp, GaussianCopula) else (False,):
+            while True:
+                value, shares, terms = measure(mesh, cross)
+                target = _tolerance(q, value) / _INNER_TIGHTENING
+                if float(np.sum(shares)) <= target:
+                    break
+                worst = np.argsort(-shares, kind="stable")[:max(q.max_subdivisions - mesh.panels, 0)]
+                mask = np.zeros(mesh.panels, dtype=bool)
+                mask[worst] = shares[worst] > target / mesh.panels
+                if not mesh.split(mask):
+                    exhausted = True
+                    break
+        tails = sum(weight * t for _, weight, _, _, t, _ in terms)
+        deeper = [h for h, m in enumerate(margins)
+                  if tails[h] > 0.5 * target and m is not None and math.isfinite(m)]
+        if not deeper:
+            break
+        for h in deeper:
+            depths[h] = _deep_enough(depths[h] + math.log(2.0 * tails[h] / target) / margins[h]
+                                     + 1.0, margins[h], _HALVES[h])
+    parts = {}  # the parts of each term's error bound
+    for name, weight, _, sh, t, rest in terms:
+        parts[name] = {"panels": weight * float(np.sum(sh)), "left tail": weight * float(t[0]),
+                       "right tail": weight * float(t[1]), "series truncation": weight * rest}
+    err = math.fsum(bound for part in parts.values() for bound in part.values())
     if isinstance(cp, (Comonotone, Countermonotone)):
         # Q_x + Q_y at rounding level next to |Q_x| + |Q_y|: an exact cancellation
         floor = _CANCELLATION * float(np.max(np.abs(mesh.Q).sum(axis=0)))
@@ -497,22 +565,33 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig,
         raise NonconvergenceError(
             f"influence-function variance: error estimate {err:.3e} exceeds tolerance "
             f"{_tolerance(q, value):.3e} with {mesh.panels} panels"
-            + (" (panel budget exhausted)" if exhausted else ""))
+            + (" (panel budget exhausted)" if exhausted else "")
+            + "; the largest part is the " + max(
+                (bound, f"{name} {key}") for name, part in parts.items()
+                for key, bound in part.items())[1])
     common = {"panels": mesh.panels, "evaluations": mesh.evaluations,
-              "truncation_levels": levels, "budget_exhausted": exhausted}
-    diag = {name: {"value": weight * cov, "est_error": weight * (float(np.sum(sh)) + res),
-                   "extrapolation_residual": weight * res, **common}
-            for name, weight, cov, sh, res in terms}
+              "depth_left": depths[0], "depth_right": depths[1], "budget_exhausted": exhausted}
+    diag = {name: {"value": weight * cov, "est_error": math.fsum(parts[name].values()),
+                   "tail_bound_left": parts[name]["left tail"],
+                   "tail_bound_right": parts[name]["right tail"], **common}
+            for name, weight, cov, _, _, _ in terms}
     if "cross" in diag:
         diag["cross"].update(series)
     return value, err, diag
 
 
+def _breaks(depths) -> np.ndarray:
+    """The first mesh on sigma: 0, and +-(s - log 2) at s = 1, 2, 4, ... below each depth and at it."""
+    left, right = ([s - _LOG2 for s in 2.0 ** np.arange(max(int(math.log2(d)), 0) + 1) if s < d]
+                   + [d - _LOG2] for d in depths)
+    return np.array([-x for x in reversed(left)] + [0.0] + right)
+
+
 def _two_sample_slopes(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
     if isinstance(cp, Countermonotone):
-        # Q_y(1 - u) is the influence function of -p_y(1 - u)
-        return lambda u: np.stack((_slopes(F, G, c, u)[0], -_slopes(F, G, c, 1.0 - u)[1]))
-    return lambda u: _slopes(F, G, c, u)
+        # Q_y(1 - u) is the influence function of -p_y(1 - u); u -> 1 - u is sigma -> -sigma
+        return lambda t: np.stack((_tail_slopes(F, G, c, t)[0], -_tail_slopes(F, G, c, -t)[1]))
+    return lambda t: _tail_slopes(F, G, c, t)
 
 
 # --- population variances -----------------------------------------------------
@@ -530,24 +609,28 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     extremes take the variance of Q_x(u) + Q_y(u) or Q_x(u) + Q_y(1 - u), and
     the Gaussian copula adds twice the covariance, summed as Mehler's series
     in the Hermite coefficients of Q_x and Q_y.  ``est_error`` sums the
-    Kronrod-minus-Gauss gaps, their propagation through the running sums, the
-    extrapolation residual of each tail (the series' tails too) and, for the
-    Gaussian copula, the series' truncation bound.  When Q_x + Q_y cancels to rounding
-    (a pair that moves in lockstep) the value is exactly 0.0.
+    Kronrod-minus-Gauss gaps, their propagation through the running sums, each
+    half's tail bound and, for the Gaussian copula, the series' truncation
+    bound.  When Q_x + Q_y cancels to rounding (a pair that moves in lockstep)
+    the value is exactly 0.0.
 
     ``diagnostics["gate"]`` holds the gate's verdict and witness.  Raises
     HypothesisGateError (a NonconvergenceError) when the gate finds the
-    paper's tail hypothesis false, NonconvergenceError when the
-    quadrature misses its tolerance (a Mehler series that needs more than
-    ``_SERIES_CAP`` terms says "series truncation"), and UnsupportedCostError
-    for costs without the gradient and radial-slope machinery.
+    paper's tail hypothesis false, NonconvergenceError when the quadrature
+    misses its tolerance, naming the largest part of its error (or the side
+    and margin of a tail too near the frontier to reach), and
+    UnsupportedCostError for costs without the gradient and radial-slope
+    machinery.
     """
     if q is None:
         q = DEFAULT_VARIANCE_CONFIG
     _require_gradient(c)
     _warn_if_tails_meet(F, G)
-    gate = _gate(F, G, c, ("x", "y"))
-    v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q)
+    gate, margins = _gate(F, G, c, ("x", "y"))
+    if isinstance(cp, Countermonotone):
+        # each half pairs x's tail on one side with y's on the other
+        margins = [None if None in margins else min(margins)] * 2
+    v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q, margins)
     value, err, clamp = _clamped(v, e, "variance integral")
     return VarianceResult(value, err, "quadrature",
                           {"influence": terms, "gate": gate, "clamp": clamp})
@@ -557,8 +640,9 @@ def sigma2_window(F: Distribution, G: Distribution, c: Cost, cp: Coupling, eps: 
                   q: QuadratureConfig | None = None) -> VarianceResult:
     """Asymptotic variance of the estimator trimmed to the window (eps, 1 - eps).
 
-    The influence functions are held constant outside the window.  The window
-    excludes both tails, so this exists even when the full-interval variance
+    The influence functions are held constant outside the window, which is
+    the meshed range, so the tails beyond it are exact.  The window excludes
+    both tails, so this exists even when the full-interval variance
     diverges; no tail gate runs.
     """
     if not 0.0 < eps < 0.5:
@@ -566,7 +650,8 @@ def sigma2_window(F: Distribution, G: Distribution, c: Cost, cp: Coupling, eps: 
     if q is None:
         q = DEFAULT_VARIANCE_CONFIG
     _require_gradient(c)
-    v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q, (eps, 1.0 - eps))
+    v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q, [math.inf] * 2,
+                                    -math.log(eps))
     value, err, clamp = _clamped(v, e, "window variance integral")
     return VarianceResult(value, err, "quadrature", {"influence": terms, "clamp": clamp})
 
@@ -580,7 +665,7 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
     matching partial slope of the cost along the quantile diagonal over the same
     marginal's quantile density (see ``sigma2``).  Under independent pairing the
     two sides add up to the two-sample value.  The tail gate reads only this
-    side's marginal.
+    side's marginal, and its margins set the depth.
     """
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
@@ -588,9 +673,10 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
         q = DEFAULT_VARIANCE_CONFIG
     _require_gradient(c)
     _warn_if_tails_meet(F, G)
-    gate = _gate(F, G, c, (side,))
+    gate, margins = _gate(F, G, c, (side,))
     row = 0 if side == "x" else 1
-    v, e, terms = _influence_sigma2(lambda u: _slopes(F, G, c, u)[row:row + 1], None, q)
+    v, e, terms = _influence_sigma2(lambda t: _tail_slopes(F, G, c, t)[row:row + 1], None, q,
+                                    margins)
     value, err, clamp = _clamped(v, e, "one-sample variance integral")
     return VarianceResult(value, err, "quadrature",
                           {"side": side, "gate": gate, "clamp": clamp,

@@ -7,8 +7,8 @@ import pytest
 from scipy import special
 
 from wcost import NonconvergenceError
+from wcost.distributions import Gaussian
 from wcost.quadrature import (
-    _NODES,
     CumulativeMesh,
     QuadratureConfig,
     _gk15_panel_2d,
@@ -128,12 +128,6 @@ def test_open01_raises_on_a_nan_error_estimate():
                          replace(CFG, max_subdivisions=50))
 
 
-def test_cumulative_mesh_open_integral_raises_on_nan_strips():
-    mesh = CumulativeMesh(lambda u: np.where(u < 1e-6, np.nan, 1.0)[None], LOOSE)
-    with pytest.raises(NonconvergenceError, match="^test: lower endpoint of \\(0,1\\).*not finite"):
-        mesh.open_integral(mesh.panel_sums(mesh.p[0])[0], LOOSE, "test")
-
-
 def test_integrate_2d_separable():
     v, _ = integrate_2d(lambda x, y: np.exp(x) * np.sin(y), (0.0, 1.0), (0.0, math.pi), CFG)
     assert v == pytest.approx((math.e - 1.0) * 2.0, rel=1e-11)
@@ -246,28 +240,31 @@ def test_integrate_2d_matches_the_resumming_loop_bit_for_bit(cfg):
 
 
 def test_cumulative_mesh_builds_the_running_integral_from_one_half():
-    # p = 1/phi(Phi^{-1}(u)) integrates to Q(t) = -Phi^{-1}(t), which the mesh
-    # reproduces at its nodes and at each panel's left end (to the resolution
-    # of doubles next to 1 - 4e-9, the deepest upper strip)
-    p = lambda u: (math.sqrt(2.0 * math.pi) * np.exp(0.5 * special.ndtri(u) ** 2))[None]
-    mesh = CumulativeMesh(p, LOOSE)
-    for _ in range(2):
+    # On sigma = +-(s - log 2), with s = -log(1 - u) above u = 1/2 and -log u
+    # below, p = e^{-s} / phi(Phi^{-1}(u)) integrates to Q(sigma) = -Phi^{-1}(u),
+    # which the mesh reproduces at its nodes and breaks from the middle,
+    # sigma = 0, out to 1 - u = e^{-40} on either side
+    def score(sigma):
+        z = Gaussian(0.0, 1.0).psi_inverse(np.abs(sigma) + math.log(2.0))
+        return np.where(sigma >= 0.0, z, -z)
+
+    def p(sigma):
+        z = score(sigma)
+        return (math.sqrt(2.0 * math.pi) * np.exp(0.5 * z * z - np.abs(sigma) - math.log(2.0)))[None]
+
+    depth = 40.0 - math.log(2.0)
+    mesh = CumulativeMesh(p, [-depth, -10.0, -1.0, 0.0, 1.0, 10.0, depth])
+    for _ in range(3):
         mesh.split(np.ones(mesh.panels, dtype=bool))
-    nodes = mesh.mid[:, None] + mesh.half[:, None] * _NODES
-    assert np.allclose(mesh.Q[0], -special.ndtri(nodes), rtol=0, atol=2e-8)
-    assert np.allclose(mesh.q_lo[0], -special.ndtri(mesh.breaks[:-1]), rtol=0, atol=2e-8)
-    # E[Q(U)^2] = 1 for U uniform, with both open ends extrapolated
-    sums, _ = mesh.panel_sums(mesh.Q[0] ** 2)
-    value, residual = mesh.open_integral(sums, LOOSE, "test")
-    assert value == pytest.approx(1.0, rel=1e-9)
-    assert residual < 1e-8
-
-
-def test_cumulative_mesh_holds_the_integral_constant_outside_a_window():
-    mesh = CumulativeMesh(lambda u: np.ones((1, np.size(u))), LOOSE, window=(0.25, 0.75))
-    nodes = mesh.mid[:, None] + mesh.half[:, None] * _NODES
-    assert np.allclose(mesh.Q[0], 0.5 - np.clip(nodes, 0.25, 0.75), rtol=0, atol=1e-14)
-    assert mesh.evaluations == 15 * int(np.sum((mesh.mid > 0.25) & (mesh.mid < 0.75)))
+    assert mesh.panels == 48 and mesh.evaluations == 15 * (6 + 12 + 24 + 48)
+    assert np.allclose(mesh.Q[0], -score(mesh.nodes()), rtol=1e-12, atol=1e-12)
+    assert np.allclose(mesh.q_breaks[0], -score(mesh.breaks), rtol=1e-12, atol=1e-12)
+    assert mesh.q_breaks[0, mesh.panels // 2] == 0.0
+    # E[Z^2; |Z| < a] = 1 - 2 (a phi(a) + Phi(-a)) for Z = Q(U), U uniform, a = Q at either end
+    sums, _ = mesh.panel_sums(mesh.Q[0] ** 2 * np.exp(-np.abs(mesh.nodes()) - math.log(2.0)))
+    a = float(mesh.q_breaks[0, 0])
+    beyond = 2.0 * (a * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) + float(special.ndtr(-a)))
+    assert float(np.sum(sums)) == pytest.approx(1.0 - beyond, rel=1e-12)
 
 
 @pytest.mark.parametrize("strips", [

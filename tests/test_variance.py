@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri, roots_hermitenorm
+from scipy.special import log_ndtr, ndtr, ndtri, roots_hermitenorm
 
 import wcost.variance as variance_module
 from wcost import mc, parse_cost, parse_distribution, verify_triple
@@ -19,13 +19,13 @@ from wcost.coupling import (
     Independent,
     sample_pairs,
 )
-from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto, Weibull, reflect
+from wcost.distributions import (Exponential, Gaussian, LocationScale, Pareto, Reflected, Weibull,
+                                 reflect)
 from wcost.errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                          UnsupportedCostError)
 from wcost.estimate import PairedSample, empirical_cost, exact_cost
 from wcost.quadrature import (
     _ANTI_FIT,
-    _NODES,
     CumulativeMesh,
     QuadratureConfig,
     _tolerance,
@@ -178,21 +178,29 @@ _INNER_X, _INNER_W = roots_hermitenorm(48)
 _INNER_W = _INNER_W / math.sqrt(2.0 * math.pi)
 
 
-def _inner_mesh(G, eps=DEFAULT_VARIANCE_CONFIG.edge_epsilon):
-    q = replace(DEFAULT_VARIANCE_CONFIG, edge_epsilon=eps, extrapolation_levels=12)
+_LOG2 = math.log(2.0)
+
+
+def _inner_mesh(G, depth=40.0):
+    """The sigma mesh of the Gaussian-copula slopes, each half ``depth`` deep in s."""
     slopes = variance_module._two_sample_slopes(Gaussian(0, 1), G, P2, GaussianCopula(0.5))
-    mesh = CumulativeMesh(slopes, q)
+    mesh = CumulativeMesh(slopes, variance_module._breaks([depth, depth]))
     for _ in range(2):
         mesh.split(np.ones(mesh.panels, dtype=bool))
     return mesh
 
 
+def _sigma_of_score(z):
+    """The sigma of u = Phi(z): +-(s - log 2), s = -log Phi(-|z|)."""
+    return np.where(z >= 0.0, 1.0, -1.0) * (-log_ndtr(-np.abs(z)) - _LOG2)
+
+
 def _q_at(mesh, i, t):
-    """Q_i at points of the meshed range, from each panel's Legendre interpolant."""
+    """Q_i at points sigma of the meshed range, from each panel's Legendre interpolant."""
     k = np.clip(np.searchsorted(mesh.breaks, t, side="right") - 1, 0, mesh.panels - 1)
     coef = np.moveaxis((mesh.p[i] @ _ANTI_FIT.T)[k], -1, 0)
     x = (t - mesh.mid[k]) / mesh.half[k]
-    return mesh.q_lo[i, k] - mesh.half[k] * np.polynomial.legendre.legval(x, coef, tensor=False)
+    return mesh.q_breaks[i, k] - mesh.half[k] * np.polynomial.legendre.legval(x, coef, tensor=False)
 
 
 def _conditional_means_reading_every_point(mesh, r, i):
@@ -202,21 +210,21 @@ def _conditional_means_reading_every_point(mesh, r, i):
     where Q_i is held constant.
     """
     s = math.sqrt(1.0 - r * r)
-    z1 = ndtri(mesh.mid[:, None] + mesh.half[:, None] * _NODES)
-    v = np.clip(ndtr(r * z1[..., None] + s * _INNER_X), mesh.cuts[0], 1.0 - mesh.cuts[0])
+    sigma = mesh.nodes()
+    z1 = np.where(sigma >= 0.0, 1.0, -1.0) * Gaussian(0, 1).psi_inverse(np.abs(sigma) + _LOG2)
+    v = np.clip(_sigma_of_score(r * z1[..., None] + s * _INNER_X), mesh.breaks[0], mesh.breaks[-1])
     return _q_at(mesh, i, v) @ _INNER_W
 
 
 def _lower_clamp_on_an_inner_point(G):
-    """(mesh, r) whose widest lower clamp equals one inner point exactly.
+    """(mesh, r) whose lower end in u equals one inner point exactly.
 
     At r = 0 the inner points are Phi of the Hermite nodes, whatever the
-    mesh, and the widest clamp is edge_epsilon / 2^12 exactly.
+    mesh; the lowest one is the lower end of a mesh that deep in s.
     """
-    phi = ndtr(_INNER_X)
-    target = float(phi[phi * 2.0 ** 12 < 1e-2].max())
-    mesh = _inner_mesh(G, eps=target * 2.0 ** 12)
-    assert mesh.cuts[0] == target
+    lowest = float(_INNER_X.min())
+    mesh = _inner_mesh(G, depth=-float(log_ndtr(lowest)))
+    assert mesh.breaks[0] == _sigma_of_score(lowest)
     return mesh, 0.0
 
 
@@ -225,21 +233,24 @@ def _lower_clamp_on_an_inner_point(G):
 def test_conditional_means_equal_reading_every_inner_point(G, r):
     # The covariance of Q_x with the conditional means E[Q_y(V) | U] that read
     # Q_y at every inner point equals the Mehler series' cross covariance on
-    # the same mesh, within the series' own error bound.  The reference holds
-    # Q_y constant beyond the meshed range, where the series extrapolates;
-    # for these light tails that part is far below both bounds
+    # the same mesh, within the series' own error bound.  Both hold Q_x and
+    # Q_y constant beyond the meshed range; the reference leaves out the part
+    # of its integrals beyond the mesh, which its error counts
     mesh, r = _lower_clamp_on_an_inner_point(G) if r == "edge" else (_inner_mesh(G), r)
     q = DEFAULT_VARIANCE_CONFIG
     g = _conditional_means_reading_every_point(mesh, r, 1)
-    # Cov(Q_x(U), g(U)), with the Kronrod-minus-Gauss gaps and strip residuals of its parts
-    ((ixg, rxg), dxg), ((ix, rx), dx), ((ig, rg), dg) = [
-        (mesh.open_integral(sums, q, "reference"), float(np.sum(gaps)))
-        for sums, gaps in map(mesh.panel_sums, (mesh.Q[0] * g, mesh.Q[0], g))]
+    w = variance_module._weights(mesh.nodes())
+    depth = _LOG2 - mesh.breaks[0]
+    beyond = 2.0 * math.exp(-depth) * float(np.max(np.abs(mesh.Q[0]))) * float(np.max(np.abs(g)))
+    # Cov(Q_x(U), g(U)), with the Kronrod-minus-Gauss gaps of its parts
+    (ixg, dxg), (ix, dx), (ig, dg) = [(float(np.sum(sums)), float(np.sum(gaps))) for sums, gaps in
+                                      map(mesh.panel_sums, (mesh.Q[0] * g * w, mesh.Q[0] * w, g * w))]
     reference = ixg - ix * ig
-    reference_error = dxg + rxg + abs(ig) * (dx + rx) + abs(ix) * (dg + rg)
-    x, y = variance_module._influence_terms(mesh, GaussianCopula(0.5), q)
-    (_, _, cov, shares, residual), series = variance_module._cross_term(mesh, r, q, x, y)
-    bound = float(np.sum(shares)) + residual
+    reference_error = dxg + abs(ig) * dx + abs(ix) * dg + 3.0 * beyond
+    x, y = variance_module._influence_terms(mesh, GaussianCopula(0.5), [0.5, 0.5])
+    (_, _, cov, shares, tails, rest), series = variance_module._cross_term(mesh, r, q, x, y,
+                                                                          [0.5, 0.5])
+    bound = float(np.sum(shares)) + float(np.sum(tails)) + rest
     assert abs(cov - reference) <= bound + reference_error
     assert bound < 1e-5 * math.sqrt(x[2] * y[2])
     if r == 0.0:
@@ -430,33 +441,48 @@ def test_slopes_equal_the_gradient_over_density_quantile(F):
                                       reference(F, G, c, u)), (G, c, u.shape)
 
 
+@pytest.mark.parametrize("F", PARITY_LAWS, ids=repr)
+def test_a_scalar_reads_the_bits_of_a_one_element_array(F):
+    # numpy's scalar loops may round differently from its array loops: at the
+    # level 1 - 1e-8, Pareto(8.5).quantile read alone once differed from the
+    # array read in its last bit
+    levels = [float(u) for u in PARITY_U[::7]] + [1.0 - 1e-8]
+    xs = [float(x) for x in np.asarray(F.quantile(np.array(levels)))]
+    psis = [1e-3, 0.7, 3.0, 40.0, 300.0]
+    for method, points in (("quantile", levels), ("psi_inverse", psis), ("pdf", xs),
+                           ("sf", xs)):
+        for t in points:
+            alone = getattr(F, method)(t)
+            assert type(alone) is float
+            assert _same_bits(alone, np.asarray(getattr(F, method)(np.array([t])))[0]), (method, t)
+
+
 def test_gaussian_cross_rounds_reuse_the_marginal_moments(monkeypatch):
-    # Each round measures the x and y terms (two open integrals each: the
-    # second moment and the mean) and, once it joins, the cross term.  The
-    # first cross round runs on the mesh that the last round without it
-    # measured, so it takes that round's x and y terms.  The Mehler series
-    # makes no open integral of its own; its near-one form (r > 0) makes two,
-    # for Var(Q_x + Q_y), but only once the first block of terms has not met
-    # the tolerance, which one term does here.
+    # Each round measures the x and y terms (one variance each) and, once it
+    # joins, the cross term.  The first cross round runs on the mesh that the
+    # last round without it measured, so it takes that round's x and y terms.
+    # The Mehler series measures no variance of its own; its near-one form
+    # (r > 0) measures Var(Q_x + Q_y), but only once the first block of terms
+    # has not met the tolerance, which one term does here.
     labels = []
-    open_integral = CumulativeMesh.open_integral
+    var_term = variance_module._var_term
     cross_term = variance_module._cross_term
 
-    def counted(self, sums, cfg, what):
-        labels.append({"influence x": "x", "influence y": "y", "influence x+y": "s"}[what])
-        return open_integral(self, sums, cfg, what)
+    def counted(*args):
+        labels.append({"influence x": "x", "influence y": "y", "influence x+y": "s"}[args[-1]])
+        return var_term(*args)
 
     def counted_cross(*args):
         labels.append("c")
         return cross_term(*args)
 
-    monkeypatch.setattr(CumulativeMesh, "open_integral", counted)
+    monkeypatch.setattr(variance_module, "_var_term", counted)
     monkeypatch.setattr(variance_module, "_cross_term", counted_cross)
     res = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(0.5))
     sequence = "".join(labels)
-    assert re.fullmatch(r"(?:xxyy)+c(?:ss)?(?:xxyyc(?:ss)?)*", sequence), sequence
-    assert sequence == "xxyy" * 3 + "c"
-    assert res.value == 15.999999999999748
+    assert re.fullmatch(r"(?:xy)+c(?:s)?(?:xyc(?:s)?)*", sequence), sequence
+    assert sequence == "xyc"
+    assert res.value == 15.999999999999986
 
 
 # --- influence functions against the two-dimensional route ---------------------
@@ -551,6 +577,95 @@ def test_gaussian_translation_near_the_comonotone_limit(c, slope, gap):
     assert res.diagnostics["influence"]["cross"]["series_terms"] <= 2
 
 
+@pytest.mark.parametrize("r", [1.0 - 1e-12, -(1.0 - 1e-12)])
+def test_gaussian_translation_within_1e12_of_the_frechet_limits(r):
+    # 2 (1 - r) rho'(2)^2 at the two ends: 1.6e-11 and 64 - 1.6e-11
+    exact = 2.0 * (1.0 - r) * 4.0 ** 2
+    res = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(r))
+    assert abs(res.value - exact) <= res.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, exact)
+
+
+def test_variance_ignores_the_truncation_knobs():
+    # edge_epsilon and extrapolation_levels govern exact_cost and the 2-D
+    # oracle only; the variance's depth comes from the tail gate's margins
+    knobs = replace(DEFAULT_VARIANCE_CONFIG, edge_epsilon=1e-3, extrapolation_levels=0)
+    for cp in (Independent(), GaussianCopula(0.5), Countermonotone()):
+        args = (Gaussian(0, 1), Exponential(1.0), P2, cp)
+        assert sigma2(*args, knobs).to_dict() == sigma2(*args).to_dict()
+
+
+#: Var of the influence functions of Pareto(p) against Exponential(1) under
+#: power(2), by scipy.integrate.quad in x: A(X) = X^2 - 2p (X log X - X) for the
+#: x side, B(Y) = 2p e^{Y/p} - Y^2 for the y side.
+PARETO_EXPONENTIAL = [("x", 5.0, 0.6741898148148144), ("x", 7.0, 0.34187654320987676),
+                      ("xy", 7.0, 4.371506172839418)]
+
+
+@pytest.mark.parametrize("side, p, oracle", PARETO_EXPONENTIAL)
+def test_pareto_exponential_variances_meet_their_oracles(side, p, oracle):
+    # Pareto(5): the truncation-halving strips grew before they shrank and the
+    # variance was called divergent; Pareto(7): the strips' extrapolation
+    # residual was 110 times too small for the x side
+    args = (Pareto(p), Exponential(1.0), P2)
+    res = sigma2(*args, Independent()) if side == "xy" else sigma2_one_sample(*args, side)
+    assert abs(res.value - oracle) <= res.est_error
+    influence = res.diagnostics["influence"]
+    # the right tail goes deeper than the bounded left one: Q_x grows like e^{(2/p) s}
+    assert all(d["depth_right"] > d["depth_left"] for d in influence.values())
+
+
+#: sigma^2 of Pareto(p) against Pareto(q) under power(2) and gauss(r), from
+#: Mehler's series sum_k r^k alpha_k beta_k with alpha_k = E[A(X) h_k(Z)] by
+#: scipy.integrate.quad in the normal score z (to |z| = 38, on log_ndtr), A and
+#: B the closed-form influence functions, -(x^2 - 2 x^(a+1) / (a+1)) with
+#: a = p / q, and 2 (y^(b+1) / (b+1) - y^2 / 2) with b = q / p; the variances
+#: agree with tests/variance_oracles.json to 1e-15.
+PARETO_COPULA = [(6.0, 8.0, 0.5, 0.029602731135231715), (10.0, 6.0, 0.5, 0.05648287478740808),
+                 (10.0, 6.0, -0.7, 0.06617279329419978), (10.0, 6.0, 0.95, 0.029224883231971636)]
+
+
+@pytest.mark.parametrize("p, q, r, oracle", PARETO_COPULA)
+def test_pareto_pairs_under_a_gaussian_copula_meet_a_mehler_oracle(p, q, r, oracle):
+    # the clamp columns' extrapolation left these 3-5 times their est_error off
+    res = sigma2(Pareto(p), Pareto(q), P2, GaussianCopula(r))
+    assert abs(res.value - oracle) <= res.est_error
+
+
+def test_a_tail_too_near_the_frontier_names_its_side_and_margin():
+    # margin 1/2 - 2/4.1 = 0.0122: the tail bound would need a depth past e^{-700}
+    F = LocationScale(Pareto(4.1), 1.0, 1.0)
+    with pytest.raises(NonconvergenceError, match="right tail .* margin m = 0.0122") as info:
+        sigma2(F, Pareto(4.1), P2, Independent())
+    assert not isinstance(info.value, HypothesisGateError)
+    assert "divergent" not in str(info.value)
+
+
+def test_a_side_without_tail_constants_takes_the_fixed_depth():
+    # Reflected(Gaussian) declares no tail constants, so the gate reads the grid
+    # there and the tail bound comes from the decay of the last panel
+    res = sigma2(Reflected(Gaussian(0, 1)), Gaussian(2, 1), P2, Independent())
+    assert abs(res.value - 32.0) <= res.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, 32.0)
+    x = res.diagnostics["influence"]["x"]
+    assert x["depth_right"] == variance_module._FIXED_DEPTH != x["depth_left"]
+
+
+def test_a_tail_that_does_not_decay_raises():
+    # Q(sigma) = -e^{s/2} + sqrt 2: Q^2 e^{-s} tends to 1 and never decays
+    def slopes(sigma):
+        return 0.5 * np.exp(0.5 * (np.abs(sigma) + math.log(2.0)))[None]
+
+    with pytest.raises(NonconvergenceError, match="the right tail does not decay"):
+        variance_module._influence_sigma2(slopes, None, DEFAULT_VARIANCE_CONFIG, [0.5, None])
+
+
+def test_slopes_that_are_not_finite_raise_naming_the_tail():
+    def slopes(sigma):
+        return np.where(sigma < -20.0, np.nan, np.exp(-np.abs(sigma)))[None]
+
+    with pytest.raises(NonconvergenceError, match="not finite near s = .* on the left tail"):
+        variance_module._influence_sigma2(slopes, None, DEFAULT_VARIANCE_CONFIG, [0.5, 0.5])
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.2])
 @pytest.mark.parametrize("r", [0.999, -0.999, 0.9999])
 def test_window_near_the_frechet_limits_returns_a_value(r, eps):
@@ -634,8 +749,8 @@ def test_benchmark_pair_evaluation_budget(cp, names):
     influence = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, cp).diagnostics["influence"]
     assert set(influence) == names
     for d in influence.values():
-        assert set(d) >= {"panels", "evaluations", "truncation_levels",
-                          "extrapolation_residual", "budget_exhausted"}
+        assert set(d) >= {"panels", "evaluations", "depth_left", "depth_right",
+                          "tail_bound_left", "tail_bound_right", "budget_exhausted"}
         assert d["evaluations"] <= 3000
         assert d["budget_exhausted"] is False
 

@@ -32,506 +32,46 @@ with open(variance_oracles.RECORDED) as _fh:
 #: class: "divergent" (endpoint strips called divergent), "sign change" (strips change
 #: sign), "error estimate" (it exceeds the tolerance), "miss" (a value outside its bound).
 KNOWN = {
-    ('exponential(1)', 'gaussian(1,2)', 'exppower(0.5)', 'independent'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'exppower(0.5)', 'one_sample_x'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'logpower(0.5)', 'independent'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'logpower(0.5)', 'one_sample_x'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(1.5)', 'independent'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(2)', 'countermonotone'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(2)', 'independent'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(2)', 'one_sample_x'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(2)', 'one_sample_y'),  # sign change
-    ('exponential(1)', 'gaussian(1,2)', 'power(3)', 'comonotone'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(3)', 'countermonotone'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(3)', 'independent'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(3)', 'one_sample_x'),  # divergent
-    ('exponential(1)', 'gaussian(1,2)', 'power(3)', 'one_sample_y'),  # divergent
-    ('exponential(1)', 'pareto(4)', 'power(1.5)', 'comonotone'),  # divergent
-    ('exponential(1)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # divergent
-    ('exponential(1)', 'pareto(4)', 'power(1.5)', 'independent'),  # divergent
-    ('exponential(1)', 'pareto(4)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('exponential(1)', 'pareto(4)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(1.5)', 'comonotone'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(1.5)', 'countermonotone'),  # divergent
     ('exponential(1)', 'pareto(5)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(1.5)', 'independent'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(2)', 'comonotone'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(2)', 'countermonotone'),  # divergent
     ('exponential(1)', 'pareto(5)', 'power(2)', 'exact_cost'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(2)', 'independent'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(2)', 'one_sample_x'),  # divergent
-    ('exponential(1)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # divergent
-    ('exponential(1)', 'pareto(6)', 'power(1.5)', 'comonotone'),  # divergent
-    ('exponential(1)', 'pareto(6)', 'power(1.5)', 'countermonotone'),  # divergent
     ('exponential(1)', 'pareto(6)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('exponential(1)', 'pareto(6)', 'power(1.5)', 'independent'),  # divergent
-    ('exponential(1)', 'pareto(6)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('exponential(1)', 'pareto(6)', 'power(2)', 'comonotone'),  # divergent
-    ('exponential(1)', 'pareto(6)', 'power(2)', 'countermonotone'),  # divergent
     ('exponential(1)', 'pareto(6)', 'power(2)', 'exact_cost'),  # divergent
-    ('exponential(1)', 'pareto(6)', 'power(2)', 'independent'),  # divergent
-    ('exponential(1)', 'pareto(6)', 'power(2)', 'one_sample_y'),  # divergent
-    ('exponential(1)', 'pareto(7)', 'power(2)', 'one_sample_y'),  # miss
-    ('exponential(1)', 'pareto(7)', 'power(3)', 'comonotone'),  # miss
-    ('exponential(1)', 'pareto(7)', 'power(3)', 'countermonotone'),  # miss
-    ('exponential(1)', 'pareto(7)', 'power(3)', 'independent'),  # miss
-    ('exponential(1)', 'pareto(7)', 'power(3)', 'one_sample_y'),  # miss
-    ('exponential(1)', 'pareto(8)', 'power(3)', 'one_sample_y'),  # miss
-    ('exponential(1)', 'weibull(0.75)', 'exppower(0.5)', 'countermonotone'),  # error estimate
-    ('exponential(1)', 'weibull(0.75)', 'power(3)', 'comonotone'),  # miss
-    ('exponential(1)', 'weibull(0.75)', 'power(3)', 'countermonotone'),  # error estimate
-    ('exponential(1)', 'weibull(0.75)', 'power(3)', 'independent'),  # error estimate
-    ('exponential(1)', 'weibull(0.75)', 'power(3)', 'one_sample_y'),  # error estimate
-    ('gaussian(0,1)', 'gaussian(1,2)', 'exppower(0.5)', 'countermonotone'),  # sign change
-    ('gaussian(0,1)', 'gaussian(1,2)', 'power(1.5)', 'countermonotone'),  # sign change
     ('gaussian(0,1)', 'pareto(10)', 'power(1.5)', 'exact_cost'),  # divergent
     ('gaussian(0,1)', 'pareto(10)', 'power(2)', 'exact_cost'),  # divergent
-    ('gaussian(0,1)', 'pareto(10)', 'power(2)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(10)', 'power(2)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(10)', 'power(3)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(10)', 'power(3)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('gaussian(0,1)', 'pareto(5)', 'power(2)', 'comonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(5)', 'power(2)', 'countermonotone'),  # error estimate
-    ('gaussian(0,1)', 'pareto(5)', 'power(2)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(6)', 'power(2)', 'comonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(6)', 'power(2)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(6)', 'power(2)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(1.5)', 'comonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(1.5)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(2)', 'comonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(2)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(2)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(3)', 'comonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(3)', 'countermonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(3)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(3)', 'one_sample_x'),  # divergent
-    ('gaussian(0,1)', 'pareto(7)', 'power(3)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(1.5)', 'comonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(1.5)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(2)', 'comonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(2)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(2)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(3)', 'comonotone'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(3)', 'countermonotone'),  # error estimate
     ('gaussian(0,1)', 'pareto(8)', 'power(3)', 'exact_cost'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(3)', 'independent'),  # divergent
-    ('gaussian(0,1)', 'pareto(8)', 'power(3)', 'one_sample_y'),  # divergent
-    ('gaussian(0,1)', 'weibull(0.75)', 'power(3)', 'comonotone'),  # error estimate
-    ('gaussian(1,2)', 'exponential(1)', 'exppower(0.5)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'exppower(0.5)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'logpower(0.5)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'logpower(0.5)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(1.5)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(2)', 'countermonotone'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(2)', 'independent'),  # sign change
-    ('gaussian(1,2)', 'exponential(1)', 'power(2)', 'one_sample_x'),  # sign change
-    ('gaussian(1,2)', 'exponential(1)', 'power(2)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(3)', 'comonotone'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(3)', 'countermonotone'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(3)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(3)', 'one_sample_x'),  # divergent
-    ('gaussian(1,2)', 'exponential(1)', 'power(3)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'gaussian(0,1)', 'exppower(0.5)', 'countermonotone'),  # sign change
-    ('gaussian(1,2)', 'gaussian(0,1)', 'power(1.5)', 'countermonotone'),  # sign change
-    ('gaussian(1,2)', 'pareto(4)', 'power(1.5)', 'comonotone'),  # divergent
-    ('gaussian(1,2)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # divergent
-    ('gaussian(1,2)', 'pareto(4)', 'power(1.5)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'pareto(4)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('gaussian(1,2)', 'pareto(4)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'pareto(5)', 'power(1.5)', 'comonotone'),  # divergent
-    ('gaussian(1,2)', 'pareto(5)', 'power(1.5)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'pareto(5)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'pareto(5)', 'power(2)', 'comonotone'),  # divergent
-    ('gaussian(1,2)', 'pareto(5)', 'power(2)', 'countermonotone'),  # divergent
-    ('gaussian(1,2)', 'pareto(5)', 'power(2)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'pareto(5)', 'power(2)', 'one_sample_x'),  # divergent
-    ('gaussian(1,2)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'pareto(6)', 'power(1.5)', 'comonotone'),  # divergent
     ('gaussian(1,2)', 'pareto(6)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('gaussian(1,2)', 'pareto(6)', 'power(1.5)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'pareto(6)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'pareto(6)', 'power(2)', 'comonotone'),  # divergent
-    ('gaussian(1,2)', 'pareto(6)', 'power(2)', 'countermonotone'),  # miss
     ('gaussian(1,2)', 'pareto(6)', 'power(2)', 'exact_cost'),  # divergent
-    ('gaussian(1,2)', 'pareto(6)', 'power(2)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'pareto(6)', 'power(2)', 'one_sample_y'),  # divergent
     ('gaussian(1,2)', 'pareto(7)', 'power(1.5)', 'exact_cost'),  # divergent
     ('gaussian(1,2)', 'pareto(7)', 'power(2)', 'exact_cost'),  # divergent
-    ('gaussian(1,2)', 'pareto(7)', 'power(2)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'pareto(7)', 'power(2)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'pareto(7)', 'power(3)', 'comonotone'),  # divergent
-    ('gaussian(1,2)', 'pareto(7)', 'power(3)', 'countermonotone'),  # miss
     ('gaussian(1,2)', 'pareto(7)', 'power(3)', 'exact_cost'),  # divergent
-    ('gaussian(1,2)', 'pareto(7)', 'power(3)', 'independent'),  # divergent
-    ('gaussian(1,2)', 'pareto(7)', 'power(3)', 'one_sample_y'),  # divergent
-    ('gaussian(1,2)', 'pareto(8)', 'power(3)', 'one_sample_y'),  # miss
-    ('gaussian(1,2)', 'weibull(0.75)', 'exppower(0.5)', 'countermonotone'),  # error estimate
-    ('gaussian(1,2)', 'weibull(0.75)', 'logpower(0.5)', 'comonotone'),  # error estimate
-    ('gaussian(1,2)', 'weibull(0.75)', 'power(3)', 'countermonotone'),  # miss
     ('gaussian(1,2)', 'weibull(0.75)', 'power(3)', 'exact_cost'),  # error estimate
-    ('gaussian(1,2)', 'weibull(0.75)', 'power(3)', 'independent'),  # error estimate
-    ('gaussian(1,2)', 'weibull(0.75)', 'power(3)', 'one_sample_y'),  # error estimate
     ('pareto(10)', 'gaussian(0,1)', 'power(1.5)', 'exact_cost'),  # divergent
     ('pareto(10)', 'gaussian(0,1)', 'power(2)', 'exact_cost'),  # divergent
-    ('pareto(10)', 'gaussian(0,1)', 'power(2)', 'independent'),  # divergent
-    ('pareto(10)', 'gaussian(0,1)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(10)', 'gaussian(0,1)', 'power(3)', 'independent'),  # divergent
-    ('pareto(10)', 'gaussian(0,1)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(10)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(10)', 'pareto(5)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(10)', 'pareto(5)', 'power(2)', 'comonotone'),  # error estimate
-    ('pareto(10)', 'pareto(5)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(10)', 'pareto(5)', 'power(2)', 'independent'),  # miss
-    ('pareto(10)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # miss
-    ('pareto(10)', 'pareto(6)', 'power(2)', 'comonotone'),  # miss
-    ('pareto(10)', 'pareto(6)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(10)', 'pareto(7)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(10)', 'pareto(7)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(10)', 'pareto(7)', 'power(3)', 'countermonotone'),  # divergent
-    ('pareto(10)', 'pareto(7)', 'power(3)', 'independent'),  # divergent
-    ('pareto(10)', 'pareto(7)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(10)', 'pareto(7)', 'power(3)', 'one_sample_y'),  # divergent
-    ('pareto(10)', 'pareto(8)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(10)', 'pareto(8)', 'power(3)', 'countermonotone'),  # divergent
-    ('pareto(10)', 'pareto(8)', 'power(3)', 'independent'),  # divergent
-    ('pareto(10)', 'pareto(8)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(10)', 'pareto(8)', 'power(3)', 'one_sample_y'),  # divergent
-    ('pareto(10)', 'weibull(1.5)', 'power(3)', 'one_sample_x'),  # miss
-    ('pareto(4)', 'exponential(1)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(4)', 'exponential(1)', 'power(1.5)', 'countermonotone'),  # divergent
-    ('pareto(4)', 'exponential(1)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(4)', 'exponential(1)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(4)', 'exponential(1)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('pareto(4)', 'gaussian(0,1)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(4)', 'gaussian(1,2)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(4)', 'gaussian(1,2)', 'power(1.5)', 'countermonotone'),  # divergent
-    ('pareto(4)', 'gaussian(1,2)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(4)', 'gaussian(1,2)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(4)', 'gaussian(1,2)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('pareto(4)', 'pareto(10)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(4)', 'pareto(5)', 'power(1.5)', 'comonotone'),  # miss
-    ('pareto(4)', 'pareto(5)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(4)', 'pareto(5)', 'power(1.5)', 'one_sample_x'),  # miss
-    ('pareto(4)', 'pareto(6)', 'power(1.5)', 'comonotone'),  # miss
-    ('pareto(4)', 'pareto(7)', 'power(1.5)', 'comonotone'),  # miss
-    ('pareto(4)', 'weibull(0.75)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(4)', 'weibull(0.75)', 'power(1.5)', 'countermonotone'),  # divergent
     ('pareto(4)', 'weibull(0.75)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('pareto(4)', 'weibull(0.75)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(4)', 'weibull(0.75)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(4)', 'weibull(0.75)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('pareto(4)', 'weibull(1.5)', 'power(1.5)', 'comonotone'),  # error estimate
-    ('pareto(5)', 'exponential(1)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(1.5)', 'countermonotone'),  # divergent
     ('pareto(5)', 'exponential(1)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(2)', 'countermonotone'),  # divergent
     ('pareto(5)', 'exponential(1)', 'power(2)', 'exact_cost'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(2)', 'independent'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(5)', 'exponential(1)', 'power(2)', 'one_sample_y'),  # divergent
-    ('pareto(5)', 'gaussian(0,1)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(5)', 'gaussian(0,1)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(5)', 'gaussian(0,1)', 'power(2)', 'independent'),  # divergent
-    ('pareto(5)', 'gaussian(0,1)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(5)', 'gaussian(1,2)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(5)', 'gaussian(1,2)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(5)', 'gaussian(1,2)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(5)', 'gaussian(1,2)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(5)', 'gaussian(1,2)', 'power(2)', 'countermonotone'),  # divergent
-    ('pareto(5)', 'gaussian(1,2)', 'power(2)', 'independent'),  # divergent
-    ('pareto(5)', 'gaussian(1,2)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(5)', 'gaussian(1,2)', 'power(2)', 'one_sample_y'),  # divergent
-    ('pareto(5)', 'pareto(10)', 'power(2)', 'comonotone'),  # error estimate
-    ('pareto(5)', 'pareto(10)', 'power(2)', 'countermonotone'),  # miss
-    ('pareto(5)', 'pareto(10)', 'power(2)', 'independent'),  # miss
-    ('pareto(5)', 'pareto(10)', 'power(2)', 'one_sample_x'),  # miss
-    ('pareto(5)', 'pareto(4)', 'power(1.5)', 'comonotone'),  # miss
-    ('pareto(5)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(5)', 'pareto(4)', 'power(1.5)', 'one_sample_y'),  # miss
-    ('pareto(5)', 'pareto(6)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(5)', 'pareto(6)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(5)', 'pareto(6)', 'power(2)', 'independent'),  # error estimate
-    ('pareto(5)', 'pareto(6)', 'power(2)', 'one_sample_x'),  # error estimate
-    ('pareto(5)', 'pareto(6)', 'power(2)', 'one_sample_y'),  # miss
-    ('pareto(5)', 'pareto(7)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(5)', 'pareto(7)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(5)', 'pareto(7)', 'power(2)', 'independent'),  # error estimate
-    ('pareto(5)', 'pareto(7)', 'power(2)', 'one_sample_x'),  # error estimate
-    ('pareto(5)', 'pareto(7)', 'power(2)', 'one_sample_y'),  # miss
-    ('pareto(5)', 'pareto(8)', 'power(2)', 'comonotone'),  # error estimate
-    ('pareto(5)', 'pareto(8)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(5)', 'pareto(8)', 'power(2)', 'independent'),  # error estimate
-    ('pareto(5)', 'pareto(8)', 'power(2)', 'one_sample_x'),  # error estimate
-    ('pareto(5)', 'weibull(0.75)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(5)', 'weibull(0.75)', 'power(1.5)', 'countermonotone'),  # error estimate
     ('pareto(5)', 'weibull(0.75)', 'power(1.5)', 'exact_cost'),  # error estimate
-    ('pareto(5)', 'weibull(0.75)', 'power(1.5)', 'independent'),  # error estimate
-    ('pareto(5)', 'weibull(0.75)', 'power(1.5)', 'one_sample_x'),  # error estimate
-    ('pareto(5)', 'weibull(0.75)', 'power(1.5)', 'one_sample_y'),  # error estimate
-    ('pareto(5)', 'weibull(0.75)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(5)', 'weibull(0.75)', 'power(2)', 'countermonotone'),  # error estimate
     ('pareto(5)', 'weibull(0.75)', 'power(2)', 'exact_cost'),  # miss
-    ('pareto(5)', 'weibull(0.75)', 'power(2)', 'independent'),  # error estimate
-    ('pareto(5)', 'weibull(0.75)', 'power(2)', 'one_sample_x'),  # error estimate
-    ('pareto(5)', 'weibull(1.5)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(5)', 'weibull(1.5)', 'power(2)', 'countermonotone'),  # divergent
-    ('pareto(5)', 'weibull(1.5)', 'power(2)', 'independent'),  # divergent
-    ('pareto(5)', 'weibull(1.5)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(6)', 'exponential(1)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(6)', 'exponential(1)', 'power(1.5)', 'countermonotone'),  # divergent
     ('pareto(6)', 'exponential(1)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('pareto(6)', 'exponential(1)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(6)', 'exponential(1)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(6)', 'exponential(1)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(6)', 'exponential(1)', 'power(2)', 'countermonotone'),  # divergent
     ('pareto(6)', 'exponential(1)', 'power(2)', 'exact_cost'),  # divergent
-    ('pareto(6)', 'exponential(1)', 'power(2)', 'independent'),  # divergent
-    ('pareto(6)', 'exponential(1)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(6)', 'gaussian(0,1)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(6)', 'gaussian(0,1)', 'power(2)', 'countermonotone'),  # miss
-    ('pareto(6)', 'gaussian(0,1)', 'power(2)', 'independent'),  # divergent
-    ('pareto(6)', 'gaussian(0,1)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(6)', 'gaussian(1,2)', 'power(1.5)', 'comonotone'),  # divergent
     ('pareto(6)', 'gaussian(1,2)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('pareto(6)', 'gaussian(1,2)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(6)', 'gaussian(1,2)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(6)', 'gaussian(1,2)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(6)', 'gaussian(1,2)', 'power(2)', 'countermonotone'),  # miss
     ('pareto(6)', 'gaussian(1,2)', 'power(2)', 'exact_cost'),  # divergent
-    ('pareto(6)', 'gaussian(1,2)', 'power(2)', 'independent'),  # divergent
-    ('pareto(6)', 'gaussian(1,2)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(6)', 'pareto(10)', 'power(2)', 'comonotone'),  # miss
-    ('pareto(6)', 'pareto(4)', 'power(1.5)', 'comonotone'),  # miss
-    ('pareto(6)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(6)', 'pareto(5)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(6)', 'pareto(5)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(6)', 'pareto(5)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(6)', 'pareto(5)', 'power(2)', 'independent'),  # error estimate
-    ('pareto(6)', 'pareto(5)', 'power(2)', 'one_sample_x'),  # miss
-    ('pareto(6)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # error estimate
-    ('pareto(6)', 'pareto(7)', 'power(2)', 'comonotone'),  # error estimate
-    ('pareto(6)', 'pareto(7)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(6)', 'pareto(7)', 'power(2)', 'independent'),  # miss
-    ('pareto(6)', 'pareto(7)', 'power(2)', 'one_sample_x'),  # miss
-    ('pareto(6)', 'pareto(8)', 'power(2)', 'comonotone'),  # error estimate
-    ('pareto(6)', 'weibull(1.5)', 'power(1.5)', 'countermonotone'),  # divergent
-    ('pareto(6)', 'weibull(1.5)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(6)', 'weibull(1.5)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(6)', 'weibull(1.5)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('pareto(6)', 'weibull(1.5)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(6)', 'weibull(1.5)', 'power(2)', 'countermonotone'),  # divergent
-    ('pareto(6)', 'weibull(1.5)', 'power(2)', 'independent'),  # divergent
-    ('pareto(6)', 'weibull(1.5)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(6)', 'weibull(1.5)', 'power(2)', 'one_sample_y'),  # divergent
-    ('pareto(7)', 'exponential(1)', 'power(2)', 'one_sample_x'),  # miss
-    ('pareto(7)', 'exponential(1)', 'power(3)', 'comonotone'),  # miss
-    ('pareto(7)', 'exponential(1)', 'power(3)', 'countermonotone'),  # miss
-    ('pareto(7)', 'exponential(1)', 'power(3)', 'independent'),  # miss
-    ('pareto(7)', 'exponential(1)', 'power(3)', 'one_sample_x'),  # miss
-    ('pareto(7)', 'gaussian(0,1)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(2)', 'independent'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(3)', 'countermonotone'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(3)', 'independent'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'gaussian(0,1)', 'power(3)', 'one_sample_y'),  # divergent
     ('pareto(7)', 'gaussian(1,2)', 'power(1.5)', 'exact_cost'),  # divergent
     ('pareto(7)', 'gaussian(1,2)', 'power(2)', 'exact_cost'),  # divergent
-    ('pareto(7)', 'gaussian(1,2)', 'power(2)', 'independent'),  # divergent
-    ('pareto(7)', 'gaussian(1,2)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'gaussian(1,2)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(7)', 'gaussian(1,2)', 'power(3)', 'countermonotone'),  # miss
     ('pareto(7)', 'gaussian(1,2)', 'power(3)', 'exact_cost'),  # divergent
-    ('pareto(7)', 'gaussian(1,2)', 'power(3)', 'independent'),  # divergent
-    ('pareto(7)', 'gaussian(1,2)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'pareto(10)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(7)', 'pareto(10)', 'power(3)', 'countermonotone'),  # divergent
-    ('pareto(7)', 'pareto(10)', 'power(3)', 'independent'),  # divergent
-    ('pareto(7)', 'pareto(10)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'pareto(10)', 'power(3)', 'one_sample_y'),  # divergent
-    ('pareto(7)', 'pareto(4)', 'power(1.5)', 'comonotone'),  # miss
-    ('pareto(7)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(7)', 'pareto(5)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(7)', 'pareto(5)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(7)', 'pareto(5)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(7)', 'pareto(5)', 'power(2)', 'independent'),  # error estimate
-    ('pareto(7)', 'pareto(5)', 'power(2)', 'one_sample_x'),  # miss
-    ('pareto(7)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # error estimate
-    ('pareto(7)', 'pareto(6)', 'power(2)', 'comonotone'),  # error estimate
-    ('pareto(7)', 'pareto(6)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(7)', 'pareto(6)', 'power(2)', 'independent'),  # miss
-    ('pareto(7)', 'pareto(6)', 'power(2)', 'one_sample_y'),  # miss
-    ('pareto(7)', 'pareto(8)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(7)', 'pareto(8)', 'power(3)', 'countermonotone'),  # divergent
-    ('pareto(7)', 'pareto(8)', 'power(3)', 'independent'),  # divergent
-    ('pareto(7)', 'pareto(8)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'pareto(8)', 'power(3)', 'one_sample_y'),  # divergent
-    ('pareto(7)', 'weibull(0.75)', 'power(3)', 'one_sample_x'),  # error estimate
-    ('pareto(7)', 'weibull(1.5)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(1.5)', 'countermonotone'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(2)', 'countermonotone'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(2)', 'independent'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(2)', 'one_sample_y'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(3)', 'countermonotone'),  # divergent
     ('pareto(7)', 'weibull(1.5)', 'power(3)', 'exact_cost'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(3)', 'independent'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(7)', 'weibull(1.5)', 'power(3)', 'one_sample_y'),  # divergent
-    ('pareto(8)', 'exponential(1)', 'power(3)', 'one_sample_x'),  # miss
-    ('pareto(8)', 'gaussian(0,1)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(2)', 'independent'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(3)', 'countermonotone'),  # error estimate
     ('pareto(8)', 'gaussian(0,1)', 'power(3)', 'exact_cost'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(3)', 'independent'),  # divergent
-    ('pareto(8)', 'gaussian(0,1)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(8)', 'gaussian(1,2)', 'power(3)', 'one_sample_x'),  # miss
-    ('pareto(8)', 'pareto(10)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(8)', 'pareto(10)', 'power(3)', 'countermonotone'),  # divergent
-    ('pareto(8)', 'pareto(10)', 'power(3)', 'independent'),  # divergent
-    ('pareto(8)', 'pareto(10)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(8)', 'pareto(10)', 'power(3)', 'one_sample_y'),  # divergent
-    ('pareto(8)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(8)', 'pareto(5)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('pareto(8)', 'pareto(5)', 'power(2)', 'comonotone'),  # error estimate
-    ('pareto(8)', 'pareto(5)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(8)', 'pareto(5)', 'power(2)', 'independent'),  # error estimate
-    ('pareto(8)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # error estimate
-    ('pareto(8)', 'pareto(6)', 'power(2)', 'comonotone'),  # error estimate
-    ('pareto(8)', 'pareto(6)', 'power(2)', 'countermonotone'),  # error estimate
-    ('pareto(8)', 'pareto(7)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(8)', 'pareto(7)', 'power(3)', 'countermonotone'),  # divergent
-    ('pareto(8)', 'pareto(7)', 'power(3)', 'independent'),  # divergent
-    ('pareto(8)', 'pareto(7)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(8)', 'pareto(7)', 'power(3)', 'one_sample_y'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(1.5)', 'comonotone'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(1.5)', 'countermonotone'),  # divergent
     ('pareto(8)', 'weibull(1.5)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(1.5)', 'independent'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(2)', 'comonotone'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(2)', 'countermonotone'),  # divergent
     ('pareto(8)', 'weibull(1.5)', 'power(2)', 'exact_cost'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(2)', 'independent'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(2)', 'one_sample_x'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(3)', 'comonotone'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(3)', 'countermonotone'),  # divergent
     ('pareto(8)', 'weibull(1.5)', 'power(3)', 'exact_cost'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(3)', 'independent'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(3)', 'one_sample_x'),  # divergent
-    ('pareto(8)', 'weibull(1.5)', 'power(3)', 'one_sample_y'),  # divergent
-    ('weibull(0.75)', 'exponential(1)', 'exppower(0.5)', 'countermonotone'),  # error estimate
-    ('weibull(0.75)', 'exponential(1)', 'power(3)', 'comonotone'),  # miss
-    ('weibull(0.75)', 'exponential(1)', 'power(3)', 'countermonotone'),  # error estimate
-    ('weibull(0.75)', 'exponential(1)', 'power(3)', 'independent'),  # error estimate
-    ('weibull(0.75)', 'exponential(1)', 'power(3)', 'one_sample_x'),  # error estimate
-    ('weibull(0.75)', 'gaussian(0,1)', 'power(3)', 'comonotone'),  # error estimate
-    ('weibull(0.75)', 'gaussian(1,2)', 'exppower(0.5)', 'countermonotone'),  # error estimate
-    ('weibull(0.75)', 'gaussian(1,2)', 'logpower(0.5)', 'comonotone'),  # error estimate
-    ('weibull(0.75)', 'gaussian(1,2)', 'power(3)', 'countermonotone'),  # miss
     ('weibull(0.75)', 'gaussian(1,2)', 'power(3)', 'exact_cost'),  # error estimate
-    ('weibull(0.75)', 'gaussian(1,2)', 'power(3)', 'independent'),  # error estimate
-    ('weibull(0.75)', 'gaussian(1,2)', 'power(3)', 'one_sample_x'),  # error estimate
-    ('weibull(0.75)', 'pareto(4)', 'power(1.5)', 'comonotone'),  # divergent
-    ('weibull(0.75)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # divergent
     ('weibull(0.75)', 'pareto(4)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('weibull(0.75)', 'pareto(4)', 'power(1.5)', 'independent'),  # divergent
-    ('weibull(0.75)', 'pareto(4)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('weibull(0.75)', 'pareto(4)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('weibull(0.75)', 'pareto(5)', 'power(1.5)', 'comonotone'),  # divergent
-    ('weibull(0.75)', 'pareto(5)', 'power(1.5)', 'countermonotone'),  # error estimate
     ('weibull(0.75)', 'pareto(5)', 'power(1.5)', 'exact_cost'),  # error estimate
-    ('weibull(0.75)', 'pareto(5)', 'power(1.5)', 'independent'),  # error estimate
-    ('weibull(0.75)', 'pareto(5)', 'power(1.5)', 'one_sample_x'),  # error estimate
-    ('weibull(0.75)', 'pareto(5)', 'power(1.5)', 'one_sample_y'),  # error estimate
-    ('weibull(0.75)', 'pareto(5)', 'power(2)', 'comonotone'),  # divergent
-    ('weibull(0.75)', 'pareto(5)', 'power(2)', 'countermonotone'),  # error estimate
     ('weibull(0.75)', 'pareto(5)', 'power(2)', 'exact_cost'),  # miss
-    ('weibull(0.75)', 'pareto(5)', 'power(2)', 'independent'),  # error estimate
-    ('weibull(0.75)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # error estimate
-    ('weibull(0.75)', 'pareto(7)', 'power(3)', 'one_sample_y'),  # error estimate
-    ('weibull(0.75)', 'weibull(1.5)', 'power(3)', 'comonotone'),  # error estimate
-    ('weibull(0.75)', 'weibull(1.5)', 'power(3)', 'countermonotone'),  # error estimate
-    ('weibull(0.75)', 'weibull(1.5)', 'power(3)', 'independent'),  # error estimate
-    ('weibull(0.75)', 'weibull(1.5)', 'power(3)', 'one_sample_x'),  # error estimate
-    ('weibull(1.5)', 'pareto(10)', 'power(3)', 'one_sample_y'),  # miss
-    ('weibull(1.5)', 'pareto(4)', 'power(1.5)', 'comonotone'),  # error estimate
-    ('weibull(1.5)', 'pareto(4)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('weibull(1.5)', 'pareto(5)', 'power(1.5)', 'countermonotone'),  # error estimate
-    ('weibull(1.5)', 'pareto(5)', 'power(2)', 'comonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(5)', 'power(2)', 'countermonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(5)', 'power(2)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(5)', 'power(2)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(1.5)', 'countermonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(1.5)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(1.5)', 'one_sample_x'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(2)', 'comonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(2)', 'countermonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(2)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(2)', 'one_sample_x'),  # divergent
-    ('weibull(1.5)', 'pareto(6)', 'power(2)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(1.5)', 'comonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(1.5)', 'countermonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(1.5)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(2)', 'comonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(2)', 'countermonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(2)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(2)', 'one_sample_x'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(2)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(3)', 'comonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(3)', 'countermonotone'),  # divergent
     ('weibull(1.5)', 'pareto(7)', 'power(3)', 'exact_cost'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(3)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(3)', 'one_sample_x'),  # divergent
-    ('weibull(1.5)', 'pareto(7)', 'power(3)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(1.5)', 'comonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(1.5)', 'countermonotone'),  # divergent
     ('weibull(1.5)', 'pareto(8)', 'power(1.5)', 'exact_cost'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(1.5)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(1.5)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(2)', 'comonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(2)', 'countermonotone'),  # divergent
     ('weibull(1.5)', 'pareto(8)', 'power(2)', 'exact_cost'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(2)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(2)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(3)', 'comonotone'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(3)', 'countermonotone'),  # divergent
     ('weibull(1.5)', 'pareto(8)', 'power(3)', 'exact_cost'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(3)', 'independent'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(3)', 'one_sample_x'),  # divergent
-    ('weibull(1.5)', 'pareto(8)', 'power(3)', 'one_sample_y'),  # divergent
-    ('weibull(1.5)', 'weibull(0.75)', 'exppower(0.5)', 'countermonotone'),  # error estimate
-    ('weibull(1.5)', 'weibull(0.75)', 'power(3)', 'comonotone'),  # error estimate
-    ('weibull(1.5)', 'weibull(0.75)', 'power(3)', 'countermonotone'),  # error estimate
-    ('weibull(1.5)', 'weibull(0.75)', 'power(3)', 'independent'),  # error estimate
-    ('weibull(1.5)', 'weibull(0.75)', 'power(3)', 'one_sample_y'),  # error estimate
 }
 
 
@@ -563,6 +103,9 @@ def test_stress_matrix_rows_meet_their_oracles(kind):
         out = _outcome(row)
         if isinstance(out, str) or not abs(out[0] - row["value"]) <= out[1]:
             missed[(row["F"], row["G"], row["cost"], kind)] = out
+    # a variance whose gate passed is never called divergent
+    assert kind == "exact_cost" or not any(
+        isinstance(out, str) and "divergent" in out for out in missed.values())
     known = {key for key in KNOWN if key[3] == kind}
     assert set(missed) - known == set(), {key: missed[key] for key in set(missed) - known}
     assert known - set(missed) == set(), "listed as known but now within bound"

@@ -14,11 +14,15 @@ recorded sides.  The file was written, when ``_SIDE_KEYS`` still held
 ``theta``, with
 
     mkdir -p /tmp/wcost-32efc77 && git archive 32efc77 src | tar -x -C /tmp/wcost-32efc77
-    PYTHONPATH=/tmp/wcost-32efc77/src python3 tests/triple_matrix.py > tests/triple_reports.json
+    PYTHONPATH=/tmp/wcost-32efc77/src python3 tests/triple_matrix.py --commit 32efc77 \
+        > tests/triple_reports.json
+
+``--commit`` labels the output with the checkout that ``PYTHONPATH`` points at.
 
 Not collected as tests.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -124,8 +128,12 @@ def cfg_status_only(rep: dict) -> dict:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Write verify_triple's reports on TRIPLES.")
+    parser.add_argument("--commit", required=True,
+                        help="label of the checkout whose verify_triple runs")
+    args = parser.parse_args()
     rows = [{"triple": list(t), "report": report(t)} for t in TRIPLES]
-    sys.stdout.write('{"commit": "32efc77", "triples": [\n')
+    sys.stdout.write(f'{{"commit": {json.dumps(args.commit)}, "triples": [\n')
     sys.stdout.write(",\n".join(json.dumps(r, separators=(",", ":")) for r in rows))
     sys.stdout.write("\n]}\n")
 
