@@ -14,7 +14,7 @@ condition in closed form, for ``sigma2``, the Monte Carlo precheck and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +48,8 @@ _REL_STEP = 1e-5
 _CFG_LEVELS = 1.0 - np.geomspace(1e-6, 1e-10, 64)
 _CFG_LEVELS.setflags(write=False)
 _FG_GRID_SIZE = 512
+# The levels of each law's quantiles that place the marginal checks' threshold and grids.
+_MARGINAL_LEVELS = (0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-8)
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,6 @@ class AssumptionReport:
     tau0: float | None = None
     m: float | None = None
     side: str = "right"
-    u_grid: np.ndarray | None = field(default=None, repr=False)
 
     def conditions(self) -> dict[str, ConditionStatus]:
         return {
@@ -187,32 +188,36 @@ def _pairwise(results) -> ConditionStatus:
                            f"trend slope {worst[3]:.3g}")
 
 
-def _marginal_report(laws, m: float | None) -> AssumptionReport:
-    """Shared grid construction + FG1/FG2/FG3/FG5 over one or two laws.
+def _marginal_report(laws) -> tuple[AssumptionReport, np.ndarray]:
+    """Shared grid construction + FG1/FG2/FG3/FG5 over one or two laws; returns it and the u-grid.
 
-    Quantile-side checks share one u-grid (each law is probed at its own
-    quantiles, so depth is per-law automatically); density-side checks get
-    per-law x-grids capped at the law's own survival-1e-8 quantile, since
-    probing a light tail at the heavy law's range only manufactures
-    floating-point underflow.
+    The threshold m is the larger 0.9-quantile, or the floor max(0, medians)
+    plus min(1/2, half its gap to the smallest (1 - 1e-6)-quantile) if higher,
+    so that it scales with the laws.  Quantile-side checks share one u-grid
+    (each law is probed at its own quantiles, so depth is per-law
+    automatically); density-side checks get per-law x-grids capped at the
+    law's own survival-1e-8 quantile, since probing a light tail at the heavy
+    law's range only manufactures floating-point underflow.
     """
-    floor = max([0.0] + [float(law.quantile(0.5)) for law in laws])
-    if m is None:
-        m = max([float(law.quantile(0.9)) for law in laws] + [floor + 0.5])
-    if m <= floor:
-        raise ValueError(f"threshold m={m} must exceed max(0, medians) = {floor}")
-    u_bar = max(float(law.cdf(m)) for law in laws)
+    levels = [np.asarray(law.quantile(_MARGINAL_LEVELS), dtype=float) for law in laws]
+    floor = max([0.0] + [float(q[0]) for q in levels])
+    shallow, q = min(zip(laws, levels), key=lambda lq: lq[1][2])
+    room = (float(q[2]) - floor) / 2.0
+    if not room > 0.0:
+        raise ValueError(f"{shallow!r} has no quantile above max(0, medians) = {floor} "
+                         "up to level 1 - 1e-6: no tail to examine")
+    m = max([float(q[1]) for q in levels] + [floor + min(0.5, room)])
+    tails = [float(law.cdf(m)) for law in laws]
+    u_bar = max(tails)
     if not u_bar < 1.0 - 1e-8:
-        raise ValueError(f"threshold m={m} leaves no tail to examine")
+        raise ValueError(f"{laws[tails.index(u_bar)]!r} has no mass above 1e-8 beyond m={m}, "
+                         "the other law's 0.9-quantile: no tail to examine")
     us = 1.0 - np.geomspace(1.0 - u_bar, 1e-8, _FG_GRID_SIZE)
     log_inv = np.log(1.0 / (1.0 - us))
 
-    grids = []
-    for law in laws:
-        x_max = float(law.quantile(1.0 - 1e-8))
-        grids.append(np.geomspace(m, x_max, _FG_GRID_SIZE) if x_max > m else None)
+    grids = [np.geomspace(m, float(q[3]), _FG_GRID_SIZE) if q[3] > m else None for q in levels]
 
-    report = AssumptionReport(m=float(m), u_grid=us)
+    report = AssumptionReport(m=float(m))
 
     ones = [_fg1_single(law, xs) for law, xs in zip(laws, grids) if xs is not None]
     ok1 = all(o for o, _, _ in ones)
@@ -225,16 +230,16 @@ def _marginal_report(laws, m: float | None) -> AssumptionReport:
     report.fg3 = _pairwise([_fg3_single(law, us, log_inv) for law in laws])
     report.fg5 = _pairwise([_fg5_single(law, xs)
                             for law, xs in zip(laws, grids) if xs is not None])
-    return report
+    return report, us
 
 
-def check_fg(F: Distribution, G: Distribution, m: float | None = None) -> AssumptionReport:
+def check_fg(F: Distribution, G: Distribution) -> AssumptionReport:
     """Verify the marginal tail conditions for the pair (F, G).
 
     F should carry the heavier right tail (the quantile gap tau must stay
-    positive).  The threshold m must exceed both medians; by default it is
-    placed at the larger 0.9-quantile.  Five checks run on geometric tail
-    grids reaching survival level 1e-8:
+    positive).  The threshold m, above both medians, is placed as
+    ``_marginal_report`` says; a law with no tail there raises ``ValueError``.
+    Five checks run on geometric tail grids reaching survival level 1e-8:
 
     * smoothness proxy: both densities positive and finite on the x-grid;
     * (1-u)|(log h)'(u)| bounded for both density quantiles;
@@ -244,8 +249,7 @@ def check_fg(F: Distribution, G: Distribution, m: float | None = None) -> Assump
     * the density-space rewrite of the two bounded checks,
       (1-F)/f * (1/x + |f'|/f), as an independent route to the same verdict.
     """
-    report = _marginal_report((F, G), m)
-    us = report.u_grid
+    report, us = _marginal_report((F, G))
 
     # quantile-gap separation
     tau = np.asarray(F.quantile(us), dtype=float) - np.asarray(G.quantile(us), dtype=float)
@@ -266,7 +270,6 @@ class CfgResult:
 
     status: str
     margin: float
-    theta: float
     witness_location: float
 
     @property
@@ -298,7 +301,7 @@ def check_cfg(F: Distribution, c: Cost) -> CfgResult:
     margin = phi_prime - (2.0 + 2.0 * theta / xs)
     i = int(np.argmin(margin))
     status = "pass" if margin[i] >= _CFG_TOLERANCE else "fail"
-    return CfgResult(status, float(margin[i]), float(theta), float(xs[i]))
+    return CfgResult(status, float(margin[i]), float(xs[i]))
 
 
 def heavier_right(F: Distribution, G: Distribution) -> Distribution:
@@ -469,8 +472,7 @@ class TripleReport:
         }
 
 
-def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
-              m: float | None) -> tuple[AssumptionReport, bool]:
+def _one_side(F: Distribution, G: Distribution, c: Cost, side: str) -> tuple[AssumptionReport, bool]:
     # the marginal conditions name F as the heavier tail
     heavy = heavier_right(F, G)
     swapped = heavy is not F
@@ -486,12 +488,12 @@ def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
     if not math.isinf(light.support()[1]):
         # lighter law compactly supported: marginal checks apply to the heavy
         # law alone and the separation condition is discarded
-        report = _marginal_report((heavy,), m)
+        report, _ = _marginal_report((heavy,))
         report.fg4 = ConditionStatus(
             "not-applicable",
             note="lighter law compactly supported on this side; separation condition discarded")
     else:
-        report = check_fg(heavy, light, m=m)
+        report = check_fg(heavy, light)
     report.side = side
     report.theta1 = c.theta1()
     gate = _side_gate(F, G, heavy, c, side, ("x", "y"))
@@ -499,8 +501,7 @@ def _one_side(F: Distribution, G: Distribution, c: Cost, side: str,
     return report, swapped
 
 
-def verify_triple(F: Distribution, G: Distribution, c: Cost,
-                  m: float | None = None) -> TripleReport:
+def verify_triple(F: Distribution, G: Distribution, c: Cost) -> TripleReport:
     """Run the full hypothesis set on both tails of (F, G, c).
 
     The right tail is checked for the pair as given; the left tail is checked
@@ -508,11 +509,10 @@ def verify_triple(F: Distribution, G: Distribution, c: Cost,
     asymmetric pinball cost).  On each side the heavier-tailed law takes the
     lead role automatically.  Each side's compatibility condition ``cfg`` is
     ``tail_gate``'s verdict there, its margin the witness value and its rule
-    the note.  ``all_pass`` reads every condition reported.
+    the note.  ``all_pass`` reads every condition reported.  Each side places
+    its own threshold m, as ``check_fg`` does.
     """
-    right, sw_r = _one_side(F, G, c, "right", m)
-    # a caller-chosen threshold is meaningless after reflection, so the left
-    # side always picks its own default
-    left, sw_l = _one_side(reflect(F), reflect(G), reflected_cost(c), "left", None)
+    right, sw_r = _one_side(F, G, c, "right")
+    left, sw_l = _one_side(reflect(F), reflect(G), reflected_cost(c), "left")
     return TripleReport(right=right, left=left, theta1=c.theta1(),
                         swapped_right=sw_r, swapped_left=sw_l)

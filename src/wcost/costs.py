@@ -23,17 +23,10 @@ __all__ = [
     "LogPowerCost",
     "ExpPowerCost",
     "QuantileCost",
-    "TAU1",
     "check_measure_property",
-    "diagonal_contraction",
     "parse_cost",
     "format_cost",
 ]
-
-# Distance below which the tail representation is not consulted; the closed
-# forms remain exact there, this only marks where l-based reasoning applies.
-TAU1 = 1e-3
-
 
 class Cost:
     """Base cost.  Symmetric kinds implement the rho/l tail machinery."""
@@ -61,10 +54,6 @@ class Cost:
 
     def l_inverse(self, s):
         raise UnsupportedCostError(f"{type(self).__name__} has no tail representation")
-
-    def gamma(self) -> float:
-        """Regular-variation index of l at infinity."""
-        raise NotImplementedError
 
     def theta1(self) -> float:
         """Growth correction exponent in [0,1] entering the tail condition."""
@@ -116,9 +105,6 @@ class PowerCost(_RadialCost):
     def l_inverse(self, s):
         return _scalar_like(np.exp(_as_array(s) / self.alpha), s)
 
-    def gamma(self):
-        return 0.0
-
     def theta1(self):
         return 0.0
 
@@ -145,9 +131,6 @@ class LogPowerCost(_RadialCost):
 
     def l_inverse(self, s):
         return _scalar_like(np.expm1(_as_array(s) ** (1.0 / (1.0 + self.beta))), s)
-
-    def gamma(self):
-        return 0.0
 
     def theta1(self):
         # l(t) = (log(1+t))^{1+beta} gives t l'(t) of order (log t)^beta, so
@@ -177,9 +160,6 @@ class ExpPowerCost(_RadialCost):
     def l_inverse(self, s):
         return _scalar_like(_as_array(s) ** (1.0 / self.beta), s)
 
-    def gamma(self):
-        return self.beta
-
     def theta1(self):
         return 1.0
 
@@ -202,9 +182,6 @@ class QuantileCost(Cost):
     def evaluate(self, x, y):
         d = _as_array(x) - _as_array(y)
         return _scalar_like(d * (self.alpha - (d < 0.0)), x, y)
-
-    def gamma(self):
-        return 0.0
 
     def theta1(self):
         # Linear growth: same correction exponent as the power family.
@@ -257,23 +234,6 @@ def check_measure_property(c, grid) -> tuple[bool, float, tuple[float, float, fl
                 best = float(gains[j1])
                 best_rect = (float(g[i0]), float(g[i1 + 1]), float(g[j0]), float(g[j1 + 1]))
     return best <= 1e-12, best, best_rect
-
-
-def diagonal_contraction(c: Cost, m: float, tau: float) -> float:
-    """Lipschitz modulus of c on the band {x,y > m, |x-y| <= tau}.
-
-    Vanishes as tau -> 0 for the smooth kinds, which is what makes near-ties
-    in paired samples cheap.  Closed form alpha*tau^(alpha-1) for the power
-    cost; otherwise the supremum of rho' over a geometric grid of distances.
-    """
-    if not (m > 0 and tau > 0):
-        raise ValueError(f"diagonal contraction needs m > 0 and tau > 0, got m={m}, tau={tau}")
-    if isinstance(c, QuantileCost):
-        raise UnsupportedCostError("quantile cost slope does not vanish at the diagonal")
-    if isinstance(c, PowerCost):
-        return c.alpha * tau ** (c.alpha - 1.0)
-    ts = np.geomspace(tau * 1e-9, tau, 1024)
-    return float(np.max(c.rho_prime(ts)))
 
 
 # --- descriptors --------------------------------------------------------------

@@ -328,8 +328,14 @@ class Reflected(Distribution):
         return _scalar_like(self.base.pdf(-_as_array(x)), x)
 
     def quantile(self, u):
+        # 1 - u is exact for u >= 1/2; below, it rounds away the digits of a
+        # small u, which the base's psi_inverse at -log(u) keeps.
         ua = _check_prob_open(u)
-        return _scalar_like(-_as_array(self.base.quantile(1.0 - ua)), u)
+        low = ua < 0.5
+        x = self.base.quantile(1.0 - np.where(low, 0.5, ua))
+        if np.any(low):
+            x = np.where(low, self.base.psi_inverse(-np.log(np.where(low, ua, 0.5))), x)
+        return _scalar_like(-_as_array(x), u)
 
     def _psi_inverse(self, ya):
         # Solve base.cdf(-x) = exp(-y) directly.  The base formula goes through

@@ -28,15 +28,15 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .assumptions import tail_gate
-from .costs import Cost, PowerCost
-from .coupling import Coupling, Independent, sample_pairs
-from .distributions import Distribution, Gaussian
+from .costs import Cost
+from .coupling import Coupling, sample_pairs
+from .distributions import Distribution
 from .errors import DegenerateSampleError
 from .estimate import empirical_cost, exact_cost, trimmed_empirical_cost
 from .quadrature import QuadratureConfig
-from .variance import plug_in_sigma2, sigma2, sigma2_gaussian, sigma2_window
+from .variance import plug_in_sigma2, sigma2, sigma2_window
 
-_SIGMA_SOURCES = ("oracle_quadrature", "closed_form", "plug_in")
+_SIGMA_SOURCES = ("oracle_quadrature", "plug_in")
 _CI_LEVEL = 0.95
 _WINDOW_CONFIG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
 #: Contiguous replicate ranges handed to each worker, so that a worker slowed by
@@ -56,9 +56,7 @@ class MCConfig:
     ``trim_eps=None`` selects the vanishing schedule n^(-1/4) (clamped below
     1/2 for the smallest allowed n); an explicit value in [0, 1/2) fixes the
     trim level.  ``sigma_source`` picks how replicates are standardized:
-    ``oracle_quadrature`` (default) computes ``sigma2`` once by quadrature,
-    ``closed_form`` (squared-difference cost, independent pairing only) uses
-    the exact formula for two Gaussian marginals and ``sigma2`` otherwise, and
+    ``oracle_quadrature`` (default) computes ``sigma2`` once by quadrature and
     ``plug_in`` re-estimates the variance from each replicate's own sample.
     """
 
@@ -308,18 +306,6 @@ def _sample_skew(values: np.ndarray) -> float:
         return float(m3 / m2**1.5)
 
 
-def _oracle_sigma2(cfg: MCConfig):
-    if cfg.sigma_source == "closed_form":
-        quadratic = isinstance(cfg.c, PowerCost) and cfg.c.alpha == 2.0
-        if not (quadratic and isinstance(cfg.coupling, Independent)):
-            raise ValueError(
-                "closed-form variance requires the squared-difference cost with "
-                "independent coupling; use sigma_source='oracle_quadrature'")
-        if isinstance(cfg.F, Gaussian) and isinstance(cfg.G, Gaussian):
-            return sigma2_gaussian(cfg.F, cfg.G)
-    return sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling)
-
-
 def _build_report(cfg: MCConfig, values: np.ndarray, target: float,
                   sig2: float | None, sig2_per: np.ndarray | None,
                   trim_eps: float, ok: bool, notes: tuple, t0: float) -> MCReport:
@@ -433,7 +419,7 @@ def _experiment(cfg: MCConfig, eps: float, threads: int | None) -> TrimmedCompar
         trimmed = _build_report(cfg, wtrim, w_window, None, plug[eps],
                                 eps, ok, trim_notes, t0)
     else:
-        sig2_full = _oracle_sigma2(cfg).value
+        sig2_full = sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling).value
         sig2_window = sig2_full if eps == 0.0 else sigma2_window(
             cfg.F, cfg.G, cfg.c, cfg.coupling, eps, _WINDOW_CONFIG).value
         west, wtrim, _ = _simulate(cfg, eps, threads)

@@ -3,13 +3,13 @@
 ``CumulativeMesh`` carries the variances' running integrals on a finite
 range; they map each tail onto it themselves.  The open-interval (and
 open-square) integrals of ``exact_cost``, the location-scale moments and the
-two-dimensional variance oracle are computed as: adaptive Gauss--Kronrod on a
-truncated domain, plus a tail correction obtained by halving the truncation
-level a few times and accelerating the resulting sequence (Aitken's
-delta-squared, i.e. Richardson with estimated ratio).  The strip masses added
-by each halving also power their divergence test: if they stop shrinking
-geometrically the integral is declared nonconvergent rather than silently
-truncated.
+two-dimensional variance oracle are computed as: adaptive Gauss--Kronrod on
+the domain truncated at 1e-6 from each edge, plus a tail correction obtained
+by halving that truncation level eight times and accelerating the resulting
+sequence (Aitken's delta-squared, i.e. Richardson with estimated ratio).
+The strip masses added by each halving also power their divergence test: if
+they stop shrinking geometrically the integral is declared nonconvergent
+rather than silently truncated.
 
 Everything is deterministic: panels are summed in domain order with
 compensated summation, never in refinement order.
@@ -87,29 +87,24 @@ _ULP = 2.0 ** -52
 # The open-domain wrappers drive the panel integrals this much below the
 # requested tolerance so that the summed error estimate still meets it.
 _INNER_TIGHTENING = 20.0
+# Their truncation level, and the number of times they halve it.
+_EDGE_EPSILON = 1e-6
+_EXTRAPOLATION_LEVELS = 8
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets for the adaptive integrators.
-
-    ``edge_epsilon`` and ``extrapolation_levels`` govern only the truncated
-    integrals of ``exact_cost``, the location-scale moments and the 2-D oracle.
-    """
+    """Tolerances and the panel budget of the adaptive integrators."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    edge_epsilon: float = 1e-6
     max_subdivisions: int = 6000
-    extrapolation_levels: int = 8
 
     def __post_init__(self):
-        if not (0.0 < self.edge_epsilon < 1e-2):
-            raise ValueError(f"edge_epsilon must lie in (0, 1e-2), got {self.edge_epsilon}")
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1 or self.extrapolation_levels < 0:
-            raise ValueError("budgets must be positive")
+        if self.max_subdivisions < 1:
+            raise ValueError("the panel budget must be positive")
 
 
 def gk15_fixed(f, a: float, b: float) -> tuple[float, float]:
@@ -305,7 +300,7 @@ def _tail_limit(strips: list[float], floor: float, what: str) -> tuple[float, fl
     remaining tail mass, residual estimate).
     """
     if all(abs(s) <= floor for s in strips):
-        return math.fsum(strips), abs(strips[-1]) if strips else 0.0
+        return math.fsum(strips), abs(strips[-1])
     for k, (prev, cur) in enumerate(zip(strips, strips[1:])):
         if abs(cur) <= floor:
             continue  # shrunk into the noise: converged
@@ -344,12 +339,12 @@ def integrate_open01(f, cfg: QuadratureConfig) -> tuple[float, float, dict]:
     tail looks divergent or the final error estimate misses the tolerance.
     Returns (value, estimated error, diagnostics).
     """
-    eps = cfg.edge_epsilon
+    eps = _EDGE_EPSILON
     inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
     base, quad_err = integrate_1d(f, eps, 1.0 - eps, inner,
                                   breaks=graded_breaks(eps, 1.0 - eps), raise_on_stall=False)
     lefts, rights = [], []
-    for _ in range(cfg.extrapolation_levels):
+    for _ in range(_EXTRAPOLATION_LEVELS):
         nxt = eps * 0.5
         left, le = integrate_1d(f, nxt, eps, inner, scale=base, raise_on_stall=False)
         right, re_ = integrate_1d(f, 1.0 - eps, 1.0 - nxt, inner, scale=base, raise_on_stall=False)
@@ -365,12 +360,12 @@ def integrate_open01(f, cfg: QuadratureConfig) -> tuple[float, float, dict]:
     if not est_error <= _tolerance(cfg, value):
         raise NonconvergenceError(
             f"open-interval integral: error estimate {est_error:.3e} exceeds "
-            f"tolerance {_tolerance(cfg, value):.3e} after {cfg.extrapolation_levels} "
+            f"tolerance {_tolerance(cfg, value):.3e} after {_EXTRAPOLATION_LEVELS} "
             "truncation halvings"
         )
     diagnostics = {
-        "truncation_levels": cfg.extrapolation_levels,
-        "last_strip": (lefts[-1] + rights[-1]) if lefts else 0.0,
+        "truncation_levels": _EXTRAPOLATION_LEVELS,
+        "last_strip": lefts[-1] + rights[-1],
         "extrapolation_residual": left_res + right_res,
     }
     return value, est_error, diagnostics
@@ -383,13 +378,13 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
     halving adds a frame decomposed into four side strips, and each side's
     strip family is extrapolated separately.
     """
-    eps = cfg.edge_epsilon
+    eps = _EDGE_EPSILON
     inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
     g = graded_breaks(eps, 1.0 - eps)
     base, quad_err = integrate_2d(f, (eps, 1.0 - eps), (eps, 1.0 - eps), inner,
                                   xbreaks=g, ybreaks=g, raise_on_stall=False)
     sides: list[list[float]] = [[], [], [], []]
-    for _ in range(cfg.extrapolation_levels):
+    for _ in range(_EXTRAPOLATION_LEVELS):
         nxt = eps * 0.5
         lo, hi = nxt, 1.0 - nxt
         long_breaks = graded_breaks(lo, hi)
@@ -415,16 +410,16 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
         tail, res = _tail_limit(sides[side], floor, f"{name} of (0,1)^2")
         value += tail
         residual += res
-        last_frame += sides[side][-1] if sides[side] else 0.0
+        last_frame += sides[side][-1]
     est_error = quad_err + residual
     if not est_error <= _tolerance(cfg, value):
         raise NonconvergenceError(
             f"open-square integral: error estimate {est_error:.3e} exceeds "
-            f"tolerance {_tolerance(cfg, value):.3e} after {cfg.extrapolation_levels} "
+            f"tolerance {_tolerance(cfg, value):.3e} after {_EXTRAPOLATION_LEVELS} "
             "truncation halvings"
         )
     diagnostics = {
-        "truncation_levels": cfg.extrapolation_levels,
+        "truncation_levels": _EXTRAPOLATION_LEVELS,
         "last_frame": last_frame,
         "extrapolation_residual": residual,
     }

@@ -110,10 +110,24 @@ def test_crossing_tails_fail_separation():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError, match="must exceed"):
-        check_fg(Gaussian(0, 1), Gaussian(1, 1), m=0.5)
-    with pytest.raises(ValueError, match="no tail"):
-        check_fg(Gaussian(0, 1), Gaussian(1, 1), m=1e9)
+    # the threshold is placed, not passed, and an error names the law with no tail
+    assert list(inspect.signature(check_fg).parameters) == ["F", "G"]
+    assert list(inspect.signature(verify_triple).parameters) == ["F", "G", "c"]
+    with pytest.raises(ValueError, match=r"Gaussian\(mean=-6, sd=1\) has no quantile above"):
+        check_fg(Gaussian(-6, 1), Gaussian(-4, 1))
+    # Pareto(1)'s 0.9-quantile, 10, lies beyond all of N(0,1) but 1e-23
+    with pytest.raises(ValueError, match=r"Gaussian\(mean=0, sd=1\) has no mass above 1e-8"):
+        check_fg(Pareto(1), Gaussian(0, 1))
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.001])
+def test_threshold_scales_with_the_laws(scale):
+    # an absolute offset of 1/2 above the larger median left no tail at these scales
+    tr = verify_triple(Gaussian(0, scale), Gaussian(2 * scale, scale), P2)
+    assert tr.all_pass
+    for rep in (tr.right, tr.left):
+        assert all(s.passed for s in rep.conditions().values())
+        assert rep.m < 4.0 * scale
 
 
 def test_growth_law_trips_the_trend_heuristic():
@@ -199,8 +213,9 @@ def test_verify_triple_fits_trends_without_lstsq_and_counts_its_law_calls(monkey
     assert tr.all_pass
     # 152 calls at 32efc77, where the finite differences took one call per
     # shifted grid and trend slopes came from numpy.polyfit; 118 with one
-    # call per law and grid; 112 without the advisory sufficient-tail check
-    assert len(calls) <= 112, sorted(set(calls))
+    # call per law and grid; 112 without the advisory sufficient-tail check; 104
+    # with one quantile call per law for the threshold and the grids' ends
+    assert len(calls) <= 104, sorted(set(calls))
 
 
 def test_report_serializes_to_json():

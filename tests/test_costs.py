@@ -10,7 +10,6 @@ from wcost.costs import (
     PowerCost,
     QuantileCost,
     check_measure_property,
-    diagonal_contraction,
     format_cost,
     parse_cost,
 )
@@ -161,27 +160,13 @@ def test_theta1_matches_numeric_growth_slope(beta):
     assert slope == pytest.approx(c.theta1(), abs=0.05)
 
 
-def test_gamma_values():
-    assert PowerCost(2.0).gamma() == 0.0
-    assert LogPowerCost(0.7).gamma() == 0.0
-    assert ExpPowerCost(1.5).gamma() == 1.5
-
-
-def test_diagonal_contraction_power_closed_form():
-    assert diagonal_contraction(PowerCost(2.0), 10.0, 0.1) == pytest.approx(0.2, rel=1e-14)
-
-
-def test_diagonal_contraction_matches_grid_sup():
-    ts = np.geomspace(0.1 * 1e-9, 0.1, 1024)
-    oracle = float(np.max(PowerCost(2.0).rho_prime(ts)))
-    assert diagonal_contraction(PowerCost(2.0), 10.0, 0.1) == pytest.approx(oracle, rel=1e-12)
-
-
 def test_diagonal_contraction_vanishes_with_band_width():
-    # 1.5 * sqrt(tau) for the slowest smooth kind in play here.
+    # The Lipschitz modulus of c on the band |x - y| <= tau is sup rho' on
+    # (0, tau], which is rho'(tau) = 1.5 sqrt(tau) for the slowest smooth kind
+    # in play here.
     prev = math.inf
     for tau in (1e-1, 1e-3, 1e-5, 1e-7):
-        d = diagonal_contraction(PowerCost(1.5), 10.0, tau)
+        d = PowerCost(1.5).rho_prime(tau)
         assert d < prev
         prev = d
     assert prev == pytest.approx(1.5 * math.sqrt(1e-7), rel=1e-12)
@@ -189,15 +174,9 @@ def test_diagonal_contraction_vanishes_with_band_width():
 
 
 def test_diagonal_contraction_unsupported_for_quantile():
+    # the pinball cost's slope does not vanish at the diagonal: it has no radial profile
     with pytest.raises(UnsupportedCostError):
-        diagonal_contraction(QuantileCost(0.5), 1.0, 0.1)
-
-
-def test_diagonal_contraction_validates_inputs():
-    with pytest.raises(ValueError):
-        diagonal_contraction(PowerCost(2.0), -1.0, 0.1)
-    with pytest.raises(ValueError):
-        diagonal_contraction(PowerCost(2.0), 1.0, 0.0)
+        QuantileCost(0.5).rho_prime(0.1)
 
 
 @pytest.mark.parametrize("c", SMOOTH_COSTS, ids=format_cost)

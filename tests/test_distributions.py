@@ -235,6 +235,18 @@ def test_reflect_law_is_negated_variable():
     assert r.sf(x) == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
+def test_reflected_quantile_keeps_the_lower_tail():
+    # log(u) for reflect(Exponential(1)); reading the base at 1 - u turned
+    # 1e-15 into 9.992e-16 and 1e-20 into 0, which the base quantile rejects
+    r = reflect(Exponential(1.0))
+    assert r.quantile(1e-15) == pytest.approx(math.log(1e-15), rel=1e-15)
+    assert r.quantile(1e-20) == pytest.approx(math.log(1e-20), rel=1e-15)
+    u = np.array([1e-20, 0.25, 0.5, 0.9])
+    assert np.array_equal(r.quantile(u), [r.quantile(v) for v in u])
+    # from 1/2 up, 1 - u is exact and the base quantile reads it as before
+    assert r.quantile(0.9) == -Exponential(1.0).quantile(1.0 - 0.9)
+
+
 @pytest.mark.parametrize(
     "text",
     [

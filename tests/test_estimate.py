@@ -207,8 +207,14 @@ def test_exact_cost_rejects_half_open_windows():
 
 
 def test_exact_cost_honours_config():
-    with pytest.raises(ValueError):
-        exact_cost(Gaussian(0, 1), Gaussian(1, 1), P2, q=QuadratureConfig(edge_epsilon=0.5))
+    # one panel cannot meet the tolerance on (0, 1) ...
+    F, G = Gaussian(0, 1), Gaussian(1, 3)
+    with pytest.raises(NonconvergenceError):
+        exact_cost(F, G, P2, q=QuadratureConfig(max_subdivisions=1))
+    # ... and a looser tolerance stops refining sooner, at a different value
+    loose = exact_cost(F, G, P2, q=QuadratureConfig(abs_tol=1e-3, rel_tol=1e-3))
+    assert loose != exact_cost(F, G, P2)
+    assert loose == pytest.approx(5.0, rel=1e-3)  # 1^2 + (3 - 1)^2
 
 
 # Adaptive integrator vs a one-million-point midpoint Riemann sum.  Triples are

@@ -23,7 +23,7 @@ from scipy.stats import skew
 
 from wcost.costs import PowerCost
 from wcost.coupling import Comonotone, Countermonotone, GaussianCopula, Independent, sample_pairs
-from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto
+from wcost.distributions import Gaussian, LocationScale, Pareto
 from wcost.errors import DegenerateSampleError, NonconvergenceError
 from wcost import mc
 from wcost.estimate import empirical_cost, exact_cost
@@ -37,7 +37,7 @@ from wcost.mc import (
     run_consistency_sweep,
     write_standardized_csv,
 )
-from wcost.variance import confidence_interval
+from wcost.variance import confidence_interval, sigma2
 
 from stable_sort_reference import (empirical_cost_ref, plug_in_sigma2_ref, same_bits,
                                    trimmed_cost_ref)
@@ -78,6 +78,7 @@ def smoke_comparison():
     {"trim_eps": 0.5},
     {"trim_eps": -0.01},
     {"sigma_source": "bootstrap"},
+    {"sigma_source": "closed_form"},
 ])
 def test_mcconfig_rejects_bad_fields(overrides):
     with pytest.raises(ValueError):
@@ -264,30 +265,6 @@ def test_comonotone_replicates_look_normal():
     # dependence moves the limiting variance, not the sqrt(n) rate: the
     # replicate variance of the estimates tracks sigma2/n
     assert rep.n * rep.estimates["var"] == pytest.approx(rep.sigma2_value, rel=SMOKE_VAR_DEV)
-
-
-def test_closed_form_source_matches_gaussian_formula(smoke_report):
-    rep = run_clt_experiment(smoke_config(sigma_source="closed_form"), threads=2)
-    assert rep.sigma2_value == 32.0
-    assert rep.ks_distance < SMOKE_KS
-    # same streams as the quadrature-standardized run
-    assert rep.estimates == smoke_report.estimates
-
-
-def test_closed_form_source_covers_non_gaussian_independent_pairs():
-    cfg = MCConfig(Exponential(1.0), Exponential(0.5), P2, Independent(),
-                   n=500, replicates=150, seed=0, sigma_source="closed_form")
-    rep = run_clt_experiment(cfg)
-    assert rep.sigma2_value == pytest.approx(100.0, rel=1e-3)
-    assert 0.0 <= rep.coverage <= 1.0
-
-
-def test_closed_form_source_requires_an_actual_closed_form():
-    with pytest.raises(ValueError, match="closed-form"):
-        run_clt_experiment(smoke_config(coupling=Comonotone(), G=Gaussian(1, 2),
-                                        sigma_source="closed_form"))
-    with pytest.raises(ValueError, match="closed-form"):
-        run_clt_experiment(smoke_config(c=PowerCost(3.0), sigma_source="closed_form"))
 
 
 def test_degenerate_variance_is_an_error():
@@ -495,7 +472,7 @@ def test_untrimmed_run_computes_no_trimmed_estimates(monkeypatch, sigma_source):
     west, wtrim, plug = mc._simulate(cfg, cfg.resolved_trim_eps, 1, (0.0,))
     assert not np.array_equal(west, wtrim)
     w_exact = exact_cost(cfg.F, cfg.G, cfg.c)
-    scale2 = plug[0.0] if sigma_source == "plug_in" else mc._oracle_sigma2(cfg).value
+    scale2 = plug[0.0] if sigma_source == "plug_in" else sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling).value
     before = tuple(float(v) for v in np.sort(np.sqrt(cfg.n) * (west - w_exact) / np.sqrt(scale2)))
 
     def refuse(*args, **kwargs):
@@ -511,7 +488,7 @@ def test_coverage_matches_the_per_replicate_interval_loop(sigma_source):
     west, _, plug = mc._simulate(cfg, 0.0, 1, (0.0,))
     w_exact = exact_cost(cfg.F, cfg.G, cfg.c)
     scales2 = plug[0.0] if sigma_source == "plug_in" else np.full(
-        west.shape, mc._oracle_sigma2(cfg).value)
+        west.shape, sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling).value)
     hits = 0
     for w, s2 in zip(west, scales2):
         lo, hi = confidence_interval(float(w), float(s2), cfg.n, 0.95)

@@ -27,11 +27,9 @@ LOOSE = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-5)
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        QuadratureConfig(edge_epsilon=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(edge_epsilon=0.5)
-    with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=-1.0)
+    with pytest.raises(ValueError):
+        QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=0)
 

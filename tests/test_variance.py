@@ -3,7 +3,6 @@ import math
 import os
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -583,15 +582,6 @@ def test_gaussian_translation_within_1e12_of_the_frechet_limits(r):
     exact = 2.0 * (1.0 - r) * 4.0 ** 2
     res = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(r))
     assert abs(res.value - exact) <= res.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, exact)
-
-
-def test_variance_ignores_the_truncation_knobs():
-    # edge_epsilon and extrapolation_levels govern exact_cost and the 2-D
-    # oracle only; the variance's depth comes from the tail gate's margins
-    knobs = replace(DEFAULT_VARIANCE_CONFIG, edge_epsilon=1e-3, extrapolation_levels=0)
-    for cp in (Independent(), GaussianCopula(0.5), Countermonotone()):
-        args = (Gaussian(0, 1), Exponential(1.0), P2, cp)
-        assert sigma2(*args, knobs).to_dict() == sigma2(*args).to_dict()
 
 
 #: Var of the influence functions of Pareto(p) against Exponential(1) under
