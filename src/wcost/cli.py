@@ -209,16 +209,39 @@ def cmd_sample(args) -> tuple[int, dict]:
     return 0, _payload(run, {"written": args.out, "n": s.n})
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _typed(blob: dict, key: str, ok, kind: str, default=None):
+    """``blob[key]`` (or ``default``) when ``ok`` accepts it; ValueError naming the key else."""
+    value = blob.get(key, default)
+    if not ok(value):
+        raise ValueError(f"mc config key {key!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _laws(blob: dict) -> tuple:
+    """The config's F, G, cost and coupling descriptors, parsed."""
+    parsers = {"F": parse_distribution, "G": parse_distribution,
+               "cost": parse_cost, "coupling": parse_coupling}
+    return tuple(parse(_typed(blob, key, lambda v: isinstance(v, str), "a descriptor string"))
+                 for key, parse in parsers.items())
+
+
 def _mc_config(blob: dict) -> MCConfig:
-    required = ("F", "G", "cost", "coupling", "n", "replicates")
-    missing = [key for key in required if key not in blob]
-    if missing:
-        raise ValueError(f"mc config is missing keys: {missing}")
-    return MCConfig(F=parse_distribution(blob["F"]), G=parse_distribution(blob["G"]),
-                    c=parse_cost(blob["cost"]), coupling=parse_coupling(blob["coupling"]),
-                    n=int(blob["n"]), replicates=int(blob["replicates"]),
-                    seed=int(blob.get("seed", 0)),
-                    trim_eps=blob.get("trim_eps"),
+    F, G, c, cp = _laws(blob)
+    return MCConfig(F=F, G=G, c=c, coupling=cp,
+                    n=_typed(blob, "n", _is_int, "an integer"),
+                    replicates=_typed(blob, "replicates", _is_int, "an integer"),
+                    seed=_typed(blob, "seed", _is_int, "an integer", 0),
+                    trim_eps=_typed(blob, "trim_eps",
+                                    lambda v: v is None or _is_int(v) or isinstance(v, float),
+                                    "a number or null"),
                     sigma_source=blob.get("sigma_source", "oracle_quadrature"))
 
 
@@ -231,19 +254,22 @@ def cmd_mc(args) -> tuple[int, dict]:
     if not isinstance(blob, dict):
         raise ValueError(f"{args.config}: expected a JSON object")
     experiment = blob.get("experiment", "clt")
+    if experiment not in ("clt", "trimmed", "sweep"):
+        raise ValueError(f"unknown experiment kind {experiment!r}; "
+                         "expected clt, trimmed, or sweep")
+    sizes = ("n_list", "seeds") if experiment == "sweep" else ("n", "replicates")
+    missing = [key for key in ("F", "G", "cost", "coupling", *sizes) if key not in blob]
+    if missing:
+        raise ValueError(f"mc config is missing keys: {missing}")
     resolved = dict(blob)
     resolved.setdefault("experiment", experiment)
 
     if experiment == "sweep":
-        for key in ("n_list", "seeds"):
-            if key not in blob:
-                raise ValueError(f"sweep config is missing {key!r}")
-        rows = run_consistency_sweep(
-            parse_distribution(blob["F"]), parse_distribution(blob["G"]),
-            parse_cost(blob["cost"]), parse_coupling(blob["coupling"]),
-            blob["n_list"], blob["seeds"])
-        results = {"rows": rows}
-    elif experiment in ("clt", "trimmed"):
+        n_list = _typed(blob, "n_list", _is_int_list, "a list of integers")
+        seeds = _typed(blob, "seeds", lambda v: _is_int(v) or _is_int_list(v),
+                       "an integer or a list of integers")
+        results = {"rows": run_consistency_sweep(*_laws(blob), n_list, seeds)}
+    else:
         cfg = _mc_config(blob)
         resolved.setdefault("seed", cfg.seed)
         resolved.setdefault("trim_eps", cfg.trim_eps)
@@ -259,9 +285,6 @@ def cmd_mc(args) -> tuple[int, dict]:
         if args.z_csv:
             write_standardized_csv(args.z_csv, report)
             results["z_csv"] = args.z_csv
-    else:
-        raise ValueError(f"unknown experiment kind {experiment!r}; "
-                         "expected clt, trimmed, or sweep")
     run = RunConfig("mc", resolved, resolved.get("seed"), args.out, args.format)
     return 0, _payload(run, results)
 

@@ -103,10 +103,15 @@ def trimmed_empirical_cost(s: PairedSample, c: Cost, eps: float) -> float:
 
 
 def empirical_quantile(column, u: float) -> float:
-    """Left-continuous empirical quantile: the ceil(u*n)-th order statistic."""
+    """Left-continuous empirical quantile: the ceil(u*n)-th order statistic.
+
+    Raises ValueError when the column holds NaN or +-inf.
+    """
     x = np.sort(np.asarray(column, dtype=float))
     if x.ndim != 1 or x.size < 1:
         raise ValueError("column must be a nonempty one-dimensional sample")
+    if not (math.isfinite(x[0]) and math.isfinite(x[-1])):
+        raise ValueError("column holds a non-finite value")
     if not 0.0 < u <= 1.0:
         raise ValueError(f"probability level must lie in (0, 1], got {u}")
     idx = max(math.ceil(u * x.size), 1)
@@ -133,7 +138,7 @@ def exact_cost(F: Distribution, G: Distribution, c: Cost,
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bad integration window {window}")
     if (lo, hi) == (0.0, 1.0):
-        value, _err, _diag = integrate_open01(integrand, q)
+        value, _err = integrate_open01(integrand, q)
         return float(value)
     if lo == 0.0 or hi == 1.0:
         raise ValueError("window must be the full interval or strictly interior")

@@ -330,14 +330,14 @@ def _tail_limit(strips: list[float], floor: float, what: str) -> tuple[float, fl
     return _aitken_last(seq)
 
 
-def integrate_open01(f, cfg: QuadratureConfig) -> tuple[float, float, dict]:
+def integrate_open01(f, cfg: QuadratureConfig) -> tuple[float, float]:
     """Integral of a vectorized integrand over the open interval (0, 1).
 
     The integrand may blow up (integrably) at either endpoint: the adaptive
     core runs on the truncated interval and each endpoint's remaining mass is
     extrapolated separately from truncation-halving strips.  Raises when a
     tail looks divergent or the final error estimate misses the tolerance.
-    Returns (value, estimated error, diagnostics).
+    Returns (value, estimated error).
     """
     eps = _EDGE_EPSILON
     inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
@@ -363,15 +363,10 @@ def integrate_open01(f, cfg: QuadratureConfig) -> tuple[float, float, dict]:
             f"tolerance {_tolerance(cfg, value):.3e} after {_EXTRAPOLATION_LEVELS} "
             "truncation halvings"
         )
-    diagnostics = {
-        "truncation_levels": _EXTRAPOLATION_LEVELS,
-        "last_strip": lefts[-1] + rights[-1],
-        "extrapolation_residual": left_res + right_res,
-    }
-    return value, est_error, diagnostics
+    return value, est_error
 
 
-def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]:
+def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float]:
     """Double integral of a vectorized kernel over the open square (0, 1)^2.
 
     Same truncation-and-accelerate scheme as ``integrate_open01``; each
@@ -405,12 +400,10 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
     names = ("left edge", "right edge", "bottom edge", "top edge")
     value = base
     residual = 0.0
-    last_frame = 0.0
     for side, name in enumerate(names):
         tail, res = _tail_limit(sides[side], floor, f"{name} of (0,1)^2")
         value += tail
         residual += res
-        last_frame += sides[side][-1]
     est_error = quad_err + residual
     if not est_error <= _tolerance(cfg, value):
         raise NonconvergenceError(
@@ -418,12 +411,7 @@ def integrate_square_open(f, cfg: QuadratureConfig) -> tuple[float, float, dict]
             f"tolerance {_tolerance(cfg, value):.3e} after {_EXTRAPOLATION_LEVELS} "
             "truncation halvings"
         )
-    diagnostics = {
-        "truncation_levels": _EXTRAPOLATION_LEVELS,
-        "last_frame": last_frame,
-        "extrapolation_residual": residual,
-    }
-    return value, est_error, diagnostics
+    return value, est_error
 
 
 class CumulativeMesh:

@@ -687,8 +687,7 @@ def _moment(base: Distribution, power: int, q: QuadratureConfig) -> tuple[float,
     def f(u):
         return np.asarray(base.quantile(np.asarray(u, dtype=float)), dtype=float) ** power
 
-    value, err, _ = integrate_open01(f, q)
-    return value, err
+    return integrate_open01(f, q)
 
 
 def sigma2_location_scale(base: Distribution, a: float, b: float,

@@ -343,6 +343,8 @@ def test_mc_degenerate_variance_exits_1(capsys, tmp_path):
     (lambda b: b.pop("replicates"), "missing keys"),
     (lambda b: b.update(experiment="bootstrap"), "unknown experiment"),
     (lambda b: b.update(n=5), "at least 10"),
+    (lambda b: (b.update(experiment="sweep", n_list=[100], seeds=2), b.pop("F")),
+     "missing keys: ['F']"),
 ])
 def test_mc_config_validation_exits_2(capsys, tmp_path, mutate, fragment):
     blob = _mc_blob()
@@ -351,6 +353,28 @@ def test_mc_config_validation_exits_2(capsys, tmp_path, mutate, fragment):
     code, _, err = invoke(capsys, "mc", cfgp)
     assert code == 2
     assert fragment in err
+
+
+_SWEEP = {"experiment": "sweep", "n_list": [100, 1000], "seeds": 5}
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"n": 400.9}, "n"),
+    ({"n": "400"}, "n"),
+    ({"replicates": 120.7}, "replicates"),
+    ({"seed": 3.5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"trim_eps": "0.1"}, "trim_eps"),
+    ({"coupling": 0.5}, "coupling"),
+    ({**_SWEEP, "seeds": 2.5}, "seeds"),
+    ({**_SWEEP, "n_list": 5}, "n_list"),
+    ({**_SWEEP, "n_list": [100, 1000.5]}, "n_list"),
+])
+def test_mc_config_types_exit_2_naming_the_key(capsys, tmp_path, overrides, key):
+    cfgp = write_config(tmp_path, "bad.json", _mc_blob(**overrides))
+    code, _, err = invoke(capsys, "mc", cfgp)
+    assert code == 2
+    assert f"key {key!r}" in err
 
 
 def test_mc_rejects_malformed_json(capsys, tmp_path):

@@ -11,7 +11,6 @@ from wcost.coupling import (
     Independent,
     _uniform_open,
     bvn_cdf,
-    format_coupling,
     parse_coupling,
     sample_pairs,
 )
@@ -118,7 +117,8 @@ def test_bvn_zero_correlation_factorises():
     assert np.max(np.abs(got - want)) < 5e-8
 
 
-@pytest.mark.parametrize("r", [-0.999, -0.9, -0.5, -0.2, 0.0, 0.35, 0.75, 0.925, 0.99])
+@pytest.mark.parametrize("r", [-0.9999, -0.999, -0.9, -0.5, -0.2, 0.0, 0.35, 0.75, 0.925, 0.99,
+                               0.9999])
 def test_bvn_matches_reference_implementation(r):
     zs = np.array([-3.5, -2.0, -1.0, -0.3, 0.0, 0.4, 1.2, 2.5, 3.7])
     ref = stats.multivariate_normal(mean=[0, 0], cov=[[1, r], [r, 1]])
@@ -127,6 +127,28 @@ def test_bvn_matches_reference_implementation(r):
         for y in zs:
             worst = max(worst, abs(bvn_cdf(x, y, r) - ref.cdf([x, y])))
     assert worst < 5e-8
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.5, 1.0 - 1e-12, -1.0 + 1e-12])
+def test_bvn_origin_matches_sheppard(r):
+    assert bvn_cdf(0.0, 0.0, r) == pytest.approx(0.25 + math.asin(r) / (2.0 * math.pi),
+                                                 rel=1e-14, abs=1e-16)
+
+
+@pytest.mark.parametrize("r", [0.3, -0.6])
+@pytest.mark.parametrize("y", [-1.0, -0.0, 0.0, 1.5])
+def test_bvn_signed_zero_and_subnormals_agree_with_zero(y, r):
+    at_zero = bvn_cdf(0.0, y, r)
+    assert bvn_cdf(-0.0, y, r) == at_zero
+    for tiny in (5e-324, -5e-324, 1e-310, -1e-310):
+        assert bvn_cdf(tiny, y, r) == pytest.approx(at_zero, abs=1e-15)
+        assert bvn_cdf(tiny, y if y else -tiny, r) == pytest.approx(at_zero, abs=1e-15)
+
+
+def test_bvn_scalar_arguments_give_a_float():
+    assert type(bvn_cdf(np.array(0.3), np.array(-0.2), 0.5)) is float
+    assert type(bvn_cdf(0.3, np.float64(-0.2), 0.5)) is float
+    assert bvn_cdf(np.array([0.3]), -0.2, 0.5).shape == (1,)
 
 
 def test_bvn_symmetry_and_monotonicity():
@@ -258,7 +280,8 @@ def test_sampler_rejects_empty_request():
 
 @pytest.mark.parametrize("cp", ALL_COUPLINGS)
 def test_descriptor_round_trip(cp):
-    assert parse_coupling(format_coupling(cp)) == cp
+    text = f"gauss({cp.r!r})" if isinstance(cp, GaussianCopula) else type(cp).__name__.lower()
+    assert parse_coupling(text) == cp
 
 
 def test_parse_coupling_is_case_insensitive():

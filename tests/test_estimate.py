@@ -167,6 +167,13 @@ def test_empirical_quantile_rejects_bad_levels(u):
         empirical_quantile([1.0], u)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("u", [0.5, 1.0])
+def test_empirical_quantile_rejects_non_finite_values(bad, u):
+    with pytest.raises(ValueError, match="non-finite"):
+        empirical_quantile([1.0, bad, 3.0], u)
+
+
 # --- population values --------------------------------------------------------
 
 

@@ -68,22 +68,22 @@ def test_integrate_1d_rejects_bad_interval():
 def test_open01_handles_power_singularities_exactly():
     # Per-endpoint extrapolation of geometric strips reproduces pure powers
     # to near machine precision.
-    v, e, _ = integrate_open01(lambda u: 1.0 / np.sqrt(u), CFG)
+    v, e = integrate_open01(lambda u: 1.0 / np.sqrt(u), CFG)
     assert v == pytest.approx(2.0, rel=1e-10)
-    v, e, _ = integrate_open01(lambda u: u**-0.9, CFG)
+    v, e = integrate_open01(lambda u: u**-0.9, CFG)
     assert v == pytest.approx(10.0, rel=1e-10)
-    v, e, _ = integrate_open01(lambda u: (1.0 - u) ** (-2.0 / 3.0), CFG)
+    v, e = integrate_open01(lambda u: (1.0 - u) ** (-2.0 / 3.0), CFG)
     assert v == pytest.approx(3.0, rel=1e-8)
 
 
 def test_open01_smooth_integrand_error_estimate_honest():
-    v, e, _ = integrate_open01(lambda u: (1.0 + special.ndtri(u)) ** 2, CFG)
+    v, e = integrate_open01(lambda u: (1.0 + special.ndtri(u)) ** 2, CFG)
     assert v == pytest.approx(2.0, rel=1e-6)
     assert abs(v - 2.0) <= max(e, 1e-7)
 
 
 def test_open01_constant():
-    v, e, _ = integrate_open01(lambda u: 4.0 + 0.0 * u, CFG)
+    v, e = integrate_open01(lambda u: 4.0 + 0.0 * u, CFG)
     assert v == pytest.approx(4.0, rel=1e-13)
 
 
@@ -102,7 +102,7 @@ def test_open01_mixed_rate_endpoints():
     # handles them independently.  Integral of u^{-1/2}(1-u)^{-1/4} is
     # B(1/2, 3/4).
     exact = math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
-    v, e, _ = integrate_open01(lambda u: u**-0.5 * (1.0 - u) ** -0.25, CFG)
+    v, e = integrate_open01(lambda u: u**-0.5 * (1.0 - u) ** -0.25, CFG)
     assert v == pytest.approx(exact, rel=1e-9)
 
 
@@ -134,12 +134,12 @@ def test_integrate_2d_separable():
 def test_square_open_bridge_kernel():
     # The Brownian-bridge covariance integrates to 1/12 over the square.
     # The kink of min(u,v) along the diagonal caps the tensor rule's accuracy.
-    v, e, _ = integrate_square_open(lambda u, vv: np.minimum(u, vv) - u * vv, CFG)
+    v, e = integrate_square_open(lambda u, vv: np.minimum(u, vv) - u * vv, CFG)
     assert v == pytest.approx(1.0 / 12.0, rel=1e-7)
 
 
 def test_square_open_corner_singularity():
-    v, e, _ = integrate_square_open(lambda u, vv: (u * vv) ** -0.25, CFG)
+    v, e = integrate_square_open(lambda u, vv: (u * vv) ** -0.25, CFG)
     assert v == pytest.approx((4.0 / 3.0) ** 2, rel=1e-8)
 
 
@@ -148,7 +148,7 @@ def test_square_open_variance_identity_pareto():
     # 1/(h(u)h(v)) integrates to Var(X); Pareto(5) has variance 5/48.
     h = lambda t: 5.0 * (1.0 - t) ** 1.2
     f = lambda u, v: (np.minimum(u, v) - u * v) / (h(u) * h(v))
-    v, e, _ = integrate_square_open(f, LOOSE)
+    v, e = integrate_square_open(f, LOOSE)
     assert v == pytest.approx(5.0 / 48.0, rel=1e-4)
     assert abs(v - 5.0 / 48.0) <= e
 
@@ -156,7 +156,7 @@ def test_square_open_variance_identity_pareto():
 def test_square_open_variance_identity_gaussian():
     hg = lambda t: np.exp(-0.5 * special.ndtri(t) ** 2) / math.sqrt(2.0 * math.pi)
     f = lambda u, v: (np.minimum(u, v) - u * v) / (hg(u) * hg(v))
-    v, e, _ = integrate_square_open(f, LOOSE)
+    v, e = integrate_square_open(f, LOOSE)
     assert v == pytest.approx(1.0, rel=1e-5)
 
 
