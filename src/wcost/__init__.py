@@ -66,7 +66,6 @@ from .variance import (
     sigma2_location_scale,
     sigma2_one_sample,
     sigma2_window,
-    variance_kernel,
 )
 from .mc import (
     MCConfig,

@@ -7,6 +7,8 @@ argument was a scalar.  Every descriptor is a compact ``name(arg,...)`` string
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -62,6 +64,9 @@ def _numeric_args(name: str, args: list[str], usage: str) -> list[float]:
     if len(args) != usage.count(",") + 1:
         raise ValueError(f"{name} descriptor takes ({usage})")
     try:
-        return [float(a) for a in args]
+        values = [float(a) for a in args]
     except ValueError as exc:
         raise ValueError(f"descriptor {name}: expected numeric arguments ({usage}), got {args!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"descriptor {name}: arguments ({usage}) must be finite, got {args!r}")
+    return values

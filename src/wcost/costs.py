@@ -85,9 +85,9 @@ class PowerCost(_RadialCost):
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 1:
+        if not 1 < self.alpha < math.inf:
             raise ValueError(
-                f"power cost requires alpha > 1 (alpha=1 lacks a vanishing diagonal contraction), got {self.alpha}"
+                f"power cost requires finite alpha > 1 (alpha=1 lacks a vanishing diagonal contraction), got {self.alpha}"
             )
 
     def rho(self, t):
@@ -116,8 +116,8 @@ class LogPowerCost(_RadialCost):
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"log-power cost requires beta > 0, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"log-power cost requires finite beta > 0, got {self.beta}")
 
     def rho(self, t):
         return _scalar_like(np.expm1(self.l(_as_array(t))), t)
@@ -145,8 +145,8 @@ class ExpPowerCost(_RadialCost):
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"exp-power cost requires beta > 0, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"exp-power cost requires finite beta > 0, got {self.beta}")
 
     def rho(self, t):
         return _scalar_like(np.expm1(_as_array(t) ** self.beta), t)

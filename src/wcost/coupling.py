@@ -150,6 +150,8 @@ def bvn_cdf(x, y, r: float):
     (Phi(x) + Phi(y))/2 - T(x, a_x) - T(y, a_y) - beta, with
     a_x = (y/x - r)/sqrt(1 - r^2), a_y likewise and beta = 1/2 when exactly one
     of x, y is negative, else 0; ``special.owens_t`` gives T to rounding.
+    An infinite argument gives the exact limit: Phi of the other argument at
+    +inf, 0 at -inf.
     """
     if not -1.0 < r < 1.0:
         raise ValueError(f"correlation must lie in (-1, 1), got {r}")
@@ -166,6 +168,12 @@ def bvn_cdf(x, y, r: float):
     beta = np.where((xa < 0.0) != (ya < 0.0), 0.5, 0.0)
     p = (0.5 * (special.ndtr(xa) + special.ndtr(ya))
          - special.owens_t(xa, ax) - special.owens_t(ya, ay) - beta)
+    # an infinite argument leaves Phi of the other one, or 0 at -inf (inf/inf
+    # would make the ratio NaN)
+    edge = np.isinf(xa) | np.isinf(ya)
+    if np.any(edge):
+        lim = np.where(np.minimum(xa, ya) == -np.inf, 0.0, special.ndtr(np.minimum(xa, ya)))
+        p = np.where(edge, lim, p)
     return _scalar_like(np.clip(p, 0.0, 1.0), x, y)
 
 

@@ -109,8 +109,10 @@ class Gaussian(Distribution):
     sd: float = 1.0
 
     def __post_init__(self):
-        if not self.sd > 0:
-            raise ValueError(f"sd must be positive, got {self.sd}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0 < self.sd < math.inf:
+            raise ValueError(f"sd must be positive and finite, got {self.sd}")
 
     def _z(self, x):
         return (_as_array(x) - self.mean) / self.sd
@@ -147,8 +149,8 @@ class Pareto(Distribution):
     p: float
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"shape p must be positive, got {self.p}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"shape p must be positive and finite, got {self.p}")
 
     def cdf(self, x):
         xa = _as_array(x)
@@ -192,8 +194,8 @@ class Weibull(Distribution):
     q: float
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise ValueError(f"shape q must be positive, got {self.q}")
+        if not 0 < self.q < math.inf:
+            raise ValueError(f"shape q must be positive and finite, got {self.q}")
 
     def cdf(self, x):
         xa = _as_array(x)
@@ -236,8 +238,8 @@ class Exponential(Distribution):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     def cdf(self, x):
         xa = _as_array(x)
@@ -278,8 +280,10 @@ class LocationScale(Distribution):
     b: float
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"scale a must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"scale a must be positive and finite, got {self.a}")
+        if not math.isfinite(self.b):
+            raise ValueError(f"shift b must be finite, got {self.b}")
 
     def _z(self, x):
         return (_as_array(x) - self.b) / self.a

@@ -1,15 +1,19 @@
 """Deterministic adaptive quadrature on 15-point Gauss--Kronrod panels.
 
 ``CumulativeMesh`` carries the variances' running integrals on a finite
-range; they map each tail onto it themselves.  The open-interval (and
-open-square) integrals of ``exact_cost``, the location-scale moments and the
-two-dimensional variance oracle are computed as: adaptive Gauss--Kronrod on
-the domain truncated at 1e-6 from each edge, plus a tail correction obtained
-by halving that truncation level eight times and accelerating the resulting
-sequence (Aitken's delta-squared, i.e. Richardson with estimated ratio).
-The strip masses added by each halving also power their divergence test: if
-they stop shrinking geometrically the integral is declared nonconvergent
-rather than silently truncated.
+range; they map each tail onto it themselves.  The open-interval integrals of
+``exact_cost`` and the location-scale moments are computed as: adaptive
+Gauss--Kronrod on the domain truncated at 1e-6 from each edge, plus a tail
+correction obtained by halving that truncation level eight times and
+accelerating the resulting sequence (Aitken's delta-squared, i.e. Richardson
+with estimated ratio).  The strip masses added by each halving also power
+their divergence test: if they stop shrinking geometrically the integral is
+declared nonconvergent rather than silently truncated.
+
+The two-dimensional integrators ``integrate_2d`` and ``integrate_square_open``
+have no caller in the package since the variance became one-dimensional; only
+their closed-form tests and the benchmark's per-layer spans still use them,
+and they go with those spans at the next change to the benchmark.
 
 Everything is deterministic: panels are summed in domain order with
 compensated summation, never in refinement order.

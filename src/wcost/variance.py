@@ -1,10 +1,11 @@
 """Asymptotic variance of the paired-sample cost estimator, with confidence intervals.
 
 Standardized by sqrt(n), the estimation error of the matched-pairs cost converges
-to a centred normal law.  Its variance is a double integral over the unit square
-of the cost gradient along the quantile diagonal against the covariance of the
-joint quantile bridge (``variance_kernel``).  Integrated by parts it becomes the
-variance of a one-dimensional influence function, the classical L-statistic form:
+to a centred normal law.  The paper derives its variance as a double integral
+over the unit square of the cost gradient along the quantile diagonal against
+the covariance of the joint quantile bridge.  Integrated by parts that becomes
+the variance of a one-dimensional influence function, the classical L-statistic
+form, which is all this module computes:
 
     sigma^2 = Var[Q_x(U) + Q_y(V)],   Q_x(t) = -int_{1/2}^t partial_x c(F^{-1}, G^{-1}) / h_X,
 
@@ -51,7 +52,6 @@ from .quadrature import (_INNER_TIGHTENING, _W_DIFF, _W_KRONROD, CumulativeMesh,
 __all__ = [
     "DEFAULT_VARIANCE_CONFIG",
     "VarianceResult",
-    "variance_kernel",
     "sigma2",
     "sigma2_one_sample",
     "sigma2_window",
@@ -75,7 +75,7 @@ _METHODS = frozenset({
     "plug_in",
 })
 
-#: Negative totals larger than this cannot be blamed on roundoff: the kernel is a
+#: Negative totals larger than this cannot be blamed on roundoff: a variance is a
 #: covariance quadratic form, so a materially negative integral means the
 #: quadrature failed.
 _CLAMP_LIMIT = 1e-8
@@ -137,56 +137,6 @@ class VarianceResult:
         }
 
 
-# --- kernel pieces ------------------------------------------------------------
-
-
-def _bridge(u, v):
-    """Brownian-bridge covariance min(u,v) - uv, as u(1-v) for u <= v (no cancellation)."""
-    ua, va = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    return np.where(ua <= va, ua * (1.0 - va), va * (1.0 - ua))
-
-
-def _copula_excess(cp: Coupling, u, v):
-    """Pi(u,v) - uv in a cancellation-resistant form for the standard couplings."""
-    ua, va = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    if isinstance(cp, Independent):
-        return np.zeros(np.broadcast_shapes(ua.shape, va.shape))
-    if isinstance(cp, Comonotone):
-        return _bridge(ua, va)
-    if isinstance(cp, Countermonotone):
-        return np.where(ua + va >= 1.0, -(1.0 - ua) * (1.0 - va), -ua * va)
-    return np.asarray(cp.copula_cdf(ua, va), dtype=float) - ua * va
-
-
-def _slopes(F: Distribution, G: Distribution, c: Cost, u):
-    """(partial_x c / h_X, partial_y c / h_Y) along the quantile diagonal at u, stacked.
-
-    Each quantile is computed once: h_X = f o F^{-1} is the density at the
-    quantile the gradient takes, which is what ``density_quantile`` computes.
-    """
-    ua = np.asarray(u, dtype=float)
-    x, y = F.quantile(ua), G.quantile(ua)
-    gx, gy = c.gradient(x, y)
-    return np.stack((np.asarray(gx, dtype=float) / np.asarray(F.pdf(x), dtype=float),
-                     np.asarray(gy, dtype=float) / np.asarray(G.pdf(y), dtype=float)))
-
-
-def variance_kernel(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
-    """Pointwise integrand (u, v) -> grad(u) Sigma(u,v) grad(v) of the variance double integral.
-
-    ``sigma2`` does not integrate it: the double integral equals the variance
-    of the influence functions, which takes only one-dimensional integrals.
-    Kept as the independent two-dimensional reference for tests and diagnostics.
-    """
-
-    def kernel(u, v):
-        (pxu, pyu), (pxv, pyv) = _slopes(F, G, c, u), _slopes(F, G, c, v)
-        return (pxu * pxv * _bridge(u, v) + pxu * pyv * _copula_excess(cp, u, v)
-                + pyu * pxv * _copula_excess(cp, v, u) + pyu * pyv * _bridge(u, v))
-
-    return kernel
-
-
 # --- tail-hypothesis gate and degeneracy warning -------------------------------
 
 
@@ -214,8 +164,8 @@ def _warn_if_tails_meet(F: Distribution, G: Distribution) -> None:
     """Warn when the quantile gap vanishes somewhere in the tails.
 
     The first-order theory needs the marginals to stay apart in the tails; as they
-    coalesce the normal limit degenerates (for F = G every kernel term is 0 and the
-    fluctuation lives at a different scale entirely).
+    coalesce the normal limit degenerates (for F = G both influence functions vanish
+    and the fluctuation lives at a different scale entirely).
     """
     us = np.asarray(_SEPARATION_PROBES)
     fq = np.asarray(F.quantile(us), dtype=float)
@@ -242,7 +192,7 @@ def _clamped(total: float, err: float, what: str) -> tuple[float, float, float]:
     """Enforce nonnegativity: tiny negatives are roundoff, large ones are failures."""
     if total < -_CLAMP_LIMIT:
         raise NonconvergenceError(
-            f"{what} came out {total:.3e} < -{_CLAMP_LIMIT:.0e}; the kernel is a "
+            f"{what} came out {total:.3e} < -{_CLAMP_LIMIT:.0e}; a variance is a "
             "covariance form, so a negative of this size means the quadrature failed"
         )
     if total < 0.0:
@@ -254,10 +204,11 @@ def _clamped(total: float, err: float, what: str) -> tuple[float, float, float]:
 
 
 def _tail_slopes(F: Distribution, G: Distribution, c: Cost, sigma):
-    """The slopes of ``_slopes`` at u(sigma), times du/dsigma = e^{-s}, stacked.
+    """(partial_x c / h_X, partial_y c / h_Y) at u(sigma), times du/dsigma = e^{-s}, stacked.
 
-    sigma = s - log 2 with s = -log(1 - u) on the right half and
-    sigma = log 2 - s with s = -log u on the left, so sigma = 0 is u = 1/2.
+    The gradient is taken along the quantile diagonal.  sigma = s - log 2
+    with s = -log(1 - u) on the right half and sigma = log 2 - s with
+    s = -log u on the left, so sigma = 0 is u = 1/2.
     The quantiles are closed forms exact in each tail: psi_inverse(s) of the
     law on the right half, and of its reflection, negated, on the left.
     """
@@ -603,12 +554,12 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
 
     Once ``assumptions.tail_gate`` passes, evaluates Var[Q_x(U) + Q_y(V)] for
     (U, V) drawn from the coupling, with Q_x(t) = -int_{1/2}^t
-    partial_x c(F^{-1}, G^{-1}) / h_X and Q_y likewise.  This equals the
-    double integral of ``variance_kernel`` but needs only one-dimensional
-    quadrature: independent pairs add Var Q_x and Var Q_y, the Frechet
-    extremes take the variance of Q_x(u) + Q_y(u) or Q_x(u) + Q_y(1 - u), and
-    the Gaussian copula adds twice the covariance, summed as Mehler's series
-    in the Hermite coefficients of Q_x and Q_y.  ``est_error`` sums the
+    partial_x c(F^{-1}, G^{-1}) / h_X and Q_y likewise.  This is the paper's
+    double integral over the unit square, integrated by parts, so it needs
+    only one-dimensional quadrature: independent pairs add Var Q_x and
+    Var Q_y, the Frechet extremes take the variance of Q_x(u) + Q_y(u) or
+    Q_x(u) + Q_y(1 - u), and the Gaussian copula adds twice the covariance,
+    summed as Mehler's series in the Hermite coefficients of Q_x and Q_y.  ``est_error`` sums the
     Kronrod-minus-Gauss gaps, their propagation through the running sums, each
     half's tail bound and, for the Gaussian copula, the series' truncation
     bound.  When Q_x + Q_y cancels to rounding (a pair that moves in lockstep)
@@ -813,9 +764,17 @@ def plug_in_sigma2(s: PairedSample, c: Cost, eps: float = 0.0) -> VarianceResult
 
 def confidence_interval(point: float, sigma2: float, n: int,
                         level: float = 0.95) -> tuple[float, float]:
-    """Normal-theory interval point -/+ z_{(1+level)/2} sqrt(sigma2 / n)."""
+    """Normal-theory interval point -/+ z_{(1+level)/2} sqrt(sigma2 / n).
+
+    Raises ValueError on a non-finite point, a level outside (0, 1), an n that
+    is not a whole number of pairs, or a negative or NaN variance.
+    """
+    if not math.isfinite(point):
+        raise ValueError(f"point estimate must be finite, got {point}")
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must lie in (0, 1), got {level}")
+    if not float(n).is_integer():
+        raise ValueError(f"n counts pairs, a whole number, got n={n}")
     if n < 1:
         raise ValueError(f"need at least one pair, got n={n}")
     if not (sigma2 >= 0.0):

@@ -54,6 +54,8 @@ CASES = (
     # eps = Phi(-0.84375) = 0.1994, next to the 0.2 that no grid holds
     ("gaussian(0,1)", "exponential(1)", "power(2)", 0.999, 0.84375),
     ("gaussian(0,1)", "exponential(1)", "power(2)", -0.999, 0.84375),
+    # eps = Phi(-151/128) = 0.1190, next to the 5000^(-1/4) = 0.1189 that no grid holds
+    ("gaussian(0,1)", "exponential(1)", "power(2)", 0.5, 151 / 128),
 )
 
 #: Half-width of the score grid, its finest spacing and the per-cell rule.
@@ -62,7 +64,7 @@ L, H, CELL_NODES = 8.0, 2.0 ** -10, 8
 BLOCK = 256
 
 
-def _slopes(F, G, c, t, score=math.inf):
+def _score_slopes(F, G, c, t, score=math.inf):
     """(p_x, p_y) times phi at normal scores t: the z-derivatives of -Q_x and -Q_y.
 
     Both are zero beyond |t| = score.
@@ -83,14 +85,14 @@ def _influence(F, G, c, z, h, score):
     """
     x, w = np.polynomial.legendre.leggauss(CELL_NODES)
     nodes = (z[:-1, None] + 0.5 * h) + 0.5 * h * x
-    sums = [0.5 * h * (p @ w) for p in _slopes(F, G, c, nodes, score)]
+    sums = [0.5 * h * (p @ w) for p in _score_slopes(F, G, c, nodes, score)]
     gap = lambda s: float(F.quantile(ndtr(s)) - G.quantile(ndtr(s)))
     d = F.quantile(ndtr(z)) - G.quantile(ndtr(z))
     for i in np.flatnonzero((d[:-1] * d[1:] <= 0.0) & (d[:-1] != d[1:])):
         a, b = z[i], z[i + 1]
         cut = a if d[i] == 0.0 else b if d[i + 1] == 0.0 else brentq(gap, a, b, xtol=1e-15)
         for side, cell in enumerate(sums):
-            f = lambda s, side=side: float(_slopes(F, G, c, np.array([s]), score)[side][0])
+            f = lambda s, side=side: float(_score_slopes(F, G, c, np.array([s]), score)[side][0])
             with warnings.catch_warnings():
                 # quad reports roundoff on the singular piece once it is near
                 # rounding level; ``grid_error`` gauges what is left

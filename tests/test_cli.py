@@ -205,6 +205,21 @@ def test_variance_countermonotone_pair_at_tight_tolerances_returns_38(capsys):
     assert json.loads(out)["value"] == res.value
 
 
+@pytest.mark.parametrize("law", ["gaussian(nan,1)", "gaussian(inf,1)",
+                                 "locscale(gaussian(0,1),inf,0)"])
+def test_variance_non_finite_law_parameter_exits_2(capsys, law):
+    # these once reached the tails and exited 3 with "the cost slopes are not finite"
+    code, out, err = invoke(capsys, "variance", law, "gaussian(0,1)", "power(2)", "independent")
+    assert code == 2 and out == ""
+    assert f"descriptor {law.split('(')[0]}:" in err and "must be finite" in err
+
+
+def test_variance_non_finite_cost_exponent_exits_2(capsys):
+    code, _, err = invoke(capsys, "variance", "gaussian(0,1)", "gaussian(2,1)", "power(inf)",
+                          "independent")
+    assert code == 2 and "descriptor power:" in err and "must be finite" in err
+
+
 def test_variance_wrong_arity_exits_2(capsys):
     code, _, err = invoke(capsys, "variance", "--method", "gaussian", "gaussian(0,1)")
     assert code == 2 and "gaussian method takes" in err

@@ -231,6 +231,16 @@ def test_parameter_validation():
         QuantileCost(1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_exponents_are_rejected(bad):
+    # PowerCost(inf).evaluate(1.0, 2.0) once returned 1.0
+    for make in (PowerCost, LogPowerCost, ExpPowerCost, QuantileCost):
+        with pytest.raises(ValueError):
+            make(bad)
+    with pytest.raises(ValueError, match="descriptor power: .* must be finite"):
+        parse_cost(f"power({bad})")
+
+
 @pytest.mark.parametrize("text", ["power(2)", "logpower(0.5)", "exppower(1)", "quantile(0.3)"])
 def test_descriptor_round_trip(text):
     c = parse_cost(text)

@@ -145,6 +145,19 @@ def test_bvn_signed_zero_and_subnormals_agree_with_zero(y, r):
         assert bvn_cdf(tiny, y if y else -tiny, r) == pytest.approx(at_zero, abs=1e-15)
 
 
+@pytest.mark.parametrize("r", [-0.9, 0.0, 0.3, 0.9])
+def test_bvn_infinite_arguments_give_the_exact_limits(r):
+    # two infinite arguments once gave NaN through the ratio inf/inf
+    inf = math.inf
+    assert bvn_cdf(inf, inf, r) == 1.0
+    assert bvn_cdf(-inf, -inf, r) == bvn_cdf(inf, -inf, r) == bvn_cdf(-inf, inf, r) == 0.0
+    for y in (-2.0, 0.0, 0.7):
+        assert bvn_cdf(inf, y, r) == bvn_cdf(y, inf, r) == stats.norm.cdf(y)
+        assert bvn_cdf(-inf, y, r) == bvn_cdf(y, -inf, r) == 0.0
+    got = bvn_cdf(np.array([inf, -inf, 0.5]), np.array([inf, inf, -0.3]), r)
+    assert got[0] == 1.0 and got[1] == 0.0 and got[2] == bvn_cdf(0.5, -0.3, r)
+
+
 def test_bvn_scalar_arguments_give_a_float():
     assert type(bvn_cdf(np.array(0.3), np.array(-0.2), 0.5)) is float
     assert type(bvn_cdf(0.3, np.float64(-0.2), 0.5)) is float

@@ -218,6 +218,25 @@ def test_parameter_validation():
         LocationScale(Gaussian(0.0, 1.0), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_rejected(bad):
+    # Pareto(inf).quantile(0.5) once returned 1.0, and gaussian(nan,1) reached
+    # the variance's tails before anything complained
+    for make in (lambda v: Gaussian(v, 1.0), lambda v: Gaussian(0.0, v), Pareto, Weibull,
+                 Exponential, lambda v: LocationScale(Gaussian(0.0, 1.0), v, 0.0),
+                 lambda v: LocationScale(Gaussian(0.0, 1.0), 1.0, v)):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+
+@pytest.mark.parametrize("text", ["gaussian(nan,1)", "gaussian(inf,1)", "gaussian(0,inf)",
+                                  "pareto(inf)", "weibull(nan)", "exponential(inf)",
+                                  "locscale(gaussian(0,1),inf,0)", "locscale(pareto(3),1,-inf)"])
+def test_descriptor_with_a_non_finite_argument_names_the_descriptor(text):
+    with pytest.raises(ValueError, match=rf"descriptor {text.split('(')[0]}: .* must be finite"):
+        parse_distribution(text)
+
+
 def test_reflect_closed_forms():
     assert reflect(Gaussian(1.0, 2.0)) == Gaussian(-1.0, 2.0)
     assert reflect(reflect(Pareto(2.0))) == Pareto(2.0)

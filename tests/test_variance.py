@@ -9,7 +9,7 @@ import pytest
 from scipy.special import log_ndtr, ndtr, ndtri, roots_hermitenorm
 
 import wcost.variance as variance_module
-from wcost import mc, parse_cost, parse_distribution, verify_triple
+from wcost import mc, parse_cost, parse_coupling, parse_distribution, verify_triple
 from wcost.costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from wcost.coupling import (
     Comonotone,
@@ -28,9 +28,6 @@ from wcost.quadrature import (
     CumulativeMesh,
     QuadratureConfig,
     _tolerance,
-    graded_breaks,
-    integrate_2d,
-    integrate_square_open,
 )
 from wcost.variance import (
     DEFAULT_VARIANCE_CONFIG,
@@ -42,10 +39,10 @@ from wcost.variance import (
     sigma2_location_scale,
     sigma2_one_sample,
     sigma2_window,
-    variance_kernel,
 )
 
 import guard_matrix
+import variance_oracles
 from stable_sort_reference import plug_in_sigma2_ref, same_bits, tied_sample
 
 P2 = PowerCost(2.0)
@@ -100,24 +97,6 @@ def test_result_to_dict_round_trip():
     d = r.to_dict()
     assert d == {"value": 2.0, "est_error": 1e-6, "method": "plug_in",
                  "diagnostics": {"grid": 256}}
-
-
-# --- kernel --------------------------------------------------------------------
-
-
-def test_kernel_is_symmetric_pointwise():
-    rng = np.random.default_rng(7)
-    u = rng.uniform(0.01, 0.99, 200)
-    v = rng.uniform(0.01, 0.99, 200)
-    for cp in (Independent(), Comonotone(), GaussianCopula(0.6)):
-        k = variance_kernel(Gaussian(0, 1), Gaussian(1, 2), P2, cp)
-        a, b = np.asarray(k(u, v)), np.asarray(k(v, u))
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
-
-
-def test_kernel_vanishes_for_flat_cost():
-    k = variance_kernel(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), Independent())
-    assert np.all(k(np.array([0.2, 0.5]), np.array([0.7, 0.9])) == 0.0)
 
 
 # --- two-sample quadrature -----------------------------------------------------
@@ -426,18 +405,22 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("F", PARITY_LAWS, ids=repr)
 def test_slopes_equal_the_gradient_over_density_quantile(F):
-    def reference(F, G, c, u):
-        ua = np.asarray(u, dtype=float)
-        gx, gy = c.gradient(F.quantile(ua), G.quantile(ua))
-        return np.stack((np.asarray(gx, dtype=float) / np.asarray(F.density_quantile(ua), dtype=float),
-                         np.asarray(gy, dtype=float) / np.asarray(G.density_quantile(ua), dtype=float)))
-
+    # sigma2's slopes read each tail in its own coordinate (psi_inverse on the
+    # right, the reflection's on the left); where u itself resolves the level,
+    # they agree with the plain quantile and density-quantile reads
+    sigma = np.concatenate((np.linspace(-27.0, 0.0, 200), np.linspace(0.0, 8.0, 200)[1:]))
+    s = np.abs(sigma) + math.log(2.0)
+    u = np.where(sigma >= 0.0, -np.expm1(-s), np.exp(-s))
     with np.errstate(all="ignore"):
         for G in PARITY_LAWS:
             for c in PARITY_COSTS:
-                for u in (PARITY_U, PARITY_U[:, None]):
-                    assert _same_bits(variance_module._slopes(F, G, c, u),
-                                      reference(F, G, c, u)), (G, c, u.shape)
+                gx, gy = c.gradient(F.quantile(u), G.quantile(u))
+                reference = np.stack((gx / F.density_quantile(u), gy / G.density_quantile(u)))
+                reference *= np.exp(-s)
+                slopes = variance_module._tail_slopes(F, G, c, sigma)
+                floor = 1e-6 * np.max(np.abs(reference), axis=1, keepdims=True)
+                assert np.all(np.abs(slopes - reference)
+                              <= 1e-9 * np.maximum(np.abs(reference), floor)), (G, c)
 
 
 @pytest.mark.parametrize("F", PARITY_LAWS, ids=repr)
@@ -482,35 +465,6 @@ def test_gaussian_cross_rounds_reuse_the_marginal_moments(monkeypatch):
     assert re.fullmatch(r"(?:xy)+c(?:s)?(?:xyc(?:s)?)*", sequence), sequence
     assert sequence == "xyc"
     assert res.value == 15.999999999999986
-
-
-# --- influence functions against the two-dimensional route ---------------------
-
-ORACLE_CASES = [
-    (Gaussian(0, 1), Gaussian(2, 1), P2, GaussianCopula(0.5)),
-    (Gaussian(0, 1), Exponential(1.0), P2, GaussianCopula(0.5)),
-    (Gaussian(0, 1), Gaussian(3, 2), PowerCost(3.0), Countermonotone()),
-    (Gaussian(0, 1), Gaussian(2, 1), LogPowerCost(0.5), Independent()),
-    (Weibull(2.0), LocationScale(Weibull(2.0), 1.0, 1.0), P2, GaussianCopula(-0.3)),
-    (LocationScale(Pareto(5.0), 1.0, 1.0), Pareto(5.0), P2, Countermonotone()),
-    (Gaussian(0, 1), Exponential(1.0), PowerCost(3.0), Comonotone()),
-    (Gaussian(0, 1), Gaussian(3, 2), LogPowerCost(0.5), Comonotone()),
-]
-
-
-@pytest.mark.parametrize("F, G, c, cp", ORACLE_CASES)
-def test_influence_route_matches_the_double_integral(F, G, c, cp):
-    oracle, _ = integrate_square_open(variance_kernel(F, G, c, cp), DEFAULT_VARIANCE_CONFIG)
-    assert rel(sigma2(F, G, c, cp).value, oracle) <= 1e-5
-
-
-@pytest.mark.parametrize("cp", [Independent(), GaussianCopula(0.5), Comonotone(),
-                                Countermonotone()])
-def test_window_variance_matches_the_double_integral_over_the_window(cp):
-    eps = 5000 ** -0.25
-    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
-    value = sigma2_window(Gaussian(0, 1), Exponential(1.0), P2, cp, eps, cfg).value
-    assert rel(value, _window_population_value(Gaussian(0, 1), Exponential(1.0), cp, eps)) <= 1e-5
 
 
 def test_window_variance_of_a_shift_pair_is_a_clipped_normal_variance():
@@ -717,6 +671,64 @@ def test_logpower_gaussian_copula_is_finite_and_within_its_error_of_the_oracle(r
     assert math.isfinite(res.value)
     assert not any(d["budget_exhausted"] for d in res.diagnostics["influence"].values())
     assert abs(res.value - row["value"]) <= res.est_error
+
+
+with open(variance_oracles.RECORDED) as _fh:
+    VARIANCE_ORACLES = json.load(_fh)
+
+#: eps = Phi(-151/128) = 0.1190: of the windows that the Gaussian-copula
+#: oracle's score grids hold, the one next to the default trim 5000^(-1/4) = 0.1189.
+WINDOW_SCORE = 151 / 128
+
+#: (F, G, cost, coupling, window score or None, closed form or None for a
+#: recorded row).  Equal-scale Gaussian translations have the closed form
+#: 2 (1 - r) rho'(2)^2.
+ORACLE_CASES = [
+    pytest.param("gaussian(0,1)", "gaussian(2,1)", "power(2)", "gauss(0.5)", None, 16.0,
+                 id="N(0,1)-N(2,1)-power(2)-gauss(0.5)"),
+    pytest.param("gaussian(0,1)", "exponential(1)", "power(2)", "gauss(0.5)", None, None,
+                 id="N(0,1)-Exp(1)-power(2)-gauss(0.5)"),
+    pytest.param("gaussian(0,1)", "gaussian(3,2)", "power(3)", "countermonotone", None, None,
+                 id="N(0,1)-N(3,2)-power(3)-countermonotone"),
+    pytest.param("gaussian(0,1)", "gaussian(2,1)", "logpower(0.5)", "independent", None,
+                 2.0 * TRANSLATION_SLOPES[2][1] ** 2, id="N(0,1)-N(2,1)-logpower(0.5)-independent"),
+    pytest.param("weibull(2)", "locscale(weibull(2),1,1)", "power(2)", "gauss(-0.3)", None, None,
+                 id="Weibull(2)-1+Weibull(2)-power(2)-gauss(-0.3)"),
+    pytest.param("locscale(pareto(5),1,1)", "pareto(5)", "power(2)", "countermonotone", None,
+                 None, id="1+Pareto(5)-Pareto(5)-power(2)-countermonotone"),
+    pytest.param("gaussian(0,1)", "exponential(1)", "power(3)", "comonotone", None, None,
+                 id="N(0,1)-Exp(1)-power(3)-comonotone"),
+    pytest.param("gaussian(0,1)", "gaussian(3,2)", "logpower(0.5)", "comonotone", None, None,
+                 id="N(0,1)-N(3,2)-logpower(0.5)-comonotone"),
+    *[pytest.param("gaussian(0,1)", "exponential(1)", "power(2)", cp, WINDOW_SCORE, None,
+                   id=f"window-N(0,1)-Exp(1)-power(2)-{cp}")
+      for cp in ("independent", "gauss(0.5)", "comonotone", "countermonotone")],
+]
+
+
+def _recorded_oracle(f, g, c, cp, score):
+    """A gauss(r) case's row of gauss_cross_oracles.json, any other's of variance_oracles.json."""
+    if cp.startswith("gauss("):
+        key, rows = (f, g, c, float(cp[6:-1]), score), GAUSS_CROSS_ORACLES
+        fields = ("F", "G", "cost", "r", "window_score")
+    else:
+        key, rows = (f, g, c, cp, score), VARIANCE_ORACLES["rows"] + VARIANCE_ORACLES["cases"]
+        fields = ("F", "G", "cost", "kind", "window_score")
+    row, = (row for row in rows if tuple(row.get(k) for k in fields) == key)
+    return row["value"]
+
+
+@pytest.mark.parametrize("f, g, c, cp, score, oracle", ORACLE_CASES)
+def test_sigma2_meets_its_oracle(f, g, c, cp, score, oracle):
+    if oracle is None:
+        oracle = _recorded_oracle(f, g, c, cp, score)
+    args = (parse_distribution(f), parse_distribution(g), parse_cost(c), parse_coupling(cp))
+    if score is None:
+        value = sigma2(*args).value
+    else:
+        value = sigma2_window(*args, float(ndtr(-score)),
+                              QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)).value
+    assert rel(value, oracle) <= 1e-5
 
 
 @pytest.mark.parametrize("cp", [Independent(), GaussianCopula(0.5), Comonotone(),
@@ -926,20 +938,6 @@ def test_gaussian_closed_form_rejects_other_families():
 # --- plug-in estimation ------------------------------------------------------------
 
 
-def _window_population_value(F, G, cp, eps):
-    """Population variance integral restricted to (eps, 1-eps)^2.
-
-    The two-dimensional reference for the variance of the estimator trimmed to
-    that window.
-    """
-    kernel = variance_kernel(F, G, P2, cp)
-    cfg = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
-    br = graded_breaks(eps, 1.0 - eps)
-    value, _ = integrate_2d(kernel, (eps, 1.0 - eps), (eps, 1.0 - eps), cfg,
-                            xbreaks=br, ybreaks=br)
-    return value
-
-
 def test_plug_in_tracks_trimmed_window_at_default_trim():
     # the estimator's default trim schedule n^(-1/4), passed as the plug-in window
     n = 10_000
@@ -1099,6 +1097,19 @@ def test_interval_widens_with_level():
 def test_interval_rejects_bad_level(bad):
     with pytest.raises(ValueError, match="level"):
         confidence_interval(0.0, 1.0, 10, level=bad)
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_interval_rejects_a_non_finite_point(point):
+    # a NaN point once gave the interval (nan, nan)
+    with pytest.raises(ValueError, match="point estimate must be finite"):
+        confidence_interval(point, 1.0, 10)
+
+
+@pytest.mark.parametrize("n", [10.5, math.nan, math.inf])
+def test_interval_rejects_an_n_that_is_not_a_whole_number(n):
+    with pytest.raises(ValueError, match="whole number"):
+        confidence_interval(0.0, 1.0, n)
 
 
 def test_interval_rejects_bad_inputs():

@@ -9,7 +9,8 @@ couplings, both one-sample variances and the exact cost, each from
 estimate, and its own stays within the tolerance, so it gets twice the
 tolerance.  ``KNOWN`` lists the rows that miss or raise; a listed row that
 passes fails the test, so the list shrinks as defects are mended.  The
-triples whose gate fails raise ``HypothesisGateError``.
+triples whose gate fails raise ``HypothesisGateError``.  Both oracle files
+hold exactly what their scripts write.
 """
 
 import json
@@ -23,10 +24,12 @@ from wcost.estimate import exact_cost
 from wcost.quadrature import QuadratureConfig, _tolerance
 from wcost.variance import DEFAULT_VARIANCE_CONFIG, sigma2, sigma2_one_sample
 
+import gauss_cross_oracles
 import variance_oracles
 
 with open(variance_oracles.RECORDED) as _fh:
-    ROWS = json.load(_fh)["rows"]
+    _RECORDED = json.load(_fh)
+ROWS, CASES = _RECORDED["rows"], _RECORDED["cases"]
 
 #: (F, G, cost, kind) of the rows that miss their oracle or raise, each with its error
 #: class: "divergent" (endpoint strips called divergent), "sign change" (strips change
@@ -120,3 +123,18 @@ def test_stress_matrix_triples_without_rows_fail_the_gate():
             warnings.simplefilter("ignore")  # some pairs nearly coincide in a tail
             sigma2(parse_distribution(f), parse_distribution(g), parse_cost(c),
                    parse_coupling("independent"))
+
+
+def test_recorded_oracles_are_the_rows_their_scripts_write():
+    # a case added to a script but not recorded, or recorded but dropped from
+    # the script, fails here
+    passing = {(row["F"], row["G"], row["cost"]) for row in ROWS}
+    assert [((row["F"], row["G"], row["cost"]), row["kind"]) for row in ROWS] == [
+        (triple, kind) for triple in variance_oracles.TRIPLES if triple in passing
+        for kind in variance_oracles.KINDS]
+    assert [(row["F"], row["G"], row["cost"], row["kind"], row["window_score"])
+            for row in CASES] == list(variance_oracles.CASES)
+    with open(gauss_cross_oracles.RECORDED) as fh:
+        gauss_rows = json.load(fh)["cases"]
+    assert [(row["F"], row["G"], row["cost"], row["r"], row["window_score"])
+            for row in gauss_rows] == list(gauss_cross_oracles.CASES)

@@ -11,6 +11,11 @@ script writes one row per quantity:
   (``countermonotone``);
 * ``exact_cost`` = E c(X, T(X)).
 
+``CASES`` adds named rows outside the matrix, one quantity each, and a
+window: with a window score c the influence functions are held at their
+values on the ends of the window (Phi(-c), 1 - Phi(-c)) of ``sigma2_window``,
+constant outside its x- and y-ranges.
+
 Here T = G^{-1} o F, R = G^{-1} o (1 - F), S = F^{-1} o G, and
 
     A(x) = -int_{m_F}^x  partial_x c(xi, T(xi)) dxi,
@@ -33,8 +38,9 @@ left out.  A(x) inside a segment is A at the segment's inner end plus one more
 
     PYTHONPATH=src python3 tests/variance_oracles.py --commit <commit> > tests/variance_oracles.json
 
-where ``--commit`` labels the checkout whose ``tail_gate`` chose the rows.
-It runs for several minutes.  Not collected as tests.
+where ``--commit`` labels the checkout whose ``tail_gate`` chose the matrix
+rows; the matrix goes to ``rows`` and ``CASES`` to ``cases``.  It runs for
+several minutes.  Not collected as tests.
 """
 
 import argparse
@@ -59,6 +65,17 @@ TRIPLES = tuple((f, g, c) for f in LAWS for g in LAWS if f != g for c in COSTS)
 #: The rows of a triple: the coupling (or one-sample side) and the quantity.
 KINDS = ("independent", "comonotone", "countermonotone", "one_sample_x", "one_sample_y",
          "exact_cost")
+
+#: Named rows: (F, G, cost, kind, window score c or None for the full range).
+#: c = 151/128 is eps = Phi(-c) = 0.1190, next to 5000^(-1/4) = 0.1189.
+CASES = (
+    ("gaussian(0,1)", "gaussian(3,2)", "power(3)", "countermonotone", None),
+    ("gaussian(0,1)", "gaussian(3,2)", "logpower(0.5)", "comonotone", None),
+    ("locscale(pareto(5),1,1)", "pareto(5)", "power(2)", "countermonotone", None),
+    ("gaussian(0,1)", "exponential(1)", "power(2)", "independent", 151 / 128),
+    ("gaussian(0,1)", "exponential(1)", "power(2)", "comonotone", 151 / 128),
+    ("gaussian(0,1)", "exponential(1)", "power(2)", "countermonotone", 151 / 128),
+)
 
 #: Segment levels of the log survival and log cdf, and the quad settings.
 LEVELS = tuple(0.75 * 1.5 ** k for k in range(16)) + (512.0,)
@@ -125,12 +142,12 @@ class _Weibull:
 
 
 class _Pareto:
-    """Pareto(p) on (1, inf), in v = x - 1."""
+    """Pareto(p) moved right by b, on (1 + b, inf), in v = x - 1 - b."""
 
-    lower, shift = 0.0, 1.0
+    lower = 0.0
 
-    def __init__(self, p):
-        self.p = p
+    def __init__(self, p, b=0.0):
+        self.p, self.shift = p, 1.0 + b
         self.median = math.expm1(math.log(2.0) / p)
 
     def logsf(self, v):
@@ -150,7 +167,15 @@ class _Pareto:
 
 
 def law(text):
-    """The law of a descriptor of ``LAWS``; exponential(1) is Weibull(1)."""
+    """The law of a descriptor of ``LAWS`` or of locscale(pareto(p),1,b).
+
+    exponential(1) is Weibull(1).
+    """
+    if text.startswith("locscale("):
+        base, a, b = text[len("locscale("):-1].rsplit(",", 2)
+        if not (base.startswith("pareto(") and float(a) == 1.0):
+            raise ValueError(text)
+        return _Pareto(law(base).p, float(b))
     name, args = text.rstrip(")").split("(")
     values = [float(a) for a in args.split(",")]
     if name == "exponential" and values == [1.0]:
@@ -181,7 +206,15 @@ def rho(cost):
 
 
 def transfer(F, G, flip=False):
-    """x -> G^{-1}(F(x)), or G^{-1}(1 - F(x)) with ``flip``, through the log tails."""
+    """x -> G^{-1}(F(x)), or G^{-1}(1 - F(x)) with ``flip``, through the log tails.
+
+    Between Pareto laws that differ only by their shift, G^{-1} o F is the
+    identity in the laws' own coordinates: taken so, x - T(x) keeps its
+    digits deep in the tails, where the log route leaves noise of order x.
+    """
+    if not flip and isinstance(F, _Pareto) and isinstance(G, _Pareto) and F.p == G.p:
+        return lambda x: x
+
     def T(x):
         if x >= F.median:
             a = F.logsf(x)
@@ -282,7 +315,14 @@ def countermonotone(F, G, A, B, cross_x, cross_y):
             + expectation(G, lambda y: (hy(y) - mean) ** 2, uy))
 
 
-def triple_rows(f, g, c):
+def held(h, D, a):
+    """h held at its values where D's log cdf and log survival reach the level a."""
+    lo, hi = D.from_logcdf(a), D.from_logsf(a)
+    return lambda x: h(min(max(x, lo), hi))
+
+
+def triple_rows(f, g, c, score=None):
+    """Every quantity of ``KINDS`` for one triple, in the window of ``score`` if one is given."""
     F, G = law(f), law(g)
     T, S = transfer(F, G), transfer(G, F)
     rp = rho_prime(c)
@@ -300,6 +340,12 @@ def triple_rows(f, g, c):
     cross_y = [T(x) for x in cross_x]
     A = Influence(F, sx, cross_x)
     B = Influence(G, sy, cross_y)
+    if score is not None:
+        # the window's ends are kinks of A and B, and they meet under every coupling
+        a = float(log_ndtr(-score))
+        A, B = held(A, F, a), held(B, G, a)
+        cross_x = cross_x + [F.from_logcdf(a), F.from_logsf(a)]
+        cross_y = cross_y + [G.from_logcdf(a), G.from_logsf(a)]
     pts_x = breaks(F, cross_x)
     vx = variance(F, A, pts_x)
     vy = variance(G, B, breaks(G, cross_y))
@@ -331,10 +377,14 @@ def main() -> None:
         values = triple_rows(f, g, c)
         rows.extend({"F": f, "G": g, "cost": c, "kind": kind, "value": values[kind]}
                     for kind in KINDS)
+    cases = [{"F": f, "G": g, "cost": c, "kind": kind, "window_score": score,
+              "value": triple_rows(f, g, c, score)[kind]} for f, g, c, kind, score in CASES]
+
+    def lines(out):
+        return ",\n".join(json.dumps(r, separators=(",", ":")) for r in out)
+
     sys.stdout.write(f'{{"commit": {json.dumps(args.commit)}, "triples": {len(TRIPLES)}, '
-                     '"rows": [\n')
-    sys.stdout.write(",\n".join(json.dumps(r, separators=(",", ":")) for r in rows))
-    sys.stdout.write("\n]}\n")
+                     f'"rows": [\n{lines(rows)}\n],\n"cases": [\n{lines(cases)}\n]}}\n')
 
 
 if __name__ == "__main__":
