@@ -1,14 +1,15 @@
-"""Numeric verifiers for the tail-regularity conditions behind the CLT.
+"""Verifiers for the tail-regularity conditions behind the CLT.
 
 The limit theorem needs three groups of hypotheses: marginal tail regularity
 of the pair (F, G), structural properties of the cost, and a compatibility
-condition tying the heavier tail to the cost's growth.  True boundedness and
-smoothness statements are not decidable from finitely many evaluations, so
-each checker operationalizes its condition on explicit tail grids and reports
-a pass/fail with the witness value and location; the heuristics involved are
-spelled out in the docstrings.  ``tail_gate`` decides the compatibility
-condition in closed form, for ``sigma2``, the Monte Carlo precheck and
-``verify_triple`` alike.
+condition tying the heavier tail to the cost's growth.  The marginal
+conditions fg1-fg3 and fg5 are decided from each law's declared tail
+constants (gamma, C), whose limits make them bounded; ``tail_gate`` decides
+the compatibility condition in closed form, for ``sigma2``, the Monte Carlo
+precheck and ``verify_triple`` alike.  Only two checks still read grids: the
+quantile gap fg4, on a tail u-grid, and ``check_cfg``, the gate's fallback
+for a law or cost outside its table.  Each reports a pass/fail with its
+witness value and location; the grids are spelled out in the docstrings.
 """
 
 from __future__ import annotations
@@ -36,20 +37,16 @@ __all__ = [
     "tail_gate",
 ]
 
-# A numeric "bounded on (u-bar, 1)" verdict: finite values, sup below this
-# cap, and no systematic growth across the last decade of 1/(1-u).
-_SUP_CAP = 1e3
-_TREND_CAP = 0.05
 _CFG_TOLERANCE = -1e-6
 _REL_STEP = 1e-5
 
 
-# The probability levels of check_cfg's grid, and the size of the marginal checks' grids.
+# The probability levels of check_cfg's grid, and the size of fg4's u-grid.
 _CFG_LEVELS = 1.0 - np.geomspace(1e-6, 1e-10, 64)
 _CFG_LEVELS.setflags(write=False)
 _FG_GRID_SIZE = 512
-# The levels of each law's quantiles that place the marginal checks' threshold and grids.
-_MARGINAL_LEVELS = (0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-8)
+# The levels of each law's quantiles that place the marginal checks' threshold.
+_MARGINAL_LEVELS = (0.5, 0.9, 1.0 - 1e-6)
 
 
 @dataclass(frozen=True)
@@ -113,91 +110,30 @@ class AssumptionReport:
         return out
 
 
-def _bounded_sup(values: np.ndarray, log_inv_tail: np.ndarray) -> tuple[bool, float, float, float]:
-    """Bounded-on-the-grid heuristic.
+def _limits(gamma: float, C: float) -> tuple[float, float, float]:
+    """The limits at u -> 1 of fg2's (1-u)|(log h)'|, fg3's companion H and fg5's rewrite.
 
-    Requires every value finite, the sup below _SUP_CAP, and the least-squares
-    slope of log(value) against log(1/(1-u)) over the last decade of 1/(1-u)
-    to stay at or below _TREND_CAP.  Polynomial blowup in 1/(1-u) shows up as
-    a positive slope; slowly varying drift does not.  The slope is the closed
-    form on centred abscissae, sum(xc (y - mean y)) / sum(xc^2) with
-    xc = x - mean x.  A last decade of one point shows no trend (slope 0); one
-    whose abscissae are not all finite, or do not spread, has no slope to
-    measure and fails with slope inf, as non-finite values do.  Returns
-    (ok, sup, location-of-sup, trend slope); the location is reported on the
-    same axis as ``log_inv_tail``.
+    For psi ~ C log x (gamma = 0, index C) they are 1 + 1/C, 1/C and 1 + 2/C;
+    for psi ~ C x^gamma (gamma > 0) they are 1, 0 and 1.  A location-scale
+    map leaves each one unchanged.
     """
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmax(~np.isfinite(values)))
-        return False, float(values[bad]), float(log_inv_tail[bad]), math.inf
-    sup = float(np.max(values))
-    loc = float(log_inv_tail[int(np.argmax(values))])
-    last = log_inv_tail >= log_inv_tail[-1] - math.log(10.0)
-    y = np.log(np.maximum(values[last], 1e-300))
-    x = log_inv_tail[last]
-    slope = 0.0 if x.size == 1 else math.inf
-    if x.size > 1 and np.all(np.isfinite(x)):
-        xc = x - x.mean()
-        spread = float(np.dot(xc, xc))
-        if spread > 0.0:
-            slope = float(np.dot(xc, y - y.mean())) / spread
-    ok = sup < _SUP_CAP and slope <= _TREND_CAP
-    return ok, sup, loc, slope
+    return (1.0 + 1.0 / C, 1.0 / C, 1.0 + 2.0 / C) if gamma == 0.0 else (1.0, 0.0, 1.0)
 
 
-def _fg1_single(law: Distribution, xs: np.ndarray) -> tuple[bool, float, float]:
-    """Density positive and finite on the x-grid; returns (ok, min or bad value, location)."""
-    dens = np.asarray(law.pdf(xs), dtype=float)
-    good = np.isfinite(dens) & (dens > 0.0)
-    if not np.all(good):
-        bad = int(np.argmax(~good))
-        return False, float(dens[bad]), float(xs[bad])
-    i = int(np.argmin(dens))
-    return True, float(dens[i]), float(xs[i])
-
-
-def _fg2_single(law: Distribution, us: np.ndarray, log_inv: np.ndarray):
-    """(1-u)|(log h)'(u)| by centered differences, bounded-sup verdict."""
-    du = _REL_STEP * (1.0 - us)
-    hp, hm = np.asarray(law.density_quantile(np.concatenate((us + du, us - du))),
-                        dtype=float).reshape(2, -1)
-    vals = (1.0 - us) * np.abs(np.log(hp) - np.log(hm)) / (2.0 * du)
-    return _bounded_sup(vals, log_inv)
-
-
-def _fg3_single(law: Distribution, us: np.ndarray, log_inv: np.ndarray):
-    return _bounded_sup(np.asarray(law.companion(us), dtype=float), log_inv)
-
-
-def _fg5_single(law: Distribution, xs: np.ndarray):
-    """Density-space rewrite (1-F)/f * (1/x + |f'|/f), bounded-sup verdict."""
-    dx = _REL_STEP * xs
-    f0, fp, fm = np.asarray(law.pdf(np.concatenate((xs, xs + dx, xs - dx))),
-                            dtype=float).reshape(3, -1)
-    fprime = (fp - fm) / (2.0 * dx)
-    sf = np.asarray(law.sf(xs), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (sf / f0) * (1.0 / xs + np.abs(fprime) / f0)
-    return _bounded_sup(vals, np.asarray(law.tail_exponent(xs), dtype=float))
-
-
-def _pairwise(results) -> ConditionStatus:
-    ok = all(r[0] for r in results)
-    worst = max(results, key=lambda t: t[1])
-    return ConditionStatus("pass" if ok else "fail", worst[1], worst[2],
-                           f"trend slope {worst[3]:.3g}")
-
-
-def _marginal_report(laws) -> tuple[AssumptionReport, np.ndarray]:
-    """Shared grid construction + FG1/FG2/FG3/FG5 over one or two laws; returns it and the u-grid.
+def _marginal_report(laws) -> tuple[AssumptionReport, float]:
+    """The threshold m and FG1/FG2/FG3/FG5 over one or two laws; returns it and the level u-bar.
 
     The threshold m is the larger 0.9-quantile, or the floor max(0, medians)
     plus min(1/2, half its gap to the smallest (1 - 1e-6)-quantile) if higher,
-    so that it scales with the laws.  Quantile-side checks share one u-grid
-    (each law is probed at its own quantiles, so depth is per-law
-    automatically); density-side checks get per-law x-grids capped at the
-    law's own survival-1e-8 quantile, since probing a light tail at the heavy
-    law's range only manufactures floating-point underflow.
+    so that it scales with the laws.  u-bar, the larger cdf at m, is where
+    fg4's u-grid starts.
+
+    The four conditions are decided from the declared tail constants (gamma, C):
+    each shipped family has a smooth positive density on its support, and
+    each quantity tends to the limit ``_limits`` gives, so it is bounded on
+    [m, inf).  A pair's value is the larger limit, with no location.  fg1's
+    value is the smaller density at m.  A law without tail constants leaves
+    the four not-applicable.
     """
     levels = [np.asarray(law.quantile(_MARGINAL_LEVELS), dtype=float) for law in laws]
     floor = max([0.0] + [float(q[0]) for q in levels])
@@ -212,25 +148,19 @@ def _marginal_report(laws) -> tuple[AssumptionReport, np.ndarray]:
     if not u_bar < 1.0 - 1e-8:
         raise ValueError(f"{laws[tails.index(u_bar)]!r} has no mass above 1e-8 beyond m={m}, "
                          "the other law's 0.9-quantile: no tail to examine")
-    us = 1.0 - np.geomspace(1.0 - u_bar, 1e-8, _FG_GRID_SIZE)
-    log_inv = np.log(1.0 / (1.0 - us))
-
-    grids = [np.geomspace(m, float(q[3]), _FG_GRID_SIZE) if q[3] > m else None for q in levels]
 
     report = AssumptionReport(m=float(m))
-
-    ones = [_fg1_single(law, xs) for law, xs in zip(laws, grids) if xs is not None]
-    ok1 = all(o for o, _, _ in ones)
-    worst1 = min(ones, key=lambda t: t[1])
-    report.fg1 = ConditionStatus(
-        "pass" if ok1 else "fail", worst1[1], worst1[2],
-        "densities positive/finite on grid; smoothness from the family's closed form",
-    )
-    report.fg2 = _pairwise([_fg2_single(law, us, log_inv) for law in laws])
-    report.fg3 = _pairwise([_fg3_single(law, us, log_inv) for law in laws])
-    report.fg5 = _pairwise([_fg5_single(law, xs)
-                            for law, xs in zip(laws, grids) if xs is not None])
-    return report, us
+    constants = [law.tail_constants() for law in laws]
+    if None in constants:
+        na = ConditionStatus("not-applicable", note="a law declares no tail constants (gamma, C)")
+        report.fg1 = report.fg2 = report.fg3 = report.fg5 = na
+        return report, u_bar
+    report.fg1 = ConditionStatus("pass", min(float(law.pdf(m)) for law in laws), float(m),
+                                 "declared tail: smooth positive density beyond m")
+    for name, limits in zip(("fg2", "fg3", "fg5"), zip(*(_limits(*tail) for tail in constants))):
+        setattr(report, name, ConditionStatus("pass", max(limits), None,
+                                              "the larger limit from the tail constants"))
+    return report, u_bar
 
 
 def check_fg(F: Distribution, G: Distribution) -> AssumptionReport:
@@ -239,19 +169,24 @@ def check_fg(F: Distribution, G: Distribution) -> AssumptionReport:
     F should carry the heavier right tail (the quantile gap tau must stay
     positive).  The threshold m, above both medians, is placed as
     ``_marginal_report`` says; a law with no tail there raises ``ValueError``.
-    Five checks run on geometric tail grids reaching survival level 1e-8:
+    Five checks:
 
-    * smoothness proxy: both densities positive and finite on the x-grid;
-    * (1-u)|(log h)'(u)| bounded for both density quantiles;
-    * the companions H bounded for both laws;
-    * tau(u) = F^{-1}(u) - G^{-1}(u) bounded below by some tau0 > 0
-      (the inferred tau0 is reported);
-    * the density-space rewrite of the two bounded checks,
-      (1-F)/f * (1/x + |f'|/f), as an independent route to the same verdict.
+    * fg1, smoothness: a smooth positive density beyond m;
+    * fg2, (1-u)|(log h)'(u)| bounded for both density quantiles;
+    * fg3, the companions H bounded for both laws;
+    * fg4, tau(u) = F^{-1}(u) - G^{-1}(u) bounded below by some tau0 > 0, the
+      minimum on a geometric u-grid from the larger cdf at m to survival level
+      1e-8 (the inferred tau0 is reported);
+    * fg5, the density-space rewrite of fg2 and fg3, (1-F)/f * (1/x + |f'|/f),
+      bounded.
+
+    fg1-fg3 and fg5 come from the tail constants, as ``_marginal_report``
+    says, and are not-applicable for a law that declares none; only fg4 reads
+    a grid.
     """
-    report, us = _marginal_report((F, G))
+    report, u_bar = _marginal_report((F, G))
 
-    # quantile-gap separation
+    us = 1.0 - np.geomspace(1.0 - u_bar, 1e-8, _FG_GRID_SIZE)
     tau = np.asarray(F.quantile(us), dtype=float) - np.asarray(G.quantile(us), dtype=float)
     i_min = int(np.argmin(tau))
     tau0 = float(tau[i_min])

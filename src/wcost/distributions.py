@@ -44,6 +44,11 @@ def _check_prob_open(u) -> np.ndarray:
     return ua
 
 
+def _declared(gamma: float, C: float) -> tuple[float, float] | None:
+    """The tail constants (gamma, C), or None unless C is a finite positive float."""
+    return (gamma, C) if 0.0 < C < math.inf else None
+
+
 class Distribution:
     """Base class; families implement cdf/sf/pdf/quantile and tail metadata."""
 
@@ -66,7 +71,11 @@ class Distribution:
         return (-math.inf, math.inf)
 
     def tail_constants(self) -> tuple[float, float] | None:
-        """(gamma, C) with psi(x) ~ C x^gamma at +inf, or ~ C log x for gamma = 0; None if undeclared."""
+        """(gamma, C) with psi(x) ~ C x^gamma at +inf, or ~ C log x for gamma = 0.
+
+        None if undeclared, or if C is not a finite positive float, as when a
+        scale near the float range makes it under- or overflow.
+        """
         return None
 
     # --- derived quantile-side machinery -----------------------------------
@@ -139,7 +148,8 @@ class Gaussian(Distribution):
         return self.mean - self.sd * special.ndtri_exp(-ya)
 
     def tail_constants(self):
-        return (2.0, 1.0 / (2.0 * self.sd * self.sd))
+        twice_var = 2.0 * self.sd * self.sd
+        return _declared(2.0, 1.0 / twice_var) if twice_var > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -313,7 +323,10 @@ class LocationScale(Distribution):
     def tail_constants(self):
         # psi(x) = psi_base((x - b) / a): C scales by a^-gamma (by 1 in the log class)
         tail = self.base.tail_constants()
-        return None if tail is None else (tail[0], tail[1] * self.a ** -tail[0])
+        try:
+            return None if tail is None else _declared(tail[0], tail[1] * self.a ** -tail[0])
+        except OverflowError:  # a ** -gamma at a scale near the float range
+            return None
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,13 @@
 import inspect
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import wcost.distributions as distributions_module
-from wcost import parse_cost, parse_distribution
+from wcost import Independent, parse_cost, parse_distribution, sigma2
 from wcost.assumptions import (
-    _bounded_sup,
     check_cfg,
     check_fg,
     heavier_right,
@@ -17,6 +15,7 @@ from wcost.assumptions import (
     tail_gate,
     verify_triple,
 )
+from wcost.cli import main
 from wcost.costs import ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from wcost.distributions import (
     Distribution,
@@ -27,6 +26,7 @@ from wcost.distributions import (
     Weibull,
     reflect,
 )
+from wcost.errors import NonconvergenceError
 
 import triple_matrix
 
@@ -91,6 +91,46 @@ def test_weibull_pair_bounded():
     assert r.fg5.status == "pass"
 
 
+def _marginal_quantities(law, v):
+    """fg2's (1-u)|(log h)'|, fg3's companion H and fg5's density rewrite at 1 - u = v.
+
+    The formulas of the grid checks that fg2, fg3 and fg5 used to run: centred
+    differences at relative step 1e-5, fg2's in 1 - u and fg5's in x.  The
+    quantiles are read through psi_inverse, so that 1 - u = v is exact.
+    """
+    def at(w):
+        return float(law.psi_inverse(-math.log(w)))
+
+    dv = 1e-5 * v
+    fg2 = v * abs(math.log(law.pdf(at(v - dv))) - math.log(law.pdf(at(v + dv)))) / (2.0 * dv)
+    x = at(v)
+    fg3 = v / (x * law.pdf(x))
+    dx = 1e-5 * x
+    f0, fp, fm = law.pdf(x), law.pdf(x + dx), law.pdf(x - dx)
+    fg5 = law.sf(x) / f0 * (1.0 / x + abs(fp - fm) / (2.0 * dx) / f0)
+    return fg2, fg3, fg5
+
+
+@pytest.mark.parametrize("text", ["gaussian(1,2)", "pareto(3)", "weibull(0.75)", "exponential(2)",
+                                  "locscale(pareto(5),2,1)",
+                                  "reflect(locscale(gaussian(0,1),2,1))"])
+def test_marginal_limits_match_differences_deep_in_the_tail(text):
+    law = parse_distribution(text)
+    r = check_fg(law, law)
+    limits = (r.fg2.witness_value, r.fg3.witness_value, r.fg5.witness_value)
+    assert (r.fg2.witness_location, r.fg3.witness_location, r.fg5.witness_location) == (None,) * 3
+
+    def gaps(v):
+        # relative to a positive limit, absolute to fg3's limit 0
+        return [abs(q - lim) / lim if lim > 0.0 else abs(q)
+                for q, lim in zip(_marginal_quantities(law, v), limits)]
+
+    for name, shallow, deep in zip(("fg2", "fg3", "fg5"), gaps(1e-6), gaps(1e-12)):
+        # a gap below 1e-6 is the differences' rounding: the quantity is already at its limit
+        assert deep < max(shallow, 1e-6), (name, shallow, deep)
+        assert deep < 0.1, (name, deep)
+
+
 def test_identical_laws_fail_separation():
     r = check_fg(Gaussian(0, 1), Gaussian(0, 1))
     assert r.fg4.status == "fail"
@@ -131,64 +171,24 @@ def test_threshold_scales_with_the_laws(scale):
 
 
 def test_growth_law_trips_the_trend_heuristic():
-    r = check_fg(_StretchTail(), Exponential(0.001))
-    assert r.fg2.status == "fail"
-    assert r.fg3.status == "fail"
-    # a fail always carries its witness point
-    for s in (r.fg2, r.fg3):
-        assert s.witness_value is not None and s.witness_location is not None
-    assert not r.all_pass
-
-
-def _decade(x):
-    return x >= x[-1] - math.log(10.0)
-
-
-@pytest.mark.parametrize("axis", ["random", "geometric"])
-def test_bounded_sup_slope_matches_polyfit(axis):
-    rng = np.random.default_rng(7)
-    for trial in range(20):
-        if axis == "random":
-            x = np.sort(rng.uniform(0.0, 20.0, 64))
-        else:
-            x = np.log(1.0 / np.geomspace(10.0 ** -rng.uniform(1, 3), 1e-8, 512))
-        values = np.exp(rng.normal(0.0, 1.0) * x + rng.normal(0.0, 0.1, x.size))
-        _, _, _, slope = _bounded_sup(values, x)
-        last = _decade(x)
-        ref = np.polyfit(x[last], np.log(values[last]), 1)[0]
-        assert abs(slope - ref) <= 1e-12, (axis, trial)
-
-
-def test_bounded_sup_constant_values_have_zero_slope():
-    x = np.log(1.0 / np.geomspace(0.1, 1e-8, 512))
-    ok, sup, loc, slope = _bounded_sup(np.full(x.size, 3.7), x)
-    assert ok and slope == 0.0 and sup == 3.7 and loc == x[0]
-
-
-@pytest.mark.parametrize("axis", ["constant", "inf", "nan"])
-def test_bounded_sup_axis_without_spread_fails_without_a_warning(axis):
-    # numpy.polyfit warned (RankWarning) and made up a slope on a constant
-    # axis, and gave LAPACK noise or LinAlgError on an infinite one
-    x = np.linspace(1.0, 20.0, 64)
-    x[-8:] = {"constant": 20.0, "inf": math.inf, "nan": math.nan}[axis]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ok, sup, _, slope = _bounded_sup(np.linspace(1.0, 2.0, 64), x)
-    assert not ok and slope == math.inf and sup == 2.0
-
-
-def test_bounded_sup_one_point_decade_shows_no_trend():
-    ok, _, _, slope = _bounded_sup(np.array([1.0, 2.0]), np.array([1.0, 10.0]))
-    assert ok and slope == 0.0
+    # no tail constants to take the limits from: fg1-fg3 and fg5 are
+    # not-applicable, and the law still fails overall through cfg's grid
+    tr = verify_triple(_StretchTail(), Exponential(0.001), P2)
+    r = tr.right
+    for s in (r.fg1, r.fg2, r.fg3, r.fg5):
+        assert s.status == "not-applicable" and "no tail constants" in s.note
+    assert r.cfg.status == "fail" and r.cfg.note.startswith("grid: check_cfg")
+    assert not tr.all_pass
 
 
 def test_verify_triple_matches_recorded_reports():
     with open(triple_matrix.RECORDED) as fh:
         recorded = json.load(fh)
     assert len(recorded["triples"]) == len(triple_matrix.TRIPLES) == 100
-    # cfg is compared by status: its witness is now the gate's margin and rule
+    # fg1-fg3, fg5 and cfg are compared by status: their witnesses are now limits
+    # and the gate's margin
     mismatched = [row["triple"] for row in recorded["triples"]
-                  if triple_matrix.cfg_status_only(triple_matrix.report(tuple(row["triple"])))
+                  if triple_matrix.status_only(triple_matrix.report(tuple(row["triple"])))
                   != triple_matrix.expected(tuple(row["triple"]), row["report"])]
     assert not mismatched
 
@@ -214,8 +214,9 @@ def test_verify_triple_fits_trends_without_lstsq_and_counts_its_law_calls(monkey
     # 152 calls at 32efc77, where the finite differences took one call per
     # shifted grid and trend slopes came from numpy.polyfit; 118 with one
     # call per law and grid; 112 without the advisory sufficient-tail check; 104
-    # with one quantile call per law for the threshold and the grids' ends
-    assert len(calls) <= 104, sorted(set(calls))
+    # with one quantile call per law for the threshold and the grids' ends; 52
+    # with fg1-fg3 and fg5 taken from the tail constants
+    assert len(calls) <= 52, sorted(set(calls))
 
 
 def test_report_serializes_to_json():
@@ -227,6 +228,24 @@ def test_report_serializes_to_json():
                       "theta1", "tau0", "m", "side", "all_pass"}
     assert d["all_pass"] is True
     json.dumps(d)
+
+
+@pytest.mark.parametrize("F, G, c", [
+    ("gaussian(0,1e-200)", "gaussian(1e-200,1e-200)", "power(2)"),  # sd*sd underflows
+    ("locscale(weibull(2),1e-200,0)", "locscale(weibull(2),1e-200,1e-200)", "power(2)"),
+    ("gaussian(0,1e200)", "gaussian(1e200,1e200)", "exppower(2)"),  # C = 1/(2 sd^2) is 0
+])
+def test_extreme_scales_give_a_result_or_a_typed_error(F, G, c):
+    # C under- or overflows at these scales: the laws declare no tail constants
+    laws, cost = (parse_distribution(F), parse_distribution(G)), parse_cost(c)
+    assert [law.tail_constants() for law in laws] == [None, None]
+    for call in (lambda: verify_triple(*laws, cost), lambda: tail_gate(*laws, cost),
+                 lambda: sigma2(*laws, cost, Independent())):
+        try:
+            call()
+        except (ValueError, NonconvergenceError):  # every type of wcost.errors is one of these
+            pass
+    assert main(["check", F, G, c]) in (0, 1, 2)
 
 
 # --- cost/tail compatibility ---------------------------------------------------

@@ -10,8 +10,11 @@ where ``_bounded_sup`` took its slope from ``numpy.polyfit`` and ``cfg`` came
 from ``check_cfg``'s grid (``CFG_MOVED`` lists where ``tail_gate`` differs).
 ``verify_triple`` no longer reports ``theta`` or the advisory
 ``tail_sufficient`` condition (``RETIRED``); ``expected`` drops both from the
-recorded sides.  The file was written, when ``_SIDE_KEYS`` still held
-``theta``, with
+recorded sides.  fg1-fg3 and fg5 were then decided on 512-point grids with a
+sup cap and a trend-slope cap, and their witnesses were grid points; they now
+come from the laws' tail constants, whose limits have no location, so
+``expected`` compares them by status only, as it does ``cfg`` (``STATUS_ONLY``).
+The file was written, when ``_SIDE_KEYS`` still held ``theta``, with
 
     mkdir -p /tmp/wcost-32efc77 && git archive 32efc77 src | tar -x -C /tmp/wcost-32efc77
     PYTHONPATH=/tmp/wcost-32efc77/src python3 tests/triple_matrix.py --commit 32efc77 \
@@ -80,6 +83,9 @@ CFG_MOVED = {
 ALL_PASS_MOVED = {("locscale(weibull(0.5),1,2)", "weibull(0.5)", "logpower(0.5)"): True}
 
 _SIDE_KEYS = ("tau0", "m")
+#: the conditions whose recorded witness and value no longer hold: ``cfg`` is now
+#: ``tail_gate``'s verdict, and fg1-fg3 and fg5 the limits of the tail constants
+STATUS_ONLY = ("fg1", "fg2", "fg3", "fg5", "cfg")
 #: recorded per-side keys that ``verify_triple`` no longer reports
 RETIRED = ("theta", "tail_sufficient")
 
@@ -103,11 +109,11 @@ def report(triple) -> dict:
 
 
 def expected(triple, recorded: dict) -> dict:
-    """A recorded report as ``tail_gate`` moves it, each side's ``cfg`` cut to its status.
+    """A recorded report as ``tail_gate`` moves it, each side's ``STATUS_ONLY`` cut to its status.
 
     The ``RETIRED`` keys are dropped from each side.
     """
-    out = cfg_status_only(recorded)
+    out = status_only(recorded)
     for side in ("right", "left"):
         for key in RETIRED if side in out else ():
             out[side].pop(key, None)
@@ -118,12 +124,12 @@ def expected(triple, recorded: dict) -> dict:
     return out
 
 
-def cfg_status_only(rep: dict) -> dict:
-    """``rep`` with each side's ``cfg`` cut to its status: the gate's witness is new."""
+def status_only(rep: dict) -> dict:
+    """``rep`` with each side's ``STATUS_ONLY`` conditions cut to their statuses."""
     out = {key: dict(value) if isinstance(value, dict) else value for key, value in rep.items()}
     for side in ("right", "left"):
-        if side in out:
-            out[side]["cfg"] = out[side]["cfg"][0]
+        for name in STATUS_ONLY if side in out else ():
+            out[side][name] = out[side][name][0]
     return out
 
 
