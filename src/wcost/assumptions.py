@@ -22,6 +22,7 @@ import numpy as np
 
 from .costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from .distributions import Distribution, reflect
+from .errors import UnsupportedCostError
 
 __all__ = [
     "ConditionStatus",
@@ -221,13 +222,15 @@ def check_cfg(F: Distribution, c: Cost) -> CfgResult:
     (relative step 1e-5) through the cost's closed-form l^{-1} at
     x = l(F^{-1}(u)) on 64 geometric tail levels 1-u in [1e-6, 1e-10]; the
     result reports the minimal margin over the grid and passes iff it
-    exceeds -1e-6.  ``tail_gate`` falls back on it for laws or costs outside
-    its closed-form table.
+    exceeds -1e-6.  Raises ValueError when a grid point is zero or not
+    finite, as where l(F^{-1}(u)) overflows.  ``tail_gate`` falls back on it
+    for laws or costs outside its closed-form table.
     """
     theta = 1.0 + c.theta1() + 0.25
-    xs = np.asarray(c.l(np.asarray(F.quantile(_CFG_LEVELS), dtype=float)), dtype=float)
-    if np.any(xs == 0.0):
-        raise ValueError("grid points must be nonzero")
+    with np.errstate(over="ignore"):
+        xs = np.asarray(c.l(np.asarray(F.quantile(_CFG_LEVELS), dtype=float)), dtype=float)
+    if not np.all(np.isfinite(xs) & (xs != 0.0)):
+        raise ValueError("grid points must be finite and nonzero")
 
     dx = _REL_STEP * np.abs(xs)
     hi = np.asarray(F.tail_exponent(np.asarray(c.l_inverse(xs + dx), dtype=float)), dtype=float)
@@ -329,8 +332,8 @@ def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> Ga
     so p = 2 alpha fails.
 
     A lead law without tail constants, or another cost, takes ``check_cfg``'s
-    grid verdict on the lead law; a cost without ``l`` or ``theta1`` is
-    not-applicable there, and passes.  Returns the verdict with the lowest
+    grid verdict on the lead law; a cost without ``l`` or ``theta1``, or a
+    grid point that is zero or overflows, is not-applicable there, and passes.  Returns the verdict with the lowest
     margin, a failing one first; not-applicable when no side is unbounded.
     """
     return _worst(_side_verdicts(F, G, c, which))
@@ -370,9 +373,11 @@ def _side_gate(A: Distribution, B: Distribution, lead: Distribution, c: Cost, si
     if lam is None or len(deltas) < len(which):
         try:
             res = check_cfg(lead, c)
-        except (ValueError, NotImplementedError) as exc:
+        except (UnsupportedCostError, NotImplementedError) as exc:
             return GateVerdict("not-applicable", side,
                                rule=f"cost has no asymptotic profile l ({exc})")
+        except ValueError as exc:
+            return GateVerdict("not-applicable", side, rule=f"the grid cannot decide ({exc})")
         return GateVerdict(res.status, side, "x" if lead is A else "y", res.margin,
                            f"grid: check_cfg at x = {res.witness_location:.6g}")
     key = max(which, key=deltas.get)

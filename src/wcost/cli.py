@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,21 +48,6 @@ from .variance import (
 )
 
 _FORMATS = ("json", "csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved invocation: command, parameters, and output routing."""
-
-    command: str
-    params: dict
-    seed: int | None
-    out: str | None
-    format: str
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "params": dict(self.params),
-                "seed": self.seed, "out": self.out, "format": self.format}
 
 
 # --- rendering ------------------------------------------------------------------
@@ -110,8 +94,11 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         csv.writer(sys.stdout).writerows([("key", "value"), *rows])
 
 
-def _payload(run: RunConfig, results: dict) -> dict:
-    return {"config": run.to_dict(), **results}
+def _payload(command: str, params: dict, seed: int | None, args, results: dict) -> dict:
+    """The report: the fully resolved invocation under ``config``, then the results."""
+    config = {"command": command, "params": params, "seed": seed,
+              "out": args.out, "format": args.format}
+    return {"config": config, **results}
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -157,8 +144,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
         lo, hi = confidence_interval(estimate, sig2, s.n, args.ci)
         results["ci"] = {"level": args.ci, "lo": lo, "hi": hi,
                          "sigma2": sig2, "sigma_source": args.sigma}
-    run = RunConfig("estimate", params, seed, args.out, args.format)
-    return 0, _payload(run, results)
+    return 0, _payload("estimate", params, seed, args, results)
 
 
 def _variance_result(args, q: QuadratureConfig):
@@ -183,20 +169,18 @@ def cmd_variance(args) -> tuple[int, dict]:
     result = _variance_result(args, q)
     params = {"method": args.method, "params": list(args.params),
               "abs_tol": args.abs_tol, "rel_tol": args.rel_tol}
-    run = RunConfig("variance", params, None, args.out, args.format)
     out = result.to_dict()
     if not args.diagnostics:
         out.pop("diagnostics")
-    return 0, _payload(run, out)
+    return 0, _payload("variance", params, None, args, out)
 
 
 def cmd_check(args) -> tuple[int, dict]:
     report = verify_triple(parse_distribution(args.F), parse_distribution(args.G),
                            parse_cost(args.cost))
     params = {"F": args.F, "G": args.G, "cost": args.cost}
-    run = RunConfig("check", params, None, args.out, args.format)
     code = 0 if report.all_pass else 1
-    return code, _payload(run, report.to_dict())
+    return code, _payload("check", params, None, args, report.to_dict())
 
 
 def cmd_sample(args) -> tuple[int, dict]:
@@ -205,8 +189,7 @@ def cmd_sample(args) -> tuple[int, dict]:
     s = sample_pairs(cp, F, G, args.n, args.seed)
     write_sample_csv(args.out, s)
     params = {"F": args.F, "G": args.G, "coupling": args.coupling, "n": args.n}
-    run = RunConfig("sample", params, args.seed, args.out, args.format)
-    return 0, _payload(run, {"written": args.out, "n": s.n})
+    return 0, _payload("sample", params, args.seed, args, {"written": args.out, "n": s.n})
 
 
 def _is_int(value) -> bool:
@@ -285,8 +268,7 @@ def cmd_mc(args) -> tuple[int, dict]:
         if args.z_csv:
             write_standardized_csv(args.z_csv, report)
             results["z_csv"] = args.z_csv
-    run = RunConfig("mc", resolved, resolved.get("seed"), args.out, args.format)
-    return 0, _payload(run, results)
+    return 0, _payload("mc", resolved, resolved.get("seed"), args, results)
 
 
 # --- parser and entry point -----------------------------------------------------

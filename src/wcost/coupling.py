@@ -111,21 +111,8 @@ class GaussianCopula(Coupling):
 
     def copula_cdf(self, u, v):
         ua, va = _check_unit(u, v)
-        # Boundary values first: the copula is 0/identity there and ndtri
-        # would produce infinities inside bvn_cdf.
-        ua = np.atleast_1d(ua)
-        va = np.atleast_1d(va)
-        out = np.empty(np.broadcast(ua, va).shape)
-        ub, vb = np.broadcast_arrays(ua, va)
-        interior = (ub > 0) & (ub < 1) & (vb > 0) & (vb < 1)
-        out[~interior] = np.where(
-            (ub == 0) | (vb == 0), 0.0, np.where(ub == 1, vb, ub)
-        )[~interior]
-        if np.any(interior):
-            x = special.ndtri(ub[interior])
-            y = special.ndtri(vb[interior])
-            out[interior] = bvn_cdf(x, y, self.r)
-        return _scalar_like(out.reshape(np.broadcast(np.asarray(u), np.asarray(v)).shape), u, v)
+        # ndtri maps 0 and 1 to -inf and +inf, where bvn_cdf takes the exact limits
+        return _scalar_like(bvn_cdf(special.ndtri(ua), special.ndtri(va), self.r), u, v)
 
     def sample_uniforms(self, n, rng):
         z1 = special.ndtri(_uniform_open(rng, n))

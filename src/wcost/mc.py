@@ -21,7 +21,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -130,21 +130,7 @@ class MCReport:
             raise ValueError(f"sigma2_value must be nonnegative, got {self.sigma2_value}")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "replicates": self.replicates,
-            "w_exact": self.w_exact,
-            "sigma_source": self.sigma_source,
-            "sigma2_value": self.sigma2_value,
-            "trim_eps": self.trim_eps,
-            "estimates": dict(self.estimates),
-            "standardized": list(self.standardized),
-            "ks_distance": self.ks_distance,
-            "coverage": self.coverage,
-            "assumptions_ok": self.assumptions_ok,
-            "notes": list(self.notes),
-            "runtime": self.runtime,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -165,13 +151,7 @@ class TrimmedComparison:
     scaled_gap_max: float
 
     def to_dict(self) -> dict:
-        return {
-            "plain": self.plain.to_dict(),
-            "trimmed": self.trimmed.to_dict(),
-            "trim_eps": self.trim_eps,
-            "scaled_gap_mean": self.scaled_gap_mean,
-            "scaled_gap_max": self.scaled_gap_max,
-        }
+        return asdict(self)
 
 
 def write_standardized_csv(path, report: MCReport) -> None:

@@ -45,7 +45,7 @@ from .coupling import Comonotone, Countermonotone, Coupling, GaussianCopula, Ind
 from .distributions import Distribution, Gaussian, reflect
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
-from .estimate import PairedSample
+from .estimate import PairedSample, _finite_sorted_columns
 from .quadrature import (_INNER_TIGHTENING, _W_DIFF, _W_KRONROD, CumulativeMesh,
                          QuadratureConfig, _tolerance, integrate_open01)
 
@@ -129,12 +129,7 @@ class VarianceResult:
             raise ValueError(f"unknown method {self.method!r}; expected one of {sorted(_METHODS)}")
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "est_error": self.est_error,
-            "method": self.method,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 # --- tail-hypothesis gate and degeneracy warning -------------------------------
@@ -697,13 +692,13 @@ def sigma2_gaussian(F: Gaussian, G: Gaussian) -> VarianceResult:
 # --- plug-in estimation from one paired sample ---------------------------------
 
 
-def _empirical_influence(col: np.ndarray, order: np.ndarray, slope, eps: float) -> np.ndarray:
-    """Q-hat at each observation of ``col``: running sums of slope times spacing.
+def _empirical_influence(xs: np.ndarray, order: np.ndarray, slope, eps: float) -> np.ndarray:
+    """Q-hat at each observation: running sums of slope times spacing.
 
-    ``order`` sorts ``col`` and ``slope`` holds one value per order statistic.
-    Tied values share one value, since the spacings between them are zero.
+    ``xs`` holds the sorted column, ``order`` the argsort that scatters Q-hat
+    back to the pairs, ``slope`` one value per order statistic.  Tied values
+    share one value, since the spacings between them are zero.
     """
-    xs = col[order]
     steps = np.asarray(slope, dtype=float) * np.diff(xs, prepend=xs[0])
     if eps > 0.0:
         t = np.arange(xs.size) / xs.size
@@ -735,25 +730,22 @@ def plug_in_sigma2(s: PairedSample, c: Cost, eps: float = 0.0) -> VarianceResult
     The value is an exact function of the sample, so ``est_error`` is 0.0; its
     sampling error is not included, use replicate spread for that.  Tied values
     share one Q-hat value, so the value does not depend on how ties are ordered
-    and any sort order gives it.  Raises DegenerateSampleError on a constant
-    column and ValueError on a column that holds NaN or +-inf.
+    and any sort order gives it.  Raises ValueError when either column holds
+    NaN or +-inf, and then DegenerateSampleError on a constant column.
     """
     n = s.n
     if n < 50:
         raise ValueError(f"plug-in variance needs at least 50 pairs, got {n}")
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"eps must lie in [0, 0.5), got {eps}")
-    xs, ys = s.xs, s.ys
-    for name, col in (("x", xs), ("y", ys)):
-        lo, hi = float(np.min(col)), float(np.max(col))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"{name} column holds a non-finite value")
-        if lo == hi:
+    xs, ys = _finite_sorted_columns(s)
+    for name, col in zip("xy", (xs, ys)):
+        if col[0] == col[-1]:
             raise DegenerateSampleError(
                 f"{name} column is constant; its quantile function has no spread")
-    ox, oy = np.argsort(xs), np.argsort(ys)
-    gx, gy = c.gradient(xs[ox], ys[oy])
-    influence = _empirical_influence(xs, ox, gx, eps) + _empirical_influence(ys, oy, gy, eps)
+    gx, gy = c.gradient(xs, ys)
+    influence = (_empirical_influence(xs, np.argsort(s.xs), gx, eps)
+                 + _empirical_influence(ys, np.argsort(s.ys), gy, eps))
     # summed in sorted order, so the value depends only on the set of pairs
     value = float(np.var(np.sort(influence), ddof=1))
     return VarianceResult(value, 0.0, "plug_in", {"eps": eps})

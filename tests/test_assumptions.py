@@ -235,7 +235,7 @@ def test_report_serializes_to_json():
     ("locscale(weibull(2),1e-200,0)", "locscale(weibull(2),1e-200,1e-200)", "power(2)"),
     ("gaussian(0,1e200)", "gaussian(1e200,1e200)", "exppower(2)"),  # C = 1/(2 sd^2) is 0
 ])
-def test_extreme_scales_give_a_result_or_a_typed_error(F, G, c):
+def test_extreme_scales_give_a_result_or_a_typed_error(F, G, c, capsys):
     # C under- or overflows at these scales: the laws declare no tail constants
     laws, cost = (parse_distribution(F), parse_distribution(G)), parse_cost(c)
     assert [law.tail_constants() for law in laws] == [None, None]
@@ -245,7 +245,13 @@ def test_extreme_scales_give_a_result_or_a_typed_error(F, G, c):
             call()
         except (ValueError, NonconvergenceError):  # every type of wcost.errors is one of these
             pass
+    capsys.readouterr()
     assert main(["check", F, G, c]) in (0, 1, 2)
+
+    def strict(name):
+        raise AssertionError(f"the report holds {name}, which strict JSON has not")
+
+    json.loads(capsys.readouterr().out, parse_constant=strict)
 
 
 # --- cost/tail compatibility ---------------------------------------------------

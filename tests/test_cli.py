@@ -10,6 +10,15 @@ from wcost.estimate import read_sample_csv
 from wcost.quadrature import _tolerance
 
 
+# The report keys of README's "Report schema", in order.  The results of
+# variance and mc are the fields of their report dataclass in declaration
+# order, so a reordered field fails here.
+CONFIG_KEYS = ["command", "params", "seed", "out", "format"]
+CLT_KEYS = ["n", "replicates", "w_exact", "sigma_source", "sigma2_value", "trim_eps",
+            "estimates", "standardized", "ks_distance", "coverage", "assumptions_ok",
+            "notes", "runtime"]
+
+
 def invoke(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -148,7 +157,8 @@ def test_variance_gaussian_method_and_diagnostics_flag(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 32.0
-    assert "diagnostics" in payload
+    assert list(payload) == ["config", "value", "est_error", "method", "diagnostics"]
+    assert list(payload["config"]) == CONFIG_KEYS
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -318,6 +328,9 @@ def test_mc_clt_run_with_z_csv(capsys, tmp_path):
     code, out, _ = invoke(capsys, "mc", cfgp, "--z-csv", zp)
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["config", *CLT_KEYS, "z_csv"]
+    assert list(payload["config"]) == CONFIG_KEYS
+    assert list(payload["estimates"]) == ["mean", "var", "skew"]
     assert payload["replicates"] == 120
     assert 0.0 <= payload["ks_distance"] <= 1.0
     assert payload["config"]["params"]["resolved_trim_eps"] == pytest.approx(400 ** -0.25)
@@ -330,6 +343,9 @@ def test_mc_trimmed_experiment(capsys, tmp_path):
     code, out, _ = invoke(capsys, "mc", cfgp)
     assert code == 0
     payload = json.loads(out)
+    assert list(payload) == ["config", "plain", "trimmed", "trim_eps", "scaled_gap_mean",
+                             "scaled_gap_max"]
+    assert list(payload["plain"]) == list(payload["trimmed"]) == CLT_KEYS
     assert payload["scaled_gap_mean"] > 0.0
     assert payload["trimmed"]["trim_eps"] == pytest.approx(400 ** -0.25)
     assert payload["plain"]["trim_eps"] == 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from wcost.coupling import (
     Comonotone,
@@ -68,6 +69,21 @@ def test_copula_boundary_values(cp):
     assert cp.copula_cdf(1.0, 0.6) == pytest.approx(0.6, abs=1e-12)
     assert cp.copula_cdf(0.6, 1.0) == pytest.approx(0.6, abs=1e-12)
     assert cp.copula_cdf(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [-0.999, 0.6, 0.999])
+def test_gaussian_copula_boundary_values_on_arrays(r):
+    # ndtri sends 0 and 1 to -inf and +inf, where bvn_cdf takes the exact limits
+    levels = np.array([0.0, 1e-12, 0.3, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+    u, v = np.meshgrid(levels, levels[::-1])
+    c = GaussianCopula(r).copula_cdf(u, v)
+    assert c.shape == u.shape
+    zero = (u == 0.0) | (v == 0.0)
+    assert np.all(c[zero] == 0.0)
+    for one, other in ((u == 1.0, v), (v == 1.0, u)):
+        assert np.all(np.abs(c[one] - other[one]) <= 2.0**-52)
+    interior = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
+    assert np.array_equal(c[interior], bvn_cdf(ndtri(u[interior]), ndtri(v[interior]), r))
 
 
 @pytest.mark.parametrize("cp", ALL_COUPLINGS)
