@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
+from .costs import Cost, ExpPowerCost, LogPowerCost, PowerCost
 from .distributions import Distribution, reflect
 from .errors import UnsupportedCostError
 
@@ -33,7 +33,6 @@ __all__ = [
     "check_fg",
     "check_cfg",
     "verify_triple",
-    "reflected_cost",
     "heavier_right",
     "tail_gate",
 ]
@@ -263,15 +262,15 @@ def heavier_right(F: Distribution, G: Distribution) -> Distribution:
     return F if float(F.quantile(u)) >= float(G.quantile(u)) else G
 
 
-def reflected_cost(c: Cost) -> Cost:
-    """The cost seen by the reflected pair (-X, -Y).
+def _sides(F: Distribution, G: Distribution):
+    """Each tail side as (side, A, B, lead): the pair as given, then reflected.
 
-    Radial costs are symmetric in the gap so reflection leaves them fixed;
-    the pinball cost swaps its over/under weights.
+    ``lead`` is ``heavier_right(A, B)``.  The cost needs no reflection: the
+    radial costs are symmetric in the gap, and the pinball cost has no tail
+    profile, so no verdict depends on its weights.
     """
-    if isinstance(c, QuantileCost):
-        return QuantileCost(1.0 - c.alpha)
-    return c
+    for side, A, B in (("right", F, G), ("left", reflect(F), reflect(G))):
+        yield side, A, B, heavier_right(A, B)
 
 
 # --- the tail gate ---------------------------------------------------------------
@@ -341,13 +340,8 @@ def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> Ga
 
 def _side_verdicts(F: Distribution, G: Distribution, c: Cost, which) -> dict[str, GateVerdict]:
     """``tail_gate``'s verdict on each tail side whose lead law is unbounded, keyed by side."""
-    verdicts = {}
-    for side, A, B, cost in (("right", F, G, c),
-                             ("left", reflect(F), reflect(G), reflected_cost(c))):
-        lead = heavier_right(A, B)
-        if math.isinf(lead.support()[1]):
-            verdicts[side] = _side_gate(A, B, lead, cost, side, which)
-    return verdicts
+    return {side: _side_gate(A, B, lead, c, side, which)
+            for side, A, B, lead in _sides(F, G) if math.isinf(lead.support()[1])}
 
 
 def _worst(verdicts: dict[str, GateVerdict]) -> GateVerdict:
@@ -412,47 +406,40 @@ class TripleReport:
         }
 
 
-def _one_side(F: Distribution, G: Distribution, c: Cost, side: str) -> tuple[AssumptionReport, bool]:
-    # the marginal conditions name F as the heavier tail
-    heavy = heavier_right(F, G)
-    swapped = heavy is not F
-    light = F if swapped else G
-
-    if not math.isinf(heavy.support()[1]):
-        # no unbounded tail at all on this side: every condition is vacuous
-        na = ConditionStatus("not-applicable",
-                             note="both supports bounded on this side; tail conditions vacuous")
-        report = AssumptionReport(fg1=na, fg2=na, fg3=na, fg4=na, fg5=na,
-                                  cfg=na, side=side, theta1=c.theta1())
-        return report, swapped
-    if not math.isinf(light.support()[1]):
-        # lighter law compactly supported: marginal checks apply to the heavy
-        # law alone and the separation condition is discarded
-        report, _ = _marginal_report((heavy,))
-        report.fg4 = ConditionStatus(
-            "not-applicable",
-            note="lighter law compactly supported on this side; separation condition discarded")
-    else:
-        report = check_fg(heavy, light)
-    report.side = side
-    report.theta1 = c.theta1()
-    gate = _side_gate(F, G, heavy, c, side, ("x", "y"))
-    report.cfg = ConditionStatus(gate.status, gate.margin, None, gate.rule)
-    return report, swapped
-
-
 def verify_triple(F: Distribution, G: Distribution, c: Cost) -> TripleReport:
     """Run the full hypothesis set on both tails of (F, G, c).
 
-    The right tail is checked for the pair as given; the left tail is checked
-    after reflecting both laws (and the cost, which matters only for the
-    asymmetric pinball cost).  On each side the heavier-tailed law takes the
-    lead role automatically.  Each side's compatibility condition ``cfg`` is
-    ``tail_gate``'s verdict there, its margin the witness value and its rule
-    the note.  ``all_pass`` reads every condition reported.  Each side places
-    its own threshold m, as ``check_fg`` does.
+    The right tail is checked for the pair as given, the left one after
+    reflecting both laws (``_sides``).  On each side the heavier-tailed law
+    takes the lead role automatically.  Each side's compatibility condition
+    ``cfg`` is ``tail_gate``'s verdict there, its margin the witness value and
+    its rule the note.  ``all_pass`` reads every condition reported.  Each
+    side places its own threshold m, as ``check_fg`` does.
     """
-    right, sw_r = _one_side(F, G, c, "right")
-    left, sw_l = _one_side(reflect(F), reflect(G), reflected_cost(c), "left")
-    return TripleReport(right=right, left=left, theta1=c.theta1(),
-                        swapped_right=sw_r, swapped_left=sw_l)
+    theta1 = c.theta1()
+    reports, swapped = [], []  # right side, then left
+    for side, A, B, heavy in _sides(F, G):
+        # the marginal conditions name the heavier tail first
+        swapped.append(heavy is not A)
+        light = A if swapped[-1] else B
+        if not math.isinf(heavy.support()[1]):
+            # no unbounded tail at all on this side: every condition is vacuous
+            na = ConditionStatus("not-applicable",
+                                 note="both supports bounded on this side; tail conditions vacuous")
+            reports.append(AssumptionReport(fg1=na, fg2=na, fg3=na, fg4=na, fg5=na,
+                                            cfg=na, side=side, theta1=theta1))
+            continue
+        if not math.isinf(light.support()[1]):
+            # lighter law compactly supported: marginal checks apply to the heavy
+            # law alone and the separation condition is discarded
+            report, _ = _marginal_report((heavy,))
+            report.fg4 = ConditionStatus(
+                "not-applicable",
+                note="lighter law compactly supported on this side; separation condition discarded")
+        else:
+            report = check_fg(heavy, light)
+        report.side, report.theta1 = side, theta1
+        gate = _side_gate(A, B, heavy, c, side, ("x", "y"))
+        report.cfg = ConditionStatus(gate.status, gate.margin, None, gate.rule)
+        reports.append(report)
+    return TripleReport(*reports, theta1, *swapped)

@@ -450,11 +450,22 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
     margin says, and the mesh starts again.
     Returns (value, est_error, per-term diagnostics) before clamping; raises
     NonconvergenceError, naming the largest part of the error, when the error
-    bound misses the tolerance.
+    bound misses the tolerance, and at the first point where a sampled slope
+    is not finite.
     """
+    def sampled(t):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            p = np.asarray(f(t), dtype=float)
+        bad = t[~np.all(np.isfinite(p), axis=0)]
+        if bad.size:
+            raise NonconvergenceError(
+                f"influence: the cost slopes are not finite near s = "
+                f"{abs(bad[0]) + _LOG2:.4g} on the {_HALVES[int(bad[0] >= 0.0)]} tail")
+        return p
+
     depths = [depth or _depth(m, q, side) for m, side in zip(margins, _HALVES)]
     while True:
-        mesh = CumulativeMesh(f, _breaks(depths))
+        mesh = CumulativeMesh(sampled, _breaks(depths))
         kept = None  # (panel count, terms) of the last measurement
         series = {}
 
@@ -463,11 +474,6 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
             # A split always adds panels, so the first cross round, on the mesh
             # that the last round without it measured, reuses that round's terms.
             if kept is None or kept[0] != mesh.panels:
-                bad = mesh.mid[~np.all(np.isfinite(mesh.p), axis=(0, 2))]
-                if bad.size:
-                    raise NonconvergenceError(
-                        f"influence: the cost slopes are not finite near s = "
-                        f"{abs(bad[0]) + _LOG2:.4g} on the {_HALVES[int(bad[0] >= 0.0)]} tail")
                 kept = (mesh.panels, _influence_terms(mesh, cp, margins))
             terms = kept[1]
             if cross:

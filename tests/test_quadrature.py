@@ -11,18 +11,14 @@ from wcost.distributions import Gaussian
 from wcost.quadrature import (
     CumulativeMesh,
     QuadratureConfig,
-    _gk15_panel_2d,
     _tail_limit,
     _tolerance,
     gk15_fixed,
     integrate_1d,
-    integrate_2d,
     integrate_open01,
-    integrate_square_open,
 )
 
 CFG = QuadratureConfig()
-LOOSE = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-5)
 
 
 def test_config_validation():
@@ -126,45 +122,6 @@ def test_open01_raises_on_a_nan_error_estimate():
                          replace(CFG, max_subdivisions=50))
 
 
-def test_integrate_2d_separable():
-    v, _ = integrate_2d(lambda x, y: np.exp(x) * np.sin(y), (0.0, 1.0), (0.0, math.pi), CFG)
-    assert v == pytest.approx((math.e - 1.0) * 2.0, rel=1e-11)
-
-
-def test_square_open_bridge_kernel():
-    # The Brownian-bridge covariance integrates to 1/12 over the square.
-    # The kink of min(u,v) along the diagonal caps the tensor rule's accuracy.
-    v, e = integrate_square_open(lambda u, vv: np.minimum(u, vv) - u * vv, CFG)
-    assert v == pytest.approx(1.0 / 12.0, rel=1e-7)
-
-
-def test_square_open_corner_singularity():
-    v, e = integrate_square_open(lambda u, vv: (u * vv) ** -0.25, CFG)
-    assert v == pytest.approx((4.0 / 3.0) ** 2, rel=1e-8)
-
-
-def test_square_open_variance_identity_pareto():
-    # For h the density quantile of any law X, the bridge kernel scaled by
-    # 1/(h(u)h(v)) integrates to Var(X); Pareto(5) has variance 5/48.
-    h = lambda t: 5.0 * (1.0 - t) ** 1.2
-    f = lambda u, v: (np.minimum(u, v) - u * v) / (h(u) * h(v))
-    v, e = integrate_square_open(f, LOOSE)
-    assert v == pytest.approx(5.0 / 48.0, rel=1e-4)
-    assert abs(v - 5.0 / 48.0) <= e
-
-
-def test_square_open_variance_identity_gaussian():
-    hg = lambda t: np.exp(-0.5 * special.ndtri(t) ** 2) / math.sqrt(2.0 * math.pi)
-    f = lambda u, v: (np.minimum(u, v) - u * v) / (hg(u) * hg(v))
-    v, e = integrate_square_open(f, LOOSE)
-    assert v == pytest.approx(1.0, rel=1e-5)
-
-
-def test_square_open_detects_divergence():
-    with pytest.raises(NonconvergenceError):
-        integrate_square_open(lambda u, v: 1.0 / ((1.0 - u) * (1.0 - v)), CFG)
-
-
 def test_results_are_deterministic():
     f = lambda u: (1.0 + special.ndtri(u)) ** 2
     a = integrate_open01(f, CFG)
@@ -203,20 +160,6 @@ def _reference_1d(f, a, b, cfg):
     return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
 
 
-def _reference_2d(f, xspan, yspan, cfg):
-    def split(entry):
-        _, a, b, c, d, _ = entry
-        mx, my = 0.5 * (a + b), 0.5 * (c + d)
-        return [(-e, qa, qb, qc, qd, v)
-                for qa, qb, qc, qd in ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d))
-                for v, e in [_gk15_panel_2d(f, qa, qb, qc, qd)]]
-
-    val, err = _gk15_panel_2d(f, *xspan, *yspan)
-    heap = _resumming_reference([(-err, *xspan, *yspan, val)], split, cfg, 0.0)
-    panels = sorted(heap, key=lambda p: (p[1], p[3]))
-    return math.fsum(p[5] for p in panels), math.fsum(-p[0] for p in panels)
-
-
 @pytest.mark.parametrize("f, cfg", [
     (lambda x: np.abs(x - 0.3333) ** 0.51, CFG),
     (lambda x: 1.0 / np.sqrt(x + 1e-12), CFG),
@@ -225,13 +168,6 @@ def _reference_2d(f, xspan, yspan, cfg):
 ])
 def test_integrate_1d_matches_the_resumming_loop_bit_for_bit(f, cfg):
     assert integrate_1d(f, 0.0, 1.0, cfg, raise_on_stall=False) == _reference_1d(f, 0.0, 1.0, cfg)
-
-
-@pytest.mark.parametrize("cfg", [LOOSE, replace(LOOSE, max_subdivisions=100)])
-def test_integrate_2d_matches_the_resumming_loop_bit_for_bit(cfg):
-    f = lambda u, v: (np.minimum(u, v) - u * v) / np.sqrt(u * v * (1.0 - u) * (1.0 - v))
-    span = (1e-4, 1.0 - 1e-4)
-    assert integrate_2d(f, span, span, cfg, raise_on_stall=False) == _reference_2d(f, span, span, cfg)
 
 
 # --- cumulative mesh --------------------------------------------------------------

@@ -8,7 +8,9 @@ couplings, both one-sample variances and the exact cost, each from
 ``est_error`` plus the tolerance of its config; ``exact_cost`` returns no error
 estimate, and its own stays within the tolerance, so it gets twice the
 tolerance.  ``KNOWN`` lists the rows that miss or raise; a listed row that
-passes fails the test, so the list shrinks as defects are mended.  The
+passes fails the test, so the list shrinks as defects are mended.  A variance
+row should also lie within its ``est_error`` alone; ``UNDER_COVERED`` lists,
+just as strictly, the rows where it does not (ROADMAP defect 11).  The
 triples whose gate fails raise ``HypothesisGateError``.  Both oracle files
 hold exactly what their scripts write.
 """
@@ -77,9 +79,22 @@ KNOWN = {
     ('weibull(1.5)', 'pareto(8)', 'power(3)', 'exact_cost'),  # divergent
 }
 
+#: The variance rows whose miss exceeds their ``est_error`` alone (by 1.3-2.1 times)
+#: though not ``est_error`` plus the tolerance: N(0,1)/Pareto(10) under power(1.5),
+#: whose quantiles cross twice (ROADMAP defect 11).
+UNDER_COVERED = {
+    (f, g, 'power(1.5)', kind)
+    for f, g, one_sample in (('gaussian(0,1)', 'pareto(10)', 'one_sample_x'),
+                             ('pareto(10)', 'gaussian(0,1)', 'one_sample_y'))
+    for kind in ('independent', 'comonotone', 'countermonotone', one_sample)
+}
+
 
 def _outcome(row):
-    """(value, allowed distance from the oracle), or the error message."""
+    """(value, est_error, allowed distance from the oracle), or the error message.
+
+    ``exact_cost`` has no error estimate, so its est_error is None.
+    """
     F, G, c = (parse_distribution(row["F"]), parse_distribution(row["G"]),
                parse_cost(row["cost"]))
     kind = row["kind"]
@@ -87,31 +102,38 @@ def _outcome(row):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # some pairs nearly coincide in a tail
             if kind == "exact_cost":
-                return exact_cost(F, G, c), 2.0 * _tolerance(QuadratureConfig(), row["value"])
+                return (exact_cost(F, G, c), None,
+                        2.0 * _tolerance(QuadratureConfig(), row["value"]))
             if kind.startswith("one_sample_"):
                 res = sigma2_one_sample(F, G, c, kind[-1])
             else:
                 res = sigma2(F, G, c, parse_coupling(kind))
     except NonconvergenceError as exc:
         return str(exc)
-    return res.value, res.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, row["value"])
+    return (res.value, res.est_error,
+            res.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, row["value"]))
 
 
 @pytest.mark.parametrize("kind", variance_oracles.KINDS)
 def test_stress_matrix_rows_meet_their_oracles(kind):
     rows = [row for row in ROWS if row["kind"] == kind]
     assert rows
-    missed = {}
+    missed, under = {}, {}
     for row in rows:
-        out = _outcome(row)
-        if isinstance(out, str) or not abs(out[0] - row["value"]) <= out[1]:
-            missed[(row["F"], row["G"], row["cost"], kind)] = out
+        out, key = _outcome(row), (row["F"], row["G"], row["cost"], kind)
+        if isinstance(out, str) or not abs(out[0] - row["value"]) <= out[2]:
+            missed[key] = out
+        elif out[1] is not None and not abs(out[0] - row["value"]) <= out[1]:
+            under[key] = out
     # a variance whose gate passed is never called divergent
     assert kind == "exact_cost" or not any(
         isinstance(out, str) and "divergent" in out for out in missed.values())
     known = {key for key in KNOWN if key[3] == kind}
     assert set(missed) - known == set(), {key: missed[key] for key in set(missed) - known}
     assert known - set(missed) == set(), "listed as known but now within bound"
+    under_covered = {key for key in UNDER_COVERED if key[3] == kind}
+    assert set(under) - under_covered == set(), {key: under[key] for key in set(under) - under_covered}
+    assert under_covered - set(under) == set(), "listed as under-covered but now within est_error"
 
 
 def test_stress_matrix_triples_without_rows_fail_the_gate():
