@@ -1,0 +1,89 @@
+"""Recorded CLI reports: what a fixed list of ``wcost`` commands prints.
+
+``tests/reports/`` holds one text file per entry of ``COMMANDS``: a header
+with the numpy and scipy versions that wrote it and the command line, then
+the exit code, stdout with any ``runtime`` line removed, stderr, and the
+warnings raised.  Each command runs in-process through ``wcost.cli.main``.
+``test_reports.py`` runs the list and compares the text, so a change that
+moves a report shows as a diff of its file.  Regenerate the files with
+
+    PYTHONPATH=src python3 tests/reports.py --write
+
+Not collected as tests.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import warnings
+
+import numpy
+import scipy
+
+from wcost.cli import main
+
+DIRECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reports")
+
+#: The benchmark pair: N(0,1) against N(2,1) under power(2).
+_PAIR = ("gaussian(0,1)", "gaussian(2,1)", "power(2)")
+
+COMMANDS = {
+    "check-pareto5-translated": ["check", "pareto(5)", "locscale(pareto(5),1,1)", "power(2)"],
+    # C = 1/(2 sd^2) overflows at sd 1e-200
+    "check-gaussian-sd1e-200": ["check", "gaussian(0,1e-200)", "gaussian(1e-200,1e-200)",
+                                "power(2)"],
+    # C = a^-2 overflows at scale 1e-200
+    "check-weibull-scale1e-200": ["check", "locscale(weibull(2),1e-200,0)",
+                                  "locscale(weibull(2),1e-200,1e-200)", "power(2)"],
+    # C = 1/(2 sd^2) underflows at sd 1e200
+    "check-gaussian-sd1e200-exppower": ["check", "gaussian(0,1e200)", "gaussian(1e200,1e200)",
+                                        "exppower(2)"],
+    "check-gaussian-sd1e200-logpower": ["check", "gaussian(1e200,1e200)", "exponential(1)",
+                                        "logpower(0.5)"],
+    "variance-gaussian-sd1e200-logpower": ["variance", "gaussian(1e200,1e200)", "exponential(1)",
+                                           "logpower(0.5)", "independent"],
+    **{f"variance-pair-{name}": ["variance", *_PAIR, kind, "--diagnostics"]
+       for name, kind in (("independent", "independent"), ("comonotone", "comonotone"),
+                          ("countermonotone", "countermonotone"), ("gauss0.5", "gauss(0.5)"))},
+}
+
+
+def versions() -> str:
+    """The header line that names the numerical libraries."""
+    return f"numpy {numpy.__version__} scipy {scipy.__version__}"
+
+
+def path(name: str) -> str:
+    return os.path.join(DIRECTORY, f"{name}.txt")
+
+
+def run(argv: list[str]) -> str:
+    """The report text of one command, below the version line."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    stdout = "".join(line for line in out.getvalue().splitlines(keepends=True)
+                     if not line.lstrip().startswith('"runtime":'))
+    raised = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return (f"$ wcost {' '.join(argv)}\nexit {code}\n--- stdout\n{stdout}"
+            f"--- stderr\n{err.getvalue()}--- warnings\n{raised}")
+
+
+def write() -> None:
+    os.makedirs(DIRECTORY, exist_ok=True)
+    for name, argv in COMMANDS.items():
+        with open(path(name), "w") as fh:
+            fh.write(f"{versions()}\n{run(argv)}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--write", action="store_true", help="regenerate tests/reports/")
+    if not parser.parse_args().write:
+        parser.error("nothing to do without --write")
+    write()
+    sys.exit(0)
