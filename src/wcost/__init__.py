@@ -4,7 +4,6 @@ from .errors import (
     DegenerateSampleError,
     HypothesisGateError,
     NonconvergenceError,
-    SingularPointError,
     UnsupportedCostError,
 )
 from .distributions import (

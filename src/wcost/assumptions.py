@@ -5,11 +5,13 @@ of the pair (F, G), structural properties of the cost, and a compatibility
 condition tying the heavier tail to the cost's growth.  The marginal
 conditions fg1-fg3 and fg5 are decided from each law's declared tail
 constants (gamma, C), whose limits make them bounded; ``tail_gate`` decides
-the compatibility condition in closed form, for ``sigma2``, the Monte Carlo
-precheck and ``verify_triple`` alike.  Only two checks still read grids: the
-quantile gap fg4, on a tail u-grid, and ``check_cfg``, the gate's fallback
-for a law or cost outside its table.  Each reports a pass/fail with its
-witness value and location; the grids are spelled out in the docstrings.
+the compatibility condition in closed form from the same constants, for
+``sigma2``, the Monte Carlo precheck and ``verify_triple`` alike, and is
+not-applicable for a law or cost outside its table.  Two checks read grids:
+the quantile gap fg4, on a tail u-grid, and ``check_cfg``, the paper's
+literal condition, which the gate does not call.  Each reports a pass/fail
+with its witness value and location; the grids are spelled out in the
+docstrings.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 from .costs import Cost, ExpPowerCost, LogPowerCost, PowerCost
 from .distributions import Distribution, reflect
-from .errors import UnsupportedCostError
 
 __all__ = [
     "ConditionStatus",
@@ -63,10 +64,11 @@ class ConditionStatus:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
+        value = self.witness_value  # JSON has no -inf, the margin of an unbounded growth rate
         return {
             "status": self.status,
             "witness": self.witness_location,
-            "value": self.witness_value,
+            "value": value if value is None or math.isfinite(value) else None,
             "note": self.note,
         }
 
@@ -222,8 +224,9 @@ def check_cfg(F: Distribution, c: Cost) -> CfgResult:
     x = l(F^{-1}(u)) on 64 geometric tail levels 1-u in [1e-6, 1e-10]; the
     result reports the minimal margin over the grid and passes iff it
     exceeds -1e-6.  Raises ValueError when a grid point is zero or not
-    finite, as where l(F^{-1}(u)) overflows.  ``tail_gate`` falls back on it
-    for laws or costs outside its closed-form table.
+    finite, as where l(F^{-1}(u)) overflows.  Its verdict can move with the
+    scale of F, so ``tail_gate`` decides from the tail constants instead and
+    never calls it.
     """
     theta = 1.0 + c.theta1() + 0.25
     with np.errstate(over="ignore"):
@@ -248,9 +251,10 @@ def heavier_right(F: Distribution, G: Distribution) -> Distribution:
     tail constants (gamma, C) rank the tails: the smaller class gamma wins, so
     a Pareto tail is heavier than an exponential one however the two compare
     at any finite depth, and within one class the smaller C wins (the smaller
-    Pareto index, or the slower stretched-exponential rate).  The quantile at
-    1 - 1e-8 decides only when the constants tie or one is undeclared.  The
-    tail conditions and ``tail_gate`` take their lead law from here.
+    Pareto index, or the slower stretched-exponential rate).  A C that left
+    the floats ranks at its limit, 0 or inf.  The quantile at 1 - 1e-8
+    decides only when the constants tie or one is undeclared.  The tail
+    conditions and ``tail_gate`` take their lead law from here.
     """
     f_unbounded = math.isinf(F.support()[1])
     if f_unbounded != math.isinf(G.support()[1]):
@@ -284,8 +288,10 @@ class GateVerdict:
 
     The witness is the tail ``side``, the ``marginal`` ("x" or "y") whose
     quantile the rule read, the ``margin`` (1/2 - lambda - delta, -inf for a
-    slope that outgrows every power of the lead quantile, or ``check_cfg``'s
-    margin on the grid fallback) and the ``rule`` that decided.
+    slope that outgrows every power of the lead quantile) and the ``rule``
+    that decided.  A side the rule cannot size is not-applicable, with no
+    margin and the reason as its rule; its ``marginal`` names the law that
+    declares no tail constants, and is None for a cost outside the table.
     """
 
     status: str
@@ -299,16 +305,21 @@ class GateVerdict:
         return self.status == "fail"
 
 
+def _reciprocal(C: float):
+    """1/C exactly, or its limit: inf at C = 0 and 0 at C = inf."""
+    return math.inf if C == 0.0 else Fraction(0) if C == math.inf else 1 / Fraction(C)
+
+
 def _growth_rate(c: Cost, gamma: float, C: float):
     """lambda for the lead tail (gamma, C); None for a cost outside the table of ``tail_gate``."""
     if isinstance(c, PowerCost):
-        return (Fraction(c.alpha) - 1) / Fraction(C) if gamma == 0.0 else Fraction(0)
+        return (Fraction(c.alpha) - 1) * _reciprocal(C) if gamma == 0.0 else Fraction(0)
     if isinstance(c, LogPowerCost):
         return math.inf if gamma == 0.0 else Fraction(0)
     if isinstance(c, ExpPowerCost):
         if gamma == 0.0 or c.beta > gamma:
             return math.inf
-        return 1 / Fraction(C) if c.beta == gamma else Fraction(0)
+        return _reciprocal(C) if c.beta == gamma else Fraction(0)
     return None
 
 
@@ -328,12 +339,14 @@ def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> Ga
     L-statistic condition (del Barrio, Gine & Utzet 2005), and for L = H the
     limit of the paper's condition: phi' -> p/alpha, C or infinity against 2.
     The boundary is decided exactly (``Fraction`` of the float parameters),
-    so p = 2 alpha fails.
+    so p = 2 alpha fails.  A C that left the floats enters as its limit: at
+    beta = gamma, exppower's lambda is inf for C = 0 and 0 for C = inf.
 
-    A lead law without tail constants, or another cost, takes ``check_cfg``'s
-    grid verdict on the lead law; a cost without ``l`` or ``theta1``, or a
-    grid point that is zero or overflows, is not-applicable there, and passes.  Returns the verdict with the lowest
-    margin, a failing one first; not-applicable when no side is unbounded.
+    A side is not-applicable, and passes, where a law it reads declares no
+    tail constants or the cost is outside the table (the pinball cost, or a
+    user's cost); its rule names the reason.  Returns the verdict with the
+    lowest margin, a failing one first; not-applicable when no side is
+    unbounded.
     """
     return _worst(_side_verdicts(F, G, c, which))
 
@@ -355,25 +368,23 @@ def _worst(verdicts: dict[str, GateVerdict]) -> GateVerdict:
 def _side_gate(A: Distribution, B: Distribution, lead: Distribution, c: Cost, side: str,
                which) -> GateVerdict:
     """``tail_gate`` on one side, given its unbounded lead law (A or B)."""
-    tail = lead.tail_constants()
-    lam = None if tail is None else _growth_rate(c, *tail)
-    deltas = {}
-    for key in which:
+    lead_key = "x" if lead is A else "y"
+    tails = {}
+    for key in dict.fromkeys((lead_key, *which)):
         law = A if key == "x" else B
-        if law is not lead and not math.isinf(law.support()[1]):
-            deltas[key] = Fraction(0)  # bounded on this side
-        elif (law_tail := law.tail_constants()) is not None:
-            deltas[key] = 1 / Fraction(law_tail[1]) if law_tail[0] == 0.0 else Fraction(0)
-    if lam is None or len(deltas) < len(which):
-        try:
-            res = check_cfg(lead, c)
-        except (UnsupportedCostError, NotImplementedError) as exc:
-            return GateVerdict("not-applicable", side,
-                               rule=f"cost has no asymptotic profile l ({exc})")
-        except ValueError as exc:
-            return GateVerdict("not-applicable", side, rule=f"the grid cannot decide ({exc})")
-        return GateVerdict(res.status, side, "x" if lead is A else "y", res.margin,
-                           f"grid: check_cfg at x = {res.witness_location:.6g}")
+        if law is lead or math.isinf(law.support()[1]):  # a bounded law needs no constants
+            tails[key] = law.tail_constants()
+            if tails[key] is None:
+                return GateVerdict("not-applicable", side, key,
+                                   rule=f"{type(law).__name__} declares no tail constants (gamma, C)")
+    lam = _growth_rate(c, *tails[lead_key])
+    if lam is None:
+        return GateVerdict("not-applicable", side,
+                           rule=f"{type(c).__name__} is outside the closed-form table: "
+                                "no asymptotic profile l for its slope")
+    # delta is 1/p on a Pareto-class tail; 0 on a lighter one, or where the law is bounded
+    deltas = {key: _reciprocal(tails[key][1]) if key in tails and tails[key][0] == 0.0
+              else Fraction(0) for key in which}
     key = max(which, key=deltas.get)
     total = lam + deltas[key]
     return GateVerdict("fail" if total >= _HALF else "pass", side, key, float(_HALF - total),

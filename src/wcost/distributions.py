@@ -4,7 +4,6 @@ Every law exposes the cdf F, the quantile F^{-1}, the density f, and the three
 derived quantities the estimation theory is phrased in:
 
 * the density quantile function ``h(u) = f(F^{-1}(u))``,
-* its companion ``H(u) = (1-u) / (F^{-1}(u) h(u))``,
 * the tail exponent ``psi(x) = -log P(X > x)`` together with its inverse.
 
 Derived quantities are always computed through the composition above, never
@@ -20,7 +19,6 @@ import numpy as np
 from scipy import special
 
 from ._model import _as_array, _fmt, _numeric_args, _parse_call, _scalar_like
-from .errors import SingularPointError
 
 __all__ = [
     "Distribution",
@@ -42,11 +40,6 @@ def _check_prob_open(u) -> np.ndarray:
     if ua.size and not (ua.min() > 0.0 and ua.max() < 1.0):
         raise ValueError(f"probability level must lie in the open interval (0,1), got {u!r}")
     return ua
-
-
-def _declared(gamma: float, C: float) -> tuple[float, float] | None:
-    """The tail constants (gamma, C), or None unless C is a finite positive float."""
-    return (gamma, C) if 0.0 < C < math.inf else None
 
 
 class Distribution:
@@ -73,8 +66,9 @@ class Distribution:
     def tail_constants(self) -> tuple[float, float] | None:
         """(gamma, C) with psi(x) ~ C x^gamma at +inf, or ~ C log x for gamma = 0.
 
-        None if undeclared, or if C is not a finite positive float, as when a
-        scale near the float range makes it under- or overflow.
+        None if undeclared.  A C that a scale near the float range makes under-
+        or overflow is its limit, 0 or inf, never NaN; gamma stays.  A limit
+        that meets the other one (0 * inf) is 0: the conservative verdict.
         """
         return None
 
@@ -84,15 +78,6 @@ class Distribution:
         """h(u) = f(F^{-1}(u))."""
         ua = _check_prob_open(u)
         return _scalar_like(self.pdf(self.quantile(ua)), u)
-
-    def companion(self, u):
-        """H(u) = (1-u) / (F^{-1}(u) h(u)); undefined where the quantile is 0."""
-        ua = _check_prob_open(u)
-        q = _as_array(self.quantile(ua))
-        if np.any(q == 0.0):
-            raise SingularPointError("companion function is singular where the quantile vanishes")
-        h = _as_array(self.pdf(q))
-        return _scalar_like((1.0 - ua) / (q * h), u)
 
     def tail_exponent(self, x):
         """psi(x) = -log P(X > x); infinite beyond the support."""
@@ -149,7 +134,7 @@ class Gaussian(Distribution):
 
     def tail_constants(self):
         twice_var = 2.0 * self.sd * self.sd
-        return _declared(2.0, 1.0 / twice_var) if twice_var > 0.0 else None
+        return (2.0, 1.0 / twice_var if twice_var > 0.0 else math.inf)
 
 
 @dataclass(frozen=True)
@@ -323,15 +308,18 @@ class LocationScale(Distribution):
     def tail_constants(self):
         # psi(x) = psi_base((x - b) / a): C scales by a^-gamma (by 1 in the log class)
         tail = self.base.tail_constants()
-        try:
-            return None if tail is None else _declared(tail[0], tail[1] * self.a ** -tail[0])
-        except OverflowError:  # a ** -gamma at a scale near the float range
+        if tail is None:
             return None
+        try:
+            C = tail[1] * self.a ** -tail[0]
+        except OverflowError:  # a ** -gamma past the doubles: its limit
+            C = tail[1] * math.inf
+        return tail[0], 0.0 if math.isnan(C) else C
 
 
 @dataclass(frozen=True)
 class Reflected(Distribution):
-    """Law of -X for X ~ base (used for left-tail checks); it declares no tail constants."""
+    """Law of -X for X ~ base (used for left-tail checks)."""
 
     base: Distribution
 
@@ -362,6 +350,11 @@ class Reflected(Distribution):
     def support(self):
         lo, hi = self.base.support()
         return (-hi, -lo)
+
+    def tail_constants(self):
+        # reflect has a closed form for every shipped law whose left tail is unbounded
+        mirror = reflect(self.base)
+        return None if isinstance(mirror, Reflected) else mirror.tail_constants()
 
 
 def reflect(d: Distribution) -> Distribution:

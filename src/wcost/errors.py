@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class SingularPointError(ValueError):
-    """A quantile-side quantity is evaluated where it is undefined (e.g. F^{-1}(u)=0)."""
-
-
 class NonconvergenceError(RuntimeError):
     """A quadrature or extrapolation failed to reach its tolerance.
 

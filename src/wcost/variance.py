@@ -104,8 +104,6 @@ _HALVES = ("left", "right")
 _STANDARD = Gaussian(0.0, 1.0)
 #: The deepest mesh end in s: e^{-s} stays a normal double to s = 708.
 _DEPTH_CAP = 700.0
-#: The mesh's depth in s on a tail whose margin the gate cannot size.
-_FIXED_DEPTH = 64.0
 #: Added to the log of the relative tolerance in ``_depth``: room for the
 #: constant in front of a tail's e^{-2 m s}.
 _DEPTH_SLACK = 4.0
@@ -140,8 +138,10 @@ def _gate(F: Distribution, G: Distribution, c: Cost, which: tuple[str, ...]):
 
     Raises HypothesisGateError if the gate fails; no influence-function work
     is spent then: the variance may be infinite, or the normal limit may not
-    hold.  A bounded side's margin is 1/2, as Q tends to a limit there; a
-    side that the grid or no rule decided has None.
+    hold.  A bounded side's margin is 1/2, as Q tends to a limit there.  A
+    side the gate cannot size has no margin, and so no depth: it raises
+    ValueError naming a law that declares no tail constants, or
+    UnsupportedCostError for a cost outside the gate's table.
     """
     sides = _side_verdicts(F, G, c, which)
     verdict = _worst(sides)
@@ -150,9 +150,11 @@ def _gate(F: Distribution, G: Distribution, c: Cost, which: tuple[str, ...]):
             f"the paper's tail hypothesis fails on the {verdict.side} side, marginal "
             f"{verdict.marginal}: {verdict.rule}, margin {verdict.margin:.3g}; the asymptotic "
             "variance may be infinite, or the normal limit may not hold", verdict)
-    return asdict(verdict), [0.5 if side not in sides
-                             else sides[side].margin if sides[side].rule.startswith("closed form")
-                             else None for side in _HALVES]
+    for v in sides.values():
+        if v.margin is None:
+            raise (ValueError if v.marginal else UnsupportedCostError)(
+                f"the tail gate cannot size the {v.side} tail: {v.rule}")
+    return asdict(verdict), [sides[side].margin if side in sides else 0.5 for side in _HALVES]
 
 
 def _warn_if_tails_meet(F: Distribution, G: Distribution) -> None:
@@ -227,33 +229,26 @@ def _var_term(mesh: CumulativeMesh, X, Xb, e, margins, what: str):
     """Var X(U) for U uniform on (0, 1), from X at the nodes and ``Xb`` at the breaks.
 
     Beyond each half's depth S, X is held at its end value X_S: X_S^2 e^{-S}
-    joins E X^2.  Where X^2 e^{-s} decays like e^{-2 m s} (m from
-    ``margins``), that and the true tail are both at most X_S^2 e^{-S} / m, and
-    |X| e^{-s} decays faster: the half's tail bound.  A margin of None is half
-    the decay rate over the last panel, and a tail that does not decay raises.
-    A panel's error share is its Kronrod-minus-Gauss gaps plus its
-    slope-integral discrepancy ``e`` times twice the integral of |X| + |E X|
-    from the panel outward.  Returns (variance, per-panel shares, per-half
-    tail bounds, 0.0 for no other part).
+    joins E X^2.  As X^2 e^{-s} decays like e^{-2 m s} (m from ``margins``),
+    that and the true tail are both at most X_S^2 e^{-S} / m, and |X| e^{-s}
+    decays faster: the half's tail bound.  A panel's error share is its
+    Kronrod-minus-Gauss gaps plus its slope-integral discrepancy ``e`` times
+    twice the integral of |X| + |E X| from the panel outward.  Returns
+    (variance, per-panel shares, per-half tail bounds, 0.0 for no other
+    part); raises NonconvergenceError where E X^2 overflows the doubles.
     """
     w = _weights(mesh.nodes())
-    (s2, d2), (s1, d1), (a, _) = (mesh.panel_sums(v * w) for v in (X * X, X, np.abs(X)))
     lo, hi = mesh.breaks[:-1], mesh.breaks[1:]
     end, depth = Xb[[0, -1]], np.abs(mesh.breaks[[0, -1]]) + _LOG2
     mass = np.exp(-depth)
-    i2 = math.fsum(s2.tolist()) + float(np.sum(end * end * mass))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        (s2, d2), (s1, d1), (a, _) = (mesh.panel_sums(v * w) for v in (X * X, X, np.abs(X)))
+        held = end * end * mass
+    if not (np.all(np.isfinite(s2)) and np.all(np.isfinite(held))):
+        raise NonconvergenceError(f"{what}: the variance overflows the doubles")
+    i2 = math.fsum(s2.tolist()) + float(np.sum(held))
     i1 = math.fsum(s1.tolist()) + float(np.sum(end * mass))
-    inner = np.abs(mesh.breaks[[1, -2]]) + _LOG2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate = np.log(Xb[[1, -2]] ** 2 * np.exp(-inner) / (end * end * mass)) / (depth - inner)
-    # a half without a margin takes half the decay rate of X^2 e^{-s} over its last panel
-    m = np.array([margin if margin is not None else 0.5 * rate[h] if end[h] else math.inf
-                  for h, margin in enumerate(margins)])
-    if not np.all(m > 0.0):
-        h = int(np.argmin(m > 0.0))
-        raise NonconvergenceError(
-            f"{what}: the {_HALVES[h]} tail does not decay by depth s = {depth[h]:.4g}")
-    tails = (end * end + 2.0 * abs(i1) * np.abs(end)) * mass / m
+    tails = (end * end + 2.0 * abs(i1) * np.abs(end)) * mass / np.asarray(margins)
     k0 = int(np.searchsorted(lo, 0.0))
     beyond = np.concatenate((np.cumsum(a[:k0]) + abs(end[0]) * mass[0],
                              np.cumsum(a[k0:][::-1])[::-1] + abs(end[1]) * mass[1]))
@@ -365,13 +360,15 @@ def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, x, y, margi
         weights = (rk, rk - 1.0)[:len(forms)]
         running = [form[0] + np.cumsum(wk * a * b) for form, wk in zip(forms, weights)]
         tx, ty = vx - squares[:, 0], vy - squares[:, 1]
-        bounds = [np.abs(rk * r) * np.sqrt(np.maximum(tx + ex, 0.0) * np.maximum(ty + ey, 0.0))]
+        # a product of square roots: the product of two variances may underflow
+        bounds = [np.abs(rk * r) * np.sqrt(np.maximum(tx + ex, 0.0))
+                  * np.sqrt(np.maximum(ty + ey, 0.0))]
         done = (tx <= ex) & (ty <= ey)
         value = vx + vy + 2.0 * running[0]
         if one:
             rx, ry = d[0] - squares[:, 2], d[1] - squares[:, 3]
-            bounds.append((1.0 - r) * np.sqrt(np.maximum(rx + d[2], 0.0)
-                                              * np.maximum(ry + d[3], 0.0)))
+            bounds.append((1.0 - r) * np.sqrt(np.maximum(rx + d[2], 0.0))
+                          * np.sqrt(np.maximum(ry + d[3], 0.0)))
             done |= (rx <= d[2]) & (ry <= d[3])
             value = np.where(bounds[0] <= bounds[1], value, one[0] + 2.0 * running[1])
         tight = np.minimum.reduce(bounds)
@@ -411,14 +408,12 @@ def _cross_term(mesh: CumulativeMesh, r: float, q: QuadratureConfig, x, y, margi
             {"series_terms": int(k[n - 1]), "truncation_bound": 2.0 * bound})
 
 
-def _depth(margin: float | None, q: QuadratureConfig, side: str) -> float:
+def _depth(margin: float, q: QuadratureConfig, side: str) -> float:
     """The depth in s where e^{-2 m s} / m of a tail of margin m meets the tolerance squared.
 
     The square is for the cross term's Cauchy--Schwarz tail bound, the square
-    root of the variances' ones.  A margin of None takes ``_FIXED_DEPTH``.
+    root of the variances' ones.
     """
-    if margin is None:
-        return _FIXED_DEPTH
     decades = 2.0 * (math.log(2.0 * _INNER_TIGHTENING / q.rel_tol) + _DEPTH_SLACK)
     return _deep_enough(_LOG2 + (decades - math.log(margin)) / (2.0 * margin), margin, side)
 
@@ -439,19 +434,19 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
 
     ``f`` maps points sigma to the stacked slopes times du/dsigma (one row and
     ``cp`` None for a single influence function; two rows, x then y,
-    otherwise).  ``margins`` holds the tail margin m of each half (left,
-    right): inf where holding Q constant beyond the mesh is exact (a window
-    ``depth`` deep), None where no rule sizes it; ``_depth`` sets the depth
-    of the others.  The mesh starts from ``_breaks`` and is bisected where
-    the error shares concentrate, worst first, until they total at most the
-    tolerance over the inner tightening, or the panel budget is spent; a
-    Gaussian copula's cross term joins once the others meet it.  A half whose
-    tail bound takes more than half that target goes as much deeper as its
-    margin says, and the mesh starts again.
+    otherwise).  ``margins`` holds the gate's tail margin m > 0 of each half
+    (left, right): inf where holding Q constant beyond the mesh is exact (a
+    window ``depth`` deep); ``_depth`` sets the depth of the others.  The
+    mesh starts from ``_breaks`` and is bisected where the error shares
+    concentrate, worst first, until they total at most the tolerance over the
+    inner tightening, or the panel budget is spent; a Gaussian copula's cross
+    term joins once the others meet it.  A half whose tail bound takes more
+    than half that target goes as much deeper as its margin says, and the
+    mesh starts again.
     Returns (value, est_error, per-term diagnostics) before clamping; raises
     NonconvergenceError, naming the largest part of the error, when the error
-    bound misses the tolerance, and at the first point where a sampled slope
-    is not finite.
+    bound misses the tolerance, at the first point where a sampled slope is
+    not finite, and where a variance overflows the doubles.
     """
     def sampled(t):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -496,8 +491,7 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
                     exhausted = True
                     break
         tails = sum(weight * t for _, weight, _, _, t, _ in terms)
-        deeper = [h for h, m in enumerate(margins)
-                  if tails[h] > 0.5 * target and m is not None and math.isfinite(m)]
+        deeper = [h for h, m in enumerate(margins) if tails[h] > 0.5 * target and math.isfinite(m)]
         if not deeper:
             break
         for h in deeper:
@@ -570,9 +564,10 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     HypothesisGateError (a NonconvergenceError) when the gate finds the
     paper's tail hypothesis false, NonconvergenceError when the quadrature
     misses its tolerance, naming the largest part of its error (or the side
-    and margin of a tail too near the frontier to reach), and
-    UnsupportedCostError for costs without the gradient and radial-slope
-    machinery.
+    and margin of a tail too near the frontier to reach, or a variance past
+    the doubles), UnsupportedCostError for costs without the gradient or
+    outside the gate's table, and ValueError naming a law that declares no
+    tail constants: no tail depth is guessed where the gate has no margin.
     """
     if q is None:
         q = DEFAULT_VARIANCE_CONFIG
@@ -581,7 +576,7 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     gate, margins = _gate(F, G, c, ("x", "y"))
     if isinstance(cp, Countermonotone):
         # each half pairs x's tail on one side with y's on the other
-        margins = [None if None in margins else min(margins)] * 2
+        margins = [min(margins)] * 2
     v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q, margins)
     value, err, clamp = _clamped(v, e, "variance integral")
     return VarianceResult(value, err, "quadrature",
@@ -617,7 +612,7 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
     matching partial slope of the cost along the quantile diagonal over the same
     marginal's quantile density (see ``sigma2``).  Under independent pairing the
     two sides add up to the two-sample value.  The tail gate reads only this
-    side's marginal, and its margins set the depth.
+    side's marginal, and its margins set the depth, raising as in ``sigma2``.
     """
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")

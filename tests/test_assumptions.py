@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wcost.distributions as distributions_module
-from wcost import Independent, parse_cost, parse_distribution, sigma2
+from wcost import Independent, parse_cost, parse_distribution, sigma2, sigma2_one_sample
 from wcost.assumptions import (
     check_cfg,
     check_fg,
@@ -26,7 +26,7 @@ from wcost.distributions import (
     Weibull,
     reflect,
 )
-from wcost.errors import NonconvergenceError
+from wcost.errors import NonconvergenceError, UnsupportedCostError
 
 import triple_matrix
 
@@ -171,14 +171,19 @@ def test_threshold_scales_with_the_laws(scale):
 
 
 def test_growth_law_trips_the_trend_heuristic():
-    # no tail constants to take the limits from: fg1-fg3 and fg5 are
-    # not-applicable, and the law still fails overall through cfg's grid
+    # no tail constants to take the limits from: fg1-fg3, fg5 and cfg are
+    # not-applicable and say so, and the variance refuses the law by name
     tr = verify_triple(_StretchTail(), Exponential(0.001), P2)
     r = tr.right
     for s in (r.fg1, r.fg2, r.fg3, r.fg5):
         assert s.status == "not-applicable" and "no tail constants" in s.note
-    assert r.cfg.status == "fail" and r.cfg.note.startswith("grid: check_cfg")
-    assert not tr.all_pass
+    assert r.cfg.status == "not-applicable"
+    assert r.cfg.note == "_StretchTail declares no tail constants (gamma, C)"
+    for call in (lambda: sigma2(_StretchTail(), Exponential(0.001), P2, Independent()),
+                 lambda: sigma2_one_sample(Exponential(0.001), _StretchTail(), P2, "x")):
+        with pytest.raises(ValueError, match="_StretchTail declares no tail constants") as info:
+            call()
+        assert not isinstance(info.value, UnsupportedCostError)
 
 
 def test_verify_triple_matches_recorded_reports():
@@ -236,11 +241,12 @@ def test_report_serializes_to_json():
     ("gaussian(0,1e200)", "gaussian(1e200,1e200)", "exppower(2)"),  # C = 1/(2 sd^2) is 0
 ])
 def test_extreme_scales_give_a_result_or_a_typed_error(F, G, c, capsys):
-    # C under- or overflows at these scales: the laws declare no tail constants
-    # an overflow is typed, not a RuntimeWarning; the 1e-200 rows warn on purpose
+    # C under- or overflows at these scales: each law keeps gamma = 2 and
+    # declares C's limit, 0 or inf, which decides every tail condition.  An
+    # overflow is typed, not a RuntimeWarning; the 1e-200 rows warn on purpose
     # (UserWarning) that the marginals nearly coincide
     laws, cost = (parse_distribution(F), parse_distribution(G)), parse_cost(c)
-    assert [law.tail_constants() for law in laws] == [None, None]
+    assert all(law.tail_constants() in ((2.0, 0.0), (2.0, math.inf)) for law in laws)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for call in (lambda: verify_triple(*laws, cost), lambda: tail_gate(*laws, cost),
@@ -250,12 +256,18 @@ def test_extreme_scales_give_a_result_or_a_typed_error(F, G, c, capsys):
             except (ValueError, NonconvergenceError):  # every type of wcost.errors is one of these
                 pass
         capsys.readouterr()
-        assert main(["check", F, G, c]) in (0, 1, 2)
+        code = main(["check", F, G, c])
 
     def strict(name):
         raise AssertionError(f"the report holds {name}, which strict JSON has not")
 
-    json.loads(capsys.readouterr().out, parse_constant=strict)
+    report = json.loads(capsys.readouterr().out, parse_constant=strict)
+    left = any(math.isinf(law.support()[0]) for law in laws)  # weibull has no left tail
+    for side in ("right", "left") if left else ("right",):
+        assert [report[side][name]["status"] for name in ("fg1", "fg2", "fg3", "fg5")] == ["pass"] * 4
+        assert report[side]["cfg"]["note"].startswith("closed form")
+    # exppower(2) on C = 0: lambda = 1/C is infinite, as it is 2 sd^2 at every sd >= 1/2
+    assert code == (1 if c == "exppower(2)" else 0)
 
 
 # --- cost/tail compatibility ---------------------------------------------------
@@ -405,18 +417,74 @@ def test_tail_gate_reads_only_the_named_marginals():
     assert (y_only.status, y_only.side, y_only.marginal, y_only.margin) == ("pass", "right", "y", 0.25)
 
 
-def test_tail_gate_falls_back_to_the_grid_without_tail_constants():
-    law = _StretchTail()
-    grid = check_cfg(law, P2)
-    verdict = tail_gate(law, Gaussian(0.0, 1.0), P2)
-    assert (verdict.status, verdict.side, verdict.marginal) == (grid.status, "right", "x")
-    assert verdict.margin == grid.margin and verdict.rule.startswith("grid: check_cfg")
+def test_tail_gate_is_not_applicable_without_tail_constants():
+    # the marginal named is the law without constants, here the lead one
+    verdict = tail_gate(Exponential(1.0), _StretchTail(), P2)
+    assert (verdict.status, verdict.side, verdict.marginal, verdict.margin) == (
+        "not-applicable", "right", "y", None)
+    assert verdict.rule == "_StretchTail declares no tail constants (gamma, C)"
+    assert not verdict.failed
 
 
 def test_tail_gate_passes_costs_without_a_tail_representation():
     verdict = tail_gate(Pareto(3.0), Pareto(4.0), QuantileCost(0.3))
     assert verdict.status == "not-applicable" and not verdict.failed
     assert verdict.margin is None and "no asymptotic profile" in verdict.rule
+
+
+SHIPPED_COSTS = ("power(1.5)", "power(2)", "power(3)", "logpower(0.5)", "exppower(0.5)",
+                 "exppower(1)", "exppower(2)", "quantile(0.3)")
+
+
+def _extreme_pairs():
+    """Every family at sd or scale 1e-200 and 1e200, where C leaves the floats.
+
+    Each law meets a copy shifted by its scale and a unit-scale law, in both orders.
+    """
+    for a in ("1e-200", "1e200"):
+        for law in (f"gaussian(0,{a})", *(f"locscale({base},{a},0)" for base in
+                                          ("gaussian(0,1)", "exponential(1)", "weibull(1.5)",
+                                           "pareto(3)"))):
+            for other in (f"locscale({law},1,{a})", "gaussian(1,2)"):
+                yield law, other
+                yield other, law
+
+
+EXTREME_TRIPLES = tuple((f, g, c) for f, g in _extreme_pairs() for c in SHIPPED_COSTS)
+
+
+def test_the_gate_reads_only_the_tail_constants(monkeypatch):
+    # tail_gate, verify_triple and sigma2 never call check_cfg, and every law
+    # declares (gamma, C) with C in [0, inf] on each unbounded tail; the variance
+    # work after the gate is replaced by a stub that records the margins it gets
+    import guard_matrix
+    import variance_oracles
+    import wcost.assumptions as assumptions_module
+    import wcost.variance as variance_module
+
+    calls, margins = [], []
+    monkeypatch.setattr(assumptions_module, "check_cfg", lambda *args: calls.append(args))
+    monkeypatch.setattr(variance_module, "_influence_sigma2",
+                        lambda f, cp, q, m: margins.append(m) or (0.0, 0.0, {}))
+    triples = set(triple_matrix.TRIPLES + variance_oracles.TRIPLES + guard_matrix.TRIPLES
+                  + EXTREME_TRIPLES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # nearly coinciding marginals
+        for f, g, c in sorted(triples):
+            laws, cost = (parse_distribution(f), parse_distribution(g)), parse_cost(c)
+            for law in laws + tuple(reflect(law) for law in laws):
+                if math.isinf(law.support()[1]):
+                    gamma, C = law.tail_constants()
+                    assert 0.0 <= C <= math.inf, (law, C)
+            for call in (lambda: tail_gate(*laws, cost), lambda: verify_triple(*laws, cost),
+                         lambda: sigma2(*laws, cost, Independent())):
+                try:
+                    call()
+                except (ValueError, NonconvergenceError):
+                    pass
+    assert not calls
+    # one depth rule: a margin from the gate on every half, 1/2 on a bounded one
+    assert margins and all(0.0 < m <= 0.5 for pair in margins for m in pair)
 
 
 def test_reflection_symmetry_of_marginal_checks():

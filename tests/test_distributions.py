@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from wcost import SingularPointError
 from wcost._model import _scalar_like
 from wcost.distributions import (
     Exponential,
@@ -75,23 +74,6 @@ def test_pareto_quantile_worked_example():
 def test_pareto_density_quantile_worked_example():
     # h(u) = p (1-u)^{1 + 1/p}
     assert Pareto(2.0).density_quantile(0.5) == pytest.approx(2.0 * 0.5**1.5, rel=1e-14)
-
-
-def test_pareto_companion_is_constant():
-    # H(u) = 1/p for every u
-    p = Pareto(3.0)
-    for u in (0.01, 0.3, 0.5, 0.9, 0.999):
-        assert p.companion(u) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
-def test_weibull_companion_worked_example():
-    # H(u) = 1 / (q log(1/(1-u))); at u = 1 - e^{-1} the log is 1.
-    assert Weibull(2.0).companion(1.0 - math.exp(-1.0)) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_companion_singular_where_quantile_vanishes():
-    with pytest.raises(SingularPointError):
-        Gaussian(0.0, 1.0).companion(0.5)
 
 
 def test_tail_exponent_worked_examples():
@@ -180,6 +162,32 @@ def test_tail_constants_scale_with_location_scale():
     assert reflect(Exponential(1.0)).tail_constants() is None
 
 
+@pytest.mark.parametrize("law, limit", [
+    (Gaussian(0.0, 1e-200), (2.0, math.inf)),  # 2 sd^2 underflows
+    (Gaussian(0.0, 1e200), (2.0, 0.0)),  # 2 sd^2 overflows
+    (LocationScale(Weibull(2.0), 1e-200, 0.0), (2.0, math.inf)),  # a^-2 overflows
+    (LocationScale(Exponential(1.0), 1e200, 0.0), (1.0, 1e-200)),
+    (LocationScale(Pareto(3.0), 1e-200, 0.0), (0.0, 3.0)),  # the index does not scale
+    # a C the base has lost against a factor past the doubles the other way: 0
+    (LocationScale(Gaussian(0.0, 1e200), 1e-200, 0.0), (2.0, 0.0)),
+    (LocationScale(Gaussian(0.0, 1e-200), 1e200, 0.0), (2.0, 0.0)),
+    (LocationScale(Gaussian(0.0, 1e200), 1e200, 0.0), (2.0, 0.0)),
+    (LocationScale(Gaussian(0.0, 1e-200), 1e-200, 0.0), (2.0, math.inf)),
+])
+def test_tail_constants_take_their_limits_past_the_doubles(law, limit):
+    assert law.tail_constants() == limit
+    if math.isinf(law.support()[0]):  # a symmetric law: its left tail is its right one
+        assert reflect(law).tail_constants() == limit
+
+
+def test_a_reflection_declares_the_constants_of_its_closed_form():
+    assert Reflected(Gaussian(1.0, 0.5)).tail_constants() == (2.0, 2.0)
+    assert Reflected(Reflected(Weibull(1.5))).tail_constants() == (1.5, 1.0)
+    assert Reflected(LocationScale(reflect(Pareto(3.0)), 2.0, 1.0)).tail_constants() == (0.0, 3.0)
+    # bounded above: no right tail to declare
+    assert Reflected(Pareto(3.0)).tail_constants() is None
+
+
 def test_weibull_density_at_zero_is_its_right_limit():
     # the bits away from 0 do not move; at 0 itself the density is the limit
     for q, at_zero in ((0.3, math.inf), (0.5, math.inf), (1.0, 1.0), (2.0, 0.0)):
@@ -198,7 +206,7 @@ def test_quantile_rejects_closed_endpoints():
 
 
 @pytest.mark.parametrize("d", [Gaussian(0.0, 1.0), Pareto(3.0)], ids=["gauss", "pareto"])
-@pytest.mark.parametrize("fn", ["quantile", "density_quantile", "companion"])
+@pytest.mark.parametrize("fn", ["quantile", "density_quantile"])
 @pytest.mark.parametrize("u", [math.nan, np.array([0.7, math.nan])], ids=["scalar", "array"])
 def test_quantile_side_rejects_nan(d, fn, u):
     with pytest.raises(ValueError):

@@ -112,7 +112,8 @@ def test_gaussian_pairs_independent(F, G, target):
 
 
 def test_flat_cost_gives_zero():
-    r = sigma2(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), Independent())
+    # a window runs no tail gate, so a cost outside the gate's table has a value there
+    r = sigma2_window(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), Independent(), 0.1)
     assert r.value == 0.0
 
 
@@ -584,22 +585,51 @@ def test_a_tail_too_near_the_frontier_names_its_side_and_margin():
     assert "divergent" not in str(info.value)
 
 
-def test_a_side_without_tail_constants_takes_the_fixed_depth():
-    # Reflected(Gaussian) declares no tail constants, so the gate reads the grid
-    # there and the tail bound comes from the decay of the last panel
+def test_a_reflected_law_takes_the_closed_form_depth():
+    # Reflected(Gaussian) declares the constants of reflect's closed form, so
+    # the gate sizes both tails and both halves take the depth of margin 1/2
     res = sigma2(Reflected(Gaussian(0, 1)), Gaussian(2, 1), P2, Independent())
     assert abs(res.value - 32.0) <= res.est_error + _tolerance(DEFAULT_VARIANCE_CONFIG, 32.0)
+    assert res.diagnostics["gate"]["rule"].startswith("closed form")
     x = res.diagnostics["influence"]["x"]
-    assert x["depth_right"] == variance_module._FIXED_DEPTH != x["depth_left"]
+    assert x["depth_right"] == x["depth_left"]
 
 
 def test_a_tail_that_does_not_decay_raises():
-    # Q(sigma) = -e^{s/2} + sqrt 2: Q^2 e^{-s} tends to 1 and never decays
+    # Q(sigma) = -e^{s/2} + sqrt 2: Q^2 e^{-s} tends to 1 and never decays, so
+    # the tail bound of margin 1/2 never shrinks and the depth runs into its cap
     def slopes(sigma):
         return 0.5 * np.exp(0.5 * (np.abs(sigma) + math.log(2.0)))[None]
 
-    with pytest.raises(NonconvergenceError, match="the right tail does not decay"):
-        variance_module._influence_sigma2(slopes, None, DEFAULT_VARIANCE_CONFIG, [0.5, None])
+    with pytest.raises(NonconvergenceError, match="tail bound needs depth s = .* > 700"):
+        variance_module._influence_sigma2(slopes, None, DEFAULT_VARIANCE_CONFIG, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("kind", ["independent", "gauss(0.5)"])
+@pytest.mark.parametrize("a", [1e100, 1e150])
+def test_a_variance_past_the_doubles_says_it_overflows(a, kind):
+    # the influence functions scale by a^2, so their squares leave the doubles;
+    # the error said "nan" (gauss) or "depth s = inf" (independent) before
+    F, G = LocationScale(Gaussian(0, 1), a, 0.0), LocationScale(Gaussian(2, 1), a, 0.0)
+    with warnings.catch_warnings(), pytest.raises(NonconvergenceError, match="overflow") as info:
+        warnings.simplefilter("error", RuntimeWarning)
+        sigma2(F, G, P2, parse_coupling(kind))
+    assert not re.search("nan|budget|frontier", str(info.value))
+
+
+def test_the_series_bound_does_not_underflow_at_a_tiny_scale():
+    # Scale equivariance: sigma2 at a common scale 1e-100 is 1e-300 times its
+    # value at scale 1.  The Mehler truncation bound, formed as the square root
+    # of a product of two variances of about 1e-300, underflowed to 0 and left
+    # est_error 3.35e-302 against a miss of 6.68e-301.
+    laws = [parse_distribution(f"locscale({law},1e-100,0)")
+            for law in ("weibull(1.5)", "gaussian(1,2)")]
+    cost, cp = PowerCost(1.5), GaussianCopula(0.5)
+    with pytest.warns(UserWarning, match="coincide"):  # its gap test is not scale-free
+        res = sigma2(*laws, cost, cp)
+    unit = sigma2(Weibull(1.5), Gaussian(1, 2), cost, cp)
+    assert res.diagnostics["influence"]["cross"]["truncation_bound"] > 0.0
+    assert abs(res.value - unit.value * 1e-300) <= res.est_error
 
 
 def test_slopes_that_are_not_finite_raise_naming_the_tail():
@@ -840,9 +870,12 @@ def test_one_sample_rejects_bad_side():
         sigma2_one_sample(Gaussian(0, 1), Gaussian(2, 1), P2, "z")
 
 
-def test_one_sample_flat_cost_gives_zero():
-    r = sigma2_one_sample(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), "x")
-    assert r.value == 0.0
+def test_a_cost_outside_the_gate_table_is_refused():
+    # the gate has no growth rate for it, so no tail depth: no depth is guessed
+    for call in (lambda: sigma2(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), Independent()),
+                 lambda: sigma2_one_sample(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), "x")):
+        with pytest.raises(UnsupportedCostError, match="_FlatCost is outside the closed-form table"):
+            call()
 
 
 # --- independent squared distance, one sample at a time --------------------------
