@@ -13,6 +13,7 @@ re-derived per family, so a family only has to get cdf/quantile/pdf right.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -67,8 +68,10 @@ class Distribution:
         """(gamma, C) with psi(x) ~ C x^gamma at +inf, or ~ C log x for gamma = 0.
 
         None if undeclared.  A C that a scale near the float range makes under-
-        or overflow is its limit, 0 or inf, never NaN; gamma stays.  A limit
-        that meets the other one (0 * inf) is 0: the conservative verdict.
+        or overflow is its limit, 0 or inf, never NaN; gamma stays.  A further
+        scale moves a lost C only toward the conservative verdict, the smaller
+        C that fails exppower at beta = gamma: an inf is a lower bound, the
+        largest double, and a 0 stays 0.
         """
         return None
 
@@ -311,10 +314,11 @@ class LocationScale(Distribution):
         if tail is None:
             return None
         try:
-            C = tail[1] * self.a ** -tail[0]
-        except OverflowError:  # a ** -gamma past the doubles: its limit
-            C = tail[1] * math.inf
-        return tail[0], 0.0 if math.isnan(C) else C
+            factor = self.a ** -tail[0]
+        except OverflowError:  # past the doubles: its limit
+            factor = math.inf
+        C = sys.float_info.max if tail[1] == math.inf and factor < 1.0 else tail[1]
+        return tail[0], 0.0 if C == 0.0 else C * factor
 
 
 @dataclass(frozen=True)

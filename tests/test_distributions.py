@@ -180,6 +180,13 @@ def test_tail_constants_take_their_limits_past_the_doubles(law, limit):
         assert reflect(law).tail_constants() == limit
 
 
+def test_a_lost_c_scaled_back_stays_below_the_true_one():
+    # 2 sd^2 underflows, so the base's C is inf, which bounds C only from below;
+    # scaled by a = 1e160 it stays below C = 1/2 of the unit-sd law it equals
+    assert 0.0 < LocationScale(Gaussian(0.0, 1e-160), 1e160, 0.0).tail_constants()[1] <= 0.5
+    assert LocationScale(Gaussian(0.0, 1e-200), 10.0, 0.0).tail_constants()[1] > 1e300
+
+
 def test_a_reflection_declares_the_constants_of_its_closed_form():
     assert Reflected(Gaussian(1.0, 0.5)).tail_constants() == (2.0, 2.0)
     assert Reflected(Reflected(Weibull(1.5))).tail_constants() == (1.5, 1.0)
