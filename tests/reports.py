@@ -3,9 +3,10 @@
 ``tests/reports/`` holds one text file per entry of ``COMMANDS``: a header
 with the numpy and scipy versions that wrote it and the command line, then
 the exit code, stdout with any ``runtime`` line removed, stderr, and the
-warnings raised.  Each command runs in-process through ``wcost.cli.main``.
-``test_reports.py`` runs the list and compares the text, so a change that
-moves a report shows as a diff of its file.  Regenerate the files with
+warnings raised.  Each command runs in-process through ``wcost.cli.main``
+from the root of the repository, where the ``wcost mc`` entries find
+``configs/``.  ``test_reports.py`` runs the list and compares the text, so a
+change that moves a report shows as a diff of its file.  Regenerate the files with
 
     PYTHONPATH=src python3 tests/reports.py --write
 
@@ -25,6 +26,7 @@ import scipy
 from wcost.cli import main
 
 DIRECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reports")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The benchmark pair: N(0,1) against N(2,1) under power(2).
 _PAIR = ("gaussian(0,1)", "gaussian(2,1)", "power(2)")
@@ -47,6 +49,9 @@ COMMANDS = {
     **{f"variance-pair-{name}": ["variance", *_PAIR, kind, "--diagnostics"]
        for name, kind in (("independent", "independent"), ("comonotone", "comonotone"),
                           ("countermonotone", "countermonotone"), ("gauss0.5", "gauss(0.5)"))},
+    # one worker process, so the run stays in-process
+    **{f"mc-{name}": ["mc", f"configs/mc_{name}.json", "--threads", "1"]
+       for name in ("benchmark", "smoke", "sweep", "trimmed")},
 }
 
 
@@ -62,7 +67,7 @@ def path(name: str) -> str:
 def run(argv: list[str]) -> str:
     """The report text of one command, below the version line."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
+    with warnings.catch_warnings(record=True) as caught, contextlib.chdir(ROOT), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
