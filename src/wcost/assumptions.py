@@ -24,6 +24,7 @@ import numpy as np
 
 from .costs import Cost, ExpPowerCost, LogPowerCost, PowerCost
 from .distributions import Distribution, reflect
+from .errors import UnsupportedCostError
 
 __all__ = [
     "ConditionStatus",
@@ -310,10 +311,15 @@ def _reciprocal(C: float):
     return math.inf if C == 0.0 else Fraction(0) if C == math.inf else 1 / Fraction(C)
 
 
+def _power_growth(alpha: float, gamma: float, C: float):
+    """lambda of |x|^alpha on the lead tail (gamma, C): (alpha - 1)/p on a Pareto-class tail of index p, else 0."""
+    return (Fraction(alpha) - 1) * _reciprocal(C) if gamma == 0.0 else Fraction(0)
+
+
 def _growth_rate(c: Cost, gamma: float, C: float):
     """lambda for the lead tail (gamma, C); None for a cost outside the table of ``tail_gate``."""
     if isinstance(c, PowerCost):
-        return (Fraction(c.alpha) - 1) * _reciprocal(C) if gamma == 0.0 else Fraction(0)
+        return _power_growth(c.alpha, gamma, C)
     if isinstance(c, LogPowerCost):
         return math.inf if gamma == 0.0 else Fraction(0)
     if isinstance(c, ExpPowerCost):
@@ -342,11 +348,11 @@ def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> Ga
     so p = 2 alpha fails.  A C that left the floats enters as its limit: at
     beta = gamma, exppower's lambda is inf for C = 0 and 0 for C = inf.
 
-    A side is not-applicable, and passes, where a law it reads declares no
-    tail constants or the cost is outside the table (the pinball cost, or a
-    user's cost); its rule names the reason.  Returns the verdict with the
-    lowest margin, a failing one first; not-applicable when no side is
-    unbounded.
+    A side is not-applicable, and does not fail, where a law it reads
+    declares no tail constants or the cost is outside the table (the pinball
+    cost, or a user's cost); its rule names the reason.  Returns a failing
+    verdict first, then a not-applicable one, then a pass, each the one with
+    the lowest margin; not-applicable when no side is unbounded.
     """
     return _worst(_side_verdicts(F, G, c, which))
 
@@ -358,11 +364,45 @@ def _side_verdicts(F: Distribution, G: Distribution, c: Cost, which) -> dict[str
 
 
 def _worst(verdicts: dict[str, GateVerdict]) -> GateVerdict:
-    """The verdict with the lowest margin, a failing one first; not-applicable for none."""
+    """A fail, else a not-applicable, else the pass with the lowest margin; not-applicable for none."""
     if not verdicts:
         return GateVerdict("not-applicable", rule="no unbounded tail")
-    return min(verdicts.values(),
-               key=lambda v: (not v.failed, math.inf if v.margin is None else v.margin))
+    return min(verdicts.values(), key=lambda v: (("fail", "not-applicable", "pass").index(v.status),
+                                                 math.inf if v.margin is None else v.margin))
+
+
+def _exponent(lam, tails: dict, which) -> tuple:
+    """lambda + delta, delta and its marginal's key: the gate's and ``_tail_rate``'s one rule.
+
+    delta is 1/p on a Pareto-class tail, 0 on a lighter one or a bounded law (not in ``tails``).
+    """
+    deltas = {key: _reciprocal(tails[key][1]) if key in tails and tails[key][0] == 0.0
+              else Fraction(0) for key in which}
+    key = max(which, key=deltas.get)
+    return lam + deltas[key], deltas[key], key
+
+
+def _tail_rate(laws, growth, side: str) -> float:
+    """The rate r = 1 - (lambda + delta) of e^{-r s}, the decay of an integrand of ``laws``' quantiles.
+
+    ``laws`` (x, then y) are as the tail ``side`` sees them; ``growth(gamma,
+    C)`` gives lambda on the lead, the smaller (gamma, C), so a tie reads no
+    quantile.  1 with no unbounded law.  Raises as ``sigma2`` does for a law
+    without constants, and UnsupportedCostError where ``growth`` has none.
+    """
+    tails = {}
+    for key, law in zip(("x", "y"), laws):
+        if math.isinf(law.support()[1]):
+            tails[key] = law.tail_constants()
+            if tails[key] is None:
+                raise ValueError(f"the tail gate cannot size the {side} tail: "
+                                 f"{type(law).__name__} declares no tail constants (gamma, C)")
+    if not tails:
+        return 1.0
+    lam = growth(*min(tails.values()))
+    if lam is None:
+        raise UnsupportedCostError(f"the {side} tail's growth is outside the closed-form table")
+    return float(1 - _exponent(lam, tails, tuple(tails))[0])
 
 
 def _side_gate(A: Distribution, B: Distribution, lead: Distribution, c: Cost, side: str,
@@ -382,13 +422,9 @@ def _side_gate(A: Distribution, B: Distribution, lead: Distribution, c: Cost, si
         return GateVerdict("not-applicable", side,
                            rule=f"{type(c).__name__} is outside the closed-form table: "
                                 "no asymptotic profile l for its slope")
-    # delta is 1/p on a Pareto-class tail; 0 on a lighter one, or where the law is bounded
-    deltas = {key: _reciprocal(tails[key][1]) if key in tails and tails[key][0] == 0.0
-              else Fraction(0) for key in which}
-    key = max(which, key=deltas.get)
-    total = lam + deltas[key]
+    total, delta, key = _exponent(lam, tails, which)
     return GateVerdict("fail" if total >= _HALF else "pass", side, key, float(_HALF - total),
-                       f"closed form: lambda + delta = {float(lam):.6g} + {float(deltas[key]):.6g}"
+                       f"closed form: lambda + delta = {float(lam):.6g} + {float(delta):.6g}"
                        f" {'>=' if total >= _HALF else '<'} 1/2")
 
 

@@ -2,10 +2,10 @@
 
 
 class NonconvergenceError(RuntimeError):
-    """A quadrature or extrapolation failed to reach its tolerance.
+    """A quadrature or series failed to reach its tolerance.
 
-    Raised both for exhausted subdivision budgets and for integrals whose tail
-    mass is detected as non-decaying (the integral is infinite or barely finite).
+    Raised for exhausted panel budgets, non-finite samples, and tails whose decay
+    rate says the integral is infinite ("divergent") or too near that frontier.
     """
 
 

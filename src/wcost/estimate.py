@@ -3,7 +3,7 @@
 The empirical estimator pairs the two samples' order statistics; the trimmed
 variant integrates the empirical quantile cost over a symmetric sub-window of
 (0,1); the exact population value integrates the quantile-coupling integrand
-with the adaptive machinery from :mod:`wcost.quadrature`.
+along each tail's coordinate with :mod:`wcost.quadrature`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import Cost
-from .distributions import Distribution
-from .quadrature import QuadratureConfig, graded_breaks, integrate_1d, integrate_open01
+from .assumptions import _growth_rate, _tail_rate
+from .costs import Cost, QuantileCost
+from .distributions import Distribution, reflect
+from .quadrature import _LOG2, QuadratureConfig, graded_breaks, integrate_1d, integrate_open01
 
 __all__ = [
     "PairedSample",
@@ -118,30 +119,54 @@ def empirical_quantile(column, u: float) -> float:
     return float(x[idx - 1])
 
 
+def _quantile_integral(laws, h, growth, q: QuadratureConfig, what: str) -> tuple[float, float]:
+    """int_0^1 h(L_1^{-1}(u), ...) du and its error estimate, by ``integrate_open01``.
+
+    The left half reads each law's quantile at u = e^{-s}, the right half its
+    reflection's at 1 - u = e^{-s}, negated, which keeps the digits of 1 - u.
+    """
+    mirrors = [reflect(law) for law in laws]
+    rates = [_tail_rate(mirrors, growth, "left"), _tail_rate(laws, growth, "right")]
+
+    def half(sources, sign):
+        def integrand(t):
+            w = np.exp(-(t + _LOG2))
+            return h(*(sign * np.asarray(law.quantile(w), dtype=float) for law in sources)) * w
+        return integrand
+
+    return integrate_open01((half(laws, 1.0), half(mirrors, -1.0)), rates, q, what)
+
+
 def exact_cost(F: Distribution, G: Distribution, c: Cost,
                q: QuadratureConfig | None = None,
                window: tuple[float, float] = (0.0, 1.0)) -> float:
     """Population cost: integral of c(F^{-1}(u), G^{-1}(u)) du over the window.
 
-    The default window is the full open interval, handled with endpoint
-    extrapolation; raises NonconvergenceError when the tail mass does not
-    settle (the typical symptom of an infinite population cost).  An interior
-    window ((lo, hi) strictly inside (0,1)) integrates directly.
+    The full open interval goes along each tail's coordinate s, where
+    c(F^{-1}, G^{-1}) e^{-s} decays at the rate 1 - (lambda + delta) of the
+    tail gate's rule (lambda = 0 for the pinball cost, linear in the gap).
+    Raises NonconvergenceError where that rate is <= 0 ("divergent") or the
+    quadrature misses its tolerance, ValueError for an unbounded law without
+    tail constants, as ``sigma2`` does, and UnsupportedCostError for another
+    cost outside the gate's table.  An interior window ((lo, hi) strictly
+    inside (0,1)) integrates directly in u.
     """
     if q is None:
         q = QuadratureConfig()
-
-    def integrand(u):
-        return c.evaluate(F.quantile(u), G.quantile(u))
-
     lo, hi = window
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bad integration window {window}")
     if (lo, hi) == (0.0, 1.0):
-        value, _err = integrate_open01(integrand, q)
+        growth = (lambda *tail: 0) if isinstance(c, QuantileCost) else (
+            lambda *tail: _growth_rate(c, *tail))
+        value, _err = _quantile_integral((F, G), c.evaluate, growth, q, "exact cost")
         return float(value)
     if lo == 0.0 or hi == 1.0:
         raise ValueError("window must be the full interval or strictly interior")
+
+    def integrand(u):
+        return c.evaluate(F.quantile(u), G.quantile(u))
+
     value, _err = integrate_1d(integrand, lo, hi, q, breaks=graded_breaks(lo, hi))
     return float(value)
 

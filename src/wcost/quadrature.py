@@ -1,14 +1,12 @@
 """Deterministic adaptive quadrature on 15-point Gauss--Kronrod panels.
 
-``CumulativeMesh`` carries the variances' running integrals on a finite
-range; they map each tail onto it themselves.  The open-interval integrals of
-``exact_cost`` and the location-scale moments are computed as: adaptive
-Gauss--Kronrod on the domain truncated at 1e-6 from each edge, plus a tail
-correction obtained by halving that truncation level eight times and
-accelerating the resulting sequence (Aitken's delta-squared, i.e. Richardson
-with estimated ratio).  The strip masses added by each halving also power
-their divergence test: if they stop shrinking geometrically the integral is
-declared nonconvergent rather than silently truncated.
+Each half of (0, 1) is taken along its own tail coordinate, s = -log u below
+1/2 and s = -log(1 - u) above, an infinite range as in QUADPACK's QAGI, cut
+where the rest is below the tolerance: an integrand of the quantiles times
+du/ds = e^{-s} decays like e^{-r s}, r set by the tail constants (del Barrio,
+Gine & Utzet 2005).  ``CumulativeMesh`` carries the variances' running
+integrals on it; ``integrate_open01``, for ``exact_cost`` and the
+location-scale moments, takes each half as one ``integrate_1d`` range.
 
 Everything is deterministic: panels are summed in domain order with
 compensated summation, never in refinement order.
@@ -80,15 +78,17 @@ _ANTI_FIT = _ANTI @ _FIT
 # Row j: samples -> integral of the interpolant from -1 to node j.
 _CUMULATIVE = eval_legendre(_DEGREES[None, :], _NODES[:, None]) @ _ANTI_FIT
 
-_DIVERGENCE_RATIO = 0.98
 # Twice the unit roundoff: one addition's rounding is at most this times its result.
 _ULP = 2.0 ** -52
-# The open-domain wrappers drive the panel integrals this much below the
-# requested tolerance so that the summed error estimate still meets it.
+# The open-interval integrals drive their panels and end terms this much below
+# the requested tolerance so that the summed error estimate still meets it.
 _INNER_TIGHTENING = 20.0
-# Their truncation level, and the number of times they halve it.
-_EDGE_EPSILON = 1e-6
-_EXTRAPOLATION_LEVELS = 8
+_LOG2 = math.log(2.0)
+_HALVES = ("left", "right")
+#: The deepest mesh end in s: e^{-s} stays a normal double to s = 708.
+_DEPTH_CAP = 700.0
+#: Added to the log of the relative tolerance in a depth: room for a tail's constant.
+_DEPTH_SLACK = 4.0
 
 
 @dataclass(frozen=True)
@@ -141,177 +141,130 @@ def graded_breaks(lo: float, hi: float) -> list[float]:
     return sorted(pts)
 
 
-def _refine(heap: list, split, cfg: QuadratureConfig, scale: float) -> list:
-    """Bisect the worst panel until the summed error estimate meets the tolerance.
-
-    ``heap`` entries are ``(-error, *bounds, value)``; ``split(entry)`` returns
-    the children's entries, or None when the panel is at floating-point
-    resolution.  Running totals are kept per split; the exact compensated sums
-    decide the stop and are formed only once the running error, less the bound
-    on its own rounding, is within the tolerance.  Returns the final panels.
-    """
-    heapq.heapify(heap)
-    val = math.fsum(p[-1] for p in heap)
-    err = math.fsum(-p[0] for p in heap)
-    drift = 0.0  # bounds the rounding both running totals have picked up
-    while len(heap) < cfg.max_subdivisions:
-        if err - drift <= _tolerance(cfg, abs(val) + drift, scale):
-            val = math.fsum(p[-1] for p in heap)
-            err = math.fsum(-p[0] for p in heap)
-            drift = 0.0
-            if err <= _tolerance(cfg, val, scale):
-                break
-        worst = heapq.heappop(heap)
-        children = split(worst)
-        if children is None:
-            heapq.heappush(heap, worst)
-            break
-        for child in children:
-            heapq.heappush(heap, child)
-            val += child[-1]
-            err -= child[0]
-            drift += _ULP * (abs(val) + abs(err))
-        val -= worst[-1]
-        err += worst[0]
-        drift += _ULP * (abs(val) + abs(err))
-    return heap
-
-
-def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig, scale: float = 0.0,
-                 breaks=None, raise_on_stall: bool = True) -> tuple[float, float]:
+def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig, breaks=None,
+                 raise_on_stall: bool = True) -> tuple[float, float]:
     """Adaptive panel-bisection integral of a vectorized integrand on [a, b].
 
-    ``scale`` loosens the relative tolerance for pieces of a larger integral:
-    the error target is max(abs_tol, rel_tol * max(|value|, scale)).
     ``breaks`` seeds the initial partition (must start at a and end at b).
-    With ``raise_on_stall`` off, a budget-exhausted result is returned with
-    its (honest) error estimate instead of raising; callers that extrapolate
-    apply their own final tolerance check.
+    The worst panel is bisected until the summed error estimate meets the
+    tolerance, the budget is spent or a panel is at floating-point
+    resolution.  Running totals are kept per split; the exact compensated
+    sums decide the stop and are formed only once the running error, less
+    the bound on its own rounding, is within the tolerance.  With
+    ``raise_on_stall`` off, a result that misses the tolerance is returned
+    with its (honest) error estimate instead of raising, for a caller that
+    applies its own final tolerance check.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"bad interval [{a}, {b}]")
     if breaks is None:
         breaks = [a, b]
-
-    def split(entry):
-        _, pa, pb, _ = entry
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:  # interval at floating-point resolution
-            return None
-        (v1, e1), (v2, e2) = gk15_fixed(f, pa, pm), gk15_fixed(f, pm, pb)
-        return (-e1, pa, pm, v1), (-e2, pm, pb, v2)
-
     # heap of (-error, left, right, value); floats give a deterministic order
     heap = [(-err, pa, pb, val) for pa, pb in zip(breaks, breaks[1:])
             for val, err in [gk15_fixed(f, pa, pb)]]
-    panels = sorted(_refine(heap, split, cfg, scale), key=lambda p: p[1])
+    heapq.heapify(heap)
+    val = math.fsum(p[-1] for p in heap)
+    err = math.fsum(-p[0] for p in heap)
+    drift = 0.0  # bounds the rounding both running totals have picked up
+    while len(heap) < cfg.max_subdivisions:
+        if err - drift <= _tolerance(cfg, abs(val) + drift):
+            val = math.fsum(p[-1] for p in heap)
+            err = math.fsum(-p[0] for p in heap)
+            drift = 0.0
+            if err <= _tolerance(cfg, val):
+                break
+        worst = heapq.heappop(heap)
+        _, pa, pb, _ = worst
+        pm = 0.5 * (pa + pb)
+        if pm <= pa or pm >= pb:  # interval at floating-point resolution
+            heapq.heappush(heap, worst)
+            break
+        for lo, hi in ((pa, pm), (pm, pb)):
+            v, e = gk15_fixed(f, lo, hi)
+            heapq.heappush(heap, (-e, lo, hi, v))
+            val += v
+            err += e
+            drift += _ULP * (abs(val) + abs(err))
+        val -= worst[-1]
+        err += worst[0]
+        drift += _ULP * (abs(val) + abs(err))
+    panels = sorted(heap, key=lambda p: p[1])
     value = math.fsum(p[3] for p in panels)
     error = math.fsum(-p[0] for p in panels)
-    if raise_on_stall and not error <= _tolerance(cfg, value, scale):
+    if raise_on_stall and not error <= _tolerance(cfg, value):
         raise NonconvergenceError(
             f"1-D quadrature on [{a}, {b}] stalled at error {error:.3e} "
-            f"after {len(panels)} panels (tolerance {_tolerance(cfg, value, scale):.3e})"
+            f"after {len(panels)} panels (tolerance {_tolerance(cfg, value):.3e})"
         )
     return value, error
 
 
-def _aitken_last(seq: list[float]) -> tuple[float, float]:
-    """Accelerate a convergent sequence; return (limit estimate, residual estimate)."""
-    cur = list(seq)
-    residual = abs(cur[-1] - cur[-2]) if len(cur) >= 2 else 0.0
-    while len(cur) >= 3:
-        nxt = []
-        for i in range(len(cur) - 2):
-            d2 = cur[i + 2] - 2.0 * cur[i + 1] + cur[i]
-            d1 = cur[i + 2] - cur[i + 1]
-            if abs(d2) <= 1e-300 or not math.isfinite(d2):
-                nxt.append(cur[i + 2])
-            else:
-                nxt.append(cur[i + 2] - d1 * d1 / d2)
-        residual = abs(nxt[-1] - cur[-1]) if nxt else residual
-        if len(nxt) >= 2:
-            residual = min(residual, abs(nxt[-1] - nxt[-2]))
-        cur = nxt
-    return cur[-1], residual
+def _breaks(depths) -> np.ndarray:
+    """The first mesh on sigma: 0, and +-(s - log 2) at s = 1, 2, 4, ... below each depth and at it."""
+    left, right = ([s - _LOG2 for s in 2.0 ** np.arange(max(int(math.log2(d)), 0) + 1) if s < d]
+                   + [d - _LOG2] for d in depths)
+    return np.array([-x for x in reversed(left)] + [0.0] + right)
 
 
-def _tail_limit(strips: list[float], floor: float, what: str) -> tuple[float, float]:
-    """Total mass of one endpoint tail from its successive halving strips.
-
-    Each halving of the truncation level contributes a strip; for a tail with
-    an integrable power/slow singularity the strips shrink geometrically, so
-    the cumulative sums are accelerated to their limit.  A shrink factor at or
-    above the divergence threshold raises instead.  Strips that have changed
-    sign by then are not a divergent tail, whose strips keep one sign, so
-    that error says the tail is not resolved rather than divergent.  A
-    non-finite strip that gets past the ratio test (NaN compares false there)
-    raises too, rather than turn the limit into NaN.  Returns (limit of the
-    remaining tail mass, residual estimate).
-    """
-    if all(abs(s) <= floor for s in strips):
-        return math.fsum(strips), abs(strips[-1])
-    for k, (prev, cur) in enumerate(zip(strips, strips[1:])):
-        if abs(cur) <= floor:
-            continue  # shrunk into the noise: converged
-        if abs(prev) > 0 and abs(cur) / abs(prev) >= _DIVERGENCE_RATIO:
-            ratio = f"{abs(cur) / abs(prev):.4f} >= {_DIVERGENCE_RATIO}"
-            seen = strips[:k + 2]
-            if min(seen) < 0.0 < max(seen):
-                flip = max(i for i, s in enumerate(seen) if s * cur < 0.0)
-                shown = ", ".join(f"{s:.2g}" for s in seen[flip:])
-                raise NonconvergenceError(
-                    f"{what}: successive endpoint strips change sign ({shown}) and "
-                    f"then stop shrinking (factor {ratio}); the tail is not resolved "
-                    "at this tolerance")
-            raise NonconvergenceError(
-                f"{what}: successive endpoint strips shrink by factor {ratio}; the "
-                "tail integral is divergent or too close to divergence to resolve"
-            )
-    for k, s in enumerate(strips):
-        if not math.isfinite(s):
-            raise NonconvergenceError(
-                f"{what}: endpoint strip {k} is {s}; the tail integral is not finite")
-    partial = 0.0
-    seq = [0.0]
-    for s in strips:
-        partial += s
-        seq.append(partial)
-    return _aitken_last(seq)
-
-
-def integrate_open01(f, cfg: QuadratureConfig) -> tuple[float, float]:
-    """Integral of a vectorized integrand over the open interval (0, 1).
-
-    The integrand may blow up (integrably) at either endpoint: the adaptive
-    core runs on the truncated interval and each endpoint's remaining mass is
-    extrapolated separately from truncation-halving strips.  Raises when a
-    tail looks divergent or the final error estimate misses the tolerance.
-    Returns (value, estimated error).
-    """
-    eps = _EDGE_EPSILON
-    inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
-    base, quad_err = integrate_1d(f, eps, 1.0 - eps, inner,
-                                  breaks=graded_breaks(eps, 1.0 - eps), raise_on_stall=False)
-    lefts, rights = [], []
-    for _ in range(_EXTRAPOLATION_LEVELS):
-        nxt = eps * 0.5
-        left, le = integrate_1d(f, nxt, eps, inner, scale=base, raise_on_stall=False)
-        right, re_ = integrate_1d(f, 1.0 - eps, 1.0 - nxt, inner, scale=base, raise_on_stall=False)
-        lefts.append(left)
-        rights.append(right)
-        quad_err += le + re_
-        eps = nxt
-    floor = 0.01 * _tolerance(cfg, base)
-    left_tail, left_res = _tail_limit(lefts, floor, "lower endpoint of (0,1)")
-    right_tail, right_res = _tail_limit(rights, floor, "upper endpoint of (0,1)")
-    value = base + left_tail + right_tail
-    est_error = quad_err + left_res + right_res
-    if not est_error <= _tolerance(cfg, value):
+def _deep_enough(depth: float, what: str, side: str, decay: str) -> float:
+    """``depth``, or NonconvergenceError past ``_DEPTH_CAP``, where e^{-s} leaves the doubles."""
+    if depth > _DEPTH_CAP:
         raise NonconvergenceError(
-            f"open-interval integral: error estimate {est_error:.3e} exceeds "
-            f"tolerance {_tolerance(cfg, value):.3e} after {_EXTRAPOLATION_LEVELS} "
-            "truncation halvings"
-        )
+            f"{what}: the {side} tail decays like {decay}; its tail bound needs depth "
+            f"s = {depth:.4g} > {_DEPTH_CAP:g}, where e^(-s) leaves the doubles: too near "
+            "the tail frontier to resolve")
+    return depth
+
+
+def integrate_open01(halves, rates, cfg: QuadratureConfig,
+                     what: str = "open-interval integral") -> tuple[float, float]:
+    """Integral over (0, 1), each half given along its tail coordinate; (value, error estimate).
+
+    ``halves`` holds, left then right, the integrand times du/ds = e^{-s} as
+    a function of |sigma| = s - log 2 >= 0, u = e^{-s} on the left and
+    1 - u = e^{-s} on the right.  Where that decays like e^{-r s}, r from
+    ``rates``, its mass beyond a depth is at most its value there over r: the
+    end term, read at the outermost node.  Each half is one ``integrate_1d``
+    range, deepened while its end term exceeds its share of the tolerance.
+    Raises NonconvergenceError for a rate <= 0 ("divergent"), at a non-finite
+    sample, and when the error estimate, the panels' plus the end terms,
+    misses the tolerance taken against |left| + |right|.
+    """
+    inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
+    decades = math.log(2.0 * _INNER_TIGHTENING / cfg.rel_tol) + _DEPTH_SLACK
+    values, errors = [], []
+    for g, rate, side in zip(halves, rates, _HALVES):
+        if not rate > 0.0:
+            raise NonconvergenceError(
+                f"{what}: the {side} tail decays at rate r = {rate:.4g} <= 0 along its coordinate "
+                "s, so the integral is divergent")
+        outer = [0.0, 0.0]  # |sigma| and |value| of the outermost node sampled
+
+        def sampled(t, g=g, side=side, outer=outer):
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.asarray(g(t), dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise NonconvergenceError(f"{what}: the integrand is not finite near s = "
+                                          f"{t[~np.isfinite(v)][0] + _LOG2:.4g} on the {side} tail")
+            if t[-1] > outer[0]:  # a panel's nodes ascend
+                outer[:] = float(t[-1]), abs(float(v[-1]))
+            return v
+
+        depth = _LOG2 + (decades - math.log(rate)) / rate  # where a unit end term meets it
+        while True:
+            _deep_enough(depth, what, side, f"e^(-r s) with rate r = {rate:.3g}")
+            value, err = integrate_1d(sampled, 0.0, depth - _LOG2, inner, raise_on_stall=False)
+            end, target = outer[1] / rate, _tolerance(inner, value)
+            if end <= target:
+                break
+            depth += math.log(end / target) / rate + 1.0
+        values.append(value)
+        errors += [err, end]
+    value, est_error = math.fsum(values), math.fsum(errors)
+    tol = _tolerance(cfg, value, math.fsum(map(abs, values)))
+    if not est_error <= tol:
+        raise NonconvergenceError(
+            f"{what}: error estimate {est_error:.3e} exceeds tolerance {tol:.3e}")
     return value, est_error
 
 

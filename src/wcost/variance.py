@@ -39,15 +39,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .assumptions import _side_verdicts, _worst
+from .assumptions import _power_growth, _side_verdicts, _worst
 from .costs import Cost, QuantileCost
 from .coupling import Comonotone, Countermonotone, Coupling, GaussianCopula, Independent
 from .distributions import Distribution, Gaussian, reflect
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
-from .estimate import PairedSample, _finite_sorted_columns
-from .quadrature import (_INNER_TIGHTENING, _W_DIFF, _W_KRONROD, CumulativeMesh,
-                         QuadratureConfig, _tolerance, integrate_open01)
+from .estimate import PairedSample, _finite_sorted_columns, _quantile_integral
+from .quadrature import (_DEPTH_SLACK, _HALVES, _INNER_TIGHTENING, _LOG2, _W_DIFF, _W_KRONROD,
+                         CumulativeMesh, QuadratureConfig, _breaks, _deep_enough, _tolerance)
 
 __all__ = [
     "DEFAULT_VARIANCE_CONFIG",
@@ -99,14 +99,7 @@ _CANCELLATION = 1e-12
 
 _SEPARATION_PROBES = (1e-6, 1e-4, 1e-2, 1.0 - 1e-2, 1.0 - 1e-4, 1.0 - 1e-6)
 
-_LOG2 = math.log(2.0)
-_HALVES = ("left", "right")
 _STANDARD = Gaussian(0.0, 1.0)
-#: The deepest mesh end in s: e^{-s} stays a normal double to s = 708.
-_DEPTH_CAP = 700.0
-#: Added to the log of the relative tolerance in ``_depth``: room for the
-#: constant in front of a tail's e^{-2 m s}.
-_DEPTH_SLACK = 4.0
 
 
 @dataclass(frozen=True)
@@ -162,13 +155,14 @@ def _warn_if_tails_meet(F: Distribution, G: Distribution) -> None:
 
     The first-order theory needs the marginals to stay apart in the tails; as they
     coalesce the normal limit degenerates (for F = G both influence functions vanish
-    and the fluctuation lives at a different scale entirely).
+    and the fluctuation lives at a different scale entirely).  At each probe the gap
+    is measured against the two quantiles' own size, so a common scale of the two laws
+    does not move the verdict; two quantiles that are both zero coincide.
     """
     us = np.asarray(_SEPARATION_PROBES)
     fq = np.asarray(F.quantile(us), dtype=float)
     gq = np.asarray(G.quantile(us), dtype=float)
-    gap = np.abs(fq - gq) / (1.0 + np.abs(fq) + np.abs(gq))
-    if float(np.min(gap)) < 1e-8:
+    if np.any(np.abs(fq - gq) <= 1e-8 * (np.abs(fq) + np.abs(gq))):
         warnings.warn(
             "marginals nearly coincide in a tail; the asymptotic variance degenerates "
             "and the normal approximation is unreliable near F = G",
@@ -415,17 +409,8 @@ def _depth(margin: float, q: QuadratureConfig, side: str) -> float:
     root of the variances' ones.
     """
     decades = 2.0 * (math.log(2.0 * _INNER_TIGHTENING / q.rel_tol) + _DEPTH_SLACK)
-    return _deep_enough(_LOG2 + (decades - math.log(margin)) / (2.0 * margin), margin, side)
-
-
-def _deep_enough(depth: float, margin: float, side: str) -> float:
-    """``depth``, or NonconvergenceError past ``_DEPTH_CAP``, where e^{-s} leaves the doubles."""
-    if depth > _DEPTH_CAP:
-        raise NonconvergenceError(
-            f"influence: the {side} tail decays like e^(-2 m s) with margin m = {margin:.3g}; "
-            f"its tail bound needs depth s = {depth:.4g} > {_DEPTH_CAP:g}, where e^(-s) "
-            "leaves the doubles: too near the tail frontier to resolve")
-    return depth
+    return _deep_enough(_LOG2 + (decades - math.log(margin)) / (2.0 * margin), "influence", side,
+                        f"e^(-2 m s) with margin m = {margin:.3g}")
 
 
 def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
@@ -496,7 +481,8 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
             break
         for h in deeper:
             depths[h] = _deep_enough(depths[h] + math.log(2.0 * tails[h] / target) / margins[h]
-                                     + 1.0, margins[h], _HALVES[h])
+                                     + 1.0, "influence", _HALVES[h],
+                                     f"e^(-2 m s) with margin m = {margins[h]:.3g}")
     parts = {}  # the parts of each term's error bound
     for name, weight, _, sh, t, rest in terms:
         parts[name] = {"panels": weight * float(np.sum(sh)), "left tail": weight * float(t[0]),
@@ -524,13 +510,6 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
     if "cross" in diag:
         diag["cross"].update(series)
     return value, err, diag
-
-
-def _breaks(depths) -> np.ndarray:
-    """The first mesh on sigma: 0, and +-(s - log 2) at s = 1, 2, 4, ... below each depth and at it."""
-    left, right = ([s - _LOG2 for s in 2.0 ** np.arange(max(int(math.log2(d)), 0) + 1) if s < d]
-                   + [d - _LOG2] for d in depths)
-    return np.array([-x for x in reversed(left)] + [0.0] + right)
 
 
 def _two_sample_slopes(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
@@ -631,10 +610,9 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
 
 
 def _moment(base: Distribution, power: int, q: QuadratureConfig) -> tuple[float, float]:
-    def f(u):
-        return np.asarray(base.quantile(np.asarray(u, dtype=float)), dtype=float) ** power
-
-    return integrate_open01(f, q)
+    """E X^power for X drawn from ``base``, and its error estimate."""
+    return _quantile_integral((base,), lambda x: x ** power,
+                              lambda *tail: _power_growth(power, *tail), q, f"generator moment {power}")
 
 
 def sigma2_location_scale(base: Distribution, a: float, b: float,
@@ -646,7 +624,9 @@ def sigma2_location_scale(base: Distribution, a: float, b: float,
     unit-variance generator X, the independent squared-distance variance collapses to
     4 (a^2 + a'^2) ((b - b')^2 + V4/4 (a - a')^2), with V4 = var(X^2) under the
     generator.  The generator's symmetry and unit variance are verified numerically
-    (|mean| and |var - 1| below 1e-6 by quadrature) and V4 is computed the same way.
+    (|mean| and |var - 1| below 1e-6 by quadrature) and V4 is computed the same way,
+    each E X^k along the tail coordinate to a depth from its tail constants, as
+    ``exact_cost`` does; an infinite moment raises a "divergent" NonconvergenceError.
     """
     if not (a > 0 and a_prime > 0):
         raise ValueError(f"scales must be positive, got a={a}, a'={a_prime}")

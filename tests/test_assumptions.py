@@ -27,6 +27,7 @@ from wcost.distributions import (
     reflect,
 )
 from wcost.errors import NonconvergenceError, UnsupportedCostError
+from wcost.estimate import exact_cost
 
 import triple_matrix
 
@@ -186,6 +187,19 @@ def test_growth_law_trips_the_trend_heuristic():
         assert not isinstance(info.value, UnsupportedCostError)
 
 
+def test_exact_cost_refuses_a_law_without_tail_constants_as_sigma2_does():
+    # no tail constants, no decay rate and so no depth for the cost's tail
+    F, G = _StretchTail(), Gaussian(0.0, 1.0)
+    with pytest.raises(ValueError) as variance:
+        sigma2(F, G, P2, Independent())
+    with pytest.raises(ValueError) as cost:
+        exact_cost(F, G, P2)
+    assert str(cost.value) == str(variance.value) == (
+        "the tail gate cannot size the right tail: _StretchTail declares no tail constants "
+        "(gamma, C)")
+    assert not isinstance(cost.value, (NonconvergenceError, UnsupportedCostError))
+
+
 def test_verify_triple_matches_recorded_reports():
     with open(triple_matrix.RECORDED) as fh:
         recorded = json.load(fh)
@@ -243,8 +257,7 @@ def test_report_serializes_to_json():
 def test_extreme_scales_give_a_result_or_a_typed_error(F, G, c, capsys):
     # C under- or overflows at these scales: each law keeps gamma = 2 and
     # declares C's limit, 0 or inf, which decides every tail condition.  An
-    # overflow is typed, not a RuntimeWarning; the 1e-200 rows warn on purpose
-    # (UserWarning) that the marginals nearly coincide
+    # overflow is typed, not a RuntimeWarning
     laws, cost = (parse_distribution(F), parse_distribution(G)), parse_cost(c)
     assert all(law.tail_constants() in ((2.0, 0.0), (2.0, math.inf)) for law in laws)
     with warnings.catch_warnings():
@@ -424,6 +437,18 @@ def test_tail_gate_is_not_applicable_without_tail_constants():
         "not-applicable", "right", "y", None)
     assert verdict.rule == "_StretchTail declares no tail constants (gamma, C)"
     assert not verdict.failed
+
+
+def test_tail_gate_reports_an_undecided_side_before_a_pass():
+    # the right side has no tail constants; the left one, a reflected Gaussian
+    # against a bounded law, passes with margin 1/2
+    verdict = tail_gate(_StretchTail(), Gaussian(0.0, 1.0), P2)
+    assert (verdict.status, verdict.side, verdict.marginal, verdict.margin) == (
+        "not-applicable", "right", "x", None)
+    assert not verdict.failed
+    # a failure still comes first: here the left side's, a Pareto(1.5) lead under power(2)
+    verdict = tail_gate(_StretchTail(), reflect(Pareto(1.5)), P2)
+    assert (verdict.status, verdict.side) == ("fail", "left")
 
 
 def test_tail_gate_passes_costs_without_a_tail_representation():

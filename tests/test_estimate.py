@@ -189,7 +189,8 @@ def test_exact_cost_scale_and_shift_gaussians():
 
 
 def test_exact_cost_heavy_tails_diverge():
-    with pytest.raises(NonconvergenceError):
+    # lambda + delta = 1/2 + 1/2: the cost times e^{-s} decays at rate 0 on the right
+    with pytest.raises(NonconvergenceError, match="right tail decays at rate r = 0 <= 0.*divergent"):
         exact_cost(Pareto(2), Pareto(4), P2)
 
 

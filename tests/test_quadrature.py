@@ -11,7 +11,6 @@ from wcost.distributions import Gaussian
 from wcost.quadrature import (
     CumulativeMesh,
     QuadratureConfig,
-    _tail_limit,
     _tolerance,
     gk15_fixed,
     integrate_1d,
@@ -61,72 +60,89 @@ def test_integrate_1d_rejects_bad_interval():
         integrate_1d(np.sin, 1.0, 1.0, CFG)
 
 
+def _halves(f):
+    """The two halves of the integral of f(u, 1 - u) over (0, 1), for ``integrate_open01``.
+
+    Each reads the small one of u and 1 - u as e^{-s}, so no digit is lost.
+    """
+    def half(right):
+        def g(t):
+            w = np.exp(-(t + math.log(2.0)))
+            return (f(1.0 - w, w) if right else f(w, 1.0 - w)) * w
+        return g
+
+    return half(False), half(True)
+
+
 def test_open01_handles_power_singularities_exactly():
-    # Per-endpoint extrapolation of geometric strips reproduces pure powers
-    # to near machine precision.
-    v, e = integrate_open01(lambda u: 1.0 / np.sqrt(u), CFG)
+    # on the left half u^{-a} du/ds = e^{-(1 - a) s}: a pure exponential decay
+    # at rate 1 - a, and likewise (1 - u)^{-a} on the right
+    v, e = integrate_open01(_halves(lambda u, v: 1.0 / np.sqrt(u)), (0.5, 1.0), CFG)
     assert v == pytest.approx(2.0, rel=1e-10)
-    v, e = integrate_open01(lambda u: u**-0.9, CFG)
+    v, e = integrate_open01(_halves(lambda u, v: u**-0.9), (0.1, 1.0), CFG)
     assert v == pytest.approx(10.0, rel=1e-10)
-    v, e = integrate_open01(lambda u: (1.0 - u) ** (-2.0 / 3.0), CFG)
+    v, e = integrate_open01(_halves(lambda u, v: v ** (-2.0 / 3.0)), (1.0, 1.0 / 3.0), CFG)
     assert v == pytest.approx(3.0, rel=1e-8)
 
 
+def _score(u, v):
+    return np.where(u < 0.5, special.ndtri(u), -special.ndtri(v))
+
+
 def test_open01_smooth_integrand_error_estimate_honest():
-    v, e = integrate_open01(lambda u: (1.0 + special.ndtri(u)) ** 2, CFG)
+    v, e = integrate_open01(_halves(lambda u, w: (1.0 + _score(u, w)) ** 2), (1.0, 1.0), CFG)
     assert v == pytest.approx(2.0, rel=1e-6)
     assert abs(v - 2.0) <= max(e, 1e-7)
 
 
 def test_open01_constant():
-    v, e = integrate_open01(lambda u: 4.0 + 0.0 * u, CFG)
-    assert v == pytest.approx(4.0, rel=1e-13)
+    # the tail coordinate truncates each half where e^{-s} / r meets the
+    # tolerance, so a constant comes out within the error estimate, not exact
+    v, e = integrate_open01(_halves(lambda u, w: 4.0 + 0.0 * u), (1.0, 1.0), CFG)
+    assert abs(v - 4.0) <= e <= _tolerance(CFG, 4.0)
 
 
 def test_open01_detects_log_divergence():
-    with pytest.raises(NonconvergenceError):
-        integrate_open01(lambda u: 1.0 / (1.0 - u), CFG)
+    # 1 / (1 - u) is e^{s}: times e^{-s} it does not decay, rate 0
+    with pytest.raises(NonconvergenceError, match="the right tail decays at rate r = 0 <= 0"
+                                                  ".*divergent"):
+        integrate_open01(_halves(lambda u, v: 1.0 / v), (1.0, 0.0), CFG)
+    with pytest.raises(NonconvergenceError, match="the left tail .* r = -0.5 <= 0.*divergent"):
+        integrate_open01(_halves(lambda u, v: u**-1.5), (-0.5, 1.0), CFG)
 
 
 def test_open01_detects_near_frontier_divergence():
-    with pytest.raises(NonconvergenceError):
-        integrate_open01(lambda u: (1.0 - u) ** -0.995, CFG)
+    # rate 0.005: the depth where e^{-r s} / r meets the tolerance is past the doubles
+    with pytest.raises(NonconvergenceError, match="right tail .* rate r = 0.005.*frontier") as info:
+        integrate_open01(_halves(lambda u, v: v**-0.995), (1.0, 0.005), CFG)
+    assert "divergent" not in str(info.value)
 
 
 def test_open01_mixed_rate_endpoints():
-    # Different singularity strength at each end; per-side acceleration
-    # handles them independently.  Integral of u^{-1/2}(1-u)^{-1/4} is
-    # B(1/2, 3/4).
+    # Different singularity strength at each end, each half at its own rate.
+    # Integral of u^{-1/2}(1-u)^{-1/4} is B(1/2, 3/4).
     exact = math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
-    v, e = integrate_open01(lambda u: u**-0.5 * (1.0 - u) ** -0.25, CFG)
+    v, e = integrate_open01(_halves(lambda u, w: u**-0.5 * w**-0.25), (0.5, 0.75), CFG)
     assert v == pytest.approx(exact, rel=1e-9)
 
 
-def test_tail_limit_raises_on_a_nan_strip():
-    # NaN fails every comparison of the shrink-ratio test, so it used to come
-    # out of the extrapolation as a NaN limit
-    with pytest.raises(NonconvergenceError, match="^x: endpoint strip 1 is nan"):
-        _tail_limit([1e-3, float("nan"), 1e-5], 1e-9, "x")
-
-
-def test_open01_raises_on_nan_strips():
-    with pytest.raises(NonconvergenceError, match="upper endpoint of \\(0,1\\).*not finite"):
-        integrate_open01(lambda u: np.where(u > 1 - 1e-6, np.nan, 1.0), CFG)
-
-
-def test_open01_raises_on_a_nan_error_estimate():
-    # the strips stay finite; the NaN sits in the base interval, so only the
-    # final tolerance check can see it
-    with pytest.raises(NonconvergenceError, match="error estimate nan exceeds"):
-        integrate_open01(lambda u: np.where(np.abs(u - 0.5) < 1e-3, np.nan, 1.0),
-                         replace(CFG, max_subdivisions=50))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where, side", [(lambda u, v: v < 1e-6, "right"),
+                                         (lambda u, v: u < 1e-6, "left"),
+                                         (lambda u, v: np.abs(u - 0.5) < 0.1, "left|right")],
+                         ids=["right-tail", "left-tail", "middle"])
+def test_open01_raises_on_a_non_finite_integrand(bad, where, side):
+    # the first non-finite sample raises, before it can reach the value or
+    # the error estimate, in the tail or in the middle
+    with pytest.raises(NonconvergenceError, match=f"not finite near s = .* on the ({side}) tail"):
+        integrate_open01(_halves(lambda u, v: np.where(where(u, v), bad, 1.0)), (1.0, 1.0), CFG)
 
 
 def test_results_are_deterministic():
-    f = lambda u: (1.0 + special.ndtri(u)) ** 2
-    a = integrate_open01(f, CFG)
-    b = integrate_open01(f, CFG)
-    assert a[0] == b[0] and a[1] == b[1]
+    halves = _halves(lambda u, w: (1.0 + _score(u, w)) ** 2)
+    a = integrate_open01(halves, (1.0, 1.0), CFG)
+    b = integrate_open01(halves, (1.0, 1.0), CFG)
+    assert a[0].hex() == b[0].hex() and a[1].hex() == b[1].hex()
 
 
 # --- running totals against the re-summing reference ----------------------------
@@ -199,23 +215,3 @@ def test_cumulative_mesh_builds_the_running_integral_from_one_half():
     a = float(mesh.q_breaks[0, 0])
     beyond = 2.0 * (a * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) + float(special.ndtr(-a)))
     assert float(np.sum(sums)) == pytest.approx(1.0 - beyond, rel=1e-12)
-
-
-@pytest.mark.parametrize("strips", [
-    0.3 * 0.5 ** np.arange(12) * (1.0 + 1e-3 * np.sin(np.arange(12))),  # geometric: accelerated
-    np.array([2e-9, -1e-9, 5e-10, 1e-12]),                              # all under the floor
-    np.array([1e-3, 9.99e-4, 9.98e-4]),                                  # stops shrinking: raises
-    np.array([1e-3, -2e-4, 5e-4, -4.9e-4]),                              # sign change: raises
-])
-def test_tail_limit_takes_numpy_and_python_floats_alike(strips):
-    def outcome(values):
-        try:
-            return _tail_limit(values, 1e-9, "x")
-        except NonconvergenceError as exc:
-            return str(exc)
-
-    as_numpy, as_python = outcome(list(strips)), outcome(strips.tolist())
-    assert as_numpy == as_python
-    if isinstance(as_python, tuple):
-        assert [type(v) for v in as_python] == [float, float]
-        assert [v.hex() for v in as_numpy] == [v.hex() for v in as_python]

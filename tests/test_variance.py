@@ -27,6 +27,7 @@ from wcost.quadrature import (
     _ANTI_FIT,
     CumulativeMesh,
     QuadratureConfig,
+    _breaks,
     _tolerance,
 )
 from wcost.variance import (
@@ -122,6 +123,18 @@ def test_quantile_cost_is_rejected():
         sigma2(Gaussian(0, 1), Gaussian(2, 1), QuantileCost(0.5), Independent())
 
 
+@pytest.mark.parametrize("a", [1e-100, 1.0, 1e100])
+def test_the_tails_meet_warning_is_scale_free(a):
+    # the quantile gap is measured against the quantiles themselves: defect 13's
+    # pair stays apart at every common scale, and F = G coincides at every one
+    laws = [LocationScale(law, a, 0.0) for law in (Weibull(1.5), Gaussian(1, 2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        variance_module._warn_if_tails_meet(*laws)
+    with pytest.warns(UserWarning, match="coincide"):
+        variance_module._warn_if_tails_meet(laws[0], laws[0])
+
+
 def test_equal_marginals_warn_and_degenerate():
     with pytest.warns(UserWarning, match="coincide"):
         r = sigma2(Gaussian(0, 1), Gaussian(0, 1), P2, Independent())
@@ -163,7 +176,7 @@ _LOG2 = math.log(2.0)
 def _inner_mesh(G, depth=40.0):
     """The sigma mesh of the Gaussian-copula slopes, each half ``depth`` deep in s."""
     slopes = variance_module._two_sample_slopes(Gaussian(0, 1), G, P2, GaussianCopula(0.5))
-    mesh = CumulativeMesh(slopes, variance_module._breaks([depth, depth]))
+    mesh = CumulativeMesh(slopes, _breaks([depth, depth]))
     for _ in range(2):
         mesh.split(np.ones(mesh.panels, dtype=bool))
     return mesh
@@ -625,8 +638,7 @@ def test_the_series_bound_does_not_underflow_at_a_tiny_scale():
     laws = [parse_distribution(f"locscale({law},1e-100,0)")
             for law in ("weibull(1.5)", "gaussian(1,2)")]
     cost, cp = PowerCost(1.5), GaussianCopula(0.5)
-    with pytest.warns(UserWarning, match="coincide"):  # its gap test is not scale-free
-        res = sigma2(*laws, cost, cp)
+    res = sigma2(*laws, cost, cp)
     unit = sigma2(Weibull(1.5), Gaussian(1, 2), cost, cp)
     assert res.diagnostics["influence"]["cross"]["truncation_bound"] > 0.0
     assert abs(res.value - unit.value * 1e-300) <= res.est_error
