@@ -225,7 +225,8 @@ def integrate_open01(halves, rates, cfg: QuadratureConfig,
     1 - u = e^{-s} on the right.  Where that decays like e^{-r s}, r from
     ``rates``, its mass beyond a depth is at most its value there over r: the
     end term, read at the outermost node.  Each half is one ``integrate_1d``
-    range, deepened while its end term exceeds its share of the tolerance.
+    range, from the depth where a unit end term meets the tolerance or from
+    the cap, deepened while its end term exceeds its share of the tolerance.
     Raises NonconvergenceError for a rate <= 0 ("divergent"), at a non-finite
     sample, and when the error estimate, the panels' plus the end terms,
     misses the tolerance taken against |left| + |right|.
@@ -237,7 +238,7 @@ def integrate_open01(halves, rates, cfg: QuadratureConfig,
         if not rate > 0.0:
             raise NonconvergenceError(
                 f"{what}: the {side} tail decays at rate r = {rate:.4g} <= 0 along its coordinate "
-                "s, so the integral is divergent")
+                "s, so the integral may be divergent: no depth bounds its tail")
         outer = [0.0, 0.0]  # |sigma| and |value| of the outermost node sampled
 
         def sampled(t, g=g, side=side, outer=outer):
@@ -250,14 +251,15 @@ def integrate_open01(halves, rates, cfg: QuadratureConfig,
                 outer[:] = float(t[-1]), abs(float(v[-1]))
             return v
 
-        depth = _LOG2 + (decades - math.log(rate)) / rate  # where a unit end term meets it
+        # where a unit end term meets the tolerance; the end term read at the cap decides past it
+        depth = min(_LOG2 + (decades - math.log(rate)) / rate, _DEPTH_CAP)
         while True:
-            _deep_enough(depth, what, side, f"e^(-r s) with rate r = {rate:.3g}")
             value, err = integrate_1d(sampled, 0.0, depth - _LOG2, inner, raise_on_stall=False)
             end, target = outer[1] / rate, _tolerance(inner, value)
             if end <= target:
                 break
-            depth += math.log(end / target) / rate + 1.0
+            depth = _deep_enough(depth + math.log(end / target) / rate + 1.0, what, side,
+                                 f"e^(-r s) with rate r = {rate:.3g}")
         values.append(value)
         errors += [err, end]
     value, est_error = math.fsum(values), math.fsum(errors)

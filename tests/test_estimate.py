@@ -194,6 +194,14 @@ def test_exact_cost_heavy_tails_diverge():
         exact_cost(Pareto(2), Pareto(4), P2)
 
 
+def test_exact_cost_of_a_translation_near_the_frontier():
+    # lambda + delta = 2/2.05 gives the tail rate 0.024, whose depth is past
+    # the cap; the quantile gap is 1, so the cost is 1 and the end term at the
+    # cap is tiny
+    got = exact_cost(Pareto(2.05), LocationScale(Pareto(2.05), 1.0, 1.0), P2)
+    assert got == pytest.approx(1.0, rel=1e-9)
+
+
 def test_exact_cost_near_frontier_still_converges():
     # Pareto(5) vs Pareto(6): closed form 5/3 - 60/19 + 3/2 = 1/114
     got = exact_cost(Pareto(5), Pareto(6), P2)

@@ -118,6 +118,13 @@ def test_open01_detects_near_frontier_divergence():
     assert "divergent" not in str(info.value)
 
 
+def test_open01_starts_at_the_depth_cap_and_reads_the_end_term_there():
+    # rate 0.01 asks for a depth past s = 700; the integrand decays at rate 1,
+    # so the end term read at the cap is far below the tolerance
+    v, e = integrate_open01(_halves(lambda u, w: 1.0 + 0.0 * u), (0.01, 0.01), CFG)
+    assert abs(v - 1.0) <= e <= _tolerance(CFG, 1.0)
+
+
 def test_open01_mixed_rate_endpoints():
     # Different singularity strength at each end, each half at its own rate.
     # Integral of u^{-1/2}(1-u)^{-1/4} is B(1/2, 3/4).
