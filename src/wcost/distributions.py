@@ -341,10 +341,12 @@ class Reflected(Distribution):
         # small u, which the base's psi_inverse at -log(u) keeps.
         ua = _check_prob_open(u)
         low = ua < 0.5
-        x = self.base.quantile(1.0 - np.where(low, 0.5, ua))
+        x = np.empty(ua.shape)
+        if not np.all(low):
+            x[~low] = self.base.quantile(1.0 - ua[~low])
         if np.any(low):
-            x = np.where(low, self.base.psi_inverse(-np.log(np.where(low, ua, 0.5))), x)
-        return _scalar_like(-_as_array(x), u)
+            x[low] = self.base.psi_inverse(-np.log(ua[low]))
+        return _scalar_like(-x, u)
 
     def _psi_inverse(self, ya):
         # Solve base.cdf(-x) = exp(-y) directly.  The base formula goes through

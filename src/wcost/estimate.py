@@ -17,7 +17,7 @@ import numpy as np
 from .assumptions import _growth_rate, _tail_rate
 from .costs import Cost, QuantileCost
 from .distributions import Distribution, reflect
-from .quadrature import _LOG2, QuadratureConfig, graded_breaks, integrate_1d, integrate_open01
+from .quadrature import _LOG2, QuadratureConfig, integrate_open01
 
 __all__ = [
     "PairedSample",
@@ -119,14 +119,19 @@ def empirical_quantile(column, u: float) -> float:
     return float(x[idx - 1])
 
 
-def _quantile_integral(laws, h, growth, q: QuadratureConfig, what: str) -> tuple[float, float]:
-    """int_0^1 h(L_1^{-1}(u), ...) du and its error estimate, by ``integrate_open01``.
+def _quantile_integral(laws, h, growth, q: QuadratureConfig, what: str,
+                       window: tuple[float, float] = (0.0, 1.0)) -> tuple[float, float]:
+    """int h(L_1^{-1}(u), ...) du over ``window`` and its error estimate, by ``integrate_open01``.
 
     The left half reads each law's quantile at u = e^{-s}, the right half its
     reflection's at 1 - u = e^{-s}, negated, which keeps the digits of 1 - u.
+    A half's rate, and so its tail constants, is read only where its end of
+    the window is open.
     """
+    lo, hi = window
     mirrors = [reflect(law) for law in laws]
-    rates = [_tail_rate(mirrors, growth, "left"), _tail_rate(laws, growth, "right")]
+    rates = [_tail_rate(mirrors, growth, "left") if lo == 0.0 else None,
+             _tail_rate(laws, growth, "right") if hi == 1.0 else None]
 
     def half(sources, sign):
         def integrand(t):
@@ -134,7 +139,7 @@ def _quantile_integral(laws, h, growth, q: QuadratureConfig, what: str) -> tuple
             return h(*(sign * np.asarray(law.quantile(w), dtype=float) for law in sources)) * w
         return integrand
 
-    return integrate_open01((half(laws, 1.0), half(mirrors, -1.0)), rates, q, what)
+    return integrate_open01((half(laws, 1.0), half(mirrors, -1.0)), rates, q, what, window)
 
 
 def exact_cost(F: Distribution, G: Distribution, c: Cost,
@@ -142,32 +147,27 @@ def exact_cost(F: Distribution, G: Distribution, c: Cost,
                window: tuple[float, float] = (0.0, 1.0)) -> float:
     """Population cost: integral of c(F^{-1}(u), G^{-1}(u)) du over the window.
 
-    The full open interval goes along each tail's coordinate s, where
-    c(F^{-1}, G^{-1}) e^{-s} decays at the rate 1 - (lambda + delta) of the
-    tail gate's rule (lambda = 0 for the pinball cost, linear in the gap).
-    Raises NonconvergenceError where that rate is <= 0 ("divergent") or the
-    quadrature misses its tolerance, ValueError for an unbounded law without
-    tail constants, as ``sigma2`` does, and UnsupportedCostError for another
-    cost outside the gate's table.  An interior window ((lo, hi) strictly
-    inside (0,1)) integrates directly in u.
+    The window, the full interval or one strictly inside it, is taken along
+    each half's tail coordinate s by ``integrate_open01``.  An end inside
+    (0, 1) is exact; an open end is cut where c(F^{-1}, G^{-1}) e^{-s}, which
+    decays at the rate 1 - (lambda + delta) of the tail gate's rule (lambda
+    = 0 for the pinball cost, linear in the gap), leaves less than the
+    tolerance.  Raises NonconvergenceError where that rate is <= 0
+    ("divergent") or the quadrature misses its tolerance.  The full interval
+    also raises ValueError for an unbounded law without tail constants, as
+    ``sigma2`` does, and UnsupportedCostError for another cost outside the
+    gate's table; an interior window reads no tail and takes any law and cost.
     """
     if q is None:
         q = QuadratureConfig()
     lo, hi = window
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"bad integration window {window}")
-    if (lo, hi) == (0.0, 1.0):
-        growth = (lambda *tail: 0) if isinstance(c, QuantileCost) else (
-            lambda *tail: _growth_rate(c, *tail))
-        value, _err = _quantile_integral((F, G), c.evaluate, growth, q, "exact cost")
-        return float(value)
-    if lo == 0.0 or hi == 1.0:
+    if (lo == 0.0) != (hi == 1.0):
         raise ValueError("window must be the full interval or strictly interior")
-
-    def integrand(u):
-        return c.evaluate(F.quantile(u), G.quantile(u))
-
-    value, _err = integrate_1d(integrand, lo, hi, q, breaks=graded_breaks(lo, hi))
+    growth = (lambda *tail: 0) if isinstance(c, QuantileCost) else (
+        lambda *tail: _growth_rate(c, *tail))
+    value, _err = _quantile_integral((F, G), c.evaluate, growth, q, "exact cost", (lo, hi))
     return float(value)
 
 

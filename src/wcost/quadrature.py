@@ -6,7 +6,9 @@ where the rest is below the tolerance: an integrand of the quantiles times
 du/ds = e^{-s} decays like e^{-r s}, r set by the tail constants (del Barrio,
 Gine & Utzet 2005).  ``CumulativeMesh`` carries the variances' running
 integrals on it; ``integrate_open01``, for ``exact_cost`` and the
-location-scale moments, takes each half as one ``integrate_1d`` range.
+location-scale moments, takes each half as one ``integrate_1d`` range.  A
+window inside (0, 1) is a finite range on the same coordinate, so its ends
+are exact; no integral here is taken in u itself.
 
 Everything is deterministic: panels are summed in domain order with
 compensated summation, never in refinement order.
@@ -23,8 +25,7 @@ from scipy.special import eval_legendre
 
 from .errors import NonconvergenceError
 
-__all__ = ["QuadratureConfig", "CumulativeMesh", "gk15_fixed", "graded_breaks", "integrate_1d",
-           "integrate_open01"]
+__all__ = ["QuadratureConfig", "CumulativeMesh", "gk15_fixed", "integrate_1d", "integrate_open01"]
 
 # 15-point Kronrod extension of 7-point Gauss (positive half, descending).
 _XGK = np.array([
@@ -120,51 +121,22 @@ def _tolerance(cfg: QuadratureConfig, value: float, scale: float = 0.0) -> float
     return max(cfg.abs_tol, cfg.rel_tol * max(abs(value), abs(scale)))
 
 
-def graded_breaks(lo: float, hi: float) -> list[float]:
-    """Breakpoints geometrically refined toward 0 and 1 inside (lo, hi).
+def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float]:
+    """Adaptive panel-bisection integral of a vectorized integrand on [a, b]; (value, error estimate).
 
-    Power-type endpoint singularities are nearly scale-free on each decade
-    cell, so a decade-graded initial mesh makes the embedded rule accurate
-    per cell where uniform bisection would grind.
-    """
-    pts = {lo, hi}
-    t = lo
-    while t < 0.1:
-        t *= 10.0
-        if lo < t < hi:
-            pts.add(t)
-    s = 1.0 - hi
-    while s < 0.1:
-        s *= 10.0
-        if lo < 1.0 - s < hi:
-            pts.add(1.0 - s)
-    return sorted(pts)
-
-
-def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig, breaks=None,
-                 raise_on_stall: bool = True) -> tuple[float, float]:
-    """Adaptive panel-bisection integral of a vectorized integrand on [a, b].
-
-    ``breaks`` seeds the initial partition (must start at a and end at b).
-    The worst panel is bisected until the summed error estimate meets the
-    tolerance, the budget is spent or a panel is at floating-point
-    resolution.  Running totals are kept per split; the exact compensated
-    sums decide the stop and are formed only once the running error, less
-    the bound on its own rounding, is within the tolerance.  With
-    ``raise_on_stall`` off, a result that misses the tolerance is returned
-    with its (honest) error estimate instead of raising, for a caller that
-    applies its own final tolerance check.
+    The worst panel, from the one panel [a, b] on, is bisected until the
+    summed error estimate meets the tolerance, the budget is spent or a panel
+    is at floating-point resolution.  Running totals are kept per split; the
+    exact compensated sums decide the stop and are formed only once the
+    running error, less the bound on its own rounding, is within the
+    tolerance.  A result that misses the tolerance is returned with its
+    (honest) error estimate: the caller applies the final tolerance check.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError(f"bad interval [{a}, {b}]")
-    if breaks is None:
-        breaks = [a, b]
+    val, err = gk15_fixed(f, a, b)
     # heap of (-error, left, right, value); floats give a deterministic order
-    heap = [(-err, pa, pb, val) for pa, pb in zip(breaks, breaks[1:])
-            for val, err in [gk15_fixed(f, pa, pb)]]
-    heapq.heapify(heap)
-    val = math.fsum(p[-1] for p in heap)
-    err = math.fsum(-p[0] for p in heap)
+    heap = [(-err, a, b, val)]
     drift = 0.0  # bounds the rounding both running totals have picked up
     while len(heap) < cfg.max_subdivisions:
         if err - drift <= _tolerance(cfg, abs(val) + drift):
@@ -189,14 +161,7 @@ def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig, breaks=None,
         err += worst[0]
         drift += _ULP * (abs(val) + abs(err))
     panels = sorted(heap, key=lambda p: p[1])
-    value = math.fsum(p[3] for p in panels)
-    error = math.fsum(-p[0] for p in panels)
-    if raise_on_stall and not error <= _tolerance(cfg, value):
-        raise NonconvergenceError(
-            f"1-D quadrature on [{a}, {b}] stalled at error {error:.3e} "
-            f"after {len(panels)} panels (tolerance {_tolerance(cfg, value):.3e})"
-        )
-    return value, error
+    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
 
 
 def _breaks(depths) -> np.ndarray:
@@ -216,29 +181,42 @@ def _deep_enough(depth: float, what: str, side: str, decay: str) -> float:
     return depth
 
 
-def integrate_open01(halves, rates, cfg: QuadratureConfig,
-                     what: str = "open-interval integral") -> tuple[float, float]:
-    """Integral over (0, 1), each half given along its tail coordinate; (value, error estimate).
+def _sigma(w: float) -> float:
+    """|sigma| = -log(2 w) at the level w = e^{-s} of a half, 0 <= w <= 1/2; inf at w = 0."""
+    if w == 0.0:
+        return math.inf
+    return -math.log(2.0 * w) if w < 0.5 else 0.0
+
+
+def integrate_open01(halves, rates, cfg: QuadratureConfig, what: str = "open-interval integral",
+                     window: tuple[float, float] = (0.0, 1.0)) -> tuple[float, float]:
+    """Integral over ``window``, each half along its tail coordinate; (value, error estimate).
 
     ``halves`` holds, left then right, the integrand times du/ds = e^{-s} as
     a function of |sigma| = s - log 2 >= 0, u = e^{-s} on the left and
-    1 - u = e^{-s} on the right.  Where that decays like e^{-r s}, r from
-    ``rates``, its mass beyond a depth is at most its value there over r: the
-    end term, read at the outermost node.  Each half is one ``integrate_1d``
-    range, from the depth where a unit end term meets the tolerance or from
-    the cap, deepened while its end term exceeds its share of the tolerance.
-    Raises NonconvergenceError for a rate <= 0 ("divergent"), at a non-finite
-    sample, and when the error estimate, the panels' plus the end terms,
-    misses the tolerance taken against |left| + |right|.
+    1 - u = e^{-s} on the right.  The window (lo, hi), (0, 1) or strictly
+    inside it, is each half's range in |sigma|: [-log(2 min(hi, 1/2)),
+    -log(2 lo)] on the left, [-log(2 min(1 - lo, 1/2)), -log(2 (1 - hi))] on
+    the right; a half with an empty range is skipped, and an end inside
+    (0, 1) is exact.  An open end,
+    lo = 0 or hi = 1, reads its half's rate r from ``rates`` (unread on a
+    closed half): where the integrand decays like e^{-r s}, its mass beyond a
+    depth is at most its value there over r, the end term, read at the
+    outermost node.  That half runs from 0 to the depth where a unit end term
+    meets the tolerance, or to the cap, deepened while its end term exceeds
+    its share of the tolerance.  Raises NonconvergenceError for an open end's
+    rate <= 0 ("divergent"), at a non-finite sample, and when the error
+    estimate, the panels' plus the end terms, misses the tolerance taken
+    against |left| + |right|.
     """
+    lo, hi = window
+    ranges = ((_sigma(min(hi, 0.5)), _sigma(lo)), (_sigma(min(1.0 - lo, 0.5)), _sigma(1.0 - hi)))
     inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
     decades = math.log(2.0 * _INNER_TIGHTENING / cfg.rel_tol) + _DEPTH_SLACK
     values, errors = [], []
-    for g, rate, side in zip(halves, rates, _HALVES):
-        if not rate > 0.0:
-            raise NonconvergenceError(
-                f"{what}: the {side} tail decays at rate r = {rate:.4g} <= 0 along its coordinate "
-                "s, so the integral may be divergent: no depth bounds its tail")
+    for g, rate, (start, stop), side in zip(halves, rates, ranges, _HALVES):
+        if not start < stop:
+            continue
         outer = [0.0, 0.0]  # |sigma| and |value| of the outermost node sampled
 
         def sampled(t, g=g, side=side, outer=outer):
@@ -251,15 +229,22 @@ def integrate_open01(halves, rates, cfg: QuadratureConfig,
                 outer[:] = float(t[-1]), abs(float(v[-1]))
             return v
 
-        # where a unit end term meets the tolerance; the end term read at the cap decides past it
-        depth = min(_LOG2 + (decades - math.log(rate)) / rate, _DEPTH_CAP)
-        while True:
-            value, err = integrate_1d(sampled, 0.0, depth - _LOG2, inner, raise_on_stall=False)
-            end, target = outer[1] / rate, _tolerance(inner, value)
-            if end <= target:
-                break
-            depth = _deep_enough(depth + math.log(end / target) / rate + 1.0, what, side,
-                                 f"e^(-r s) with rate r = {rate:.3g}")
+        if stop < math.inf:  # an end inside (0, 1): exact, no end term
+            (value, err), end = integrate_1d(sampled, start, stop, inner), 0.0
+        elif not rate > 0.0:
+            raise NonconvergenceError(
+                f"{what}: the {side} tail decays at rate r = {rate:.4g} <= 0 along its coordinate "
+                "s, so the integral may be divergent: no depth bounds its tail")
+        else:
+            # where a unit end term meets the tolerance; the end term read at the cap decides past it
+            depth = min(_LOG2 + (decades - math.log(rate)) / rate, _DEPTH_CAP)
+            while True:
+                value, err = integrate_1d(sampled, start, depth - _LOG2, inner)
+                end, target = outer[1] / rate, _tolerance(inner, value)
+                if end <= target:
+                    break
+                depth = _deep_enough(depth + math.log(end / target) / rate + 1.0, what, side,
+                                     f"e^(-r s) with rate r = {rate:.3g}")
         values.append(value)
         errors += [err, end]
     value, est_error = math.fsum(values), math.fsum(errors)

@@ -2,10 +2,12 @@
 
 ``tests/reports/`` holds one text file per entry of ``COMMANDS``: a header
 with the numpy and scipy versions that wrote it and the command line, then
-the exit code, stdout with any ``runtime`` line removed, stderr, and the
-warnings raised.  Each command runs in-process through ``wcost.cli.main``
-from the root of the repository, where the ``wcost mc`` entries find
-``configs/``.  ``test_reports.py`` runs the list and compares the text, so a
+the exit code, stdout with any ``runtime`` line removed, stderr, the
+warnings raised, and the text of every file the command wrote.  Each command
+runs in-process through ``wcost.cli.main`` from the root of the repository,
+where the ``wcost mc`` entries find ``configs/``; a command writes its files
+into a fresh temporary directory, named ``$TMPDIR`` in its argument list and
+in the report.  ``test_reports.py`` runs the list and compares the text, so a
 change that moves a report shows as a diff of its file.  Regenerate the files with
 
     PYTHONPATH=src python3 tests/reports.py --write
@@ -18,6 +20,7 @@ import contextlib
 import io
 import os
 import sys
+import tempfile
 import warnings
 
 import numpy
@@ -30,6 +33,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The benchmark pair: N(0,1) against N(2,1) under power(2).
 _PAIR = ("gaussian(0,1)", "gaussian(2,1)", "power(2)")
+#: Stands for the temporary directory a command writes its files into.
+TMPDIR = "$TMPDIR"
 
 COMMANDS = {
     "check-pareto5-translated": ["check", "pareto(5)", "locscale(pareto(5),1,1)", "power(2)"],
@@ -49,6 +54,12 @@ COMMANDS = {
     **{f"variance-pair-{name}": ["variance", *_PAIR, kind, "--diagnostics"]
        for name, kind in (("independent", "independent"), ("comonotone", "comonotone"),
                           ("countermonotone", "countermonotone"), ("gauss0.5", "gauss(0.5)"))},
+    **{f"estimate-pair-gauss0.5-{sigma}": ["estimate", "--generate", *_PAIR[:2], "gauss(0.5)",
+                                            "2000", "7", "--cost", _PAIR[2], "--trim", "0.1",
+                                            "--ci", "0.95", "--sigma", sigma]
+       for sigma in ("plugin", "oracle")},
+    "sample-pair-gauss0.5": ["sample", *_PAIR[:2], "gauss(0.5)", "20", "7",
+                             "--out", f"{TMPDIR}/pairs.csv"],
     # one worker process, so the run stays in-process
     **{f"mc-{name}": ["mc", f"configs/mc_{name}.json", "--threads", "1"]
        for name in ("benchmark", "smoke", "sweep", "trimmed")},
@@ -67,15 +78,21 @@ def path(name: str) -> str:
 def run(argv: list[str]) -> str:
     """The report text of one command, below the version line."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.chdir(ROOT), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        with warnings.catch_warnings(record=True) as caught, contextlib.chdir(ROOT), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([arg.replace(TMPDIR, tmp) for arg in argv])
+        written = ""
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name)) as fh:
+                written += f"--- file {TMPDIR}/{name}\n{fh.read()}"
     stdout = "".join(line for line in out.getvalue().splitlines(keepends=True)
                      if not line.lstrip().startswith('"runtime":'))
     raised = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
-    return (f"$ wcost {' '.join(argv)}\nexit {code}\n--- stdout\n{stdout}"
-            f"--- stderr\n{err.getvalue()}--- warnings\n{raised}")
+    text = (f"--- stdout\n{stdout}--- stderr\n{err.getvalue()}--- warnings\n{raised}"
+            f"{written}").replace(tmp, TMPDIR)
+    return f"$ wcost {' '.join(argv)}\nexit {code}\n{text}"
 
 
 def write() -> None:

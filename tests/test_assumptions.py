@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import wcost.distributions as distributions_module
 from wcost import Independent, parse_cost, parse_distribution, sigma2, sigma2_one_sample
@@ -198,6 +199,18 @@ def test_exact_cost_refuses_a_law_without_tail_constants_as_sigma2_does():
         "the tail gate cannot size the right tail: _StretchTail declares no tail constants "
         "(gamma, C)")
     assert not isinstance(cost.value, (NonconvergenceError, UnsupportedCostError))
+
+
+def test_an_interior_window_reads_no_tail_constants():
+    # a window's ends lie inside (0, 1), so no tail needs a decay rate: the
+    # full interval still refuses _StretchTail, the window (0.1, 0.9) has its value
+    F, G = _StretchTail(), Exponential(1.0)
+    with pytest.raises(ValueError, match="_StretchTail declares no tail constants"):
+        exact_cost(F, G, P2)
+    got = exact_cost(F, G, P2, window=(0.1, 0.9))
+    direct, _ = integrate.quad(lambda u: (F.quantile(u) - G.quantile(u)) ** 2, 0.1, 0.9,
+                               epsabs=0.0, epsrel=1e-12)
+    assert math.isfinite(got) and got == pytest.approx(direct, rel=1e-7)
 
 
 def test_verify_triple_matches_recorded_reports():

@@ -5,6 +5,7 @@ import pytest
 
 from wcost._model import _scalar_like
 from wcost.distributions import (
+    Distribution,
     Exponential,
     Gaussian,
     LocationScale,
@@ -279,6 +280,35 @@ def test_reflected_quantile_keeps_the_lower_tail():
     assert np.array_equal(r.quantile(u), [r.quantile(v) for v in u])
     # from 1/2 up, 1 - u is exact and the base quantile reads it as before
     assert r.quantile(0.9) == -Exponential(1.0).quantile(1.0 - 0.9)
+
+
+class _SpyExponential(Distribution):
+    """Exponential(1) that records which quantile side it was read on, and at how many points."""
+
+    def __init__(self):
+        self.calls = []
+
+    def quantile(self, u):
+        self.calls.append(("quantile", np.size(u)))
+        return Exponential(1.0).quantile(u)
+
+    def _psi_inverse(self, ya):
+        self.calls.append(("psi_inverse", ya.size))
+        return Exponential(1.0).psi_inverse(ya)
+
+
+@pytest.mark.parametrize("u, calls", [
+    ([1e-20, 0.1, 0.4999], [("psi_inverse", 3)]),
+    ([0.5, 0.9], [("quantile", 2)]),
+    ([0.25, 0.5, 1e-9, 0.75], [("quantile", 2), ("psi_inverse", 2)]),
+])
+def test_reflected_quantile_reads_each_base_side_only_at_its_own_levels(u, calls):
+    # below 1/2 only psi_inverse is read, from 1/2 up only the quantile; -X
+    # for X ~ Exp(1) has the quantile log u
+    spy = _SpyExponential()
+    got = Reflected(spy).quantile(np.array(u))
+    assert spy.calls == calls
+    assert got == pytest.approx(np.log(u), rel=1e-14)
 
 
 @pytest.mark.parametrize(

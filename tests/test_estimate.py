@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from wcost.costs import ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
 from wcost.distributions import Exponential, Gaussian, LocationScale, Pareto, Weibull
@@ -211,6 +212,20 @@ def test_exact_cost_near_frontier_still_converges():
 def test_exact_cost_interior_window():
     got = exact_cost(Gaussian(0, 1), Gaussian(1, 1), P2, window=(0.25, 0.75))
     assert got == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("window", [(0.25, 0.75), (0.1, 0.3), (0.6, 0.9), (1e-6, 1.0 - 1e-6)],
+                         ids=["middle", "left-half", "right-half", "deep"])
+def test_exact_cost_window_of_a_scale_pair_meets_its_closed_form(window):
+    # F^{-1} = z and G^{-1} = 2z give the cost z^2, and the integral of
+    # z^2 phi(z) is Phi(z) - z phi(z); two of the windows lie inside one half
+    def primitive(u):
+        z = special.ndtri(u)
+        return special.ndtr(z) - z * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    got = exact_cost(Gaussian(0, 1), Gaussian(0, 2), P2, window=window)
+    assert got == pytest.approx(primitive(window[1]) - primitive(window[0]),
+                                rel=QuadratureConfig().rel_tol)
 
 
 def test_exact_cost_rejects_half_open_windows():

@@ -47,14 +47,6 @@ def test_integrate_1d_classic_values():
     assert v == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
-def test_integrate_1d_respects_breaks_seed():
-    # A kink at an interior point: seeding the partition there gives an
-    # essentially exact result immediately.
-    f = lambda x: np.abs(x - 0.5)
-    v, _ = integrate_1d(f, 0.0, 1.0, CFG, breaks=[0.0, 0.5, 1.0])
-    assert v == pytest.approx(0.25, rel=1e-14)
-
-
 def test_integrate_1d_rejects_bad_interval():
     with pytest.raises(ValueError):
         integrate_1d(np.sin, 1.0, 1.0, CFG)
@@ -190,7 +182,7 @@ def _reference_1d(f, a, b, cfg):
     (lambda x: np.abs(x - 0.3333) ** 0.51, replace(CFG, max_subdivisions=37)),
 ])
 def test_integrate_1d_matches_the_resumming_loop_bit_for_bit(f, cfg):
-    assert integrate_1d(f, 0.0, 1.0, cfg, raise_on_stall=False) == _reference_1d(f, 0.0, 1.0, cfg)
+    assert integrate_1d(f, 0.0, 1.0, cfg) == _reference_1d(f, 0.0, 1.0, cfg)
 
 
 # --- cumulative mesh --------------------------------------------------------------
