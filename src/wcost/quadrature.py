@@ -4,11 +4,14 @@ Each half of (0, 1) is taken along its own tail coordinate, s = -log u below
 1/2 and s = -log(1 - u) above, an infinite range as in QUADPACK's QAGI, cut
 where the rest is below the tolerance: an integrand of the quantiles times
 du/ds = e^{-s} decays like e^{-r s}, r set by the tail constants (del Barrio,
-Gine & Utzet 2005).  ``CumulativeMesh`` carries the variances' running
-integrals on it; ``integrate_open01``, for ``exact_cost`` and the
-location-scale moments, takes each half as one ``integrate_1d`` range.  A
-window inside (0, 1) is a finite range on the same coordinate, so its ends
-are exact; no integral here is taken in u itself.
+Gine & Utzet 2005).  ``CumulativeMesh`` is the one adaptive engine: it
+starts from panels graded at s = 1, 2, 4, ... and bisects, worst first, the
+panels that hold more than their share of the error.  It carries the
+variances' running integrals, and ``integrate_1d`` sums its panels for
+``integrate_open01``, which takes each half as one range for ``exact_cost``
+and the location-scale moments.  A window inside (0, 1) is a finite range on
+the same coordinate, so its ends are exact; no integral here is taken in u
+itself.
 
 Everything is deterministic: panels are summed in domain order with
 compensated summation, never in refinement order.
@@ -16,16 +19,16 @@ compensated summation, never in refinement order.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import eval_legendre
 
 from .errors import NonconvergenceError
 
-__all__ = ["QuadratureConfig", "CumulativeMesh", "gk15_fixed", "integrate_1d", "integrate_open01"]
+__all__ = ["QuadratureConfig", "CumulativeMesh", "integrate_1d", "integrate_open01"]
 
 # 15-point Kronrod extension of 7-point Gauss (positive half, descending).
 _XGK = np.array([
@@ -79,8 +82,6 @@ _ANTI_FIT = _ANTI @ _FIT
 # Row j: samples -> integral of the interpolant from -1 to node j.
 _CUMULATIVE = eval_legendre(_DEGREES[None, :], _NODES[:, None]) @ _ANTI_FIT
 
-# Twice the unit roundoff: one addition's rounding is at most this times its result.
-_ULP = 2.0 ** -52
 # The open-interval integrals drive their panels and end terms this much below
 # the requested tolerance so that the summed error estimate still meets it.
 _INNER_TIGHTENING = 20.0
@@ -107,68 +108,46 @@ class QuadratureConfig:
             raise ValueError("the panel budget must be positive")
 
 
-def gk15_fixed(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss--Kronrod panel on [a, b]; returns (value, error estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _NODES), dtype=float)
-    ik = half * float(np.dot(_W_KRONROD, y))
-    ig = half * float(np.dot(_W_GAUSS, y))
-    return ik, abs(ik - ig)
-
-
 def _tolerance(cfg: QuadratureConfig, value: float, scale: float = 0.0) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * max(abs(value), abs(scale)))
 
 
-def integrate_1d(f, a: float, b: float, cfg: QuadratureConfig) -> tuple[float, float]:
-    """Adaptive panel-bisection integral of a vectorized integrand on [a, b]; (value, error estimate).
+def integrate_1d(f, breaks, cfg: QuadratureConfig) -> tuple[float, float]:
+    """Adaptive integral of a vectorized integrand over the panels ``breaks``; (value, error estimate).
 
-    The worst panel, from the one panel [a, b] on, is bisected until the
-    summed error estimate meets the tolerance, the budget is spent or a panel
-    is at floating-point resolution.  Running totals are kept per split; the
-    exact compensated sums decide the stop and are formed only once the
-    running error, less the bound on its own rounding, is within the
-    tolerance.  A result that misses the tolerance is returned with its
-    (honest) error estimate: the caller applies the final tolerance check.
+    A ``CumulativeMesh`` starts from the panels between consecutive breaks,
+    which need not hold 0, and ``CumulativeMesh.refine`` splits them, as it
+    does for the variances, until the compensated sum of the panels'
+    Kronrod-minus-Gauss gaps meets the tolerance, the budget is spent or no
+    panel above its share can be split.  The value is the compensated sum
+    of the panels' Kronrod values.  ``f`` is called once per panel, on its
+    15 ascending nodes.  A result that misses the tolerance is returned with
+    its (honest) error estimate: the caller applies the final tolerance
+    check.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"bad interval [{a}, {b}]")
-    val, err = gk15_fixed(f, a, b)
-    # heap of (-error, left, right, value); floats give a deterministic order
-    heap = [(-err, a, b, val)]
-    drift = 0.0  # bounds the rounding both running totals have picked up
-    while len(heap) < cfg.max_subdivisions:
-        if err - drift <= _tolerance(cfg, abs(val) + drift):
-            val = math.fsum(p[-1] for p in heap)
-            err = math.fsum(-p[0] for p in heap)
-            drift = 0.0
-            if err <= _tolerance(cfg, val):
-                break
-        worst = heapq.heappop(heap)
-        _, pa, pb, _ = worst
-        pm = 0.5 * (pa + pb)
-        if pm <= pa or pm >= pb:  # interval at floating-point resolution
-            heapq.heappush(heap, worst)
-            break
-        for lo, hi in ((pa, pm), (pm, pb)):
-            v, e = gk15_fixed(f, lo, hi)
-            heapq.heappush(heap, (-e, lo, hi, v))
-            val += v
-            err += e
-            drift += _ULP * (abs(val) + abs(err))
-        val -= worst[-1]
-        err += worst[0]
-        drift += _ULP * (abs(val) + abs(err))
-    panels = sorted(heap, key=lambda p: p[1])
-    return math.fsum(p[3] for p in panels), math.fsum(-p[0] for p in panels)
+    breaks = np.asarray(breaks, dtype=float)
+    if not (breaks.size > 1 and np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) > 0.0)):
+        raise ValueError(f"bad panel breaks {breaks}")
+    # f is called once per 15-node panel: the benchmark counts integrand calls as panels
+    mesh = CumulativeMesh(lambda x: np.concatenate([f(t) for t in x.reshape(-1, _NODES.size)])[None], breaks)
+    while True:
+        value, err = math.fsum(mesh.sums[0]), math.fsum(mesh.ep[0])
+        target = _tolerance(cfg, value)
+        if err <= target or not mesh.refine(mesh.ep[0], target, cfg.max_subdivisions):
+            return value, err
+
+
+def _graded(start: float, stop: float) -> list[float]:
+    """[start, stop] in |sigma|, cut at |sigma| = s - log 2 for s = 1, 2, 4, ... inside it."""
+    cuts = [s - _LOG2 for s in 2.0 ** np.arange(max(int(math.log2(stop + _LOG2)), 0) + 1)
+            if start < s - _LOG2 < stop]
+    return [start] + cuts + [stop]
 
 
 def _breaks(depths) -> np.ndarray:
-    """The first mesh on sigma: 0, and +-(s - log 2) at s = 1, 2, 4, ... below each depth and at it."""
-    left, right = ([s - _LOG2 for s in 2.0 ** np.arange(max(int(math.log2(d)), 0) + 1) if s < d]
-                   + [d - _LOG2] for d in depths)
-    return np.array([-x for x in reversed(left)] + [0.0] + right)
+    """The first mesh on sigma: each half from 0 to its depth's |sigma| = d - log 2, graded by ``_graded``."""
+    left, right = (_graded(0.0, d - _LOG2) for d in depths)
+    return np.array([-x for x in reversed(left[1:])] + right)
 
 
 def _deep_enough(depth: float, what: str, side: str, decay: str) -> float:
@@ -198,13 +177,14 @@ def integrate_open01(halves, rates, cfg: QuadratureConfig, what: str = "open-int
     inside it, is each half's range in |sigma|: [-log(2 min(hi, 1/2)),
     -log(2 lo)] on the left, [-log(2 min(1 - lo, 1/2)), -log(2 (1 - hi))] on
     the right; a half with an empty range is skipped, and an end inside
-    (0, 1) is exact.  An open end,
-    lo = 0 or hi = 1, reads its half's rate r from ``rates`` (unread on a
-    closed half): where the integrand decays like e^{-r s}, its mass beyond a
-    depth is at most its value there over r, the end term, read at the
-    outermost node.  That half runs from 0 to the depth where a unit end term
-    meets the tolerance, or to the cap, deepened while its end term exceeds
-    its share of the tolerance.  Raises NonconvergenceError for an open end's
+    (0, 1) is exact.  Each range is one ``integrate_1d`` call that starts on
+    the s = 1, 2, 4, ... grading of the variances' mesh.  An open end, lo = 0
+    or hi = 1, reads its half's rate r from ``rates`` (unread on a closed
+    half): where the integrand decays like e^{-r s}, its mass beyond a depth
+    is at most its value there over r, the end term, read at the outermost
+    node.  That half runs from 0 to the depth where a unit end term meets the
+    tolerance, or to the cap, deepened while its end term exceeds its share
+    of the tolerance.  Raises NonconvergenceError for an open end's
     rate <= 0 ("divergent"), at a non-finite sample, and when the error
     estimate, the panels' plus the end terms, misses the tolerance taken
     against |left| + |right|.
@@ -230,7 +210,7 @@ def integrate_open01(halves, rates, cfg: QuadratureConfig, what: str = "open-int
             return v
 
         if stop < math.inf:  # an end inside (0, 1): exact, no end term
-            (value, err), end = integrate_1d(sampled, start, stop, inner), 0.0
+            (value, err), end = integrate_1d(sampled, _graded(start, stop), inner), 0.0
         elif not rate > 0.0:
             raise NonconvergenceError(
                 f"{what}: the {side} tail decays at rate r = {rate:.4g} <= 0 along its coordinate "
@@ -239,7 +219,7 @@ def integrate_open01(halves, rates, cfg: QuadratureConfig, what: str = "open-int
             # where a unit end term meets the tolerance; the end term read at the cap decides past it
             depth = min(_LOG2 + (decades - math.log(rate)) / rate, _DEPTH_CAP)
             while True:
-                value, err = integrate_1d(sampled, start, depth - _LOG2, inner)
+                value, err = integrate_1d(sampled, _graded(start, depth - _LOG2), inner)
                 end, target = outer[1] / rate, _tolerance(inner, value)
                 if end <= target:
                     break
@@ -259,10 +239,11 @@ class CumulativeMesh:
     """Running integrals Q_i(x) = -int_0^x p_i of a vector integrand on [breaks[0], breaks[-1]].
 
     ``f`` maps an array of n points to an (m, n) array of the components p_i;
-    ``breaks`` are the initial panel ends and hold 0.  Each 15-point
-    Gauss--Kronrod panel carries the node samples; Q at a node is the panel
-    sums accumulated outward from 0 plus the integral of the panel's
-    interpolant up to the node.
+    ``breaks`` are the initial panel ends.  Each 15-point Gauss--Kronrod
+    panel carries the node samples; Q at a node is the panel sums
+    accumulated outward from 0 plus the integral of the panel's interpolant
+    up to the node.  On breaks that do not hold 0, Q is taken from the end
+    nearest it instead.
     """
 
     def __init__(self, f, breaks):
@@ -289,16 +270,33 @@ class CumulativeMesh:
     def _update(self) -> None:
         lo, hi = self.breaks[:-1], self.breaks[1:]
         self.mid, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        sums = self.half * (self.p @ _W_KRONROD)
-        #: per panel, the Kronrod-minus-Gauss discrepancy of int p_i
-        self.ep = self.half * np.abs(self.p @ _W_DIFF)
-        k0 = int(np.searchsorted(lo, 0.0))
-        #: Q_i at each break, summed outward from 0 on both sides, shape (m, panels + 1)
-        self.q_breaks = np.concatenate((np.cumsum(sums[:, k0 - 1::-1], axis=1)[:, ::-1],
-                                        np.zeros((sums.shape[0], 1)),
-                                        -np.cumsum(sums[:, k0:], axis=1)), axis=1)
-        #: Q_i at the nodes, shape (m, panels, 15)
-        self.Q = self.q_breaks[:, :-1, None] - self.half[:, None] * (self.p @ _CUMULATIVE.T)
+        #: per panel, the Kronrod integral of p_i and its Kronrod-minus-Gauss discrepancy
+        self.sums, self.ep = self.panel_sums(self.p)
+        for running in ("q_breaks", "Q"):  # formed again on the next read
+            self.__dict__.pop(running, None)
+
+    @cached_property
+    def q_breaks(self) -> np.ndarray:
+        """Q_i at each break, summed outward from 0 (or the end nearest it), shape (m, panels + 1)."""
+        k0 = int(np.searchsorted(self.breaks[:-1], 0.0))
+        return np.concatenate((np.cumsum(self.sums[:, :k0][:, ::-1], axis=1)[:, ::-1],
+                               np.zeros((self.sums.shape[0], 1)),
+                               -np.cumsum(self.sums[:, k0:], axis=1)), axis=1)
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """Q_i at the nodes, shape (m, panels, 15)."""
+        return self.q_breaks[:, :-1, None] - self.half[:, None] * (self.p @ _CUMULATIVE.T)
+
+    def refine(self, shares, target, budget: int) -> bool:
+        """Bisect, worst first, the panels whose error share exceeds ``target`` over the panel count.
+
+        At most ``budget`` panels result; False when none can be split.
+        """
+        worst = np.argsort(-shares, kind="stable")[:max(budget - self.panels, 0)]
+        mask = np.zeros(self.panels, dtype=bool)
+        mask[worst] = shares[worst] > target / self.panels
+        return self.split(mask)
 
     def split(self, mask) -> bool:
         """Bisect the masked panels; False when none can be split any more."""

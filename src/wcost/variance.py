@@ -66,8 +66,6 @@ __all__ = [
 #: cross-checks against replicate variances) never need more than ~1e-4 relative.
 DEFAULT_VARIANCE_CONFIG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-5)
 
-_MOMENT_CONFIG = QuadratureConfig()
-
 _METHODS = frozenset({
     "quadrature",
     "closed_form_gaussian",
@@ -469,10 +467,7 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
                 target = _tolerance(q, value) / _INNER_TIGHTENING
                 if float(np.sum(shares)) <= target:
                     break
-                worst = np.argsort(-shares, kind="stable")[:max(q.max_subdivisions - mesh.panels, 0)]
-                mask = np.zeros(mesh.panels, dtype=bool)
-                mask[worst] = shares[worst] > target / mesh.panels
-                if not mesh.split(mask):
+                if not mesh.refine(shares, target, q.max_subdivisions):
                     exhausted = True
                     break
         tails = sum(weight * t for _, weight, _, _, t, _ in terms)
@@ -631,7 +626,7 @@ def sigma2_location_scale(base: Distribution, a: float, b: float,
     if not (a > 0 and a_prime > 0):
         raise ValueError(f"scales must be positive, got a={a}, a'={a_prime}")
     if q is None:
-        q = _MOMENT_CONFIG
+        q = QuadratureConfig()
     probe = np.linspace(0.005, 0.495, 50)
     lo = np.asarray(base.quantile(probe), dtype=float)
     hi = np.asarray(base.quantile(1.0 - probe), dtype=float)

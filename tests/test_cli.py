@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -293,7 +294,7 @@ def test_sample_writes_reproducible_csv(capsys, tmp_path):
     assert json.loads(report)["written"] == out_a
     invoke(capsys, "sample", "gaussian(0,1)", "gaussian(2,1)",
            "independent", "50", "3", "--out", out_b)
-    assert open(out_a).read() == open(out_b).read()
+    assert Path(out_a).read_text() == Path(out_b).read_text()
     s = read_sample_csv(out_a)
     assert s.n == 50
 
@@ -334,7 +335,7 @@ def test_mc_clt_run_with_z_csv(capsys, tmp_path):
     assert payload["replicates"] == 120
     assert 0.0 <= payload["ks_distance"] <= 1.0
     assert payload["config"]["params"]["resolved_trim_eps"] == pytest.approx(400 ** -0.25)
-    lines = open(zp).read().splitlines()
+    lines = Path(zp).read_text().splitlines()
     assert lines[0] == "z" and len(lines) == 121
 
 
@@ -432,7 +433,7 @@ def test_report_to_file_and_csv_format(capsys, tmp_path):
                           "--format", "csv", "--out", report)
     assert code == 0
     assert out == ""
-    lines = open(report).read().splitlines()
+    lines = Path(report).read_text().splitlines()
     assert lines[0] == "key,value"
     cells = dict(line.split(",", 1) for line in lines[1:])
     assert cells["value"] == "32"

@@ -238,10 +238,11 @@ def test_exact_cost_rejects_half_open_windows():
 
 
 def test_exact_cost_honours_config():
-    # one panel cannot meet the tolerance on (0, 1) ...
+    # the graded start mesh, unsplit, misses rel 1e-10 on (0, 1), and the full budget meets it ...
     F, G = Gaussian(0, 1), Gaussian(1, 3)
     with pytest.raises(NonconvergenceError):
-        exact_cost(F, G, P2, q=QuadratureConfig(max_subdivisions=1))
+        exact_cost(F, G, P2, q=QuadratureConfig(rel_tol=1e-10, max_subdivisions=1))
+    assert exact_cost(F, G, P2, q=QuadratureConfig(rel_tol=1e-10)) == pytest.approx(5.0, rel=1e-10)
     # ... and a looser tolerance stops refining sooner, at a different value
     loose = exact_cost(F, G, P2, q=QuadratureConfig(abs_tol=1e-3, rel_tol=1e-3))
     assert loose != exact_cost(F, G, P2)
