@@ -58,6 +58,9 @@ COMMANDS = {
                                             "2000", "7", "--cost", _PAIR[2], "--trim", "0.1",
                                             "--ci", "0.95", "--sigma", sigma]
        for sigma in ("plugin", "oracle")},
+    # the one route whose halves cancel: the generator's mean
+    "variance-location-scale": ["variance", "gaussian(0,1)", "2", "3", "1", "1",
+                                "--method", "location-scale", "--diagnostics"],
     "sample-pair-gauss0.5": ["sample", *_PAIR[:2], "gauss(0.5)", "20", "7",
                              "--out", f"{TMPDIR}/pairs.csv"],
     # one worker process, so the run stays in-process
