@@ -3,7 +3,7 @@
 The empirical estimator pairs the two samples' order statistics; the trimmed
 variant integrates the empirical quantile cost over a symmetric sub-window of
 (0,1); the exact population value integrates the quantile-coupling integrand
-along each tail's coordinate with :mod:`wcost.quadrature`.
+along the tail coordinate with :mod:`wcost.quadrature`.
 """
 
 from __future__ import annotations
@@ -123,23 +123,23 @@ def _quantile_integral(laws, h, growth, q: QuadratureConfig, what: str,
                        window: tuple[float, float] = (0.0, 1.0)) -> tuple[float, float]:
     """int h(L_1^{-1}(u), ...) du over ``window`` and its error estimate, by ``integrate_open01``.
 
-    The left half reads each law's quantile at u = e^{-s}, the right half its
-    reflection's at 1 - u = e^{-s}, negated, which keeps the digits of 1 - u.
-    A half's rate, and so its tail constants, is read only where its end of
-    the window is open.
+    The integrand is one function of the signed tail coordinate sigma.  A
+    panel lies on one side of sigma = 0: below it, each law's quantile is
+    read at u = e^{-s}; above it, its reflection's at 1 - u = e^{-s},
+    negated, which keeps the digits of 1 - u.  A side's rate, and so its
+    tail constants, is read only where its end of the window is open.
     """
     lo, hi = window
     mirrors = [reflect(law) for law in laws]
     rates = [_tail_rate(mirrors, growth, "left") if lo == 0.0 else None,
              _tail_rate(laws, growth, "right") if hi == 1.0 else None]
 
-    def half(sources, sign):
-        def integrand(t):
-            w = np.exp(-(t + _LOG2))
-            return h(*(sign * np.asarray(law.quantile(w), dtype=float) for law in sources)) * w
-        return integrand
+    def integrand(t):
+        sources, sign = (laws, 1.0) if t[0] < 0.0 else (mirrors, -1.0)
+        w = np.exp(-(np.abs(t) + _LOG2))
+        return h(*(sign * np.asarray(law.quantile(w), dtype=float) for law in sources)) * w
 
-    return integrate_open01((half(laws, 1.0), half(mirrors, -1.0)), rates, q, what, window)
+    return integrate_open01(integrand, rates, q, what, window)
 
 
 def exact_cost(F: Distribution, G: Distribution, c: Cost,
@@ -147,8 +147,9 @@ def exact_cost(F: Distribution, G: Distribution, c: Cost,
                window: tuple[float, float] = (0.0, 1.0)) -> float:
     """Population cost: integral of c(F^{-1}(u), G^{-1}(u)) du over the window.
 
-    The window, the full interval or one strictly inside it, is taken along
-    each half's tail coordinate s by ``integrate_open01``.  An end inside
+    The window, the full interval or one strictly inside it (else
+    ValueError), is one range on the tail coordinate of ``integrate_open01``,
+    which also rejects a window outside 0 <= lo < hi <= 1.  An end inside
     (0, 1) is exact; an open end is cut where c(F^{-1}, G^{-1}) e^{-s}, which
     decays at the rate 1 - (lambda + delta) of the tail gate's rule (lambda
     = 0 for the pinball cost, linear in the gap), leaves less than the
@@ -161,8 +162,6 @@ def exact_cost(F: Distribution, G: Distribution, c: Cost,
     if q is None:
         q = QuadratureConfig()
     lo, hi = window
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"bad integration window {window}")
     if (lo == 0.0) != (hi == 1.0):
         raise ValueError("window must be the full interval or strictly interior")
     growth = (lambda *tail: 0) if isinstance(c, QuantileCost) else (

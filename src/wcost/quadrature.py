@@ -1,17 +1,17 @@
 """Deterministic adaptive quadrature on 15-point Gauss--Kronrod panels.
 
-Each half of (0, 1) is taken along its own tail coordinate, s = -log u below
-1/2 and s = -log(1 - u) above, an infinite range as in QUADPACK's QAGI, cut
-where the rest is below the tolerance: an integrand of the quantiles times
-du/ds = e^{-s} decays like e^{-r s}, r set by the tail constants (del Barrio,
-Gine & Utzet 2005).  ``CumulativeMesh`` is the one adaptive engine: it
-starts from panels graded at s = 1, 2, 4, ... and bisects, worst first, the
-panels that hold more than their share of the error.  It carries the
-variances' running integrals, and ``integrate_1d`` sums its panels for
-``integrate_open01``, which takes each half as one range for ``exact_cost``
-and the location-scale moments.  A window inside (0, 1) is a finite range on
-the same coordinate, so its ends are exact; no integral here is taken in u
-itself.
+Every integral here is taken along the tail coordinate sigma, |sigma| = s -
+log 2, with s = -log u below u = 1/2 (sigma < 0) and s = -log(1 - u) above:
+an infinite range as in QUADPACK's QAGI, cut where the rest is below the
+tolerance, since an integrand of the quantiles times du/ds = e^{-s} decays
+like e^{-r s}, r set by the tail constants (del Barrio, Gine & Utzet 2005).
+``CumulativeMesh`` is the one adaptive engine, on one signed-sigma range: it
+starts from panels cut at 0 and graded at s = 1, 2, 4, ... and bisects,
+worst first, the panels that hold more than their share of the error.  It
+carries the variances' running integrals, and ``integrate_1d`` sums its
+panels for ``integrate_open01``, the one range of ``exact_cost`` and the
+location-scale moments.  A window inside (0, 1) is a finite range on the
+same coordinate, so its ends are exact; no integral is taken in u itself.
 
 Everything is deterministic: panels are summed in domain order with
 compensated summation, never in refinement order.
@@ -91,39 +91,40 @@ _HALVES = ("left", "right")
 _DEPTH_CAP = 700.0
 #: Added to the log of the relative tolerance in a depth: room for a tail's constant.
 _DEPTH_SLACK = 4.0
+#: The most panels one adaptive mesh may hold.
+_MAX_SUBDIVISIONS = 6000
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and the panel budget of the adaptive integrators."""
+    """Tolerances of the adaptive integrators; their panel budget is ``_MAX_SUBDIVISIONS``."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-7
-    max_subdivisions: int = 6000
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("the panel budget must be positive")
 
 
-def _tolerance(cfg: QuadratureConfig, value: float, scale: float = 0.0) -> float:
-    return max(cfg.abs_tol, cfg.rel_tol * max(abs(value), abs(scale)))
+def _tolerance(cfg: QuadratureConfig, value: float) -> float:
+    return max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
-def integrate_1d(f, breaks, cfg: QuadratureConfig) -> tuple[float, float]:
-    """Adaptive integral of a vectorized integrand over the panels ``breaks``; (value, error estimate).
+def integrate_1d(f, breaks, cfg: QuadratureConfig) -> tuple[float, float, float]:
+    """Adaptive integral of a vectorized integrand over the panels ``breaks``; (value, error estimate, int |f|).
 
     A ``CumulativeMesh`` starts from the panels between consecutive breaks,
     which need not hold 0, and ``CumulativeMesh.refine`` splits them, as it
     does for the variances, until the compensated sum of the panels'
     Kronrod-minus-Gauss gaps meets the tolerance, the budget is spent or no
     panel above its share can be split.  The value is the compensated sum
-    of the panels' Kronrod values.  ``f`` is called once per panel, on its
-    15 ascending nodes.  A result that misses the tolerance is returned with
-    its (honest) error estimate: the caller applies the final tolerance
-    check.
+    of the panels' Kronrod values, int |f| that of their absolute values,
+    and the tolerance is taken against int |f|, so an integrand whose parts
+    cancel is not driven below its own rounding.  ``f`` is called once per
+    panel, on its 15 ascending nodes.  A result that misses the tolerance is
+    returned with its (honest) error estimate: the caller applies the final
+    tolerance check.
     """
     breaks = np.asarray(breaks, dtype=float)
     if not (breaks.size > 1 and np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) > 0.0)):
@@ -131,23 +132,17 @@ def integrate_1d(f, breaks, cfg: QuadratureConfig) -> tuple[float, float]:
     # f is called once per 15-node panel: the benchmark counts integrand calls as panels
     mesh = CumulativeMesh(lambda x: np.concatenate([f(t) for t in x.reshape(-1, _NODES.size)])[None], breaks)
     while True:
-        value, err = math.fsum(mesh.sums[0]), math.fsum(mesh.ep[0])
-        target = _tolerance(cfg, value)
-        if err <= target or not mesh.refine(mesh.ep[0], target, cfg.max_subdivisions):
-            return value, err
+        value, err, scale = (math.fsum(x) for x in (mesh.sums[0], mesh.ep[0], np.abs(mesh.sums[0])))
+        target = _tolerance(cfg, scale)  # scale >= |value|
+        if err <= target or not mesh.refine(mesh.ep[0], target, _MAX_SUBDIVISIONS):
+            return value, err, scale
 
 
 def _graded(start: float, stop: float) -> list[float]:
-    """[start, stop] in |sigma|, cut at |sigma| = s - log 2 for s = 1, 2, 4, ... inside it."""
-    cuts = [s - _LOG2 for s in 2.0 ** np.arange(max(int(math.log2(stop + _LOG2)), 0) + 1)
-            if start < s - _LOG2 < stop]
-    return [start] + cuts + [stop]
-
-
-def _breaks(depths) -> np.ndarray:
-    """The first mesh on sigma: each half from 0 to its depth's |sigma| = d - log 2, graded by ``_graded``."""
-    left, right = (_graded(0.0, d - _LOG2) for d in depths)
-    return np.array([-x for x in reversed(left[1:])] + right)
+    """[start, stop] in sigma, cut at 0 and at sigma = +-(s - log 2) for s = 1, 2, 4, ... inside it."""
+    steps = [s - _LOG2 for s in 2.0 ** np.arange(max(int(math.log2(max(-start, stop) + _LOG2)), 0) + 1)]
+    cuts = [-x for x in reversed(steps)] + [0.0] + steps
+    return [start] + [x for x in cuts if start < x < stop] + [stop]
 
 
 def _deep_enough(depth: float, what: str, side: str, decay: str) -> float:
@@ -160,75 +155,86 @@ def _deep_enough(depth: float, what: str, side: str, decay: str) -> float:
     return depth
 
 
-def _sigma(w: float) -> float:
-    """|sigma| = -log(2 w) at the level w = e^{-s} of a half, 0 <= w <= 1/2; inf at w = 0."""
-    if w == 0.0:
-        return math.inf
-    return -math.log(2.0 * w) if w < 0.5 else 0.0
+def _finite(f, what: str, noun: str):
+    """``f`` (a row or rows of samples) on points sigma, raising NonconvergenceError at a non-finite sample."""
+    def sampled(t):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            v = np.asarray(f(t), dtype=float)
+        bad = t[~np.all(np.isfinite(v.reshape(-1, t.size)), axis=0)]
+        if bad.size:
+            raise NonconvergenceError(
+                f"{what}: {noun} not finite near s = {abs(bad[0]) + _LOG2:.4g} "
+                f"on the {_HALVES[int(bad[0] >= 0.0)]} tail")
+        return v
+    return sampled
 
 
-def integrate_open01(halves, rates, cfg: QuadratureConfig, what: str = "open-interval integral",
+def integrate_open01(f, rates, cfg: QuadratureConfig, what: str = "open-interval integral",
                      window: tuple[float, float] = (0.0, 1.0)) -> tuple[float, float]:
-    """Integral over ``window``, each half along its tail coordinate; (value, error estimate).
+    """Integral over ``window`` along the tail coordinate sigma; (value, error estimate).
 
-    ``halves`` holds, left then right, the integrand times du/ds = e^{-s} as
-    a function of |sigma| = s - log 2 >= 0, u = e^{-s} on the left and
-    1 - u = e^{-s} on the right.  The window (lo, hi), (0, 1) or strictly
-    inside it, is each half's range in |sigma|: [-log(2 min(hi, 1/2)),
-    -log(2 lo)] on the left, [-log(2 min(1 - lo, 1/2)), -log(2 (1 - hi))] on
-    the right; a half with an empty range is skipped, and an end inside
-    (0, 1) is exact.  Each range is one ``integrate_1d`` call that starts on
-    the s = 1, 2, 4, ... grading of the variances' mesh.  An open end, lo = 0
-    or hi = 1, reads its half's rate r from ``rates`` (unread on a closed
-    half): where the integrand decays like e^{-r s}, its mass beyond a depth
-    is at most its value there over r, the end term, read at the outermost
-    node.  That half runs from 0 to the depth where a unit end term meets the
-    tolerance, or to the cap, deepened while its end term exceeds its share
-    of the tolerance.  Raises NonconvergenceError for an open end's
-    rate <= 0 ("divergent"), at a non-finite sample, and when the error
-    estimate, the panels' plus the end terms, misses the tolerance taken
-    against |left| + |right|.
+    ``f`` is the integrand times du/ds = e^{-s} as a function of the signed
+    sigma, |sigma| = s - log 2, u = e^{-s} below sigma = 0 and 1 - u = e^{-s}
+    above it.  It is called on the 15 ascending nodes of one panel at a
+    time, and a panel lies on one side of sigma = 0.  The window (lo, hi),
+    0 <= lo < hi <= 1 or ValueError, is one range [sigma(lo), sigma(hi)],
+    sigma(u) = log 2u below 1/2 and -log 2(1 - u) above; a window whose ends
+    round to one sigma returns (0.0, 0.0), and an end inside (0, 1) is
+    exact.  An open end, lo = 0 or hi = 1, reads its side's rate r from
+    ``rates`` (left, right; unread at a closed end): where the integrand
+    decays like e^{-r s}, its mass beyond a depth is at most its value there
+    over r, the end term, read at the side's outermost node.  That end sits
+    at -+(depth - log 2), first where a unit end term meets the tolerance,
+    or at the cap.  Each round is one ``integrate_1d`` call on the s = 1, 2,
+    4, ... grading of the variances' mesh, and a side goes deeper while its
+    end term exceeds half the target.  The tolerance is taken against int
+    |f| on the mesh, which is |value| for an integrand of one sign.  Raises
+    NonconvergenceError for an open end's rate <= 0 ("divergent"), at a
+    non-finite sample, and when the error estimate, the panels' plus the end
+    terms, misses the tolerance.
     """
     lo, hi = window
-    ranges = ((_sigma(min(hi, 0.5)), _sigma(lo)), (_sigma(min(1.0 - lo, 0.5)), _sigma(1.0 - hi)))
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"bad integration window {window}")
     inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
     decades = math.log(2.0 * _INNER_TIGHTENING / cfg.rel_tol) + _DEPTH_SLACK
-    values, errors = [], []
-    for g, rate, (start, stop), side in zip(halves, rates, ranges, _HALVES):
-        if not start < stop:
-            continue
-        outer = [0.0, 0.0]  # |sigma| and |value| of the outermost node sampled
-
-        def sampled(t, g=g, side=side, outer=outer):
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = np.asarray(g(t), dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise NonconvergenceError(f"{what}: the integrand is not finite near s = "
-                                          f"{t[~np.isfinite(v)][0] + _LOG2:.4g} on the {side} tail")
-            if t[-1] > outer[0]:  # a panel's nodes ascend
-                outer[:] = float(t[-1]), abs(float(v[-1]))
-            return v
-
-        if stop < math.inf:  # an end inside (0, 1): exact, no end term
-            (value, err), end = integrate_1d(sampled, _graded(start, stop), inner), 0.0
-        elif not rate > 0.0:
+    ends = [None if u in (0.0, 1.0) else math.log(2.0 * u) if u < 0.5 else -math.log(2.0 * (1.0 - u))
+            for u in window]  # sigma(lo), sigma(hi); None at an open end
+    if None not in ends and not ends[0] < ends[1]:
+        return 0.0, 0.0
+    rates = [rate if end is None else None for rate, end in zip(rates, ends)]
+    for rate, side in zip(rates, _HALVES):
+        if rate is not None and not rate > 0.0:
             raise NonconvergenceError(
                 f"{what}: the {side} tail decays at rate r = {rate:.4g} <= 0 along its coordinate "
                 "s, so the integral may be divergent: no depth bounds its tail")
-        else:
-            # where a unit end term meets the tolerance; the end term read at the cap decides past it
-            depth = min(_LOG2 + (decades - math.log(rate)) / rate, _DEPTH_CAP)
-            while True:
-                value, err = integrate_1d(sampled, _graded(start, depth - _LOG2), inner)
-                end, target = outer[1] / rate, _tolerance(inner, value)
-                if end <= target:
-                    break
-                depth = _deep_enough(depth + math.log(end / target) / rate + 1.0, what, side,
-                                     f"e^(-r s) with rate r = {rate:.3g}")
-        values.append(value)
-        errors += [err, end]
-    value, est_error = math.fsum(values), math.fsum(errors)
-    tol = _tolerance(cfg, value, math.fsum(map(abs, values)))
+    # where a unit end term meets the tolerance; the end term read at the cap decides past it
+    depths = [None if rate is None else min(_LOG2 + (decades - math.log(rate)) / rate, _DEPTH_CAP)
+              for rate in rates]
+    sampled = _finite(f, what, "the integrand is")
+    outer = [(0.0, 0.0), (0.0, 0.0)]  # sigma and |value| of each side's outermost node
+
+    def tracked(t):
+        v = sampled(t)
+        if t[0] < outer[0][0]:  # a panel's nodes ascend
+            outer[0] = float(t[0]), abs(float(v[0]))
+        if t[-1] > outer[1][0]:
+            outer[1] = float(t[-1]), abs(float(v[-1]))
+        return v
+
+    while True:
+        start = ends[0] if depths[0] is None else _LOG2 - depths[0]
+        stop = ends[1] if depths[1] is None else depths[1] - _LOG2
+        value, err, scale = integrate_1d(tracked, _graded(start, stop), inner)
+        target = _tolerance(inner, scale)
+        tails = [0.0 if rate is None else outer[h][1] / rate for h, rate in enumerate(rates)]
+        deeper = [h for h, tail in enumerate(tails) if tail > 0.5 * target]
+        if not deeper:
+            break
+        for h in deeper:
+            depths[h] = _deep_enough(depths[h] + math.log(2.0 * tails[h] / target) / rates[h] + 1.0,
+                                     what, _HALVES[h], f"e^(-r s) with rate r = {rates[h]:.3g}")
+    est_error, tol = math.fsum([err, *tails]), _tolerance(cfg, scale)
     if not est_error <= tol:
         raise NonconvergenceError(
             f"{what}: error estimate {est_error:.3e} exceeds tolerance {tol:.3e}")

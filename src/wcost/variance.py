@@ -46,8 +46,9 @@ from .distributions import Distribution, Gaussian, reflect
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
 from .estimate import PairedSample, _finite_sorted_columns, _quantile_integral
-from .quadrature import (_DEPTH_SLACK, _HALVES, _INNER_TIGHTENING, _LOG2, _W_DIFF, _W_KRONROD,
-                         CumulativeMesh, QuadratureConfig, _breaks, _deep_enough, _tolerance)
+from .quadrature import (_DEPTH_SLACK, _HALVES, _INNER_TIGHTENING, _LOG2, _MAX_SUBDIVISIONS, _W_DIFF,
+                         _W_KRONROD, CumulativeMesh, QuadratureConfig, _deep_enough, _finite, _graded,
+                         _tolerance)
 
 __all__ = [
     "DEFAULT_VARIANCE_CONFIG",
@@ -420,7 +421,9 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
     otherwise).  ``margins`` holds the gate's tail margin m > 0 of each half
     (left, right): inf where holding Q constant beyond the mesh is exact (a
     window ``depth`` deep); ``_depth`` sets the depth of the others.  The
-    mesh starts from ``_breaks`` and is bisected where the error shares
+    mesh starts on ``_graded`` from sigma = log 2 - d_left to d_right -
+    log 2, the samples pass ``quadrature._finite``, the guard that
+    ``integrate_open01`` uses, and it is bisected where the error shares
     concentrate, worst first, until they total at most the tolerance over the
     inner tightening, or the panel budget is spent; a Gaussian copula's cross
     term joins once the others meet it.  A half whose tail bound takes more
@@ -431,19 +434,10 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
     bound misses the tolerance, at the first point where a sampled slope is
     not finite, and where a variance overflows the doubles.
     """
-    def sampled(t):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            p = np.asarray(f(t), dtype=float)
-        bad = t[~np.all(np.isfinite(p), axis=0)]
-        if bad.size:
-            raise NonconvergenceError(
-                f"influence: the cost slopes are not finite near s = "
-                f"{abs(bad[0]) + _LOG2:.4g} on the {_HALVES[int(bad[0] >= 0.0)]} tail")
-        return p
-
     depths = [depth or _depth(m, q, side) for m, side in zip(margins, _HALVES)]
     while True:
-        mesh = CumulativeMesh(sampled, _breaks(depths))
+        mesh = CumulativeMesh(_finite(f, "influence", "the cost slopes are"),
+                              _graded(_LOG2 - depths[0], depths[1] - _LOG2))
         kept = None  # (panel count, terms) of the last measurement
         series = {}
 
@@ -467,7 +461,7 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
                 target = _tolerance(q, value) / _INNER_TIGHTENING
                 if float(np.sum(shares)) <= target:
                     break
-                if not mesh.refine(shares, target, q.max_subdivisions):
+                if not mesh.refine(shares, target, _MAX_SUBDIVISIONS):
                     exhausted = True
                     break
         tails = sum(weight * t for _, weight, _, _, t, _ in terms)

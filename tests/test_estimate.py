@@ -16,6 +16,7 @@ from wcost.estimate import (
     trimmed_empirical_cost,
     write_sample_csv,
 )
+from wcost import quadrature
 from wcost.quadrature import QuadratureConfig
 
 from stable_sort_reference import empirical_cost_ref, same_bits, tied_sample, trimmed_cost_ref
@@ -237,11 +238,17 @@ def test_exact_cost_rejects_half_open_windows():
         exact_cost(Gaussian(0, 1), Gaussian(1, 1), P2, window=(0.7, 0.3))
 
 
-def test_exact_cost_honours_config():
+def test_exact_cost_on_a_window_whose_ends_round_to_one_sigma_is_zero():
+    assert exact_cost(Gaussian(0, 1), Gaussian(1, 1), P2, window=(1e-10, 1.0000000000000012e-10)) == 0.0
+
+
+def test_exact_cost_honours_config(monkeypatch):
     # the graded start mesh, unsplit, misses rel 1e-10 on (0, 1), and the full budget meets it ...
     F, G = Gaussian(0, 1), Gaussian(1, 3)
-    with pytest.raises(NonconvergenceError):
-        exact_cost(F, G, P2, q=QuadratureConfig(rel_tol=1e-10, max_subdivisions=1))
+    with monkeypatch.context() as patched:
+        patched.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+        with pytest.raises(NonconvergenceError):
+            exact_cost(F, G, P2, q=QuadratureConfig(rel_tol=1e-10))
     assert exact_cost(F, G, P2, q=QuadratureConfig(rel_tol=1e-10)) == pytest.approx(5.0, rel=1e-10)
     # ... and a looser tolerance stops refining sooner, at a different value
     loose = exact_cost(F, G, P2, q=QuadratureConfig(abs_tol=1e-3, rel_tol=1e-3))

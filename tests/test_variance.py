@@ -27,7 +27,7 @@ from wcost.quadrature import (
     _ANTI_FIT,
     CumulativeMesh,
     QuadratureConfig,
-    _breaks,
+    _graded,
     _tolerance,
 )
 from wcost.variance import (
@@ -176,7 +176,7 @@ _LOG2 = math.log(2.0)
 def _inner_mesh(G, depth=40.0):
     """The sigma mesh of the Gaussian-copula slopes, each half ``depth`` deep in s."""
     slopes = variance_module._two_sample_slopes(Gaussian(0, 1), G, P2, GaussianCopula(0.5))
-    mesh = CumulativeMesh(slopes, _breaks([depth, depth]))
+    mesh = CumulativeMesh(slopes, _graded(_LOG2 - depth, depth - _LOG2))
     for _ in range(2):
         mesh.split(np.ones(mesh.panels, dtype=bool))
     return mesh
