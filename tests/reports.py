@@ -51,6 +51,9 @@ COMMANDS = {
                                         "logpower(0.5)"],
     "variance-gaussian-sd1e200-logpower": ["variance", "gaussian(1e200,1e200)", "exponential(1)",
                                            "logpower(0.5)", "independent"],
+    # a Pareto-led gate, both depths and the tail bounds on a heavy tail
+    "variance-pareto5-translated": ["variance", "pareto(5)", "locscale(pareto(5),1,1)", "power(2)",
+                                    "independent", "--diagnostics"],
     **{f"variance-pair-{name}": ["variance", *_PAIR, kind, "--diagnostics"]
        for name, kind in (("independent", "independent"), ("comonotone", "comonotone"),
                           ("countermonotone", "countermonotone"), ("gauss0.5", "gauss(0.5)"))},
