@@ -4,10 +4,11 @@ The limit theorem needs three groups of hypotheses: marginal tail regularity
 of the pair (F, G), structural properties of the cost, and a compatibility
 condition tying the heavier tail to the cost's growth.  The marginal
 conditions fg1-fg3 and fg5 are decided from each law's declared tail
-constants (gamma, C), whose limits make them bounded; ``tail_gate`` decides
-the compatibility condition in closed form from the same constants, for
-``sigma2``, the Monte Carlo precheck and ``verify_triple`` alike, and is
-not-applicable for a law or cost outside its table.  Two checks read grids:
+constants (gamma, C), whose limits make them bounded; ``_side_exponent``
+alone reads them for the tails.  From it ``tail_gate`` decides the
+compatibility condition in closed form, for ``sigma2``, the Monte Carlo
+precheck and ``verify_triple`` alike, not-applicable for a law or cost outside
+its table, and ``exact_cost`` takes its decay rates.  Two checks read grids:
 the quantile gap fg4, on a tail u-grid, and ``check_cfg``, the paper's
 literal condition, which the gate does not call.  Each reports a pass/fail
 with its witness value and location; the grids are spelled out in the
@@ -254,8 +255,8 @@ def heavier_right(F: Distribution, G: Distribution) -> Distribution:
     at any finite depth, and within one class the smaller C wins (the smaller
     Pareto index, or the slower stretched-exponential rate).  A C that left
     the floats ranks at its limit, 0 or inf.  The quantile at 1 - 1e-8
-    decides only when the constants tie or one is undeclared.  The tail
-    conditions and ``tail_gate`` take their lead law from here.
+    decides only when the constants tie or one is undeclared.  Only
+    ``verify_triple`` takes its lead law and ``swapped_*`` flags from here.
     """
     f_unbounded = math.isinf(F.support()[1])
     if f_unbounded != math.isinf(G.support()[1]):
@@ -268,14 +269,13 @@ def heavier_right(F: Distribution, G: Distribution) -> Distribution:
 
 
 def _sides(F: Distribution, G: Distribution):
-    """Each tail side as (side, A, B, lead): the pair as given, then reflected.
+    """Each tail side as (side, A, B): the pair as given, then reflected.
 
-    ``lead`` is ``heavier_right(A, B)``.  The cost needs no reflection: the
-    radial costs are symmetric in the gap, and the pinball cost has no tail
-    profile, so no verdict depends on its weights.
+    The cost needs no reflection: the radial costs are symmetric in the gap,
+    and the pinball cost has no tail profile, so no verdict depends on its
+    weights.
     """
-    for side, A, B in (("right", F, G), ("left", reflect(F), reflect(G))):
-        yield side, A, B, heavier_right(A, B)
+    return (("right", F, G), ("left", reflect(F), reflect(G)))
 
 
 # --- the tail gate ---------------------------------------------------------------
@@ -333,9 +333,9 @@ def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> Ga
     """The paper's tail hypothesis for (F, G, c), decided in closed form.
 
     With phi = psi_H o l^{-1}, the CLT needs phi'(x) >= 2 + 2 theta/x far out
-    on the heavier tail H.  On each tail side whose lead law
-    H = ``heavier_right`` is unbounded (the left one by reflection), the gate
-    fails iff lambda(c, H) + delta(L) >= 1/2 for a marginal L in ``which``
+    on the heavier tail H.  On each tail side with an unbounded law (the left
+    one by reflection), whose lead H is the smaller declared constants, the
+    gate fails iff lambda(c, H) + delta(L) >= 1/2 for a marginal L in ``which``
     ("x" is F, "y" is G).  lambda is the exponential rate in s = -log(1-u) of
     rho'(H^{-1}(u)): (alpha - 1)/p for power(alpha) on a Pareto-class H of
     index p, infinite for logpower and exppower there; on psi_H ~ C x^gamma
@@ -348,7 +348,7 @@ def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> Ga
     so p = 2 alpha fails.  A C that left the floats enters as its limit: at
     beta = gamma, exppower's lambda is inf for C = 0 and 0 for C = inf.
 
-    A side is not-applicable, and does not fail, where a law it reads
+    A side is not-applicable, and does not fail, where an unbounded law
     declares no tail constants or the cost is outside the table (the pinball
     cost, or a user's cost); its rule names the reason.  Returns a failing
     verdict first, then a not-applicable one, then a pass, each the one with
@@ -358,9 +358,9 @@ def tail_gate(F: Distribution, G: Distribution, c: Cost, which=("x", "y")) -> Ga
 
 
 def _side_verdicts(F: Distribution, G: Distribution, c: Cost, which) -> dict[str, GateVerdict]:
-    """``tail_gate``'s verdict on each tail side whose lead law is unbounded, keyed by side."""
-    return {side: _side_gate(A, B, lead, c, side, which)
-            for side, A, B, lead in _sides(F, G) if math.isinf(lead.support()[1])}
+    """``tail_gate``'s verdict on each tail side that holds an unbounded law, keyed by side."""
+    return {side: _side_gate(A, B, c, side, which) for side, A, B in _sides(F, G)
+            if math.isinf(A.support()[1]) or math.isinf(B.support()[1])}
 
 
 def _worst(verdicts: dict[str, GateVerdict]) -> GateVerdict:
@@ -371,58 +371,47 @@ def _worst(verdicts: dict[str, GateVerdict]) -> GateVerdict:
                                                  math.inf if v.margin is None else v.margin))
 
 
-def _exponent(lam, tails: dict, which) -> tuple:
-    """lambda + delta, delta and its marginal's key: the gate's and ``_tail_rate``'s one rule.
+def _side_exponent(laws, c, growth, side: str, which):
+    """(lambda, delta, delta's key) on one tail side as exact Fractions, or its not-applicable verdict.
 
-    delta is 1/p on a Pareto-class tail, 0 on a lighter one or a bounded law (not in ``tails``).
-    """
-    deltas = {key: _reciprocal(tails[key][1]) if key in tails and tails[key][0] == 0.0
-              else Fraction(0) for key in which}
-    key = max(which, key=deltas.get)
-    return lam + deltas[key], deltas[key], key
-
-
-def _tail_rate(laws, growth, side: str) -> float:
-    """The rate r = 1 - (lambda + delta) of e^{-r s}, the decay of an integrand of ``laws``' quantiles.
-
-    ``laws`` (x, then y) are as the tail ``side`` sees them; ``growth(gamma,
-    C)`` gives lambda on the lead, the smaller (gamma, C), so a tie reads no
-    quantile.  1 with no unbounded law.  Raises as ``sigma2`` does for a law
-    without constants, and UnsupportedCostError where ``growth`` has none.
+    ``laws`` (x, then y) are as the side sees them; each unbounded one must
+    declare (gamma, C).  lambda is ``growth(c, gamma, C)`` on the lead, the
+    smaller constants, so no quantile is read; delta is the largest over
+    ``which``: 1/p on a Pareto-class tail, else 0.  Their sum sets the gate's
+    margin 1/2 - sum and an integrand's decay rate 1 - sum; it is 0 with no
+    unbounded law.
     """
     tails = {}
-    for key, law in zip(("x", "y"), laws):
-        if math.isinf(law.support()[1]):
-            tails[key] = law.tail_constants()
-            if tails[key] is None:
-                raise ValueError(f"the tail gate cannot size the {side} tail: "
-                                 f"{type(law).__name__} declares no tail constants (gamma, C)")
-    if not tails:
-        return 1.0
-    lam = growth(*min(tails.values()))
-    if lam is None:
-        raise UnsupportedCostError(f"the {side} tail's growth is outside the closed-form table")
-    return float(1 - _exponent(lam, tails, tuple(tails))[0])
-
-
-def _side_gate(A: Distribution, B: Distribution, lead: Distribution, c: Cost, side: str,
-               which) -> GateVerdict:
-    """``tail_gate`` on one side, given its unbounded lead law (A or B)."""
-    lead_key = "x" if lead is A else "y"
-    tails = {}
-    for key in dict.fromkeys((lead_key, *which)):
-        law = A if key == "x" else B
-        if law is lead or math.isinf(law.support()[1]):  # a bounded law needs no constants
+    for key, law in zip("xy", laws):
+        if math.isinf(law.support()[1]):  # a bounded law needs no constants
             tails[key] = law.tail_constants()
             if tails[key] is None:
                 return GateVerdict("not-applicable", side, key,
                                    rule=f"{type(law).__name__} declares no tail constants (gamma, C)")
-    lam = _growth_rate(c, *tails[lead_key])
+    lam = growth(c, *min(tails.values())) if tails else Fraction(0)
     if lam is None:
         return GateVerdict("not-applicable", side,
                            rule=f"{type(c).__name__} is outside the closed-form table: "
                                 "no asymptotic profile l for its slope")
-    total, delta, key = _exponent(lam, tails, which)
+    deltas = {key: _reciprocal(tails[key][1]) if key in tails and tails[key][0] == 0.0
+              else Fraction(0) for key in which}
+    key = max(which, key=deltas.get)
+    return lam, deltas[key], key
+
+
+def _unsizable(verdict: GateVerdict) -> Exception:
+    """An unsizable side's error: ValueError naming the law, or UnsupportedCostError the cost."""
+    return (ValueError if verdict.marginal else UnsupportedCostError)(
+        f"the tail gate cannot size the {verdict.side} tail: {verdict.rule}")
+
+
+def _side_gate(A: Distribution, B: Distribution, c: Cost, side: str, which) -> GateVerdict:
+    """``tail_gate`` on one side that holds an unbounded law."""
+    sized = _side_exponent((A, B), c, _growth_rate, side, which)
+    if isinstance(sized, GateVerdict):
+        return sized
+    lam, delta, key = sized
+    total = lam + delta
     return GateVerdict("fail" if total >= _HALF else "pass", side, key, float(_HALF - total),
                        f"closed form: lambda + delta = {float(lam):.6g} + {float(delta):.6g}"
                        f" {'>=' if total >= _HALF else '<'} 1/2")
@@ -465,8 +454,9 @@ def verify_triple(F: Distribution, G: Distribution, c: Cost) -> TripleReport:
     """
     theta1 = c.theta1()
     reports, swapped = [], []  # right side, then left
-    for side, A, B, heavy in _sides(F, G):
+    for side, A, B in _sides(F, G):
         # the marginal conditions name the heavier tail first
+        heavy = heavier_right(A, B)
         swapped.append(heavy is not A)
         light = A if swapped[-1] else B
         if not math.isinf(heavy.support()[1]):
@@ -486,7 +476,7 @@ def verify_triple(F: Distribution, G: Distribution, c: Cost) -> TripleReport:
         else:
             report = check_fg(heavy, light)
         report.side, report.theta1 = side, theta1
-        gate = _side_gate(A, B, heavy, c, side, ("x", "y"))
+        gate = _side_gate(A, B, c, side, ("x", "y"))
         report.cfg = ConditionStatus(gate.status, gate.margin, None, gate.rule)
         reports.append(report)
     return TripleReport(*reports, theta1, *swapped)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assumptions import _growth_rate, _tail_rate
+from .assumptions import GateVerdict, _growth_rate, _side_exponent, _unsizable
 from .costs import Cost, QuantileCost
 from .distributions import Distribution, reflect
 from .quadrature import _LOG2, QuadratureConfig, integrate_open01
@@ -119,20 +119,29 @@ def empirical_quantile(column, u: float) -> float:
     return float(x[idx - 1])
 
 
-def _quantile_integral(laws, h, growth, q: QuadratureConfig, what: str,
+def _quantile_integral(laws, h, c, growth, q: QuadratureConfig, what: str,
                        window: tuple[float, float] = (0.0, 1.0)) -> tuple[float, float]:
     """int h(L_1^{-1}(u), ...) du over ``window`` and its error estimate, by ``integrate_open01``.
 
     The integrand is one function of the signed tail coordinate sigma.  A
     panel lies on one side of sigma = 0: below it, each law's quantile is
     read at u = e^{-s}; above it, its reflection's at 1 - u = e^{-s},
-    negated, which keeps the digits of 1 - u.  A side's rate, and so its
-    tail constants, is read only where its end of the window is open.
+    negated, which keeps the digits of 1 - u.  On the full interval each
+    side decays at the rate 1 - (lambda + delta) of ``_side_exponent``, with
+    lambda = ``growth(c, gamma, C)``, and raises as ``sigma2`` does, the
+    right side first, where it cannot be sized; another window reads no tail.
     """
-    lo, hi = window
     mirrors = [reflect(law) for law in laws]
-    rates = [_tail_rate(mirrors, growth, "left") if lo == 0.0 else None,
-             _tail_rate(laws, growth, "right") if hi == 1.0 else None]
+
+    def rate(sources, side):
+        sized = _side_exponent(sources, c, growth, side, "xy"[:len(laws)])
+        if isinstance(sized, GateVerdict):
+            raise _unsizable(sized)
+        lam, delta, _ = sized
+        return float(1 - (lam + delta))
+
+    # (left, right), the right side sized first
+    rates = [rate(laws, "right"), rate(mirrors, "left")][::-1] if tuple(window) == (0.0, 1.0) else None
 
     def integrand(t):
         sources, sign = (laws, 1.0) if t[0] < 0.0 else (mirrors, -1.0)
@@ -147,26 +156,22 @@ def exact_cost(F: Distribution, G: Distribution, c: Cost,
                window: tuple[float, float] = (0.0, 1.0)) -> float:
     """Population cost: integral of c(F^{-1}(u), G^{-1}(u)) du over the window.
 
-    The window, the full interval or one strictly inside it (else
-    ValueError), is one range on the tail coordinate of ``integrate_open01``,
-    which also rejects a window outside 0 <= lo < hi <= 1.  An end inside
-    (0, 1) is exact; an open end is cut where c(F^{-1}, G^{-1}) e^{-s}, which
-    decays at the rate 1 - (lambda + delta) of the tail gate's rule (lambda
-    = 0 for the pinball cost, linear in the gap), leaves less than the
-    tolerance.  Raises NonconvergenceError where that rate is <= 0
-    ("divergent") or the quadrature misses its tolerance.  The full interval
-    also raises ValueError for an unbounded law without tail constants, as
-    ``sigma2`` does, and UnsupportedCostError for another cost outside the
-    gate's table; an interior window reads no tail and takes any law and cost.
+    The window is the full interval or one strictly inside it, as
+    ``integrate_open01`` takes it (else ValueError), one range on its tail
+    coordinate.  The ends of an interior window are exact.  On the full
+    interval each end is cut where c(F^{-1}, G^{-1}) e^{-s}, which decays at
+    the rate 1 - (lambda + delta) of the tail gate's rule (lambda = 0 for the
+    pinball cost, linear in the gap), leaves less than the tolerance.  Raises
+    NonconvergenceError where that rate is <= 0 ("divergent") or the
+    quadrature misses its tolerance.  The full interval also raises, with
+    ``sigma2``'s error and text, ValueError for an unbounded law without tail
+    constants and UnsupportedCostError for another cost outside the gate's
+    table; an interior window reads no tail and takes any law and cost.
     """
     if q is None:
         q = QuadratureConfig()
-    lo, hi = window
-    if (lo == 0.0) != (hi == 1.0):
-        raise ValueError("window must be the full interval or strictly interior")
-    growth = (lambda *tail: 0) if isinstance(c, QuantileCost) else (
-        lambda *tail: _growth_rate(c, *tail))
-    value, _err = _quantile_integral((F, G), c.evaluate, growth, q, "exact cost", (lo, hi))
+    growth = (lambda *args: 0) if isinstance(c, QuantileCost) else _growth_rate
+    value, _err = _quantile_integral((F, G), c.evaluate, c, growth, q, "exact cost", window)
     return float(value)
 
 

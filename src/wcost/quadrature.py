@@ -155,6 +155,16 @@ def _deep_enough(depth: float, what: str, side: str, decay: str) -> float:
     return depth
 
 
+def _deepen(depths, tails, target: float, rates, what: str, decay: str) -> bool:
+    """Take each side (left, right) whose tail bound exceeds half ``target`` as much deeper as its
+    finite rate says, through ``_deep_enough`` with ``decay`` formatted by the rate; False for none."""
+    deeper = [h for h, tail in enumerate(tails) if tail > 0.5 * target and math.isfinite(rates[h])]
+    for h in deeper:
+        depths[h] = _deep_enough(depths[h] + math.log(2.0 * tails[h] / target) / rates[h] + 1.0,
+                                 what, _HALVES[h], decay.format(rates[h]))
+    return bool(deeper)
+
+
 def _finite(f, what: str, noun: str):
     """``f`` (a row or rows of samples) on points sigma, raising NonconvergenceError at a non-finite sample."""
     def sampled(t):
@@ -176,33 +186,34 @@ def integrate_open01(f, rates, cfg: QuadratureConfig, what: str = "open-interval
     ``f`` is the integrand times du/ds = e^{-s} as a function of the signed
     sigma, |sigma| = s - log 2, u = e^{-s} below sigma = 0 and 1 - u = e^{-s}
     above it.  It is called on the 15 ascending nodes of one panel at a
-    time, and a panel lies on one side of sigma = 0.  The window (lo, hi),
-    0 <= lo < hi <= 1 or ValueError, is one range [sigma(lo), sigma(hi)],
-    sigma(u) = log 2u below 1/2 and -log 2(1 - u) above; a window whose ends
-    round to one sigma returns (0.0, 0.0), and an end inside (0, 1) is
-    exact.  An open end, lo = 0 or hi = 1, reads its side's rate r from
-    ``rates`` (left, right; unread at a closed end): where the integrand
-    decays like e^{-r s}, its mass beyond a depth is at most its value there
-    over r, the end term, read at the side's outermost node.  That end sits
-    at -+(depth - log 2), first where a unit end term meets the tolerance,
-    or at the cap.  Each round is one ``integrate_1d`` call on the s = 1, 2,
-    4, ... grading of the variances' mesh, and a side goes deeper while its
-    end term exceeds half the target.  The tolerance is taken against int
-    |f| on the mesh, which is |value| for an integrand of one sign.  Raises
-    NonconvergenceError for an open end's rate <= 0 ("divergent"), at a
+    time, and a panel lies on one side of sigma = 0.  The window (lo, hi) is
+    the full interval or strictly interior, 0 < lo < hi < 1; any other
+    raises ValueError.  An interior window is one range [sigma(lo),
+    sigma(hi)], sigma(u) = log 2u below 1/2 and -log 2(1 - u) above, whose
+    ends are exact; one whose ends round to one sigma returns (0.0, 0.0).
+    On the full interval each side reads its rate r from ``rates`` (left,
+    right; unread for an interior window): where the integrand decays like
+    e^{-r s}, its mass beyond a depth is at most its value there over r, the
+    end term, read at the side's outermost node.  That end sits at -+(depth
+    - log 2), first where a unit end term meets the tolerance, or at the
+    cap.  Each round is one ``integrate_1d`` call on the s = 1, 2, 4, ...
+    grading of the variances' mesh, and a side goes deeper (``_deepen``)
+    while its end term exceeds half the target.  The tolerance is taken
+    against int |f| on the mesh, which is |value| for an integrand of one
+    sign.  Raises NonconvergenceError for a rate <= 0 ("divergent"), at a
     non-finite sample, and when the error estimate, the panels' plus the end
     terms, misses the tolerance.
     """
     lo, hi = window
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"bad integration window {window}")
+    if not (0.0 < lo < hi < 1.0 or (lo, hi) == (0.0, 1.0)):
+        raise ValueError(f"bad integration window {window}: the full interval or strictly interior")
     inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
     decades = math.log(2.0 * _INNER_TIGHTENING / cfg.rel_tol) + _DEPTH_SLACK
-    ends = [None if u in (0.0, 1.0) else math.log(2.0 * u) if u < 0.5 else -math.log(2.0 * (1.0 - u))
-            for u in window]  # sigma(lo), sigma(hi); None at an open end
-    if None not in ends and not ends[0] < ends[1]:
+    ends = None if lo == 0.0 else [math.log(2.0 * u) if u < 0.5 else -math.log(2.0 * (1.0 - u))
+                                   for u in window]  # sigma(lo), sigma(hi) of an interior window
+    if ends and not ends[0] < ends[1]:
         return 0.0, 0.0
-    rates = [rate if end is None else None for rate, end in zip(rates, ends)]
+    rates = [None, None] if ends else rates
     for rate, side in zip(rates, _HALVES):
         if rate is not None and not rate > 0.0:
             raise NonconvergenceError(
@@ -223,17 +234,12 @@ def integrate_open01(f, rates, cfg: QuadratureConfig, what: str = "open-interval
         return v
 
     while True:
-        start = ends[0] if depths[0] is None else _LOG2 - depths[0]
-        stop = ends[1] if depths[1] is None else depths[1] - _LOG2
+        start, stop = ends or (_LOG2 - depths[0], depths[1] - _LOG2)
         value, err, scale = integrate_1d(tracked, _graded(start, stop), inner)
         target = _tolerance(inner, scale)
         tails = [0.0 if rate is None else outer[h][1] / rate for h, rate in enumerate(rates)]
-        deeper = [h for h, tail in enumerate(tails) if tail > 0.5 * target]
-        if not deeper:
+        if not _deepen(depths, tails, target, rates, what, "e^(-r s) with rate r = {:.3g}"):
             break
-        for h in deeper:
-            depths[h] = _deep_enough(depths[h] + math.log(2.0 * tails[h] / target) / rates[h] + 1.0,
-                                     what, _HALVES[h], f"e^(-r s) with rate r = {rates[h]:.3g}")
     est_error, tol = math.fsum([err, *tails]), _tolerance(cfg, scale)
     if not est_error <= tol:
         raise NonconvergenceError(

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .assumptions import _power_growth, _side_verdicts, _worst
+from .assumptions import _power_growth, _side_verdicts, _unsizable, _worst
 from .costs import Cost, QuantileCost
 from .coupling import Comonotone, Countermonotone, Coupling, GaussianCopula, Independent
 from .distributions import Distribution, Gaussian, reflect
@@ -47,7 +47,7 @@ from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceE
                      UnsupportedCostError)
 from .estimate import PairedSample, _finite_sorted_columns, _quantile_integral
 from .quadrature import (_DEPTH_SLACK, _HALVES, _INNER_TIGHTENING, _LOG2, _MAX_SUBDIVISIONS, _W_DIFF,
-                         _W_KRONROD, CumulativeMesh, QuadratureConfig, _deep_enough, _finite, _graded,
+                         _W_KRONROD, CumulativeMesh, QuadratureConfig, _deep_enough, _deepen, _finite, _graded,
                          _tolerance)
 
 __all__ = [
@@ -144,8 +144,7 @@ def _gate(F: Distribution, G: Distribution, c: Cost, which: tuple[str, ...]):
             "variance may be infinite, or the normal limit may not hold", verdict)
     for v in sides.values():
         if v.margin is None:
-            raise (ValueError if v.marginal else UnsupportedCostError)(
-                f"the tail gate cannot size the {v.side} tail: {v.rule}")
+            raise _unsizable(v)
     return asdict(verdict), [sides[side].margin if side in sides else 0.5 for side in _HALVES]
 
 
@@ -465,13 +464,8 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
                     exhausted = True
                     break
         tails = sum(weight * t for _, weight, _, _, t, _ in terms)
-        deeper = [h for h, m in enumerate(margins) if tails[h] > 0.5 * target and math.isfinite(m)]
-        if not deeper:
+        if not _deepen(depths, tails, target, margins, "influence", "e^(-2 m s) with margin m = {:.3g}"):
             break
-        for h in deeper:
-            depths[h] = _deep_enough(depths[h] + math.log(2.0 * tails[h] / target) / margins[h]
-                                     + 1.0, "influence", _HALVES[h],
-                                     f"e^(-2 m s) with margin m = {margins[h]:.3g}")
     parts = {}  # the parts of each term's error bound
     for name, weight, _, sh, t, rest in terms:
         parts[name] = {"panels": weight * float(np.sum(sh)), "left tail": weight * float(t[0]),
@@ -600,8 +594,8 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
 
 def _moment(base: Distribution, power: int, q: QuadratureConfig) -> tuple[float, float]:
     """E X^power for X drawn from ``base``, and its error estimate."""
-    return _quantile_integral((base,), lambda x: x ** power,
-                              lambda *tail: _power_growth(power, *tail), q, f"generator moment {power}")
+    return _quantile_integral((base,), lambda x: x ** power, power, _power_growth, q,
+                              f"generator moment {power}")
 
 
 def sigma2_location_scale(base: Distribution, a: float, b: float,

@@ -434,6 +434,20 @@ def test_tail_gate_decides_the_frontier_exactly(F, c, margin):
     assert verdict.rule.startswith("closed form: lambda + delta = ")
 
 
+@pytest.mark.parametrize("f, g", [("gaussian(0,1)", "gaussian(2,1)"),
+                                  ("pareto(5)", "locscale(pareto(5),1,1)")])
+def test_tail_gate_reads_no_quantile_on_a_tie_of_the_constants(monkeypatch, f, g):
+    # the lead is the law with the smaller constants, and a tie leaves lambda
+    # as it is; heavier_right's lead read 4 and 8 quantiles here
+    laws, calls = (parse_distribution(f), parse_distribution(g)), []
+    for cls in vars(distributions_module).values():
+        if isinstance(cls, type) and issubclass(cls, Distribution) and "quantile" in vars(cls):
+            monkeypatch.setattr(cls, "quantile",
+                                lambda *args, _fn=vars(cls)["quantile"]: calls.append(args) or _fn(*args))
+    assert tail_gate(*laws, P2).status == "pass"
+    assert calls == []
+
+
 def test_tail_gate_reads_only_the_named_marginals():
     # lambda = 1/4 from the Pareto(4) lead; delta is 1/4 for it and 0 for the Gaussian
     F, G = Pareto(4.0), Gaussian(0.0, 1.0)

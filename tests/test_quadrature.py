@@ -182,6 +182,15 @@ def test_open01_rejects_a_window_outside_the_unit_interval(window):
         integrate_open01(_on_sigma(lambda u, w: 1.0 + 0.0 * u), (1.0, 1.0), CFG, window=window)
 
 
+@pytest.mark.parametrize("window", [(0.0, 1e-5), (0.99999, 1.0), (0.0, 0.3), (0.7, 1.0)])
+def test_open01_rejects_a_half_open_window(window):
+    # the first two once raised "bad panel breaks": the open side's first depth
+    # lay inside the closed end; the last two returned a value
+    with pytest.raises(ValueError, match=r"bad integration window \(.*\): the full interval or "
+                                         "strictly interior"):
+        integrate_open01(lambda t: np.exp(-10.0 * np.abs(t)), (10.0, 10.0), CFG, window=window)
+
+
 def test_open01_window_whose_ends_round_to_one_sigma_is_empty():
     # log(2 lo) and log(2 hi) are one double
     window = (1e-10, 1.0000000000000012e-10)

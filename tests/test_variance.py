@@ -883,11 +883,17 @@ def test_one_sample_rejects_bad_side():
 
 
 def test_a_cost_outside_the_gate_table_is_refused():
-    # the gate has no growth rate for it, so no tail depth: no depth is guessed
+    # the gate has no growth rate for it, so no tail depth: no depth is guessed,
+    # and exact_cost refuses it with the same error, the right side first
+    texts = set()
     for call in (lambda: sigma2(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), Independent()),
-                 lambda: sigma2_one_sample(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), "x")):
-        with pytest.raises(UnsupportedCostError, match="_FlatCost is outside the closed-form table"):
+                 lambda: sigma2_one_sample(Gaussian(0, 1), Gaussian(2, 1), _FlatCost(), "x"),
+                 lambda: exact_cost(Gaussian(0, 1), Gaussian(2, 1), _FlatCost())):
+        with pytest.raises(UnsupportedCostError, match="_FlatCost is outside the closed-form table") as info:
             call()
+        texts.add(str(info.value))
+    assert texts == {"the tail gate cannot size the right tail: _FlatCost is outside the "
+                     "closed-form table: no asymptotic profile l for its slope"}
 
 
 # --- independent squared distance, one sample at a time --------------------------

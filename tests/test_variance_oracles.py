@@ -27,6 +27,7 @@ from wcost.quadrature import QuadratureConfig, _tolerance
 from wcost.variance import DEFAULT_VARIANCE_CONFIG, sigma2, sigma2_one_sample
 
 import gauss_cross_oracles
+import oracle_drift
 import variance_oracles
 
 with open(variance_oracles.RECORDED) as _fh:
@@ -118,3 +119,17 @@ def test_recorded_oracles_are_the_rows_their_scripts_write():
         gauss_rows = json.load(fh)["cases"]
     assert [(row["F"], row["G"], row["cost"], row["r"], row["window_score"])
             for row in gauss_rows] == list(gauss_cross_oracles.CASES)
+
+
+def test_oracle_drift_of_a_tree_against_itself_is_zero():
+    # oracle_drift.py's A/A run in miniature, in-process: a variance row, a
+    # refusal and a window of exact_cost, each evaluated twice
+    failing = set(variance_oracles.TRIPLES) - {(row["F"], row["G"], row["cost"]) for row in ROWS}
+    calls = oracle_drift.items()
+    calls = [calls[0], next(c for c in calls if c[1:4] in failing), calls[-1]]
+    runs = [[oracle_drift.evaluate(call) for call in calls] for _ in range(2)]
+    assert isinstance(runs[0][1], str) and runs[0][1].startswith("HypothesisGateError: ")
+    assert oracle_drift.drift(*runs, calls) == {"sigma2": (2, 0, 0.0), "exact_cost": (1, 0, 0.0)}
+    value, est_error = runs[0][0]
+    moved = oracle_drift.drift(runs[0], [[value * (1.0 + 1e-9), est_error]] + runs[1][1:], calls)
+    assert moved["sigma2"][:2] == (2, 1) and moved["sigma2"][2] == pytest.approx(1e-9)
