@@ -134,7 +134,7 @@ def _quantile_integral(laws, h, c, growth, q: QuadratureConfig, what: str,
     mirrors = [reflect(law) for law in laws]
 
     def rate(sources, side):
-        sized = _side_exponent(sources, c, growth, side, "xy"[:len(laws)])
+        sized = _side_exponent(sources, c, growth, side, "xy")
         if isinstance(sized, GateVerdict):
             raise _unsizable(sized)
         lam, delta, _ = sized
