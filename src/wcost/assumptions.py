@@ -127,10 +127,10 @@ def _limits(gamma: float, C: float) -> tuple[float, float, float]:
 def _marginal_report(laws) -> tuple[AssumptionReport, float]:
     """The threshold m and FG1/FG2/FG3/FG5 over one or two laws; returns it and the level u-bar.
 
-    The threshold m is the larger 0.9-quantile, or the floor max(0, medians)
-    plus min(1/2, half its gap to the smallest (1 - 1e-6)-quantile) if higher,
-    so that it scales with the laws.  u-bar, the larger cdf at m, is where
-    fg4's u-grid starts.
+    The threshold m is the larger 0.9-quantile, or the floor, the larger
+    median, plus min(1/2, half its gap to the smallest (1 - 1e-6)-quantile) if
+    higher, so that it scales with the laws and moves with a translation.
+    u-bar, the larger cdf at m, is where fg4's u-grid starts.
 
     The four conditions are decided from the declared tail constants (gamma, C):
     each shipped family has a smooth positive density on its support, and
@@ -140,11 +140,11 @@ def _marginal_report(laws) -> tuple[AssumptionReport, float]:
     the four not-applicable.
     """
     levels = [np.asarray(law.quantile(_MARGINAL_LEVELS), dtype=float) for law in laws]
-    floor = max([0.0] + [float(q[0]) for q in levels])
+    floor = max(float(q[0]) for q in levels)
     shallow, q = min(zip(laws, levels), key=lambda lq: lq[1][2])
     room = (float(q[2]) - floor) / 2.0
     if not room > 0.0:
-        raise ValueError(f"{shallow!r} has no quantile above max(0, medians) = {floor} "
+        raise ValueError(f"{shallow!r} has no quantile above the larger median {floor} "
                          "up to level 1 - 1e-6: no tail to examine")
     m = max([float(q[1]) for q in levels] + [floor + min(0.5, room)])
     tails = [float(law.cdf(m)) for law in laws]

@@ -111,8 +111,9 @@ def _tolerance(cfg: QuadratureConfig, value: float) -> float:
     return max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
-def integrate_1d(f, breaks, cfg: QuadratureConfig) -> tuple[float, float, float]:
-    """Adaptive integral of a vectorized integrand over the panels ``breaks``; (value, error estimate, int |f|).
+def integrate_1d(f, breaks, cfg: QuadratureConfig) -> tuple[float, float, float, CumulativeMesh]:
+    """Adaptive integral of a vectorized integrand over the panels ``breaks``; (value, error estimate,
+    int |f|, final mesh).
 
     A ``CumulativeMesh`` starts from the panels between consecutive breaks,
     which need not hold 0, and ``CumulativeMesh.refine`` splits them, as it
@@ -122,9 +123,11 @@ def integrate_1d(f, breaks, cfg: QuadratureConfig) -> tuple[float, float, float]
     of the panels' Kronrod values, int |f| that of their absolute values,
     and the tolerance is taken against int |f|, so an integrand whose parts
     cancel is not driven below its own rounding.  ``f`` is called once per
-    panel, on its 15 ascending nodes.  A result that misses the tolerance is
-    returned with its (honest) error estimate: the caller applies the final
-    tolerance check.
+    panel, on its 15 ascending nodes, and the final mesh holds every sample
+    it returned, in domain order: ``mesh.p[0, 0, 0]`` is f at the first node
+    and ``mesh.p[0, -1, -1]`` at the last.  A result that misses the
+    tolerance is returned with its (honest) error estimate: the caller
+    applies the final tolerance check.
     """
     breaks = np.asarray(breaks, dtype=float)
     if not (breaks.size > 1 and np.all(np.isfinite(breaks)) and np.all(np.diff(breaks) > 0.0)):
@@ -134,8 +137,8 @@ def integrate_1d(f, breaks, cfg: QuadratureConfig) -> tuple[float, float, float]
     while True:
         value, err, scale = (math.fsum(x) for x in (mesh.sums[0], mesh.ep[0], np.abs(mesh.sums[0])))
         target = _tolerance(cfg, scale)  # scale >= |value|
-        if err <= target or not mesh.refine(mesh.ep[0], target, _MAX_SUBDIVISIONS):
-            return value, err, scale
+        if err <= target or not mesh.refine(mesh.ep[0], target):
+            return value, err, scale, mesh
 
 
 def _graded(start: float, stop: float) -> list[float]:
@@ -194,13 +197,13 @@ def integrate_open01(f, rates, cfg: QuadratureConfig, what: str = "open-interval
     On the full interval each side reads its rate r from ``rates`` (left,
     right; unread for an interior window): where the integrand decays like
     e^{-r s}, its mass beyond a depth is at most its value there over r, the
-    end term, read at the side's outermost node.  That end sits at -+(depth
-    - log 2), first where a unit end term meets the tolerance, or at the
-    cap.  Each round is one ``integrate_1d`` call on the s = 1, 2, 4, ...
-    grading of the variances' mesh, and a side goes deeper (``_deepen``)
-    while its end term exceeds half the target.  The tolerance is taken
-    against int |f| on the mesh, which is |value| for an integrand of one
-    sign.  Raises NonconvergenceError for a rate <= 0 ("divergent"), at a
+    end term.  That end sits at -+(depth - log 2), first where a unit end
+    term meets the tolerance, or at the cap.  Each round is one
+    ``integrate_1d`` call on the s = 1, 2, 4, ... grading of the variances'
+    mesh; its final mesh gives the end terms at its first and last node, and
+    a side goes deeper (``_deepen``) while its end term exceeds half the
+    target.  The tolerance is taken against int |f| on the mesh, which is
+    |value| for an integrand of one sign.  Raises NonconvergenceError for a rate <= 0 ("divergent"), at a
     non-finite sample, and when the error estimate, the panels' plus the end
     terms, misses the tolerance.
     """
@@ -208,38 +211,29 @@ def integrate_open01(f, rates, cfg: QuadratureConfig, what: str = "open-interval
     if not (0.0 < lo < hi < 1.0 or (lo, hi) == (0.0, 1.0)):
         raise ValueError(f"bad integration window {window}: the full interval or strictly interior")
     inner = replace(cfg, abs_tol=cfg.abs_tol / _INNER_TIGHTENING, rel_tol=cfg.rel_tol / _INNER_TIGHTENING)
-    decades = math.log(2.0 * _INNER_TIGHTENING / cfg.rel_tol) + _DEPTH_SLACK
-    ends = None if lo == 0.0 else [math.log(2.0 * u) if u < 0.5 else -math.log(2.0 * (1.0 - u))
-                                   for u in window]  # sigma(lo), sigma(hi) of an interior window
-    if ends and not ends[0] < ends[1]:
-        return 0.0, 0.0
-    rates = [None, None] if ends else rates
-    for rate, side in zip(rates, _HALVES):
-        if rate is not None and not rate > 0.0:
-            raise NonconvergenceError(
-                f"{what}: the {side} tail decays at rate r = {rate:.4g} <= 0 along its coordinate "
-                "s, so the integral may be divergent: no depth bounds its tail")
-    # where a unit end term meets the tolerance; the end term read at the cap decides past it
-    depths = [None if rate is None else min(_LOG2 + (decades - math.log(rate)) / rate, _DEPTH_CAP)
-              for rate in rates]
     sampled = _finite(f, what, "the integrand is")
-    outer = [(0.0, 0.0), (0.0, 0.0)]  # sigma and |value| of each side's outermost node
-
-    def tracked(t):
-        v = sampled(t)
-        if t[0] < outer[0][0]:  # a panel's nodes ascend
-            outer[0] = float(t[0]), abs(float(v[0]))
-        if t[-1] > outer[1][0]:
-            outer[1] = float(t[-1]), abs(float(v[-1]))
-        return v
-
-    while True:
-        start, stop = ends or (_LOG2 - depths[0], depths[1] - _LOG2)
-        value, err, scale = integrate_1d(tracked, _graded(start, stop), inner)
-        target = _tolerance(inner, scale)
-        tails = [0.0 if rate is None else outer[h][1] / rate for h, rate in enumerate(rates)]
-        if not _deepen(depths, tails, target, rates, what, "e^(-r s) with rate r = {:.3g}"):
-            break
+    tails = []  # each side's end term on the full interval
+    if lo > 0.0:
+        start, stop = (math.log(2.0 * u) if u < 0.5 else -math.log(2.0 * (1.0 - u)) for u in window)
+        if not start < stop:
+            return 0.0, 0.0
+        value, err, scale, _ = integrate_1d(sampled, _graded(start, stop), inner)
+    else:
+        for rate, side in zip(rates, _HALVES):
+            if not rate > 0.0:
+                raise NonconvergenceError(
+                    f"{what}: the {side} tail decays at rate r = {rate:.4g} <= 0 along its coordinate "
+                    "s, so the integral may be divergent: no depth bounds its tail")
+        decades = math.log(2.0 * _INNER_TIGHTENING / cfg.rel_tol) + _DEPTH_SLACK
+        # where a unit end term meets the tolerance; the end term read at the cap decides past it
+        depths = [min(_LOG2 + (decades - math.log(rate)) / rate, _DEPTH_CAP) for rate in rates]
+        while True:
+            value, err, scale, mesh = integrate_1d(sampled, _graded(_LOG2 - depths[0], depths[1] - _LOG2),
+                                                   inner)
+            target = _tolerance(inner, scale)
+            tails = [abs(float(mesh.p[0, 0, 0])) / rates[0], abs(float(mesh.p[0, -1, -1])) / rates[1]]
+            if not _deepen(depths, tails, target, rates, what, "e^(-r s) with rate r = {:.3g}"):
+                break
     est_error, tol = math.fsum([err, *tails]), _tolerance(cfg, scale)
     if not est_error <= tol:
         raise NonconvergenceError(
@@ -300,12 +294,12 @@ class CumulativeMesh:
         """Q_i at the nodes, shape (m, panels, 15)."""
         return self.q_breaks[:, :-1, None] - self.half[:, None] * (self.p @ _CUMULATIVE.T)
 
-    def refine(self, shares, target, budget: int) -> bool:
+    def refine(self, shares, target) -> bool:
         """Bisect, worst first, the panels whose error share exceeds ``target`` over the panel count.
 
-        At most ``budget`` panels result; False when none can be split.
+        At most ``_MAX_SUBDIVISIONS`` panels result, read at each call; False when none can be split.
         """
-        worst = np.argsort(-shares, kind="stable")[:max(budget - self.panels, 0)]
+        worst = np.argsort(-shares, kind="stable")[:max(_MAX_SUBDIVISIONS - self.panels, 0)]
         mask = np.zeros(self.panels, dtype=bool)
         mask[worst] = shares[worst] > target / self.panels
         return self.split(mask)

@@ -46,9 +46,8 @@ from .distributions import Distribution, Gaussian, reflect
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
 from .estimate import PairedSample, _finite_sorted_columns, _quantile_integral
-from .quadrature import (_DEPTH_SLACK, _HALVES, _INNER_TIGHTENING, _LOG2, _MAX_SUBDIVISIONS, _W_DIFF,
-                         _W_KRONROD, CumulativeMesh, QuadratureConfig, _deep_enough, _deepen, _finite, _graded,
-                         _tolerance)
+from .quadrature import (_DEPTH_SLACK, _HALVES, _INNER_TIGHTENING, _LOG2, _W_DIFF, _W_KRONROD,
+                         CumulativeMesh, QuadratureConfig, _deep_enough, _deepen, _finite, _graded, _tolerance)
 
 __all__ = [
     "DEFAULT_VARIANCE_CONFIG",
@@ -437,30 +436,23 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
     while True:
         mesh = CumulativeMesh(_finite(f, "influence", "the cost slopes are"),
                               _graded(_LOG2 - depths[0], depths[1] - _LOG2))
-        kept = None  # (panel count, terms) of the last measurement
-        series = {}
-
-        def measure(mesh, cross):
-            nonlocal kept, series
-            # A split always adds panels, so the first cross round, on the mesh
-            # that the last round without it measured, reuses that round's terms.
-            if kept is None or kept[0] != mesh.panels:
-                kept = (mesh.panels, _influence_terms(mesh, cp, margins))
-            terms = kept[1]
-            if cross:
-                term, series = _cross_term(mesh, cp.r, q, *terms, margins)
-                terms = terms + [term]
-            return (math.fsum(weight * cov for _, weight, cov, _, _, _ in terms),
-                    sum(weight * sh for _, weight, _, sh, _, _ in terms), terms)
-
-        exhausted = False
+        kept, series, exhausted = None, {}, False  # kept: (panel count, terms) of the last round
         for cross in (False, True) if isinstance(cp, GaussianCopula) else (False,):
             while True:
-                value, shares, terms = measure(mesh, cross)
+                # A split always adds panels, so the first cross round, on the mesh
+                # that the last round without it measured, reuses that round's terms.
+                if kept is None or kept[0] != mesh.panels:
+                    kept = (mesh.panels, _influence_terms(mesh, cp, margins))
+                terms = kept[1]
+                if cross:
+                    term, series = _cross_term(mesh, cp.r, q, *terms, margins)
+                    terms = terms + [term]
+                value = math.fsum(weight * cov for _, weight, cov, _, _, _ in terms)
+                shares = sum(weight * sh for _, weight, _, sh, _, _ in terms)
                 target = _tolerance(q, value) / _INNER_TIGHTENING
                 if float(np.sum(shares)) <= target:
                     break
-                if not mesh.refine(shares, target, _MAX_SUBDIVISIONS):
+                if not mesh.refine(shares, target):
                     exhausted = True
                     break
         tails = sum(weight * t for _, weight, _, _, t, _ in terms)

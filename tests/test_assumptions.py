@@ -155,11 +155,23 @@ def test_threshold_validation():
     # the threshold is placed, not passed, and an error names the law with no tail
     assert list(inspect.signature(check_fg).parameters) == ["F", "G"]
     assert list(inspect.signature(verify_triple).parameters) == ["F", "G", "c"]
-    with pytest.raises(ValueError, match=r"Gaussian\(mean=-6, sd=1\) has no quantile above"):
-        check_fg(Gaussian(-6, 1), Gaussian(-4, 1))
     # Pareto(1)'s 0.9-quantile, 10, lies beyond all of N(0,1) but 1e-23
     with pytest.raises(ValueError, match=r"Gaussian\(mean=0, sd=1\) has no mass above 1e-8"):
         check_fg(Pareto(1), Gaussian(0, 1))
+
+
+@pytest.mark.parametrize("a", [-6.0, 5.0, 20.0])
+def test_threshold_moves_with_a_translation(a):
+    # the floor is the larger median, so a translated pair's sides pass or fail
+    # as at a = 0, with m moved by a (by -a on the reflected left side)
+    base = verify_triple(Gaussian(0, 1), Gaussian(1, 1), P2)
+    tr = verify_triple(Gaussian(a, 1), Gaussian(a + 1, 1), P2)
+    assert (tr.swapped_right, tr.swapped_left) == (base.swapped_right, base.swapped_left)
+    for rep, ref, sign in ((tr.right, base.right, 1.0), (tr.left, base.left, -1.0)):
+        assert {k: s.status for k, s in rep.conditions().items()} == \
+            {k: s.status for k, s in ref.conditions().items()}
+        assert rep.m - ref.m == sign * a
+        assert rep.tau0 == pytest.approx(ref.tau0, abs=2e-15)
 
 
 @pytest.mark.parametrize("scale", [0.01, 0.001])

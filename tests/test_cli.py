@@ -274,6 +274,29 @@ def test_check_sides_hold_only_the_verdict_conditions(capsys):
     assert set(report["config"]["params"]) == {"F", "G", "cost"}
 
 
+def test_check_a_pair_translated_below_zero_exits_0(capsys):
+    # the threshold's floor is the larger median, so the left side of N(5,1)
+    # against N(6,1), read reflected, has a tail above it
+    code, out, err = invoke(capsys, "check", "gaussian(5,1)", "gaussian(6,1)", "power(2)")
+    assert code == 0 and err == ""
+    assert json.loads(out)["all_pass"] is True
+
+
+def test_check_json_out_writes_the_report_and_prints_nothing(capsys, tmp_path):
+    path = str(tmp_path / "check.json")
+    argv = ["check", "pareto(5)", "locscale(pareto(5),1,1)", "power(2)"]
+    code, printed, _ = invoke(capsys, *argv)
+    assert code == 0
+    code, out, err = invoke(capsys, *argv, "--out", path)
+    assert code == 0 and out == "" and err == ""
+    written = json.loads(Path(path).read_text())
+    # the resolved invocation names the file; the rest is what was printed
+    assert written["config"].pop("out") == path
+    expected = json.loads(printed)
+    assert expected["config"].pop("out") is None
+    assert written == expected
+
+
 @pytest.mark.parametrize("flag", ["--theta", "--zeta"])
 def test_check_rejects_retired_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:

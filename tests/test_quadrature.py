@@ -43,9 +43,9 @@ def test_gk15_error_estimate_sees_gauss_kronrod_gap():
 
 
 def test_integrate_1d_classic_values():
-    v, e, scale = integrate_1d(np.sin, [0.0, math.pi], CFG)
+    v, e, scale, _ = integrate_1d(np.sin, [0.0, math.pi], CFG)
     assert v == pytest.approx(2.0, rel=1e-12) and scale == v
-    v, e, scale = integrate_1d(lambda x: np.exp(-x * x), [-10.0, 10.0], CFG)
+    v, e, scale, _ = integrate_1d(lambda x: np.exp(-x * x), [-10.0, 10.0], CFG)
     assert v == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
@@ -57,14 +57,14 @@ def test_integrate_1d_rejects_bad_interval():
 
 def test_integrate_1d_calls_its_integrand_once_per_panel():
     # the benchmark counts integrand calls as panels, and integrate_open01
-    # reads each side's outermost node as the first or last of a call's ascending nodes
+    # reads each side's end term at the first or last node of the final mesh
     calls = []
 
     def f(x):
         calls.append(np.array(x))
         return np.abs(x - 0.3333) ** 0.51
 
-    v, e, _ = integrate_1d(f, [0.0, 0.5, 1.0], CFG)
+    v, e, _, mesh = integrate_1d(f, [0.0, 0.5, 1.0], CFG)
     assert v == pytest.approx((0.3333**1.51 + 0.6667**1.51) / 1.51, rel=1e-7)
     assert len(calls) > 2  # the start mesh was refined
     assert all(t.shape == (15,) and np.all(np.diff(t) > 0.0) for t in calls)
@@ -72,6 +72,11 @@ def test_integrate_1d_calls_its_integrand_once_per_panel():
     assert len({float(t[7]) for t in calls}) == len(calls)
     # every split turns one sampled panel into two new ones
     assert (len(calls) - 2) % 2 == 0
+    # the final mesh holds the samples in domain order, its ends among them
+    assert mesh.panels == len(calls) - (len(calls) - 2) // 2
+    first, last = min(calls, key=lambda t: t[0]), max(calls, key=lambda t: t[-1])
+    assert mesh.p[0, 0, 0] == (np.abs(first - 0.3333) ** 0.51)[0]
+    assert mesh.p[0, -1, -1] == (np.abs(last - 0.3333) ** 0.51)[-1]
 
 
 @pytest.mark.parametrize("window", [(0.0, 1.0), (0.25, 0.75), (0.1, 0.3), (0.6, 0.9)])
@@ -90,7 +95,7 @@ def test_open01_calls_its_integrand_once_per_panel_on_one_side_of_sigma_0(window
 
 
 def test_integrate_1d_from_a_start_mesh_without_zero():
-    v, e, _ = integrate_1d(np.sin, [1.0, 2.0, 3.0], CFG)
+    v, e, _, _ = integrate_1d(np.sin, [1.0, 2.0, 3.0], CFG)
     assert abs(v - (math.cos(1.0) - math.cos(3.0))) <= e
 
 

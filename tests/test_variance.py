@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr, ndtri, roots_hermitenorm
 
+import wcost.quadrature as quadrature
 import wcost.variance as variance_module
 from wcost import mc, parse_cost, parse_coupling, parse_distribution, verify_triple
 from wcost.costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCost
@@ -669,6 +670,25 @@ def test_series_past_its_cap_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(variance_module, "_SERIES_CAP", 40)
     with pytest.raises(NonconvergenceError, match="cross: series truncation .* after 40 terms"):
         sigma2_window(Gaussian(0, 1), Exponential(1.0), P2, GaussianCopula(0.999), 0.2)
+
+
+def test_sigma2_refuses_when_its_panel_budget_runs_out(monkeypatch):
+    # the budget is read where the mesh is refined, so patching it reaches sigma2 as it does exact_cost
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 20)
+    with pytest.raises(NonconvergenceError, match=r"with \d+ panels \(panel budget exhausted\); "
+                       "the largest part is the y panels"):
+        sigma2(Weibull(1.5), Gaussian(1, 2), PowerCost(1.5), Independent())
+
+
+@pytest.mark.parametrize("total, err, clamp", [(-1e-12, 1e-13, 1e-12), (-1e-6, 1e-13, None)])
+def test_a_small_negative_variance_is_clamped_and_a_large_one_refused(monkeypatch, total, err, clamp):
+    monkeypatch.setattr(variance_module, "_influence_sigma2", lambda *args: (total, err, {}))
+    if clamp is None:
+        with pytest.raises(NonconvergenceError, match="variance integral came out -1.000e-06 < -1e-08"):
+            sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, Independent())
+        return
+    res = sigma2(Gaussian(0, 1), Gaussian(2, 1), P2, Independent())
+    assert res.value == 0.0 and res.diagnostics["clamp"] == clamp and res.est_error == err + clamp
 
 
 with open(os.path.join(os.path.dirname(__file__), "gauss_cross_oracles.json")) as _fh:

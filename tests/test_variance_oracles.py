@@ -16,6 +16,7 @@ hold exactly what their scripts write.
 """
 
 import json
+import math
 import warnings
 
 import pytest
@@ -129,7 +130,18 @@ def test_oracle_drift_of_a_tree_against_itself_is_zero():
     calls = [calls[0], next(c for c in calls if c[1:4] in failing), calls[-1]]
     runs = [[oracle_drift.evaluate(call) for call in calls] for _ in range(2)]
     assert isinstance(runs[0][1], str) and runs[0][1].startswith("HypothesisGateError: ")
-    assert oracle_drift.drift(*runs, calls) == {"sigma2": (2, 0, 0.0), "exact_cost": (1, 0, 0.0)}
+    assert oracle_drift.drift(*runs, calls) == {"sigma2": (2, 0, 0, 0, 0.0),
+                                                "exact_cost": (1, 0, 0, 0, 0.0)}
     value, est_error = runs[0][0]
     moved = oracle_drift.drift(runs[0], [[value * (1.0 + 1e-9), est_error]] + runs[1][1:], calls)
-    assert moved["sigma2"][:2] == (2, 1) and moved["sigma2"][2] == pytest.approx(1e-9)
+    n, count, closer, farther, worst = moved["sigma2"]
+    assert (n, count, closer + farther) == (2, 1, 1) and worst == pytest.approx(1e-9)
+    oracle = calls[0][-1]
+    onto = oracle_drift.drift(runs[0], [[oracle, est_error]] + runs[1][1:], calls)
+    assert onto["sigma2"][1:4] == (1, 1, 0)
+    # coverage reads only the row with an oracle; a miss of twice est_error, and a refusal, count
+    assert oracle_drift.coverage(runs[0], calls)["sigma2"][:2] == (1, 0)
+    missed = [oracle + 2.0 * est_error, est_error]
+    assert oracle_drift.coverage([missed] + runs[0][1:], calls) == {"sigma2": (1, 1, pytest.approx(2.0))}
+    assert oracle_drift.coverage(["NonconvergenceError: no"] + runs[0][1:], calls) == {
+        "sigma2": (1, 1, math.inf)}
