@@ -191,14 +191,16 @@ def _clamped(total: float, err: float, what: str) -> tuple[float, float, float]:
 # --- influence functions -------------------------------------------------------
 
 
-def _tail_slopes(F: Distribution, G: Distribution, c: Cost, sigma):
-    """(partial_x c / h_X, partial_y c / h_Y) at u(sigma), times du/dsigma = e^{-s}, stacked.
+def _tail_slopes(F: Distribution, G: Distribution, c: Cost, sigma, rows: str):
+    """The ``rows`` ("x", "y" or "xy") of (partial_x c / h_X, partial_y c / h_Y) e^{-s}, stacked.
 
-    The gradient is taken along the quantile diagonal.  sigma = s - log 2
-    with s = -log(1 - u) on the right half and sigma = log 2 - s with
-    s = -log u on the left, so sigma = 0 is u = 1/2.
-    The quantiles are closed forms exact in each tail: psi_inverse(s) of the
-    law on the right half, and of its reflection, negated, on the left.
+    Each is taken at u(sigma), times du/dsigma = e^{-s}, with the gradient
+    along the quantile diagonal.  sigma = s - log 2 with s = -log(1 - u) on
+    the right half and sigma = log 2 - s with s = -log u on the left, so
+    sigma = 0 is u = 1/2.  The quantiles are closed forms exact in each tail:
+    psi_inverse(s) of the law on the right half, and of its reflection,
+    negated, on the left.  Both quantiles enter the gradient, but a law's
+    density is evaluated only for its own row.
     """
     s = np.abs(sigma) + _LOG2
     right = sigma >= 0.0
@@ -208,7 +210,8 @@ def _tail_slopes(F: Distribution, G: Distribution, c: Cost, sigma):
         out[~right] = -np.asarray(reflect(D).psi_inverse(s[~right]))
     gx, gy = c.gradient(x, y)
     w = np.exp(-s)
-    return np.stack((gx * (w / np.asarray(F.pdf(x))), gy * (w / np.asarray(G.pdf(y)))))
+    return np.stack([g * (w / np.asarray(D.pdf(v))) for row, g, D, v in (("x", gx, F, x), ("y", gy, G, y))
+                     if row in rows])
 
 
 def _weights(sigma):
@@ -230,8 +233,7 @@ def _var_term(mesh: CumulativeMesh, X, Xb, e, margins, what: str):
     """
     w = _weights(mesh.nodes())
     lo, hi = mesh.breaks[:-1], mesh.breaks[1:]
-    end, depth = Xb[[0, -1]], np.abs(mesh.breaks[[0, -1]]) + _LOG2
-    mass = np.exp(-depth)
+    end, mass = Xb[[0, -1]], _weights(mesh.breaks[[0, -1]])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         (s2, d2), (s1, d1), (a, _) = (mesh.panel_sums(v * w) for v in (X * X, X, np.abs(X)))
         held = end * end * mass
@@ -247,20 +249,20 @@ def _var_term(mesh: CumulativeMesh, X, Xb, e, margins, what: str):
     return i2 - i1 * i1, d2 + 2.0 * abs(i1) * d1 + 2.0 * e * beyond, tails, 0.0
 
 
-def _influence_terms(mesh: CumulativeMesh, cp: Coupling | None, margins):
+def _influence_terms(mesh: CumulativeMesh, summed: bool, margins):
     """The variances whose weighted sum is sigma^2, but a Gaussian copula's cross term.
 
-    Returns [(name, weight, variance, per-panel error shares, per-half tail
-    bounds, the rest of the error bound)].
+    With ``summed`` the mesh's rows add up to one influence function (a
+    Frechet extreme, or one row alone), whose variance is the one term;
+    otherwise each row's variance is a term of its own.  Returns [(name,
+    weight, variance, per-panel error shares, per-half tail bounds, the rest
+    of the error bound)].
     """
     Q, Qb, ep = mesh.Q, mesh.q_breaks, mesh.ep
-    if cp is None or isinstance(cp, (Comonotone, Countermonotone)):
-        # one influence function: Q_x + Q_y, the y part reflected for countermonotone
+    if summed:
         name = "x+y" if Q.shape[0] == 2 else "x"
         return [(name, 1.0, *_var_term(mesh, Q.sum(axis=0), Qb.sum(axis=0), ep.sum(axis=0),
                                        margins, "influence"))]
-    if not isinstance(cp, (Independent, GaussianCopula)):
-        raise TypeError(f"no influence-function variance for coupling {cp!r}")
     return [(name, 1.0, *_var_term(mesh, X, Xb, e, margins, f"influence {name}"))
             for name, X, Xb, e in zip(("x", "y"), Q, Qb, ep)]
 
@@ -410,21 +412,23 @@ def _depth(margin: float, q: QuadratureConfig, side: str) -> float:
                         f"e^(-2 m s) with margin m = {margin:.3g}")
 
 
-def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
+def _influence_sigma2(f, summed: bool, r: float | None, q: QuadratureConfig, margins,
                       depth: float | None = None) -> tuple[float, float, dict]:
-    """Variance of the summed influence functions of the slopes ``f``, under coupling ``cp``.
+    """Variance of the summed influence functions of the slopes ``f``.
 
-    ``f`` maps points sigma to the stacked slopes times du/dsigma (one row and
-    ``cp`` None for a single influence function; two rows, x then y,
-    otherwise).  ``margins`` holds the gate's tail margin m > 0 of each half
-    (left, right): inf where holding Q constant beyond the mesh is exact (a
-    window ``depth`` deep); ``_depth`` sets the depth of the others.  The
-    mesh starts on ``_graded`` from sigma = log 2 - d_left to d_right -
-    log 2, the samples pass ``quadrature._finite``, the guard that
-    ``integrate_open01`` uses, and it is bisected where the error shares
-    concentrate, worst first, until they total at most the tolerance over the
-    inner tightening, or the panel budget is spent; a Gaussian copula's cross
-    term joins once the others meet it.  A half whose tail bound takes more
+    ``f`` maps points sigma to the stacked slopes times du/dsigma, one row or
+    two (x then y); ``summed`` says the rows add up to one influence function
+    (see ``_influence_terms``), and ``r``, if not None, is the Gaussian
+    copula's correlation of two rows that are not summed.  ``margins`` holds
+    the gate's tail margin m > 0 of each half (left, right): inf where holding
+    Q constant beyond the mesh is exact (a window ``depth`` deep); ``_depth``
+    sets the depth of the others.  The mesh starts on ``_graded`` from
+    sigma = log 2 - d_left to d_right - log 2, the samples pass
+    ``quadrature._finite``, the guard that ``integrate_open01`` uses, and it
+    is bisected where the error shares concentrate, worst first, until they
+    total at most the tolerance over the inner tightening, or the panel
+    budget is spent; a Gaussian copula's cross term joins once the others
+    meet it.  A half whose tail bound takes more
     than half that target goes as much deeper as its margin says, and the
     mesh starts again.
     Returns (value, est_error, per-term diagnostics) before clamping; raises
@@ -437,15 +441,15 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
         mesh = CumulativeMesh(_finite(f, "influence", "the cost slopes are"),
                               _graded(_LOG2 - depths[0], depths[1] - _LOG2))
         kept, series, exhausted = None, {}, False  # kept: (panel count, terms) of the last round
-        for cross in (False, True) if isinstance(cp, GaussianCopula) else (False,):
+        for cross in (False, True) if r is not None else (False,):
             while True:
                 # A split always adds panels, so the first cross round, on the mesh
                 # that the last round without it measured, reuses that round's terms.
                 if kept is None or kept[0] != mesh.panels:
-                    kept = (mesh.panels, _influence_terms(mesh, cp, margins))
+                    kept = (mesh.panels, _influence_terms(mesh, summed, margins))
                 terms = kept[1]
                 if cross:
-                    term, series = _cross_term(mesh, cp.r, q, *terms, margins)
+                    term, series = _cross_term(mesh, r, q, *terms, margins)
                     terms = terms + [term]
                 value = math.fsum(weight * cov for _, weight, cov, _, _, _ in terms)
                 shares = sum(weight * sh for _, weight, _, sh, _, _ in terms)
@@ -463,7 +467,7 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
         parts[name] = {"panels": weight * float(np.sum(sh)), "left tail": weight * float(t[0]),
                        "right tail": weight * float(t[1]), "series truncation": weight * rest}
     err = math.fsum(bound for part in parts.values() for bound in part.values())
-    if isinstance(cp, (Comonotone, Countermonotone)):
+    if summed:
         # Q_x + Q_y at rounding level next to |Q_x| + |Q_y|: an exact cancellation
         floor = _CANCELLATION * float(np.max(np.abs(mesh.Q).sum(axis=0)))
         if float(np.max(np.abs(mesh.Q.sum(axis=0)))) <= floor:
@@ -487,11 +491,24 @@ def _influence_sigma2(f, cp: Coupling | None, q: QuadratureConfig, margins,
     return value, err, diag
 
 
-def _two_sample_slopes(F: Distribution, G: Distribution, c: Cost, cp: Coupling):
+def _read_coupling(F: Distribution, G: Distribution, c: Cost, cp: Coupling, margins):
+    """What the variance needs of the coupling ``cp``: (slopes, summed, r, margins).
+
+    The slopes are those of ``_tail_slopes``, x then y; ``summed`` says they
+    add up to one influence function, as under the Frechet extremes, and r is
+    the Gaussian copula's correlation, else None.  Countermonotone pairs Q_x(u)
+    with Q_y(1 - u), the influence function of -p_y(1 - u), and u -> 1 - u is
+    sigma -> -sigma; each half then pairs x's tail on one side with y's on the
+    other, so both take the smaller of the gate's ``margins``.  Raises
+    TypeError for a coupling outside the four kinds.
+    """
+    if not isinstance(cp, (Independent, Comonotone, Countermonotone, GaussianCopula)):
+        raise TypeError(f"no influence-function variance for coupling {cp!r}")
     if isinstance(cp, Countermonotone):
-        # Q_y(1 - u) is the influence function of -p_y(1 - u); u -> 1 - u is sigma -> -sigma
-        return lambda t: np.stack((_tail_slopes(F, G, c, t)[0], -_tail_slopes(F, G, c, -t)[1]))
-    return lambda t: _tail_slopes(F, G, c, t)
+        return (lambda t: np.concatenate((_tail_slopes(F, G, c, t, "x"), -_tail_slopes(F, G, c, -t, "y"))),
+                True, None, [min(margins)] * 2)
+    r = cp.r if isinstance(cp, GaussianCopula) else None
+    return lambda t: _tail_slopes(F, G, c, t, "xy"), isinstance(cp, Comonotone), r, margins
 
 
 # --- population variances -----------------------------------------------------
@@ -528,10 +545,8 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     _require_gradient(c)
     _warn_if_tails_meet(F, G)
     gate, margins = _gate(F, G, c, ("x", "y"))
-    if isinstance(cp, Countermonotone):
-        # each half pairs x's tail on one side with y's on the other
-        margins = [min(margins)] * 2
-    v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q, margins)
+    f, summed, r, margins = _read_coupling(F, G, c, cp, margins)
+    v, e, terms = _influence_sigma2(f, summed, r, q, margins)
     value, err, clamp = _clamped(v, e, "variance integral")
     return VarianceResult(value, err, "quadrature",
                           {"influence": terms, "gate": gate, "clamp": clamp})
@@ -551,8 +566,8 @@ def sigma2_window(F: Distribution, G: Distribution, c: Cost, cp: Coupling, eps: 
     if q is None:
         q = DEFAULT_VARIANCE_CONFIG
     _require_gradient(c)
-    v, e, terms = _influence_sigma2(_two_sample_slopes(F, G, c, cp), cp, q, [math.inf] * 2,
-                                    -math.log(eps))
+    f, summed, r, margins = _read_coupling(F, G, c, cp, [math.inf] * 2)
+    v, e, terms = _influence_sigma2(f, summed, r, q, margins, -math.log(eps))
     value, err, clamp = _clamped(v, e, "window variance integral")
     return VarianceResult(value, err, "quadrature", {"influence": terms, "clamp": clamp})
 
@@ -575,9 +590,7 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
     _require_gradient(c)
     _warn_if_tails_meet(F, G)
     gate, margins = _gate(F, G, c, (side,))
-    row = 0 if side == "x" else 1
-    v, e, terms = _influence_sigma2(lambda t: _tail_slopes(F, G, c, t)[row:row + 1], None, q,
-                                    margins)
+    v, e, terms = _influence_sigma2(lambda t: _tail_slopes(F, G, c, t, side), True, None, q, margins)
     value, err, clamp = _clamped(v, e, "one-sample variance integral")
     return VarianceResult(value, err, "quadrature",
                           {"side": side, "gate": gate, "clamp": clamp,

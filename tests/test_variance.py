@@ -176,7 +176,7 @@ _LOG2 = math.log(2.0)
 
 def _inner_mesh(G, depth=40.0):
     """The sigma mesh of the Gaussian-copula slopes, each half ``depth`` deep in s."""
-    slopes = variance_module._two_sample_slopes(Gaussian(0, 1), G, P2, GaussianCopula(0.5))
+    slopes = variance_module._read_coupling(Gaussian(0, 1), G, P2, GaussianCopula(0.5), [0.5, 0.5])[0]
     mesh = CumulativeMesh(slopes, _graded(_LOG2 - depth, depth - _LOG2))
     for _ in range(2):
         mesh.split(np.ones(mesh.panels, dtype=bool))
@@ -240,7 +240,7 @@ def test_conditional_means_equal_reading_every_inner_point(G, r):
                                       map(mesh.panel_sums, (mesh.Q[0] * g * w, mesh.Q[0] * w, g * w))]
     reference = ixg - ix * ig
     reference_error = dxg + abs(ig) * dx + abs(ix) * dg + 3.0 * beyond
-    x, y = variance_module._influence_terms(mesh, GaussianCopula(0.5), [0.5, 0.5])
+    x, y = variance_module._influence_terms(mesh, False, [0.5, 0.5])
     (_, _, cov, shares, tails, rest), series = variance_module._cross_term(mesh, r, q, x, y,
                                                                           [0.5, 0.5])
     bound = float(np.sum(shares)) + float(np.sum(tails)) + rest
@@ -432,7 +432,7 @@ def test_slopes_equal_the_gradient_over_density_quantile(F):
                 gx, gy = c.gradient(F.quantile(u), G.quantile(u))
                 reference = np.stack((gx / F.density_quantile(u), gy / G.density_quantile(u)))
                 reference *= np.exp(-s)
-                slopes = variance_module._tail_slopes(F, G, c, sigma)
+                slopes = variance_module._tail_slopes(F, G, c, sigma, "xy")
                 floor = 1e-6 * np.max(np.abs(reference), axis=1, keepdims=True)
                 assert np.all(np.abs(slopes - reference)
                               <= 1e-9 * np.maximum(np.abs(reference), floor)), (G, c)
@@ -616,7 +616,7 @@ def test_a_tail_that_does_not_decay_raises():
         return 0.5 * np.exp(0.5 * (np.abs(sigma) + math.log(2.0)))[None]
 
     with pytest.raises(NonconvergenceError, match="tail bound needs depth s = .* > 700"):
-        variance_module._influence_sigma2(slopes, None, DEFAULT_VARIANCE_CONFIG, [0.5, 0.5])
+        variance_module._influence_sigma2(slopes, True, None, DEFAULT_VARIANCE_CONFIG, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("kind", ["independent", "gauss(0.5)"])
@@ -650,7 +650,7 @@ def test_slopes_that_are_not_finite_raise_naming_the_tail():
         return np.where(sigma < -20.0, np.nan, np.exp(-np.abs(sigma)))[None]
 
     with pytest.raises(NonconvergenceError, match="not finite near s = .* on the left tail"):
-        variance_module._influence_sigma2(slopes, None, DEFAULT_VARIANCE_CONFIG, [0.5, 0.5])
+        variance_module._influence_sigma2(slopes, True, None, DEFAULT_VARIANCE_CONFIG, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.2])
