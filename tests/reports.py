@@ -54,6 +54,9 @@ COMMANDS = {
     # a Pareto-led gate, both depths and the tail bounds on a heavy tail
     "variance-pareto5-translated": ["variance", "pareto(5)", "locscale(pareto(5),1,1)", "power(2)",
                                     "independent", "--diagnostics"],
+    # a pair in lockstep on a heavy tail: sigma^2 = 0 from an exact cancellation
+    "variance-pareto5-translated-comonotone": ["variance", "pareto(5)", "locscale(pareto(5),1,1)",
+                                               "power(2)", "comonotone"],
     **{f"variance-pair-{name}": ["variance", *_PAIR, kind, "--diagnostics"]
        for name, kind in (("independent", "independent"), ("comonotone", "comonotone"),
                           ("countermonotone", "countermonotone"), ("gauss0.5", "gauss(0.5)"))},
