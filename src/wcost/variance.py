@@ -89,10 +89,11 @@ _SERIES_SHARE = 0.25
 #: after the first has twice as many as the last.
 _SERIES_BLOCKS = (16, 512)
 
-#: Relative size, against |Q_x| + |Q_y|, below which Q_x + Q_y is taken as an
-#: exact cancellation (a pair that moves in lockstep) rather than a variance to
-#: integrate.  Translation pairs leave about 1e-16; a true difference below the
-#: threshold adds at most its square to the variance, which goes into est_error.
+#: Relative size, against |Q_x| + |Q_y| at every node, below which Q_x + Q_y is
+#: taken as an exact cancellation (a pair that moves in lockstep) rather than a
+#: variance to integrate.  Translation pairs leave about 1e-16; a true difference
+#: below the threshold adds at most E of its square to the variance, which goes
+#: into est_error.
 _CANCELLATION = 1e-12
 
 _SEPARATION_PROBES = (1e-6, 1e-4, 1e-2, 1.0 - 1e-2, 1.0 - 1e-4, 1.0 - 1e-6)
@@ -466,20 +467,23 @@ def _influence_sigma2(f, summed: bool, r: float | None, q: QuadratureConfig, mar
     for name, weight, _, sh, t, rest in terms:
         parts[name] = {"panels": weight * float(np.sum(sh)), "left tail": weight * float(t[0]),
                        "right tail": weight * float(t[1]), "series truncation": weight * rest}
-    err = math.fsum(bound for part in parts.values() for bound in part.values())
+    named = [(bound, f"{name} {key}") for name, part in parts.items() for key, bound in part.items()]
+    err = math.fsum(bound for bound, _ in named)
     if summed:
-        # Q_x + Q_y at rounding level next to |Q_x| + |Q_y|: an exact cancellation
-        floor = _CANCELLATION * float(np.max(np.abs(mesh.Q).sum(axis=0)))
-        if float(np.max(np.abs(mesh.Q.sum(axis=0)))) <= floor:
-            value, err = 0.0, err + abs(value) + floor * floor
+        band, ends = (_CANCELLATION * np.abs(v).sum(axis=0) for v in (mesh.Q, mesh.q_breaks))
+        if np.all(np.abs(mesh.Q.sum(axis=0)) <= band):
+            # an exact cancellation: Var(Q_x + Q_y) is at most E band^2, the held ends included
+            with np.errstate(over="ignore"):  # past the doubles, the bound is inf and refuses
+                held = ends[[0, -1]] ** 2 * _weights(mesh.breaks[[0, -1]])
+                bound = math.fsum(mesh.panel_sums(band * band * _weights(mesh.nodes()))[0].tolist())
+            named.append((bound + float(np.sum(held)), f"{terms[0][0]} cancellation residual"))
+            value, err = 0.0, err + abs(value) + named[-1][0]
     if not err <= _tolerance(q, value):
         raise NonconvergenceError(
             f"influence-function variance: error estimate {err:.3e} exceeds tolerance "
             f"{_tolerance(q, value):.3e} with {mesh.panels} panels"
             + (" (panel budget exhausted)" if exhausted else "")
-            + "; the largest part is the " + max(
-                (bound, f"{name} {key}") for name, part in parts.items()
-                for key, bound in part.items())[1])
+            + "; the largest part is the " + max(named)[1])
     common = {"panels": mesh.panels, "evaluations": mesh.evaluations,
               "depth_left": depths[0], "depth_right": depths[1], "budget_exhausted": exhausted}
     diag = {name: {"value": weight * cov, "est_error": math.fsum(parts[name].values()),
@@ -528,8 +532,10 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     summed as Mehler's series in the Hermite coefficients of Q_x and Q_y.  ``est_error`` sums the
     Kronrod-minus-Gauss gaps, their propagation through the running sums, each
     half's tail bound and, for the Gaussian copula, the series' truncation
-    bound.  When Q_x + Q_y cancels to rounding (a pair that moves in lockstep)
-    the value is exactly 0.0.
+    bound.  When Q_x + Q_y cancels to rounding at every node (a pair that
+    moves in lockstep) the value is exactly 0.0, and ``est_error`` adds
+    1e-24 E(|Q_x| + |Q_y|)^2, a bound on the variance of what the
+    cancellation may leave.
 
     ``diagnostics["gate"]`` holds the gate's verdict and witness.  Raises
     HypothesisGateError (a NonconvergenceError) when the gate finds the

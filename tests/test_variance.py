@@ -3,6 +3,7 @@ import math
 import os
 import re
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from wcost.costs import Cost, ExpPowerCost, LogPowerCost, PowerCost, QuantileCos
 from wcost.coupling import (
     Comonotone,
     Countermonotone,
+    Coupling,
     GaussianCopula,
     Independent,
     sample_pairs,
@@ -154,6 +156,62 @@ def test_comonotone_different_scales():
     # whose variance is 4 var(Z) + var(Z^2) = 6.
     r = sigma2(Gaussian(0, 1), Gaussian(1, 2), P2, Comonotone())
     assert rel(r.value, 6.0) < 1e-3
+
+
+@pytest.mark.parametrize("p", [4.5, 5])
+@pytest.mark.parametrize("shifted", ["F", "G"])
+def test_comonotone_heavy_tailed_translate_is_exactly_zero(p, shifted):
+    # 1 + X against X moves in lockstep: W_n is the cost of a unit shift on
+    # every sample.  Near the deepest node, at s ~ 204, |Q_x| reaches about
+    # 5e16 where the mass is e^{-204}; a floor taken from that node's size,
+    # rather than node by node, refused the pair
+    laws = [f"pareto({p})", f"locscale(pareto({p}),1,1)"]
+    F, G = map(parse_distribution, laws if shifted == "G" else laws[::-1])
+    r = sigma2(F, G, P2, Comonotone())
+    assert r.value == 0.0 and r.est_error < 1e-20
+
+
+def test_a_lockstep_refusal_names_the_cancellation_bound():
+    # sigma^2 = 0 again, but its bound 1e-24 E(|Q_x| + |Q_y|)^2 = 1e-24 * 16 (1e4 * 1e4)^2
+    # exceeds abs_tol, which is in units of sigma^2
+    with pytest.raises(NonconvergenceError, match=r"error estimate 1\.600e-07 exceeds .* the largest "
+                                                  r"part is the x\+y cancellation residual"):
+        sigma2(Gaussian(0, 1e4), Gaussian(1e4, 1e4), P2, Comonotone())
+
+
+@dataclass(frozen=True)
+class _Clayton(Coupling):
+    theta: float = 2.0
+
+
+@pytest.mark.parametrize("call", [sigma2, lambda *args: sigma2_window(*args, 0.1)],
+                         ids=["sigma2", "sigma2_window"])
+def test_a_coupling_outside_the_four_kinds_is_refused_by_name(call):
+    with pytest.raises(TypeError, match=r"no influence-function variance for coupling _Clayton\(theta=2.0\)"):
+        call(Gaussian(0, 1), Gaussian(2, 1), P2, _Clayton())
+
+
+def test_each_law_reads_its_density_only_for_its_own_slopes(monkeypatch):
+    # one side's variance reads no density of the other law, and countermonotone,
+    # which takes x's slopes at sigma and y's at -sigma, reads each once per node
+    points = {Weibull: 0, Gaussian: 0}
+
+    def counted(law):
+        pdf = law.pdf
+
+        def read(self, x):
+            points[law] += np.size(x)
+            return pdf(self, x)
+        return read
+
+    for law in points:
+        monkeypatch.setattr(law, "pdf", counted(law))
+    F, G, cost = Weibull(1.5), Gaussian(1, 2), PowerCost(1.5)
+    one = sigma2_one_sample(F, G, cost, "x")
+    assert points == {Weibull: one.diagnostics["influence"]["x"]["evaluations"], Gaussian: 0}
+    points.update({Weibull: 0, Gaussian: 0})
+    nodes = sigma2(F, G, cost, Countermonotone()).diagnostics["influence"]["x+y"]["evaluations"]
+    assert points == {Weibull: nodes, Gaussian: nodes}
 
 
 @pytest.mark.parametrize("r_copula, target", [(0.8, 6.4), (-0.8, 57.6)])
