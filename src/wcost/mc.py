@@ -33,12 +33,10 @@ from .coupling import Coupling, sample_pairs
 from .distributions import Distribution
 from .errors import DegenerateSampleError
 from .estimate import empirical_cost, exact_cost, trimmed_empirical_cost
-from .quadrature import QuadratureConfig
 from .variance import plug_in_sigma2, sigma2, sigma2_window
 
 _SIGMA_SOURCES = ("oracle_quadrature", "plug_in")
 _CI_LEVEL = 0.95
-_WINDOW_CONFIG = QuadratureConfig(abs_tol=1e-7, rel_tol=1e-6)
 #: Contiguous replicate ranges handed to each worker, so that a worker slowed by
 #: other load leaves its later ranges to the rest.
 _CHUNKS_PER_WORKER = 4
@@ -400,8 +398,7 @@ def _experiment(cfg: MCConfig, eps: float, threads: int | None) -> TrimmedCompar
                                 eps, ok, trim_notes, t0)
     else:
         sig2_full = sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling).value
-        sig2_window = sig2_full if eps == 0.0 else sigma2_window(
-            cfg.F, cfg.G, cfg.c, cfg.coupling, eps, _WINDOW_CONFIG).value
+        sig2_window = sig2_full if eps == 0.0 else sigma2_window(cfg.F, cfg.G, cfg.c, cfg.coupling, eps).value
         west, wtrim, _ = _simulate(cfg, eps, threads)
         plain = _build_report(cfg, west, w_full, sig2_full, None, 0.0, ok, notes, t0)
         trimmed = _build_report(cfg, wtrim, w_window, sig2_window, None, eps,
