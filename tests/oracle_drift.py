@@ -1,6 +1,6 @@
 """How far the oracle outputs of wcost moved between two trees.
 
-    python3 tests/oracle_drift.py [--base REV]
+    python3 tests/oracle_drift.py [--base REV] [--json PATH]
 
 The outputs are those that the recorded oracles pin, and those next to them:
 
@@ -20,11 +20,13 @@ with ``git archive`` into a temporary directory and runs it against the
 working tree.  Without ``--base`` the working tree runs on both sides, an
 A/A run that must show 0 moved.  Per function it prints the outputs, how
 many moved, how many of those came closer to their oracle and how many
-farther, and the largest relative move of a value or an error estimate
-that stayed a number.  A second table gives the working tree's coverage on
-the rows of ``variance_oracles.json``: per function, the rows whose miss
-from their oracle exceeds their est_error, and the worst ratio of the two
-(ROADMAP defect 11).  Each side takes about 6 s.  Not collected as tests.
+farther, and the largest and the median relative move of a value or an
+error estimate that stayed a number.  A second table gives the working
+tree's coverage on the rows of ``variance_oracles.json``: per function, the
+rows whose miss from their oracle exceeds their est_error, and the worst
+ratio of the two (ROADMAP defect 11).  ``--json`` also writes both tables
+to PATH, with the base and the numpy and scipy versions that ran them.
+Each side takes about 6 s.  Not collected as tests.
 """
 
 import argparse
@@ -32,6 +34,7 @@ import io
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -116,6 +119,18 @@ def evaluate(call: tuple):
     return [res.value, res.est_error]
 
 
+#: The columns of the two tables, as ``--json`` names them.
+DRIFT_KEYS = ("outputs", "moved", "closer", "farther", "largest_relative_move", "median_relative_move")
+COVERAGE_KEYS = ("rows", "miss_over_est_error", "worst_miss_over_est_error")
+
+
+def _moves(a, b) -> list[float]:
+    """The relative moves of the numbers of an output that stayed a list of numbers."""
+    if not (isinstance(a, list) and isinstance(b, list)):
+        return []
+    return [abs(y - x) / abs(x) if x else float("inf") for x, y in zip(a, b) if x is not None and x != y]
+
+
 def drift(base: list, change: list, calls: list[tuple]) -> dict[str, tuple[int, int, int, int, float]]:
     """Per function: (outputs, outputs whose repr moved, moved outputs that came closer to their
     oracle, moved outputs that went farther from it, largest relative move of a number)."""
@@ -125,14 +140,24 @@ def drift(base: list, change: list, calls: list[tuple]) -> dict[str, tuple[int, 
         if repr(a) != repr(b):
             moved += 1
             if isinstance(a, list) and isinstance(b, list):
-                worst = max([worst] + [abs(y - x) / abs(x) if x else float("inf")
-                                       for x, y in zip(a, b) if x is not None and x != y])
+                worst = max([worst] + _moves(a, b))
                 oracle = call[-1]
                 if oracle is not None:
                     closer += abs(b[0] - oracle) < abs(a[0] - oracle)
                     farther += abs(b[0] - oracle) > abs(a[0] - oracle)
         table[call[0]] = (n + 1, moved, closer, farther, worst)
     return table
+
+
+def median_moves(base: list, change: list, calls: list[tuple]) -> dict[str, float]:
+    """Per function: the median, over the moved outputs that stayed numbers, of each one's
+    largest relative move; 0.0 where none moved."""
+    moves = {call[0]: [] for call in calls}
+    for call, a, b in zip(calls, base, change, strict=True):
+        numbers = _moves(a, b)
+        if numbers:
+            moves[call[0]].append(max(numbers))
+    return {function: statistics.median(m) if m else 0.0 for function, m in moves.items()}
 
 
 def coverage(outputs: list, calls: list[tuple]) -> dict[str, tuple[int, int, float]]:
@@ -152,6 +177,19 @@ def coverage(outputs: list, calls: list[tuple]) -> dict[str, tuple[int, int, flo
     return table
 
 
+def tables(base: list, change: list, calls: list[tuple], rev: str | None) -> dict:
+    """Both tables by function and column, with the base REV and the numpy and scipy versions."""
+    import numpy
+    import scipy
+
+    medians = median_moves(base, change, calls)
+    return {"base": rev or "working tree", "numpy": numpy.__version__, "scipy": scipy.__version__,
+            "drift": {function: dict(zip(DRIFT_KEYS, row + (medians[function],)))
+                      for function, row in sorted(drift(base, change, calls).items())},
+            "coverage": {function: dict(zip(COVERAGE_KEYS, row))
+                         for function, row in sorted(coverage(change, calls).items())}}
+
+
 def _outputs(src: str) -> list:
     """The outputs of the wcost under ``src``, evaluated in a process of its own."""
     env = dict(os.environ, PYTHONPATH=src)
@@ -163,6 +201,7 @@ def _outputs(src: str) -> list:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", metavar="REV", help="compare REV against the working tree")
+    parser.add_argument("--json", metavar="PATH", help="also write both tables to PATH as JSON")
     parser.add_argument("--emit", action="store_true",
                         help="print this process's outputs as JSON (what each side runs)")
     args = parser.parse_args()
@@ -176,15 +215,21 @@ def main() -> None:
             tarfile.open(fileobj=io.BytesIO(archive)).extractall(tmp, filter="data")
         base = _outputs(os.path.join(tmp if args.base else ROOT, "src"))
     change = _outputs(os.path.join(ROOT, "src"))
-    calls = items()
-    print(f"base {args.base or 'working tree'} against the working tree")
-    print(f"{'function':<20}{'outputs':>8}{'moved':>8}{'closer':>8}{'farther':>8}  largest relative move")
-    for function, (n, moved, closer, farther, worst) in sorted(drift(base, change, calls).items()):
-        print(f"{function:<20}{n:>8}{moved:>8}{closer:>8}{farther:>8}  {worst:.3g}")
+    report = tables(base, change, items(), args.base)
+    print(f"base {report['base']} against the working tree "
+          f"(numpy {report['numpy']}, scipy {report['scipy']})")
+    print(f"{'function':<20}{'outputs':>8}{'moved':>8}{'closer':>8}{'farther':>8}  relative move: largest, median")
+    for function, row in report["drift"].items():
+        n, moved, closer, farther, worst, median = row.values()
+        print(f"{function:<20}{n:>8}{moved:>8}{closer:>8}{farther:>8}  {worst:.3g}, {median:.3g}")
     print("\ncoverage of the working tree on the recorded rows")
     print(f"{'function':<20}{'rows':>8}{'miss > est_error':>18}  worst miss / est_error")
-    for function, (n, under, worst) in sorted(coverage(change, calls).items()):
+    for function, row in report["coverage"].items():
+        n, under, worst = row.values()
         print(f"{function:<20}{n:>8}{under:>18}  {worst:.3g}")
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(report, fh, indent=1)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
+import scipy
 
 from wcost import parse_cost, parse_coupling, parse_distribution
 from wcost.errors import HypothesisGateError, NonconvergenceError
@@ -145,3 +147,19 @@ def test_oracle_drift_of_a_tree_against_itself_is_zero():
     assert oracle_drift.coverage([missed] + runs[0][1:], calls) == {"sigma2": (1, 1, pytest.approx(2.0))}
     assert oracle_drift.coverage(["NonconvergenceError: no"] + runs[0][1:], calls) == {
         "sigma2": (1, 1, math.inf)}
+
+
+def test_oracle_drift_tables_carry_the_median_move_and_the_versions():
+    # made-up outputs: three sigma2 outputs move by 1e-9, 3e-9 (its est_error)
+    # and 5e-9, a fourth turns into a refusal, and exact_cost stays
+    calls = [("sigma2", "F", "G", "c", "independent", None)] * 4 + [("exact_cost", "F", "G", "c", (0, 1), None)]
+    base = [[1.0, 1e-6], [2.0, 1e-6], [1.0, 1e-6], [1.0, 1e-6], [3.0, 0.0]]
+    change = [[1.0 + 1e-9, 1e-6], [2.0, 1e-6 * (1.0 + 3e-9)], [1.0 + 5e-9, 1e-6],
+              "NonconvergenceError: no", [3.0, 0.0]]
+    report = oracle_drift.tables(base, change, calls, None)
+    assert report["drift"] == {
+        "exact_cost": dict(zip(oracle_drift.DRIFT_KEYS, (1, 0, 0, 0, 0.0, 0.0))),
+        "sigma2": dict(zip(oracle_drift.DRIFT_KEYS, (4, 4, 0, 0, pytest.approx(5e-9), pytest.approx(3e-9))))}
+    assert (report["base"], report["numpy"], report["scipy"], report["coverage"]) == (
+        "working tree", np.__version__, scipy.__version__, {})
+    assert json.loads(json.dumps(report)) == report
