@@ -429,9 +429,8 @@ def _influence_sigma2(f, summed: bool, r: float | None, q: QuadratureConfig, mar
     is bisected where the error shares concentrate, worst first, until they
     total at most the tolerance over the inner tightening, or the panel
     budget is spent; a Gaussian copula's cross term joins once the others
-    meet it.  A half whose tail bound takes more
-    than half that target goes as much deeper as its margin says, and the
-    mesh starts again.
+    meet it.  A half whose tail bound takes more than half that target goes
+    as much deeper as its margin says, and the mesh starts again.
     Returns (value, est_error, per-term diagnostics) before clamping; raises
     NonconvergenceError, naming the largest part of the error, when the error
     bound misses the tolerance, at the first point where a sampled slope is

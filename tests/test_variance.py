@@ -163,8 +163,8 @@ def test_comonotone_different_scales():
 def test_comonotone_heavy_tailed_translate_is_exactly_zero(p, shifted):
     # 1 + X against X moves in lockstep: W_n is the cost of a unit shift on
     # every sample.  Near the deepest node, at s ~ 204, |Q_x| reaches about
-    # 5e16 where the mass is e^{-204}; a floor taken from that node's size,
-    # rather than node by node, refused the pair
+    # 5e16 where the mass is e^{-204}, so the cancellation must be judged
+    # node by node, not against the largest |Q_x| + |Q_y| on the mesh
     laws = [f"pareto({p})", f"locscale(pareto({p}),1,1)"]
     F, G = map(parse_distribution, laws if shifted == "G" else laws[::-1])
     r = sigma2(F, G, P2, Comonotone())
