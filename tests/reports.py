@@ -72,6 +72,8 @@ COMMANDS = {
     # one worker process, so the run stays in-process
     **{f"mc-{name}": ["mc", f"configs/mc_{name}.json", "--threads", "1"]
        for name in ("benchmark", "smoke", "sweep", "trimmed")},
+    # both families standardized by per-replicate plug-in variances
+    "mc-trimmed-plugin": ["mc", "configs/mc_trimmed_plugin.json", "--threads", "1"],
 }
 
 
