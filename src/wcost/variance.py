@@ -155,7 +155,9 @@ def _warn_if_tails_meet(F: Distribution, G: Distribution) -> None:
     coalesce the normal limit degenerates (for F = G both influence functions vanish
     and the fluctuation lives at a different scale entirely).  At each probe the gap
     is measured against the two quantiles' own size, so a common scale of the two laws
-    does not move the verdict; two quantiles that are both zero coincide.
+    does not move the verdict; two quantiles that are both zero coincide.  The
+    warning names the line that called ``sigma2`` or ``sigma2_one_sample``,
+    three frames above this one.
     """
     us = np.asarray(_SEPARATION_PROBES)
     fq = np.asarray(F.quantile(us), dtype=float)
@@ -165,7 +167,7 @@ def _warn_if_tails_meet(F: Distribution, G: Distribution) -> None:
             "marginals nearly coincide in a tail; the asymptotic variance degenerates "
             "and the normal approximation is unreliable near F = G",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -250,20 +252,19 @@ def _var_term(mesh: CumulativeMesh, X, Xb, e, margins, what: str):
     return i2 - i1 * i1, d2 + 2.0 * abs(i1) * d1 + 2.0 * e * beyond, tails, 0.0
 
 
-def _influence_terms(mesh: CumulativeMesh, summed: bool, margins):
+def _influence_terms(mesh: CumulativeMesh, summed: str | None, margins):
     """The variances whose weighted sum is sigma^2, but a Gaussian copula's cross term.
 
     With ``summed`` the mesh's rows add up to one influence function (a
-    Frechet extreme, or one row alone), whose variance is the one term;
-    otherwise each row's variance is a term of its own.  Returns [(name,
-    weight, variance, per-panel error shares, per-half tail bounds, the rest
-    of the error bound)].
+    Frechet extreme, or one row alone), whose variance is the one term, named
+    ``summed``; otherwise each row's variance is a term of its own, named "x"
+    and "y".  Returns [(name, weight, variance, per-panel error shares,
+    per-half tail bounds, the rest of the error bound)].
     """
     Q, Qb, ep = mesh.Q, mesh.q_breaks, mesh.ep
     if summed:
-        name = "x+y" if Q.shape[0] == 2 else "x"
-        return [(name, 1.0, *_var_term(mesh, Q.sum(axis=0), Qb.sum(axis=0), ep.sum(axis=0),
-                                       margins, "influence"))]
+        return [(summed, 1.0, *_var_term(mesh, Q.sum(axis=0), Qb.sum(axis=0), ep.sum(axis=0),
+                                         margins, "influence"))]
     return [(name, 1.0, *_var_term(mesh, X, Xb, e, margins, f"influence {name}"))
             for name, X, Xb, e in zip(("x", "y"), Q, Qb, ep)]
 
@@ -413,23 +414,23 @@ def _depth(margin: float, q: QuadratureConfig, side: str) -> float:
                         f"e^(-2 m s) with margin m = {margin:.3g}")
 
 
-def _influence_sigma2(f, summed: bool, r: float | None, q: QuadratureConfig, margins,
+def _influence_sigma2(f, summed: str | None, r: float | None, q: QuadratureConfig, margins,
                       depth: float | None = None) -> tuple[float, float, dict]:
     """Variance of the summed influence functions of the slopes ``f``.
 
     ``f`` maps points sigma to the stacked slopes times du/dsigma, one row or
-    two (x then y); ``summed`` says the rows add up to one influence function
-    (see ``_influence_terms``), and ``r``, if not None, is the Gaussian
-    copula's correlation of two rows that are not summed.  ``margins`` holds
-    the gate's tail margin m > 0 of each half (left, right): inf where holding
-    Q constant beyond the mesh is exact (a window ``depth`` deep); ``_depth``
-    sets the depth of the others.  The mesh starts on ``_graded`` from
-    sigma = log 2 - d_left to d_right - log 2, the samples pass
-    ``quadrature._finite``, the guard that ``integrate_open01`` uses, and it
-    is bisected where the error shares concentrate, worst first, until they
-    total at most the tolerance over the inner tightening, or the panel
-    budget is spent; a Gaussian copula's cross term joins once the others
-    meet it.  A half whose tail bound takes more than half that target goes
+    two (x then y); ``summed``, if not None, names the one influence function
+    the rows add up to (see ``_influence_terms``), and ``r``, if not None, is
+    the Gaussian copula's correlation of two rows that are not summed.
+    ``margins`` holds the gate's tail margin m > 0 of each half (left,
+    right): inf where holding Q constant beyond the mesh is exact (a window
+    ``depth`` deep); ``_depth`` sets the depth of the others.  The mesh
+    starts on ``_graded`` from sigma = log 2 - d_left to d_right - log 2, the
+    samples pass ``quadrature._finite``, the guard that ``integrate_open01``
+    uses, and it is bisected where the error shares concentrate, worst
+    first, until they total at most the tolerance over the inner tightening,
+    or the panel budget is spent; a Gaussian copula's cross term joins once
+    the others meet it.  A half whose tail bound takes more than half that target goes
     as much deeper as its margin says, and the mesh starts again.
     Returns (value, est_error, per-term diagnostics) before clamping; raises
     NonconvergenceError, naming the largest part of the error, when the error
@@ -494,24 +495,50 @@ def _influence_sigma2(f, summed: bool, r: float | None, q: QuadratureConfig, mar
     return value, err, diag
 
 
-def _read_coupling(F: Distribution, G: Distribution, c: Cost, cp: Coupling, margins):
-    """What the variance needs of the coupling ``cp``: (slopes, summed, r, margins).
+def _read_coupling(F: Distribution, G: Distribution, c: Cost, source, margins):
+    """The rows that the variance integrates: (slopes, summed, r, margins).
 
-    The slopes are those of ``_tail_slopes``, x then y; ``summed`` says they
-    add up to one influence function, as under the Frechet extremes, and r is
-    the Gaussian copula's correlation, else None.  Countermonotone pairs Q_x(u)
-    with Q_y(1 - u), the influence function of -p_y(1 - u), and u -> 1 - u is
-    sigma -> -sigma; each half then pairs x's tail on one side with y's on the
-    other, so both take the smaller of the gate's ``margins``.  Raises
-    TypeError for a coupling outside the four kinds.
+    ``source`` is a coupling, or the side "x" or "y" of one sample alone.
+    The slopes are those of ``_tail_slopes``, x then y, or the side's one
+    row; ``summed`` names the one influence function they add up to: "x+y"
+    under the Frechet extremes, the side for one sample, else None.  r is
+    the Gaussian copula's correlation, else None.  Countermonotone pairs
+    Q_x(u) with Q_y(1 - u), the influence function of -p_y(1 - u), and
+    u -> 1 - u is sigma -> -sigma; each half then pairs x's tail on one side
+    with y's on the other, so both take the smaller of the gate's
+    ``margins``.  Raises TypeError for a coupling outside the four kinds.
     """
-    if not isinstance(cp, (Independent, Comonotone, Countermonotone, GaussianCopula)):
-        raise TypeError(f"no influence-function variance for coupling {cp!r}")
-    if isinstance(cp, Countermonotone):
+    if source in ("x", "y"):
+        return lambda t: _tail_slopes(F, G, c, t, source), source, None, margins
+    if not isinstance(source, (Independent, Comonotone, Countermonotone, GaussianCopula)):
+        raise TypeError(f"no influence-function variance for coupling {source!r}")
+    if isinstance(source, Countermonotone):
         return (lambda t: np.concatenate((_tail_slopes(F, G, c, t, "x"), -_tail_slopes(F, G, c, -t, "y"))),
-                True, None, [min(margins)] * 2)
-    r = cp.r if isinstance(cp, GaussianCopula) else None
-    return lambda t: _tail_slopes(F, G, c, t, "xy"), isinstance(cp, Comonotone), r, margins
+                "x+y", None, [min(margins)] * 2)
+    r = source.r if isinstance(source, GaussianCopula) else None
+    return (lambda t: _tail_slopes(F, G, c, t, "xy"), "x+y" if isinstance(source, Comonotone) else None,
+            r, margins)
+
+
+def _quadrature_variance(F: Distribution, G: Distribution, c: Cost, source, q: QuadratureConfig | None,
+                         gated: tuple[str, ...], what: str, depth: float | None = None) -> VarianceResult:
+    """Var[Q_x(U) + Q_y(V)] on the rows that ``_read_coupling`` reads of ``source``.
+
+    With marginals ``gated`` the tails-meet warning and the tail gate run
+    first, and the gate's margins set the depths; with none (a window
+    ``depth`` deep, where holding Q constant is exact) neither runs.  ``what``
+    names the integral in a clamp refusal.
+    """
+    _require_gradient(c)
+    diagnostics, margins = {}, [math.inf] * 2
+    if gated:
+        _warn_if_tails_meet(F, G)
+        diagnostics["gate"], margins = _gate(F, G, c, gated)
+    f, summed, r, margins = _read_coupling(F, G, c, source, margins)
+    v, e, terms = _influence_sigma2(f, summed, r, DEFAULT_VARIANCE_CONFIG if q is None else q,
+                                    margins, depth)
+    value, err, diagnostics["clamp"] = _clamped(v, e, what)
+    return VarianceResult(value, err, "quadrature", {"influence": terms, **diagnostics})
 
 
 # --- population variances -----------------------------------------------------
@@ -545,16 +572,7 @@ def sigma2(F: Distribution, G: Distribution, c: Cost, cp: Coupling,
     outside the gate's table, and ValueError naming a law that declares no
     tail constants: no tail depth is guessed where the gate has no margin.
     """
-    if q is None:
-        q = DEFAULT_VARIANCE_CONFIG
-    _require_gradient(c)
-    _warn_if_tails_meet(F, G)
-    gate, margins = _gate(F, G, c, ("x", "y"))
-    f, summed, r, margins = _read_coupling(F, G, c, cp, margins)
-    v, e, terms = _influence_sigma2(f, summed, r, q, margins)
-    value, err, clamp = _clamped(v, e, "variance integral")
-    return VarianceResult(value, err, "quadrature",
-                          {"influence": terms, "gate": gate, "clamp": clamp})
+    return _quadrature_variance(F, G, c, cp, q, ("x", "y"), "variance integral")
 
 
 def sigma2_window(F: Distribution, G: Distribution, c: Cost, cp: Coupling, eps: float,
@@ -568,13 +586,7 @@ def sigma2_window(F: Distribution, G: Distribution, c: Cost, cp: Coupling, eps: 
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"window trim must lie in (0, 1/2), got {eps}")
-    if q is None:
-        q = DEFAULT_VARIANCE_CONFIG
-    _require_gradient(c)
-    f, summed, r, margins = _read_coupling(F, G, c, cp, [math.inf] * 2)
-    v, e, terms = _influence_sigma2(f, summed, r, q, margins, -math.log(eps))
-    value, err, clamp = _clamped(v, e, "window variance integral")
-    return VarianceResult(value, err, "quadrature", {"influence": terms, "clamp": clamp})
+    return _quadrature_variance(F, G, c, cp, q, (), "window variance integral", -math.log(eps))
 
 
 def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x",
@@ -590,16 +602,8 @@ def sigma2_one_sample(F: Distribution, G: Distribution, c: Cost, side: str = "x"
     """
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
-    if q is None:
-        q = DEFAULT_VARIANCE_CONFIG
-    _require_gradient(c)
-    _warn_if_tails_meet(F, G)
-    gate, margins = _gate(F, G, c, (side,))
-    v, e, terms = _influence_sigma2(lambda t: _tail_slopes(F, G, c, t, side), True, None, q, margins)
-    value, err, clamp = _clamped(v, e, "one-sample variance integral")
-    return VarianceResult(value, err, "quadrature",
-                          {"side": side, "gate": gate, "clamp": clamp,
-                           "influence": {side: terms["x"]}})
+    res = _quadrature_variance(F, G, c, side, q, (side,), "one-sample variance integral")
+    return VarianceResult(res.value, res.est_error, res.method, {"side": side, **res.diagnostics})
 
 
 def _moment(base: Distribution, power: int, q: QuadratureConfig) -> tuple[float, float]:

@@ -530,7 +530,7 @@ def test_the_gate_reads_only_the_tail_constants(monkeypatch):
     calls, margins = [], []
     monkeypatch.setattr(assumptions_module, "check_cfg", lambda *args: calls.append(args))
     monkeypatch.setattr(variance_module, "_influence_sigma2",
-                        lambda f, summed, r, q, m: margins.append(m) or (0.0, 0.0, {}))
+                        lambda f, summed, r, q, m, depth: margins.append(m) or (0.0, 0.0, {}))
     triples = set(triple_matrix.TRIPLES + variance_oracles.TRIPLES + guard_matrix.TRIPLES
                   + EXTREME_TRIPLES)
     with warnings.catch_warnings():
