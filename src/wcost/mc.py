@@ -284,22 +284,16 @@ def _sample_skew(values: np.ndarray) -> float:
         return float(m3 / m2**1.5)
 
 
-def _build_report(cfg: MCConfig, values: np.ndarray, target: float,
-                  sig2: float | None, sig2_per: np.ndarray | None,
+def _build_report(cfg: MCConfig, values: np.ndarray, target: float, sig2,
                   trim_eps: float, ok: bool, notes: tuple, t0: float) -> MCReport:
-    if sig2 is not None:
-        if sig2 <= 0.0:
-            raise DegenerateSampleError(
-                "the asymptotic variance is zero for this configuration (the "
-                "matched cost is constant across replicates); standardized "
-                "replicates are undefined")
-        scales2 = np.full(values.shape, float(sig2))
-    else:
-        scales2 = np.asarray(sig2_per, dtype=float)
-        if np.any(scales2 <= 0.0):
-            raise DegenerateSampleError(
-                "a replicate's plug-in variance is zero; standardized "
-                "replicates are undefined")
+    """One family's report; ``sig2`` is one variance for every replicate, or an array of one each."""
+    scales2 = np.asarray(sig2, dtype=float)
+    if np.any(scales2 <= 0.0):
+        raise DegenerateSampleError(
+            "the asymptotic variance is zero for this configuration (the matched cost "
+            "is constant across replicates); standardized replicates are undefined"
+            if scales2.ndim == 0 else
+            "a replicate's plug-in variance is zero; standardized replicates are undefined")
     z = np.sort(np.sqrt(cfg.n) * (values - target) / np.sqrt(scales2))
     # the same interval as confidence_interval, for every replicate at once
     half = float(ndtri(0.5 * (1.0 + _CI_LEVEL))) * np.sqrt(scales2 / cfg.n)
@@ -309,7 +303,7 @@ def _build_report(cfg: MCConfig, values: np.ndarray, target: float,
         replicates=cfg.replicates,
         w_exact=float(target),
         sigma_source=cfg.sigma_source,
-        sigma2_value=None if sig2 is None else float(sig2),
+        sigma2_value=float(sig2) if scales2.ndim == 0 else None,
         trim_eps=float(trim_eps),
         estimates={"mean": float(np.mean(values)),
                    "var": float(np.var(values, ddof=1)),
@@ -392,17 +386,14 @@ def _experiment(cfg: MCConfig, eps: float, threads: int | None) -> TrimmedCompar
 
     if cfg.sigma_source == "plug_in":
         west, wtrim, plug = _simulate(cfg, eps, threads, sorted({0.0, eps}))
-        plain = _build_report(cfg, west, w_full, None, plug[0.0], 0.0, ok,
-                              notes + ("per-replicate plug-in variances",), t0)
-        trimmed = _build_report(cfg, wtrim, w_window, None, plug[eps],
-                                eps, ok, trim_notes, t0)
+        sig2_full, sig2_window = plug[0.0], plug[eps]
+        notes += ("per-replicate plug-in variances",)
     else:
         sig2_full = sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling).value
         sig2_window = sig2_full if eps == 0.0 else sigma2_window(cfg.F, cfg.G, cfg.c, cfg.coupling, eps).value
         west, wtrim, _ = _simulate(cfg, eps, threads)
-        plain = _build_report(cfg, west, w_full, sig2_full, None, 0.0, ok, notes, t0)
-        trimmed = _build_report(cfg, wtrim, w_window, sig2_window, None, eps,
-                                ok, trim_notes, t0)
+    plain = _build_report(cfg, west, w_full, sig2_full, 0.0, ok, notes, t0)
+    trimmed = _build_report(cfg, wtrim, w_window, sig2_window, eps, ok, trim_notes, t0)
     gap = np.sqrt(cfg.n) * np.abs(wtrim - west)
     return TrimmedComparison(plain=plain, trimmed=trimmed, trim_eps=eps,
                              scaled_gap_mean=float(np.mean(gap)),
