@@ -960,6 +960,26 @@ def test_one_sample_rejects_bad_side():
         sigma2_one_sample(Gaussian(0, 1), Gaussian(2, 1), P2, "z")
 
 
+def test_one_sample_names_its_term_by_its_side(monkeypatch):
+    # the one summed term is named by the side, in the diagnostics and in a
+    # refusal; side "y" named it "x" before
+    F, G, cost = Weibull(1.5), LocationScale(Gaussian(0, 1), 2.0, 1.0), PowerCost(1.5)
+    for side in ("x", "y"):
+        assert list(sigma2_one_sample(F, G, cost, side).diagnostics["influence"]) == [side]
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 20)
+    with pytest.raises(NonconvergenceError, match=r"\(panel budget exhausted\); "
+                       "the largest part is the y panels$"):
+        sigma2_one_sample(F, G, cost, "y")
+
+
+def test_the_tails_meet_warning_names_the_callers_line():
+    F, G = Gaussian(0, 1), Gaussian(0, 1.0000000001)
+    for call in (lambda: sigma2(F, G, P2, Independent()), lambda: sigma2_one_sample(F, G, P2, "y")):
+        with pytest.warns(UserWarning, match="coincide") as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
+
+
 def test_a_cost_outside_the_gate_table_is_refused():
     # the gate has no growth rate for it, so no tail depth: no depth is guessed,
     # and exact_cost refuses it with the same error, the right side first
