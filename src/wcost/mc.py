@@ -284,7 +284,7 @@ def _sample_skew(values: np.ndarray) -> float:
         return float(m3 / m2**1.5)
 
 
-def _build_report(cfg: MCConfig, values: np.ndarray, target: float, sig2,
+def _build_report(cfg: MCConfig, values: np.ndarray, target: float, sig2: float | np.ndarray,
                   trim_eps: float, ok: bool, notes: tuple, t0: float) -> MCReport:
     """One family's report; ``sig2`` is one variance for every replicate, or an array of one each."""
     scales2 = np.asarray(sig2, dtype=float)
