@@ -2,7 +2,9 @@
 
 A coupling fixes the joint law of the pair of uniforms (U, V) driving the
 quantile transforms X = F^{-1}(U), Y = G^{-1}(V).  Four kinds are provided:
-independent, the two Frechet extremes, and the Gaussian copula.
+independent, the two Frechet extremes, and the Gaussian copula.  The Gaussian
+copula draws its pairs through normal scores, X = F^{-1}(Phi(Z1)), so a law
+affine in the score (a Gaussian) never round-trips through Phi.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from ._model import _as_array, _numeric_args, _parse_call, _scalar_like
-from .distributions import Distribution
+from .distributions import _BELOW_ONE, Distribution, _score_level
 from .estimate import PairedSample
 
 __all__ = [
@@ -29,7 +31,6 @@ __all__ = [
 ]
 
 _HALF_STEP = 2.0**-54
-_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -56,6 +57,12 @@ class Coupling:
 
     def sample_uniforms(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def _draw(self, F: Distribution, G: Distribution, n: int,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """n pairs (F^{-1}(U), G^{-1}(V)) from the quantiles of ``sample_uniforms``."""
+        us, vs = self.sample_uniforms(n, rng)
+        return np.asarray(F.quantile(us), dtype=float), np.asarray(G.quantile(vs), dtype=float)
 
 
 def _check_unit(u, v):
@@ -103,6 +110,15 @@ class Countermonotone(Coupling):
 
 @dataclass(frozen=True)
 class GaussianCopula(Coupling):
+    """The copula of a standard bivariate normal pair with correlation r.
+
+    A draw is the pair of normal scores (Z1, r Z1 + sqrt(1 - r^2) Z2).
+    ``sample_uniforms`` returns their levels Phi(Z); ``sample_pairs`` maps the
+    scores through each law's ``_score_quantile``, which for a Gaussian or a
+    location-scale Gaussian is affine in the score and skips Phi and its
+    inverse.  Any other law reads the same levels as ``sample_uniforms``.
+    """
+
     r: float
 
     def __post_init__(self):
@@ -114,17 +130,24 @@ class GaussianCopula(Coupling):
         # ndtri maps 0 and 1 to -inf and +inf, where bvn_cdf takes the exact limits
         return _scalar_like(bvn_cdf(special.ndtri(ua), special.ndtri(va), self.r), u, v)
 
-    def sample_uniforms(self, n, rng):
+    def _scores(self, n, rng):
+        """n correlated pairs of standard normal scores from two uniform draws."""
         z1 = special.ndtri(_uniform_open(rng, n))
         z2 = special.ndtri(_uniform_open(rng, n))
-        us = special.ndtr(z1)
-        vs = special.ndtr(self.r * z1 + math.sqrt(1.0 - self.r * self.r) * z2)
+        return z1, self.r * z1 + math.sqrt(1.0 - self.r * self.r) * z2
+
+    def sample_uniforms(self, n, rng):
         # ndtr returns 1.0 from about 8.29 on, and r z1 + s z2 gets there when
         # both draws are near the top (z1, z2 <= 8.21).  ndtr(z1) stays below
         # 1 with scipy 1.17; its clamp keeps that so on any build.  Neither
-        # value can reach 0: the normal scores stay above -12.
-        np.minimum(us, _BELOW_ONE, out=us)
-        return us, np.minimum(vs, _BELOW_ONE, out=vs)
+        # level can reach 0: the normal scores stay above -12.
+        z1, z2 = self._scores(n, rng)
+        return _score_level(z1), _score_level(z2)
+
+    def _draw(self, F, G, n, rng):
+        z1, z2 = self._scores(n, rng)
+        return (np.asarray(F._score_quantile(z1), dtype=float),
+                np.asarray(G._score_quantile(z2), dtype=float))
 
 
 # --- bivariate normal cdf -----------------------------------------------------
@@ -170,14 +193,17 @@ def bvn_cdf(x, y, r: float):
 def sample_pairs(cp: Coupling, F: Distribution, G: Distribution, n: int, seed: int) -> PairedSample:
     """n i.i.d. pairs with marginals F, G and dependence cp, via quantile transform.
 
-    Identical (cp, F, G, n, seed) give bit-identical output.
+    Each pair is (F^{-1}(U), G^{-1}(V)) for (U, V) from ``cp.sample_uniforms``
+    on the same stream, bit for bit, except that under the Gaussian copula a
+    Gaussian or location-scale Gaussian marginal is mean + sd Z, taken
+    straight from the normal score Z with U = Phi(Z).  That skips the round
+    trip through Phi and its inverse, and its rounding.  Identical
+    (cp, F, G, n, seed) give bit-identical output.
     """
     if n < 1:
         raise ValueError(f"need at least one pair, got n={n}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    us, vs = cp.sample_uniforms(n, rng)
-    return PairedSample(np.asarray(F.quantile(us), dtype=float),
-                        np.asarray(G.quantile(vs), dtype=float))
+    return PairedSample(*cp._draw(F, G, n, rng))
 
 
 # --- descriptors --------------------------------------------------------------

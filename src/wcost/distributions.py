@@ -1,13 +1,17 @@
 """Parametric univariate distributions and their quantile-side machinery.
 
-Every law exposes the cdf F, the quantile F^{-1}, the density f, and the three
-derived quantities the estimation theory is phrased in:
+Every law exposes the cdf F, the quantile F^{-1}, the density f, and the
+derived quantities the estimation theory and the samplers are phrased in:
 
 * the density quantile function ``h(u) = f(F^{-1}(u))``,
-* the tail exponent ``psi(x) = -log P(X > x)`` together with its inverse.
+* the tail exponent ``psi(x) = -log P(X > x)`` together with its inverse,
+* the score map ``F^{-1}(Phi(z))`` of a standard normal score z, which the
+  Gaussian copula draws through.
 
-Derived quantities are always computed through the composition above, never
-re-derived per family, so a family only has to get cdf/quantile/pdf right.
+By default each derived quantity is computed through its composition, so a
+family only has to get cdf/quantile/pdf right.  A family may give a closed
+form of a derived map where the composition loses digits or time: the tail
+inverse ``_psi_inverse`` and the score map ``_score_quantile``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,15 @@ __all__ = [
     "parse_distribution",
     "format_distribution",
 ]
+
+#: The largest double below 1, where a probability level is clamped.
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
+def _score_level(z) -> np.ndarray:
+    """Phi(z) for an array of normal scores, with the 1.0 that ndtr returns from z = 8.29 clamped."""
+    u = special.ndtr(z)
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def _check_prob_open(u) -> np.ndarray:
@@ -99,6 +112,10 @@ class Distribution:
         """psi_inverse on a checked array; families override it with a closed form."""
         return self.quantile(-np.expm1(-ya))
 
+    def _score_quantile(self, z):
+        """F^{-1}(Phi(z)) on an array of normal scores; laws affine in the score override it."""
+        return self.quantile(_score_level(z))
+
 
 @dataclass(frozen=True)
 class Gaussian(Distribution):
@@ -134,6 +151,9 @@ class Gaussian(Distribution):
 
     def _psi_inverse(self, ya):
         return self.mean - self.sd * special.ndtri_exp(-ya)
+
+    def _score_quantile(self, z):
+        return self.mean + self.sd * z
 
     def tail_constants(self):
         twice_var = 2.0 * self.sd * self.sd
@@ -303,6 +323,9 @@ class LocationScale(Distribution):
 
     def _psi_inverse(self, ya):
         return self.a * _as_array(self.base.psi_inverse(ya)) + self.b
+
+    def _score_quantile(self, z):
+        return self.a * self.base._score_quantile(z) + self.b
 
     def support(self):
         lo, hi = self.base.support()

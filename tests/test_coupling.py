@@ -15,7 +15,14 @@ from wcost.coupling import (
     parse_coupling,
     sample_pairs,
 )
-from wcost.distributions import Gaussian, Pareto
+from wcost.distributions import (
+    Exponential,
+    Gaussian,
+    LocationScale,
+    Pareto,
+    Weibull,
+    reflect,
+)
 
 ALL_COUPLINGS = [
     Independent(),
@@ -236,6 +243,37 @@ def test_sampler_marginals_are_correct(cp):
     assert px > 1e-4 and py > 1e-4
 
 
+def _seeded(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+@pytest.mark.parametrize("r", [0.5, -0.9, 0.0, 0.999])
+@pytest.mark.parametrize("seed", [0, 71])
+def test_gaussian_copula_gaussian_pairs_are_affine_in_the_scores(r, seed):
+    F, G = Gaussian(-1.0, 2.0), Gaussian(2.0, 0.5)
+    s = sample_pairs(GaussianCopula(r), F, G, 2000, seed)
+    rng = _seeded(seed)
+    z1 = ndtri(_uniform_open(rng, 2000))
+    z2 = r * z1 + math.sqrt(1.0 - r * r) * ndtri(_uniform_open(rng, 2000))
+    assert np.array_equal(s.xs.view(np.uint64), (F.mean + F.sd * z1).view(np.uint64))
+    assert np.array_equal(s.ys.view(np.uint64), (G.mean + G.sd * z2).view(np.uint64))
+
+
+_NON_AFFINE = [Exponential(1.5), Pareto(3.0), Weibull(0.75), reflect(Pareto(4.0)),
+               LocationScale(Weibull(2.0), 0.5, -1.0)]
+
+
+@pytest.mark.parametrize("cp", ALL_COUPLINGS + [GaussianCopula(-0.9), GaussianCopula(0.0)], ids=repr)
+def test_pairs_of_other_laws_are_the_quantiles_of_the_uniform_pairs(cp):
+    for i, F in enumerate(_NON_AFFINE):
+        G = _NON_AFFINE[(i + 2) % len(_NON_AFFINE)]
+        for seed in (5, 2024):
+            s = sample_pairs(cp, F, G, 1000, seed)
+            us, vs = cp.sample_uniforms(1000, _seeded(seed))
+            assert np.array_equal(s.xs.view(np.uint64), np.asarray(F.quantile(us)).view(np.uint64))
+            assert np.array_equal(s.ys.view(np.uint64), np.asarray(G.quantile(vs)).view(np.uint64))
+
+
 def test_uniform_draws_stay_below_one_at_the_top_integer():
     class TopDraw:
         def random(self, size):
@@ -274,6 +312,9 @@ def test_gaussian_copula_draws_stay_inside_at_the_extreme_integers(r):
     assert np.all((u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0))
     assert np.all(np.isfinite(Gaussian(0, 1).quantile(u)))
     assert np.all(np.isfinite(Pareto(3).quantile(v)))
+    draws = _ScriptedDraws([_TOP, _TOP, 0.0, 0.0], [_TOP, 0.0, _TOP, 0.0])
+    x, y = GaussianCopula(r)._draw(Pareto(3), Gaussian(0, 1), 4, draws)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
 
 
 def _integer_uniform_open(rng, n):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from wcost._model import _scalar_like
 from wcost.distributions import (
@@ -130,6 +131,34 @@ def test_psi_inverse_inverts_tail_exponent(d):
     for y in (0.5, 2.0, 10.0, 40.0):
         x = d.psi_inverse(y)
         assert d.tail_exponent(x) == pytest.approx(y, rel=1e-9)
+
+
+_SCORES = np.linspace(-4.0, 4.0, 801)
+
+
+@pytest.mark.parametrize("d, m, s", [
+    (Gaussian(0.0, 1.0), 0.0, 1.0),
+    (Gaussian(-1.5, 0.7), -1.5, 0.7),
+    (LocationScale(Gaussian(0.0, 1.0), 2.0, 3.0), 3.0, 2.0),
+    (LocationScale(Gaussian(0.0, 1.0), 0.25, -1.0), -1.0, 0.25),
+], ids=["gaussian(0,1)", "gaussian(-1.5,0.7)", "locscale(gaussian(0,1),2,3)",
+        "locscale(gaussian(0,1),0.25,-1)"])
+def test_a_gaussian_score_map_is_affine_in_the_score(d, m, s):
+    x = d._score_quantile(_SCORES)
+    assert np.array_equal(x.view(np.uint64), (m + s * _SCORES).view(np.uint64))
+    # the round trip through Phi and its inverse it replaces: 1.1e-16 / phi(z) at most
+    assert np.max(np.abs(x - d.quantile(ndtr(_SCORES)))) <= 1e-11 * s
+
+
+@pytest.mark.parametrize("d", [Pareto(3.0), Weibull(0.8), Exponential(2.5), reflect(Pareto(4.0)),
+                               LocationScale(Weibull(2.0), 0.5, -1.0)], ids=format_distribution)
+def test_the_default_score_map_is_the_quantile_of_the_clamped_level(d):
+    # ndtr(9) rounds to 1.0; the level is clamped to the largest double below 1
+    z = np.append(_SCORES, [8.5, 9.0, 12.0])
+    u = np.minimum(ndtr(z), np.nextafter(1.0, 0.0))
+    x = d._score_quantile(z)
+    assert np.all(np.isfinite(x))
+    assert np.array_equal(x.view(np.uint64), np.asarray(d.quantile(u)).view(np.uint64))
 
 
 def test_gaussian_tail_exponent_beyond_underflow():
