@@ -13,7 +13,9 @@ Exit codes: 0 success; 1 assumption or degeneracy failure; 2 input error;
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import sys
 
@@ -77,21 +79,17 @@ def _flatten(prefix: str, obj, rows: list) -> None:
 
 
 def _emit(payload: dict, fmt: str, out: str | None) -> None:
+    """Serialize the report, then write it once, to ``out`` or to stdout."""
     if fmt == "json":
         text = json.dumps(payload, indent=2, default=_json_default) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    rows: list = []
-    _flatten("", payload, rows)
-    if out:
-        with open(out, "w", newline="") as fh:
-            csv.writer(fh).writerows([("key", "value"), *rows])
     else:
-        csv.writer(sys.stdout).writerows([("key", "value"), *rows])
+        rows: list = []
+        _flatten("", payload, rows)
+        buf = io.StringIO()
+        csv.writer(buf).writerows([("key", "value"), *rows])
+        text = buf.getvalue()
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
 
 
 def _payload(command: str, params: dict, seed: int | None, args, results: dict) -> dict:

@@ -30,17 +30,23 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PairedSample:
-    """n paired observations; columns may be dependent."""
+    """n paired observations; columns may be dependent.
+
+    The sample is frozen, and it owns the order statistics of its columns:
+    ``sorted_columns`` computes them once, and ``dataclasses.replace`` starts
+    a new sample without them.  The columns are not copied, so a caller who
+    changes an input array afterwards should build a new sample.
+    """
 
     xs: np.ndarray
     ys: np.ndarray
-    _sorted_cache: dict = field(default_factory=dict, repr=False)
+    _sorted: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.xs = np.asarray(self.xs, dtype=float)
-        self.ys = np.asarray(self.ys, dtype=float)
+        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
+        object.__setattr__(self, "ys", np.asarray(self.ys, dtype=float))
         if self.xs.ndim != 1 or self.ys.ndim != 1:
             raise ValueError("sample columns must be one-dimensional")
         if self.xs.shape != self.ys.shape:
@@ -53,29 +59,27 @@ class PairedSample:
         return int(self.xs.size)
 
     def sorted_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both columns sorted ascending (cached) with numpy's default sort.
+        """Both columns sorted ascending with numpy's default sort, read-only and cached.
 
-        Its values equal a stable sort's: the two differ only in the order of
-        equal keys, and among finite floats only -0.0 and 0.0 are equal keys
-        with different bits, which no cost tells apart.
+        Raises ValueError when a column holds NaN or +-inf, which a sort puts
+        at the ends; only a checked pair is cached.  Its values equal a stable
+        sort's: the two differ only in the order of equal keys, and among
+        finite floats only -0.0 and 0.0 are equal keys with different bits,
+        which no cost tells apart.
         """
-        if "xy" not in self._sorted_cache:
-            self._sorted_cache["xy"] = (np.sort(self.xs), np.sort(self.ys))
-        return self._sorted_cache["xy"]
-
-
-def _finite_sorted_columns(s: PairedSample) -> tuple[np.ndarray, np.ndarray]:
-    """``s.sorted_columns()``; ValueError on NaN or +-inf, which a sort puts at the ends."""
-    cols = s.sorted_columns()
-    for name, col in zip("xy", cols):
-        if not (math.isfinite(col[0]) and math.isfinite(col[-1])):
-            raise ValueError(f"{name} column holds a non-finite value")
-    return cols
+        if self._sorted is None:
+            cols = np.sort(self.xs), np.sort(self.ys)
+            for name, col in zip("xy", cols):
+                if not (math.isfinite(col[0]) and math.isfinite(col[-1])):
+                    raise ValueError(f"{name} column holds a non-finite value")
+                col.setflags(write=False)
+            object.__setattr__(self, "_sorted", cols)
+        return self._sorted
 
 
 def empirical_cost(s: PairedSample, c: Cost) -> float:
     """Mean cost across matched order statistics: (1/n) sum c(x_(i), y_(i)); finite columns only."""
-    xs, ys = _finite_sorted_columns(s)
+    xs, ys = s.sorted_columns()
     return float(np.mean(c.evaluate(xs, ys)))
 
 
@@ -93,7 +97,7 @@ def trimmed_empirical_cost(s: PairedSample, c: Cost, eps: float) -> float:
         raise ValueError(f"trim level must lie in [0, 1/2), got {eps}")
     if eps == 0.0:
         return empirical_cost(s, c)
-    xs, ys = _finite_sorted_columns(s)
+    xs, ys = s.sorted_columns()
     n = s.n
     edges = np.arange(n + 1) / n
     lo = np.clip(edges[:-1], eps, 1.0 - eps)

@@ -359,8 +359,9 @@ def compare_trimmed(cfg: MCConfig, *, threads: int | None = None) -> TrimmedComp
 
     The trim removes a deterministic slice of cost mass, so the trimmed family
     is centered at the window-restricted population cost and scaled by the
-    window-restricted variance; sqrt(n) times the removed mass is reported as
-    the scaled gap rather than folded into the standardization.  With
+    window-restricted variance, or under ``plug_in`` by each replicate's
+    plug-in variance on the window; sqrt(n) times the removed mass is reported
+    as the scaled gap rather than folded into the standardization.  With
     ``trim_eps=0`` the two families coincide exactly.  ``threads`` is the
     worker count, as in ``run_clt_experiment``; results do not depend on it.
     """
@@ -380,9 +381,6 @@ def _experiment(cfg: MCConfig, eps: float, threads: int | None) -> TrimmedCompar
     w_full = exact_cost(cfg.F, cfg.G, cfg.c)
     w_window = w_full if eps == 0.0 else exact_cost(cfg.F, cfg.G, cfg.c,
                                                     window=(eps, 1.0 - eps))
-    trim_notes = notes if eps == 0.0 else notes + (
-        f"trimmed family standardized about the population cost and variance "
-        f"restricted to ({eps:.6g}, {1 - eps:.6g})",)
 
     if cfg.sigma_source == "plug_in":
         west, wtrim, plug = _simulate(cfg, eps, threads, sorted({0.0, eps}))
@@ -392,6 +390,10 @@ def _experiment(cfg: MCConfig, eps: float, threads: int | None) -> TrimmedCompar
         sig2_full = sigma2(cfg.F, cfg.G, cfg.c, cfg.coupling).value
         sig2_window = sig2_full if eps == 0.0 else sigma2_window(cfg.F, cfg.G, cfg.c, cfg.coupling, eps).value
         west, wtrim, _ = _simulate(cfg, eps, threads)
+    restricted = "cost" if cfg.sigma_source == "plug_in" else "cost and variance"
+    trim_notes = notes if eps == 0.0 else notes + (
+        f"trimmed family standardized about the population {restricted} "
+        f"restricted to ({eps:.6g}, {1 - eps:.6g})",)
     plain = _build_report(cfg, west, w_full, sig2_full, 0.0, ok, notes, t0)
     trimmed = _build_report(cfg, wtrim, w_window, sig2_window, eps, ok, trim_notes, t0)
     gap = np.sqrt(cfg.n) * np.abs(wtrim - west)

@@ -45,7 +45,7 @@ from .coupling import Comonotone, Countermonotone, Coupling, GaussianCopula, Ind
 from .distributions import Distribution, Gaussian, reflect
 from .errors import (DegenerateSampleError, HypothesisGateError, NonconvergenceError,
                      UnsupportedCostError)
-from .estimate import PairedSample, _finite_sorted_columns, _quantile_integral
+from .estimate import PairedSample, _quantile_integral
 from .quadrature import (_DEPTH_SLACK, _HALVES, _INNER_TIGHTENING, _LOG2, _W_DIFF, _W_KRONROD,
                          CumulativeMesh, QuadratureConfig, _deep_enough, _deepen, _finite, _graded, _tolerance)
 
@@ -716,7 +716,7 @@ def plug_in_sigma2(s: PairedSample, c: Cost, eps: float = 0.0) -> VarianceResult
         raise ValueError(f"plug-in variance needs at least 50 pairs, got {n}")
     if not 0.0 <= eps < 0.5:
         raise ValueError(f"eps must lie in [0, 0.5), got {eps}")
-    xs, ys = _finite_sorted_columns(s)
+    xs, ys = s.sorted_columns()
     for name, col in zip("xy", (xs, ys)):
         if col[0] == col[-1]:
             raise DegenerateSampleError(

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wcost import Countermonotone, Gaussian, PowerCost, QuadratureConfig, sigma2
+from wcost import cli
 from wcost.cli import main
 from wcost.estimate import read_sample_csv
 from wcost.quadrature import _tolerance
@@ -461,6 +462,30 @@ def test_report_to_file_and_csv_format(capsys, tmp_path):
     cells = dict(line.split(",", 1) for line in lines[1:])
     assert cells["value"] == "32"
     assert cells["config.command"] == "variance"
+
+
+_REPORT = {"a": 0.1, "b": [1, 2], "c": {"d": "x,y"}}
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("json", '{\n  "a": 0.1,\n  "b": [\n    1,\n    2\n  ],\n  "c": {\n    "d": "x,y"\n  }\n}\n'),
+    ("csv", 'key,value\r\na,0.10000000000000001\r\nb,"[1, 2]"\r\nc.d,"x,y"\r\n'),
+])
+def test_a_report_file_holds_the_bytes_stdout_gets(capsys, tmp_path, fmt, text):
+    path = tmp_path / f"report.{fmt}"
+    cli._emit(_REPORT, fmt, str(path))
+    cli._emit(_REPORT, fmt, None)
+    assert capsys.readouterr().out == text
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_that_fails_to_serialize_writes_nothing(capsys, tmp_path, fmt):
+    path = tmp_path / "report"
+    for out in (str(path), None):
+        with pytest.raises(TypeError, match="not JSON-serializable"):
+            cli._emit({"a": [object()]}, fmt, out)
+    assert not path.exists() and capsys.readouterr().out == ""
 
 
 def test_estimate_csv_format_uses_17_digit_floats(capsys, tmp_path):

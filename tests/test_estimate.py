@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -55,6 +56,51 @@ def test_sorted_columns_cached():
     a = s.sorted_columns()
     b = s.sorted_columns()
     assert a[0] is b[0] and a[1] is b[1]
+
+
+def _translated_sample(shift):
+    x = np.arange(100.0)
+    return PairedSample(x, x + shift)
+
+
+def test_a_replaced_sample_sorts_its_own_columns():
+    s = _translated_sample(2.0)
+    assert empirical_cost(s, P2) == 4.0
+    t = dataclasses.replace(s, ys=s.xs + 5.0)
+    assert empirical_cost(t, P2) == 25.0
+    assert empirical_cost(s, P2) == 4.0
+
+
+def test_the_sort_cache_is_not_a_constructor_argument():
+    x = np.arange(100.0)
+    with pytest.raises(TypeError):
+        PairedSample(x, x, {"xy": (np.zeros(100), np.ones(100))})
+    assert empirical_cost(PairedSample(x, x), P2) == 0.0
+
+
+def test_a_sorted_sample_keeps_its_columns():
+    s = _translated_sample(2.0)
+    assert empirical_cost(s, P2) == 4.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.ys = s.xs + 3.0
+    assert empirical_cost(s, P2) == 4.0
+
+
+def test_the_cached_order_statistics_are_read_only():
+    s = _translated_sample(2.0)
+    xs, ys = s.sorted_columns()
+    with pytest.raises(ValueError, match="read-only"):
+        ys += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        xs[0] = 7.0
+    assert empirical_cost(s, P2) == 4.0
+
+
+def test_sorted_columns_checks_before_it_caches():
+    s = PairedSample([1.0, math.nan], [0.0, 1.0])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^x column holds a non-finite value"):
+            s.sorted_columns()
 
 
 @pytest.mark.parametrize("c", [PowerCost(2.0), PowerCost(3.0), LogPowerCost(0.5),

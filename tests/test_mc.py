@@ -539,6 +539,17 @@ def test_fixed_wide_trim_is_reported_without_assertion():
     assert 0.0 <= cmp.trimmed.ks_distance <= 1.0
 
 
+@pytest.mark.parametrize("sigma_source, restricted", [("oracle_quadrature", "cost and variance"),
+                                                      ("plug_in", "cost")])
+def test_each_family_notes_the_scale_it_is_standardized_by(sigma_source, restricted):
+    cmp = compare_trimmed(smoke_config(n=200, replicates=100, seed=3, trim_eps=0.2,
+                                       sigma_source=sigma_source), threads=1)
+    scale = ("per-replicate plug-in variances",) if sigma_source == "plug_in" else ()
+    assert cmp.plain.notes == (mc._BASE_NOTE,) + scale
+    assert cmp.trimmed.notes == cmp.plain.notes + (
+        f"trimmed family standardized about the population {restricted} restricted to (0.2, 0.8)",)
+
+
 # --- consistency sweep ----------------------------------------------------------
 
 

@@ -724,6 +724,24 @@ def test_window_near_the_frechet_limits_returns_a_value(r, eps):
     assert res.est_error <= _tolerance(DEFAULT_VARIANCE_CONFIG, res.value)
 
 
+@pytest.mark.parametrize("eps", [float(ndtr(-0.84375)), 0.05, 0.2],
+                         ids=["Phi(-0.84375)", "0.05", "0.2"])
+def test_a_window_near_r_one_approaches_the_comonotone_value_at_a_steady_slope(eps):
+    # Near r = 1 the cross term takes its second Mehler form, whose weights
+    # are r^k - 1.  d(r) = (sigma2(r) - sigma2_comonotone) / (1 - r) tends to
+    # the slope at r = 1, so its step from 0.9999 to 0.99999 stays within
+    # their error estimates plus its step from 0.999 to 0.9999.
+    laws = (Gaussian(0, 1), Exponential(1.0), P2)
+    co = sigma2_window(*laws, Comonotone(), eps)
+
+    def slope(r):
+        res = sigma2_window(*laws, GaussianCopula(r), eps)
+        return (res.value - co.value) / (1 - r), (res.est_error + co.est_error) / (1 - r)
+
+    (d3, _), (d4, err4), (d5, err5) = slope(0.999), slope(0.9999), slope(0.99999)
+    assert abs(d5 - d4) <= err4 + err5 + abs(d4 - d3)
+
+
 def test_series_past_its_cap_raises_a_typed_error(monkeypatch):
     monkeypatch.setattr(variance_module, "_SERIES_CAP", 40)
     with pytest.raises(NonconvergenceError, match="cross: series truncation .* after 40 terms"):
